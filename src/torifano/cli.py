@@ -28,7 +28,7 @@ from .geometry import (
     validate_fan,
 )
 from .masolver import DEFAULT_T_SCHEDULE, solve_continuity_1d
-from .moments import barycenter, volume, weighted_barycenter
+from .moments import volume, weighted_barycenter
 from .problems import (
     builtin_example,
     document_to_dict,
@@ -193,7 +193,7 @@ def _cmd_barycenter(doc, args):
     for i, mesh in enumerate(dec.meshes):
         entry = {
             "volume": volume(mesh),
-            "barycenter": list(barycenter(mesh)),
+            "barycenter": list(dec.barycenters[i]),
         }
         if vfields is not None:
             entry["weighted_barycenter"] = list(weighted_barycenter(mesh, vfields[i]))

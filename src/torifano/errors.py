@@ -17,8 +17,8 @@ class ConfigurationError(InputError):
 class EmptyPolytopeError(InputError):
     """Halfspace system with no feasible point.
 
-    ``certificate`` holds the contradictory constant constraint derived by
-    elimination, as evidence of infeasibility.
+    ``certificate`` holds exact Farkas multipliers y >= 0, one per row, with
+    sum y_j d_j = 0 and sum y_j c_j < 0: a weighted sum of rows that fails.
     """
 
     def __init__(self, message, certificate=None):

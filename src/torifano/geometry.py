@@ -17,14 +17,15 @@ import enum
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from . import linalg
 from .errors import EmptyPolytopeError, InputError, UnboundedPolytopeError
 
 DEFAULT_FLOAT_TOL = 1e-9
 
-# Brute-force vertex enumeration is intended for this regime only.
+# Raw vertex enumeration screens all C(m, n) row subsets in float, 906,192 at
+# this cap, and solves exactly only those it cannot rule out.
 MAX_RAW_DIM = 6
 MAX_RAW_HALFSPACES = 32
 
@@ -293,71 +294,69 @@ def polytope_from_support(fan, c):
     )
 
 
-def _fm_feasible(halfspaces, tol):
-    """Fourier-Motzkin feasibility for <d, x> + c >= 0 systems.
+def _vertex_subsets(hs, tol):
+    """Row n-subsets, in lexicographic order, that a float screen cannot rule out.
 
-    Returns (feasible, certificate); the certificate is the most violated
-    constant constraint left after eliminating every variable.
+    Rows are scaled to integers as G = [normals | offsets].  For a subset S
+    and a row k the cofactors z of row k in det G[S + k] give z . G[k] =
+    det A_S * slack_k (Schur complement), with z_n = det A_S.  Laplace
+    expansion along the rows of G[S] keeps every partial sum within P, the
+    product of the rows' l1 norms, so det A_S is exact while the normals' P
+    is below 2**52, and then nonzero means |det A_S| >= 1.  z . G[k] is off
+    by at most (n + 2)**2 eps |G[k]|_1 P (Higham's gamma bounds).  S is
+    dropped when det A_S = 0, or when some slack is negative beyond twice
+    that error times the growth 2**n of the exact path's own pivoting on
+    float offsets.  Rows with float normals, or with a scale or entry of
+    2**52 or more, prove nothing.
     """
-    rows = [tuple(_coerce(x) for x in d) + (_coerce(c),) for d, c in halfspaces]
-    nvars = len(halfspaces[0][0])
+    import numpy as np
 
-    def _normalize(row):
-        scale = max(abs(x) for x in row[:-1]) if any(row[:-1]) else (abs(row[-1]) or 1)
-        if scale == 0:
-            return row
-        return tuple(x / scale for x in row)
-
-    for var in range(nvars - 1, -1, -1):
-        pos, neg, rest = [], [], []
-        for row in rows:
-            a = row[var]
-            if a > tol:
-                pos.append(row)
-            elif a < -tol:
-                neg.append(row)
-            else:
-                rest.append(row[:var] + row[var + 1 :])
-        combined = set()
-        for p in pos:
-            for m in neg:
-                new = tuple(
-                    p[var] * m[k] - m[var] * p[k]
-                    for k in range(len(p))
-                    if k != var
-                )
-                combined.add(_normalize(new))
-        rows = rest + sorted(combined)
-    worst = min((row[-1] for row in rows), default=Fraction(0))
-    return worst >= -tol, worst
-
-
-def _recession_direction(normals, tol):
-    """A nonzero direction d with <normal, d> >= 0 for all rows, if any."""
-    n = len(normals[0])
-    lineality = linalg.kernel_vector(normals, tol)
-    if lineality is not None:
-        return lineality
-    for subset in itertools.combinations(range(len(normals)), n - 1):
-        sub = [normals[j] for j in subset]
-        if linalg.rank(sub, tol) != n - 1:
-            continue
-        d = linalg.kernel_vector(sub, tol)
-        if d is None:
-            continue
-        for cand in (d, tuple(-x for x in d)):
-            if all(dot(row, cand) >= -tol for row in normals):
-                return cand
-    return None
+    m, n = len(hs), len(hs[0][0])
+    scales = [lcm(1, *(x.denominator for x in (*d, c) if not isinstance(x, float))) for d, c in hs]
+    rows = [[Fraction(x) * s for x in (*d, c)] for (d, c), s in zip(hs, scales)]
+    unsafe = [any(isinstance(x, float) for x in d) or max(s, *map(abs, row)) >= 2**52
+              for (d, _), row, s in zip(hs, rows, scales)]
+    G = np.array([[0.0 if bad else float(x) for x in row] for row, bad in zip(rows, unsafe)])
+    norms, norms_a = np.abs(G).sum(axis=1), np.abs(G[:, :n]).sum(axis=1)
+    proof = ~np.array(unsafe)
+    tols = np.array([0.0 if bad else tol * s for s, bad in zip(scales, unsafe)])
+    margin = 2.0**n * 2 * (n + 2) ** 2 * 2.0**-52  # 2.0**-52 is float64's eps
+    levels, position = [], {(): 0}
+    for k in range(n):
+        cols = list(itertools.combinations(range(n + 1), k + 1))
+        minor = [[position[c[:i] + c[i + 1:]] for i in range(k + 1)] for c in cols]
+        sign = np.array([(-1.0) ** (k + i) for i in range(k + 1)])
+        levels.append((np.array(minor), np.array(cols), sign))
+        position = {c: i for i, c in enumerate(cols)}
+    # the minor without column j is at position n - j
+    cofactor_sign = np.array([(-1.0) ** (n + j) for j in range(n + 1)])
+    subsets = itertools.combinations(range(m), n)
+    while block := list(itertools.islice(subsets, 256)):
+        idx = np.array(block)
+        z, parent = np.ones((1, 1)), np.zeros(len(block), dtype=int)
+        for k, (minor, cols, sign) in enumerate(levels):
+            # Equal row prefixes are adjacent; their minors are computed once.
+            first = np.diff(idx[:, : k + 1], axis=0, prepend=-1).any(axis=1)
+            z = (z[parent[first]][:, minor] * G[idx[first, k, None, None], cols] * sign).sum(axis=2)
+            parent = np.cumsum(first) - 1
+        z = z[:, ::-1] * cofactor_sign
+        det = z[:, n, None]
+        # det A_S**2 * slack_k against the bound times |det A_S|
+        slack = (z[:, None, :] * G).sum(axis=2) * det
+        bound = (margin * norms[idx].prod(axis=1)[:, None] * norms + np.abs(det) * tols) * np.abs(det)
+        exact_det = proof[idx].all(axis=1) & (norms_a[idx].prod(axis=1) < 2.0**52)
+        drop = exact_det & ((det[:, 0] == 0) | (proof & (slack < -bound)).any(axis=1))
+        yield from itertools.compress(block, ~drop)
 
 
 def polytope_from_halfspaces(halfspaces, tol=None, provenance="raw"):
-    """Vertex enumeration for an explicit halfspace list, brute force.
+    """Vertex enumeration for an explicit halfspace list.
 
-    Solves every n-subset of the system exactly, keeps feasible solutions,
-    and classifies empty and unbounded inputs.  Intended for dimension <= 6
-    and at most 32 halfspaces; beyond that is an input error, not a slow
-    path.
+    Row n-subsets that a float screen cannot rule out are solved exactly, in
+    lexicographic order, keeping solutions that satisfy every row.  One exact
+    LP then certifies an empty system (Farkas) or finds a recession direction
+    (Stiemke).  The regime is dimension <= 6 and at most 32 halfspaces;
+    larger input is an error.
     """
     hs = [(_vec(d), _coerce(c)) for d, c in halfspaces]
     if not hs:
@@ -375,34 +374,34 @@ def polytope_from_halfspaces(halfspaces, tol=None, provenance="raw"):
         tol = 0 if exact else DEFAULT_FLOAT_TOL
 
     normals = [d for d, _ in hs]
-    candidates = []
-    for subset in itertools.combinations(range(m), n):
-        v = linalg.solve(
-            [normals[j] for j in subset],
-            [-hs[j][1] for j in subset],
-            tol=tol if tol else 0,
-        )
+    candidates, tight = [], []
+    for subset in _vertex_subsets(hs, tol):
+        # Exact rows tight at a known vertex meet in it or are singular.
+        if exact and any(t.issuperset(subset) for t in tight):
+            continue
+        v = linalg.solve([normals[j] for j in subset], [-hs[j][1] for j in subset], tol)
         if v is None:
             continue
-        if all(dot(d, v) + c >= -tol for d, c in hs):
+        slacks = [dot(d, v) + c for d, c in hs]
+        if all(s >= -tol for s in slacks):
             candidates.append(v)
+            tight.append({j for j, s in enumerate(slacks) if s == 0})
     vertices = tuple(_dedup_vertices(candidates, tol))
 
+    columns = list(zip(*normals))
     if not vertices:
-        feasible, certificate = _fm_feasible(hs, tol)
-        if not feasible:
-            raise EmptyPolytopeError(
-                "halfspace system is infeasible", certificate=str(certificate)
-            )
-        direction = _recession_direction(normals, tol)
+        # Farkas: empty iff some y >= 0 has sum y_j d_j = 0, sum y_j c_j = -1.
+        certificate, _ = linalg.farkas(columns + [[c for _, c in hs]], [0] * n + [-1])
+        if certificate is not None:
+            raise EmptyPolytopeError("halfspace system is infeasible", certificate=certificate)
         raise UnboundedPolytopeError(
-            "feasible but has no vertex", direction=direction
+            "feasible but has no vertex", direction=linalg.kernel_vector(normals, tol)
         )
-    direction = _recession_direction(normals, tol)
+    # Stiemke: with rank A = n, P is bounded iff A^T (1 + y) = 0 for some
+    # y >= 0; otherwise the ray has A d >= 0 and 1^T A d > 0.
+    _, direction = linalg.farkas(columns, [-sum(col) for col in columns])
     if direction is not None:
-        raise UnboundedPolytopeError(
-            f"unbounded along {direction}", direction=direction
-        )
+        raise UnboundedPolytopeError(f"unbounded along {direction}", direction=direction)
 
     degenerate = linalg.affine_rank(vertices, tol) < n
     tight_sets, redundant = _tight_and_redundant(n, hs, vertices, tol)
@@ -451,8 +450,8 @@ def minkowski_sum(fan, parts):
     """Sum support vectors over one fan and rebuild the polytope.
 
     All parts must be Ample or NefOnly.  The construction is linear per
-    maximal cone, which is asserted, along with support-number additivity
-    on every ray direction.
+    maximal cone, which is checked, along with support-number additivity
+    on every ray direction; a failed check raises ``ArithmeticError``.
     """
     parts = [_vec(c) for c in parts]
     if not parts:
@@ -474,12 +473,14 @@ def minkowski_sum(fan, parts):
             vertex_from_equalities(rays, [c[j] for j in cone]) for c in parts
         ]
         combined = tuple(sum(p[i] for p in pieces) for i in range(fan.dim))
-        assert vsum == combined, "per-cone vertices must add"
+        if vsum != combined:
+            raise ArithmeticError("per-cone vertices must add")
     for j in range(fan.nrays):
         lhs = sum(
             min(dot(fan.rays[j], v) for v in pp.vertices) for pp in part_polys
         )
-        assert lhs == -total[j], "support numbers must add on rays"
+        if lhs != -total[j]:
+            raise ArithmeticError("support numbers must add on rays")
     return total, poly
 
 

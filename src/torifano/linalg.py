@@ -148,6 +148,41 @@ def kernel_vector(matrix, tol=0):
     return tuple(vec)
 
 
+def farkas(matrix, rhs):
+    """Exact y >= 0 with ``matrix y = rhs``, or a Farkas ray refuting one.
+
+    Phase 1 of the simplex method over Fractions, from one artificial
+    variable per row, pivoting by Bland's smallest-index rule, which cannot
+    cycle (Bland, Math. Oper. Res. 1977).  Returns ``(y, None)``, or
+    ``(None, u)`` with ``u^T matrix >= 0`` and ``u^T rhs < 0``.  Floats
+    enter by their exact binary value.
+    """
+    p, q = len(matrix), len(matrix[0])
+    signs = [-1 if b < 0 else 1 for b in rhs]
+    rows = [
+        [s * Fraction(x) for x in row] + [Fraction(int(i == k)) for k in range(p)] + [s * Fraction(b)]
+        for i, (row, b, s) in enumerate(zip(matrix, rhs, signs))
+    ]
+    # Reduced costs of the sum of artificials: the last entry is minus its
+    # value, and entry q + i is 1 minus the dual of row i.
+    reduced = [-sum(col) for col in zip(*rows)]
+    reduced[q : q + p] = [Fraction(0)] * p
+    basis = list(range(q, q + p))
+    while (enter := next((j for j in range(q + p) if reduced[j] < 0), None)) is not None:
+        ratios = [(row[-1] / row[enter], basis[i], i) for i, row in enumerate(rows) if row[enter] > 0]
+        leave = min(ratios)[2]
+        pivot = rows[leave] = [x / rows[leave][enter] for x in rows[leave]]
+        for i, row in enumerate(rows):
+            if i != leave and row[enter]:
+                rows[i] = [a - row[enter] * b for a, b in zip(row, pivot)]
+        reduced = [a - reduced[enter] * b for a, b in zip(reduced, pivot)]
+        basis[leave] = enter
+    if reduced[-1] == 0:
+        value = {j: row[-1] for j, row in zip(basis, rows)}
+        return tuple(value.get(j, Fraction(0)) for j in range(q)), None
+    return None, tuple(-s * (1 - reduced[q + i]) for i, s in enumerate(signs))
+
+
 def affine_rank(points, tol=0):
     """Dimension of the affine hull of a point collection."""
     pts = list(points)

@@ -228,7 +228,8 @@ def ma_step_1d(state, relaxation=0.5):
         slope = _transport_slope(vol * phi, a, b, v)
         # G is strictly increasing for finite V, so the inverted slope must
         # inherit the monotonicity of the cumulative mass.
-        assert np.all(np.diff(slope) >= -1e-12), "transport slope not monotone"
+        if not np.all(np.diff(slope) >= -1e-12):
+            raise ArithmeticError("transport slope not monotone")
         ftilde = _cumtrapz(slope, dx)
         ftilde -= ftilde[zero_idx]
         cand_slopes.append(slope)

@@ -81,6 +81,10 @@ class Decomposition:
         return tuple(triangulate(p) for p in self.polytopes)
 
     @cached_property
+    def barycenters(self):
+        return tuple(moments.barycenter(mesh) for mesh in self.meshes)
+
+    @cached_property
     def exact(self):
         return all(
             not isinstance(x, float) for p in self.polytopes for v in p.vertices for x in v
@@ -128,8 +132,7 @@ def validate_decomposition(fan, matrix):
 def sum_barycenter(decomposition):
     """Sum of the part barycenters; exact on rational input."""
     total = None
-    for mesh in decomposition.meshes:
-        b = moments.barycenter(mesh)
+    for b in decomposition.barycenters:
         total = b if total is None else tuple(x + y for x, y in zip(total, b))
     return total
 

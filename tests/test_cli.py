@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import torifano
+from torifano import moments
 from torifano.cli import main
 from torifano.problems import (
     builtin_example,
@@ -384,3 +385,14 @@ def test_document_echo_matches_input(tmp_path, capsys):
     direct = document_from_dict(json.loads(open(path).read()), "echo")
     assert echoed.halfspaces == direct.halfspaces
     assert echoed.vector_fields == direct.vector_fields
+
+
+@pytest.mark.parametrize("command", ["barycenter", "df"])
+def test_exact_commands_compute_each_part_barycenter_once(capsys, monkeypatch, command):
+    calls = []
+    real = moments.barycenter
+    monkeypatch.setattr(moments, "barycenter", lambda mesh: calls.append(mesh) or real(mesh))
+    code, report, _ = run_cli(capsys, command, "--example", "hexagon-dP6-t")
+    assert code == 0
+    assert len(calls) == 2
+    assert report["results"]["sum_barycenter"] == ["148/66303", "148/66303"]

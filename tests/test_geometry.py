@@ -1,11 +1,14 @@
 """Fans, support polytopes, raw halfspace intersection, triangulation."""
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from torifano import geometry, linalg
 from torifano.errors import (
     EmptyPolytopeError,
     InputError,
@@ -114,12 +117,18 @@ def test_redundant_halfspace_flagged():
     assert set(p.vertices) == {(-1,), (1,)}
 
 
+def _assert_farkas_certificate(rows, y):
+    assert all(isinstance(x, Fraction) and x >= 0 for x in y)
+    n = len(rows[0][0])
+    assert all(sum(yj * d[i] for yj, (d, _) in zip(y, rows)) == 0 for i in range(n))
+    assert sum(yj * c for yj, (_, c) in zip(y, rows)) < 0
+
+
 def test_empty_system_certificate():
+    rows = (((1,), Fraction(-1)), ((-1,), Fraction(-1)))
     with pytest.raises(EmptyPolytopeError) as err:
-        polytope_from_halfspaces(
-            (((1,), Fraction(-1)), ((-1,), Fraction(-1))), tol=0
-        )
-    assert err.value.certificate is not None
+        polytope_from_halfspaces(rows, tol=0)
+    _assert_farkas_certificate(rows, err.value.certificate)
 
 
 def test_unbounded_system_direction():
@@ -218,3 +227,188 @@ def test_translate_equivariance_of_moments(c, shift):
     moved = triangulate(translate(p, shift))
     assert volume(moved) == volume(mesh)
     assert barycenter(moved) == tuple(b + s for b, s in zip(barycenter(mesh), shift))
+
+
+# ---------------------------------------------------------------------------
+# raw route: screened enumeration against solving every subset
+
+
+def _all_subsets_reference(halfspaces, tol):
+    """Vertices, tight sets and redundancy flags from solving every n-subset.
+
+    The enumeration loop the raw route used before it screened subsets in
+    float; kept here as the reference for order and content.
+    """
+    n = len(halfspaces[0][0])
+    candidates = []
+    for subset in itertools.combinations(range(len(halfspaces)), n):
+        v = linalg.solve(
+            [halfspaces[j][0] for j in subset], [-halfspaces[j][1] for j in subset], tol=tol
+        )
+        if v is not None and all(linalg.dot(d, v) + c >= -tol for d, c in halfspaces):
+            if not any(all(abs(a - b) <= tol for a, b in zip(v, w)) for w in candidates):
+                candidates.append(v)
+    tight_sets = tuple(
+        tuple(i for i, v in enumerate(candidates) if abs(linalg.dot(d, v) + c) <= tol)
+        for d, c in halfspaces
+    )
+    redundant = tuple(
+        linalg.affine_rank([candidates[i] for i in tight], tol) < n - 1 for tight in tight_sets
+    )
+    return tuple(candidates), tight_sets, redundant
+
+
+def _shear(rng, rows, shears=5):
+    """Rows of the image of the polytope under a seeded product of +-1 shears."""
+    n = len(rows[0][0])
+    out = [list(d) for d, _ in rows]
+    for _ in range(shears):
+        i, j = rng.sample(range(n), 2)
+        sign = rng.choice((1, -1))
+        for d in out:
+            d[i] += sign * d[j]
+    return [(tuple(Fraction(x) for x in d), Fraction(c)) for d, (_, c) in zip(out, rows)]
+
+
+def _unit(n, i, sign=1):
+    return tuple(sign * int(i == j) for j in range(n))
+
+
+def _box(n, r=1):
+    return [(_unit(n, i, s), Fraction(r)) for i in range(n) for s in (1, -1)]
+
+
+def _cross(n, r=1):
+    return [(signs, Fraction(r)) for signs in itertools.product((1, -1), repeat=n)]
+
+
+def _simplex(n, a):
+    return [(_unit(n, i), Fraction(0)) for i in range(n)] + [((-1,) * n, Fraction(a))]
+
+
+def _padded(rng, facets, extra):
+    """Facets plus implied rows: loosened copies and sums of two facets.
+
+    A sum of two facets meeting in a face is tight on that face, so it is
+    implied yet touches vertices.
+    """
+    rows = list(facets)
+    while len(rows) < len(facets) + extra:
+        if len(rows) % 2:
+            d, c = rng.choice(facets)
+            rows.append((d, c + Fraction(rng.randint(1, 4), 3)))
+        else:
+            (d1, c1), (d2, c2) = rng.sample(facets, 2)
+            d = tuple(a + b for a, b in zip(d1, d2))
+            if any(d):
+                rows.append((d, c1 + c2))
+    rng.shuffle(rows)
+    return rows
+
+
+def _exact(rows):
+    return [(tuple(Fraction(x) for x in d), Fraction(c)) for d, c in rows]
+
+
+def _screened_systems():
+    rng = random.Random(20)
+    prism = [(d + (0,), c) for d, c in _simplex(2, 2)] + [((0, 0, 1), 1), ((0, 0, -1), 2)]
+    shapes = [
+        (_box(3, Fraction(3, 2)), 9),
+        (_cross(3, 2), 4),  # every vertex lies on four facets
+        (_simplex(4, 3), 6),
+        (_exact(prism), 5),
+        (_box(2), 6),
+    ]
+    for seed, (facets, extra) in enumerate(shapes):
+        rows = _shear(random.Random(seed), _padded(rng, facets, extra))
+        yield pytest.param(rows, 0, id=f"padded-{seed}")
+    # Nearly parallel rows: slopes 1/50 apart, tight at the square's corners.
+    rows = _box(2) + [((50, 1), 51), ((50, -1), 51), ((-1, 49), 50)]
+    yield pytest.param(_exact(rows), 0, id="nearly-parallel")
+    # A unimodular square whose normals are too large for an exact float
+    # determinant (2**60 - (2**60 - 1) rounds to 0): the screen must keep it.
+    # The last row's offset has a denominator no float can hold.
+    a, b = (2**30, 2**30 + 1), (2**30 - 1, 2**30)
+    rows = [(a, 0), ((-a[0], -a[1]), 1), (b, 0), ((-b[0], -b[1]), 1), (a, Fraction(1, 10**400))]
+    yield pytest.param(_exact(rows), 0, id="huge-entries")
+    # Float offsets go through the same screen with the float tolerance.
+    rows = _shear(random.Random(7), _padded(rng, _cross(3, 1), 5))
+    rows = [(d, float(c) + 0.1) for d, c in rows]
+    yield pytest.param(rows, geometry.DEFAULT_FLOAT_TOL, id="float-offsets")
+
+
+@pytest.mark.parametrize("rows,tol", _screened_systems())
+def test_screened_enumeration_matches_all_subsets(rows, tol):
+    polytope = polytope_from_halfspaces(rows)
+    vertices, tight_sets, redundant = _all_subsets_reference(rows, tol)
+    assert polytope.vertices == vertices
+    assert polytope.tight_sets == tight_sets
+    assert polytope.redundant == redundant
+    assert any(redundant) and not all(redundant)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_cut_cross_polytope_is_empty_in_every_basis(seed):
+    # The 4-D cross-polytope with one row reversed past its facet; elimination
+    # by Fourier-Motzkin took 0.5-50 s on these, depending on the basis.
+    facets = _cross(4)
+    (d, c), cut = facets[0], Fraction(1, 2)
+    rows = _shear(random.Random(seed), facets + [(tuple(-x for x in d), -c - cut)])
+    with pytest.raises(EmptyPolytopeError, match="infeasible") as err:
+        polytope_from_halfspaces(rows, tol=0)
+    _assert_farkas_certificate(rows, err.value.certificate)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_unbounded_direction_is_a_recession_ray(seed):
+    rows = _box(4, 2)
+    del rows[random.Random(seed).randrange(len(rows))]
+    rows = _shear(random.Random(seed), rows)
+    with pytest.raises(UnboundedPolytopeError, match="unbounded along") as err:
+        polytope_from_halfspaces(rows, tol=0)
+    direction = err.value.direction
+    assert any(x != 0 for x in direction)
+    assert all(linalg.dot(d, direction) >= 0 for d, _ in rows)
+
+
+def test_lines_without_vertex_reported_with_lineality():
+    rows = [(d, c) for d, c in _box(3) if d[0] == 0]
+    with pytest.raises(UnboundedPolytopeError, match="feasible but has no vertex") as err:
+        polytope_from_halfspaces(rows, tol=0)
+    assert all(linalg.dot(d, err.value.direction) == 0 for d, _ in rows)
+
+
+def test_six_cube_at_the_regime_cap():
+    rng = random.Random(6)
+    facets = _box(6, Fraction(1, 2))
+    rows = _padded(rng, facets, 20)
+    implied = [(d, c) not in facets for d, c in rows]
+    rows = _shear(random.Random(6), rows)
+    assert (len(rows[0][0]), len(rows)) == (geometry.MAX_RAW_DIM, geometry.MAX_RAW_HALFSPACES)
+    polytope = polytope_from_halfspaces(rows)
+    assert polytope.nvertices == 64
+    assert polytope.redundant == tuple(implied)
+    assert len(set(polytope.vertices)) == 64
+
+
+def test_minkowski_sum_raises_when_cone_vertices_do_not_add(monkeypatch):
+    real = geometry.vertex_from_equalities
+    ample = geometry.AmplenessReport(Ampleness.AMPLE)
+    monkeypatch.setattr(geometry, "ampleness_class", lambda fan, c: ample)
+    monkeypatch.setattr(
+        geometry, "vertex_from_equalities", lambda *a: tuple(x + 1 for x in real(*a))
+    )
+    half = Fraction(1, 2)
+    with pytest.raises(ArithmeticError, match="per-cone vertices must add"):
+        minkowski_sum(P2, ((half, half, half), (half, half, half)))
+
+
+def test_minkowski_sum_raises_when_support_numbers_do_not_add(monkeypatch):
+    real = geometry.polytope_from_support
+    monkeypatch.setattr(
+        geometry, "polytope_from_support", lambda fan, c: translate(real(fan, c), (1, 0))
+    )
+    half = Fraction(1, 2)
+    with pytest.raises(ArithmeticError, match="support numbers must add on rays"):
+        minkowski_sum(P2, ((half, half, half), (half, half, half)))

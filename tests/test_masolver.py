@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from torifano import masolver
 from torifano.errors import ConfigurationError, DomainMismatchError, InputError
 from torifano.masolver import (
     DEFAULT_T_SCHEDULE,
@@ -311,3 +312,11 @@ def test_configuration_errors():
         initial_state([(1.0, -1.0)])
     with pytest.raises(InputError):
         initial_state([(-1.0, 1.0)], vfields=(1.0, 2.0))
+
+
+def test_non_monotone_transport_slope_raises(monkeypatch):
+    # A typed error, not an assert, so the check survives python -O.
+    state = initial_state(PAIR, t=0.5)
+    monkeypatch.setattr(masolver, "_transport_slope", lambda y, a, b, v: -np.asarray(y))
+    with pytest.raises(ArithmeticError, match="transport slope not monotone"):
+        ma_step_1d(state)

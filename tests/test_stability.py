@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from torifano import moments
 from torifano.errors import DegenerateLiftError, InputError
 from torifano.geometry import (
     Fan,
@@ -332,3 +333,14 @@ def test_soliton_hessian_is_positive_definite():
     for v in ((0.0, 0.0), (-0.5, -0.5), (1.0, -2.0)):
         hess = sum(weighted_covariance(mesh, v) for mesh in dec.meshes)
         assert np.linalg.eigvalsh(np.array(hess, dtype=float)).min() > 0
+
+
+def test_part_barycenters_computed_once(monkeypatch):
+    calls = []
+    real = moments.barycenter
+    monkeypatch.setattr(moments, "barycenter", lambda mesh: calls.append(mesh) or real(mesh))
+    dec = Decomposition.from_fan(HEXAGON, hexagon_rows(Fraction(1, 10)))
+    report = df_invariant(dec, destabilizer(dec))
+    assert coupled_ke_verdict(dec).sum_barycenter == report.sum_barycenter == sum_barycenter(dec)
+    assert len(calls) == dec.k
+    assert sum_barycenter(dec) == tuple(sum(b[i] for b in dec.barycenters) for i in range(2))
