@@ -47,12 +47,14 @@ from .masolver import (
 )
 from .moments import (
     MomentReport,
+    WeightedMoments,
     barycenter,
     divided_difference_exp,
     moment_report,
     volume,
     weighted_barycenter,
     weighted_covariance,
+    weighted_moments,
     weighted_volume,
 )
 from .problems import (

@@ -3,7 +3,8 @@ emit a deterministic JSON report.
 
 Exit codes separate operational failure from mathematical outcome: 0 covers
 every computed verdict (including NotExists and Obstructed), 1 is a usage
-mistake, 2 invalid input, 3 non-convergence of a requested solve.  Floats
+mistake, 2 invalid input, 3 non-convergence of a requested solve or a
+numerical failure (an ``ArithmeticError``, overflow included).  Floats
 are serialized as strings with 17 significant digits and rationals as
 "p/q", so identical inputs byte-reproduce the report apart from wall time.
 """
@@ -272,8 +273,8 @@ def _cmd_lift(doc, args):
     vfield = _single_vfield(args, dec)
     cap = parse_scalar(args.cap, "--cap") if args.cap else None
     parts = []
-    for polytope in dec.polytopes:
-        lifted = lifted_config(polytope, vfield, cap=cap)
+    for mesh in dec.meshes:
+        lifted = lifted_config(mesh, vfield, cap=cap)
         parts.append(
             {
                 "cap": lifted.cap,
@@ -428,6 +429,9 @@ def main(argv=None):
     except InputError as exc:
         print(f"torifano: invalid input: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:
+        print(f"torifano: numerical failure: {exc}", file=sys.stderr)
+        return 3
     payload = json.dumps(jsonable(report), indent=2, sort_keys=True) + "\n"
     sys.stdout.write(payload)
     if args.out:

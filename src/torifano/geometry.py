@@ -17,6 +17,7 @@ import enum
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 
 from . import linalg
@@ -488,9 +489,20 @@ def minkowski_sum(fan, parts):
 # triangulation
 
 
+def _volume_factor(simplex):
+    """|det| of the edge matrix, i.e. dim! times the simplex volume."""
+    edges = [[a - b for a, b in zip(p, simplex[0])] for p in simplex[1:]]
+    return abs(linalg.det(edges))
+
+
 @dataclass(frozen=True)
 class SimplexMesh:
-    """Disjoint simplices covering a polytope, as coordinate tuples."""
+    """Disjoint simplices covering a polytope, as coordinate tuples.
+
+    The volume factor of each simplex (dim! times its volume), the
+    barycenter, both exact on rational meshes, and the float arrays of the
+    weighted moment pass are computed on first use and kept here.
+    """
 
     simplices: tuple
     parent: Polytope = field(compare=False, default=None)
@@ -498,6 +510,29 @@ class SimplexMesh:
     @property
     def dim(self):
         return len(self.simplices[0]) - 1 if self.simplices else 0
+
+    @cached_property
+    def factors(self):
+        return tuple(map(_volume_factor, self.simplices))
+
+    @cached_property
+    def barycenter(self):
+        """Volume-weighted centroid."""
+        n = self.dim
+        total = sum(self.factors)
+        if total == 0:
+            raise InputError("zero-volume mesh has no barycenter")
+        moment = [0] * n
+        for simplex, w in zip(self.simplices, self.factors):
+            moment = [m + w * (sum(v[i] for v in simplex) / (n + 1)) for i, m in enumerate(moment)]
+        return tuple(m / total for m in moment)
+
+    @cached_property
+    def arrays(self):
+        """Float vertices, shaped (simplex, vertex, axis), and float factors."""
+        import numpy as np
+
+        return np.array(self.simplices, dtype=float), np.array(self.factors, dtype=float)
 
 
 def triangulate(polytope, apex="lexmin"):
@@ -550,11 +585,8 @@ def triangulate(polytope, apex="lexmin"):
         return result
 
     top = tuple(range(len(verts)))
-    simplices = []
-    for idx_tuple in tri_face(top, n):
-        pts = tuple(verts[i] for i in idx_tuple)
-        edges = [[a - b for a, b in zip(p, pts[0])] for p in pts[1:]]
-        if abs(linalg.det(edges)) <= tol:
-            raise ArithmeticError("degenerate simplex in triangulation")
-        simplices.append(pts)
-    return SimplexMesh(simplices=tuple(simplices), parent=polytope)
+    simplices = tuple(tuple(verts[i] for i in idx) for idx in tri_face(top, n))
+    mesh = SimplexMesh(simplices=simplices, parent=polytope)
+    if any(w <= tol for w in mesh.factors):
+        raise ArithmeticError("degenerate simplex in triangulation")
+    return mesh

@@ -1,39 +1,33 @@
 """Exact and exponentially weighted moments of polytopes.
 
-Volumes and barycenters of rational meshes are exact.  The weighted
-functionals Vol_V(P) = integral of e^{<V,p>} and its normalized first moment
-A_P(V) use divided differences of exp over simplex vertex nodes, with a
-series fallback for clustered nodes; second moments go through the
-independent quadrature route in :mod:`.quadrature`.
+Volumes and barycenters of rational meshes are exact; they read the volume
+factors and the barycenter that each :class:`SimplexMesh` holds.  The
+weighted functionals Vol_V(P) = integral of e^{<V,p>}, its normalized first
+moment A_P(V) and the covariance all come from one numpy pass over the
+simplices of a mesh, :func:`weighted_moments`.  On a simplex with vertex
+exponents a_i = <V, v_i> the integral of e^{<V,p>} is dim! vol [a] exp, the
+divided difference of exp over the a_i; its derivatives [a, a_i] and
+[a, a_i, a_j] (doubled when i = j) give the first and second moments
+(Baldoni, Berline, De Loera, Koppe and Vergne, Math. Comp. 2011).  The
+independent quadrature route in :mod:`.quadrature` only cross-checks it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from . import linalg, quadrature
+from . import quadrature
 from .errors import InputError
 from .geometry import Polytope, SimplexMesh, triangulate
 
-# Divided-difference blocks narrower than this are summed by the symmetric
-# series; wider blocks use the two-term ratio recurrence.
-SERIES_SPREAD = 0.25
-EXP_GUARD = 700.0
-
-
-def _kahan(values):
-    total = 0.0
-    comp = 0.0
-    for x in values:
-        y = x - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return total
+# Taylor terms beyond the node count; after scaling every node lies within
+# 1/2 of the expansion point, so the truncation is below 1e-18 relative.
+_TAYLOR_EXTRA = 16
 
 
 def _mesh(p):
@@ -44,100 +38,123 @@ def _mesh(p):
     raise InputError("expected a Polytope or SimplexMesh")
 
 
-def _simplex_volume_factor(simplex):
-    """|det| of the edge matrix, i.e. dim! times the simplex volume."""
-    base = simplex[0]
-    edges = [[a - b for a, b in zip(v, base)] for v in simplex[1:]]
-    return abs(linalg.det(edges))
-
-
 def volume(mesh):
     """Total volume, exact for rational meshes."""
     mesh = _mesh(mesh)
-    n = mesh.dim
-    nf = math.factorial(n)
-    total = sum(_simplex_volume_factor(s) for s in mesh.simplices)
+    nf = math.factorial(mesh.dim)
+    total = sum(mesh.factors)
     return total / nf if isinstance(total, float) else Fraction(total, nf)
 
 
 def barycenter(mesh):
     """Volume-weighted centroid, exact for rational meshes."""
-    mesh = _mesh(mesh)
-    n = mesh.dim
-    total = None
-    moment = None
-    for simplex in mesh.simplices:
-        w = _simplex_volume_factor(simplex)
-        centroid = tuple(sum(v[i] for v in simplex) / (n + 1) for i in range(n))
-        if total is None:
-            total = w
-            moment = [w * x for x in centroid]
-        else:
-            total = total + w
-            moment = [m + w * x for m, x in zip(moment, centroid)]
-    if total == 0:
-        raise InputError("zero-volume mesh has no barycenter")
-    return tuple(m / total for m in moment)
+    return _mesh(mesh).barycenter
 
 
 # ---------------------------------------------------------------------------
 # divided differences of exp
 
 
-def _dd_series(nodes):
-    """Divided difference of exp over clustered nodes.
+def _dd_rows(nodes):
+    """Entry k of row r is the divided difference [nodes[r, :k+1]] exp.
 
-    Mean-shift the nodes, then sum h_k(b)/ (m+k)! where h_k is the complete
-    homogeneous symmetric polynomial; for spread < 1/4 the terms decay
-    faster than 8^-k, so the loop below is effectively exact.
+    These are row 0 of exp(diag(a) + N), N the unit superdiagonal (Opitz).
+    Each row is shifted by its largest node and scaled by 2^-s to a spread
+    below 1, a Taylor polynomial gives the exponential, and s squarings
+    undo the scaling; the diagonal is reset to exact exponentials after
+    each squaring, so rounding errors add up instead of doubling
+    (McCurdy, Ng and Parlett, Math. Comp. 1984).
     """
-    m = len(nodes) - 1
-    mean = sum(nodes) / len(nodes)
-    bs = [x - mean for x in nodes]
-    kmax = 34
-    h = [0.0] * (kmax + 1)
-    h[0] = 1.0
-    for b in bs:
-        for k in range(1, kmax + 1):
-            h[k] += b * h[k - 1]
-    acc = 0.0
-    for k in range(kmax, -1, -1):
-        acc += h[k] / math.factorial(m + k)
-    return math.exp(mean) * acc
+    count, k = nodes.shape
+    top = nodes.max(axis=1)
+    steps = np.maximum(np.frexp(top - nodes.min(axis=1))[1], 0)
+    x = np.ldexp(nodes - top[:, None], -steps[:, None])
+    mid = x.min(axis=1) / 2
+    diag = (slice(None), range(k), range(k))
+    a = np.zeros((count, k, k))
+    a[diag] = x - mid[:, None]
+    a[:, range(k - 1), range(1, k)] = 1.0
+    eye = np.eye(k)
+    e = eye
+    for j in range(k + _TAYLOR_EXTRA, 0, -1):
+        e = eye + a @ e / j
+    e = e * np.exp(mid)[:, None, None]
+    scale = np.ldexp(1.0, np.subtract.outer(range(k), range(k)))  # 2^(i-j)
+    for t in range(int(steps.max())):
+        sq = e @ e * scale
+        sq[diag] = np.exp(np.ldexp(x, t + 1))
+        e = np.where((steps > t)[:, None, None], sq, e)
+    return e[:, 0, :] * np.exp(top)[:, None]
 
 
 def divided_difference_exp(nodes):
     """[a_0, ..., a_m] exp, stable across clustered and separated nodes."""
-    xs = sorted(float(x) for x in nodes)
-    count = len(xs)
-    if count == 0:
+    xs = [float(x) for x in nodes]
+    if not xs:
         raise InputError("divided difference needs at least one node")
-    prev = [math.exp(x) for x in xs]
-    if count == 1:
-        return prev[0]
-    for length in range(2, count + 1):
-        cur = []
-        for i in range(count - length + 1):
-            j = i + length - 1
-            gap = xs[j] - xs[i]
-            if gap < SERIES_SPREAD:
-                cur.append(_dd_series(xs[i : j + 1]))
-            else:
-                cur.append((prev[i + 1] - prev[i]) / gap)
-        prev = cur
-    return prev[0]
+    top = max(xs)
+    return math.exp(top) * float(_dd_rows(np.array([xs]) - top)[0, -1])
 
 
-def _nodes(simplex, vfield, shift):
-    nodes = []
-    for v in simplex:
-        a = float(sum(float(c) * float(x) for c, x in zip(vfield, v))) - shift
-        if abs(a) > EXP_GUARD:
-            raise OverflowError(
-                f"exponent {a:.3g} outside the +-{EXP_GUARD:.0f} guard"
-            )
-        nodes.append(a)
-    return nodes
+# ---------------------------------------------------------------------------
+# the weighted moment pass
+
+
+@dataclass(frozen=True)
+class WeightedMoments:
+    """Moments of the measure e^{<V,p>} dp on a mesh.
+
+    The mass is e^shift * scaled_mass, with shift the largest vertex
+    exponent; ``barycenter`` is A_P(V) and ``covariance`` the Hessian of
+    log Vol_V(P), each None when the pass stopped at a lower order.
+    """
+
+    shift: float
+    scaled_mass: float
+    barycenter: tuple = None
+    covariance: object = None
+
+    @property
+    def log_mass(self):
+        return self.shift + math.log(self.scaled_mass)
+
+
+def weighted_moments(mesh, vfield, order=2):
+    """Mass, and up to ``order`` 2 the barycenter and covariance, of e^{<V,p>}.
+
+    One batch of divided differences covers every simplex: for each vertex
+    pair i <= j the nodes (a, a_i, a_j) give [a], [a, a_i] and [a, a_i, a_j]
+    at once.  Nodes are shifted by the largest vertex exponent, so all are
+    <= 0 and no field whose exponents are finite overflows; first and second
+    moments are taken about the exact barycenter.
+    """
+    mesh = _mesh(mesh)
+    points, weights = mesh.arrays
+    expo = points @ np.array([float(x) for x in vfield])
+    if not np.isfinite(expo).all():
+        raise OverflowError("vertex exponents outside the float range")
+    shift = float(expo.max())
+    count, k = expo.shape
+    pairs = list(itertools.combinations_with_replacement(range(k), order))
+    rows = np.array([tuple(range(k)) + pair for pair in pairs])
+    dd = _dd_rows((expo[:, rows] - shift).reshape(-1, k + order)).reshape(count, len(pairs), k + order)
+    mass = float(weights @ dd[:, 0, k - 1])
+    if not mass > 0:
+        raise ArithmeticError("nonpositive weighted mass")
+    if order == 0:
+        return WeightedMoments(shift, mass)
+    centre = np.array([float(x) for x in mesh.barycenter])
+    y = points - centre
+    first = dd[:, [pairs.index((i,) * order) for i in range(k)], k]
+    mean = np.einsum("s,si,sia->a", weights, first, y) / mass
+    bary = tuple(float(x) for x in centre + mean)
+    if order == 1:
+        return WeightedMoments(shift, mass, bary)
+    i, j = np.array(pairs).T
+    hess = np.zeros((count, k, k))
+    hess[:, i, j] = hess[:, j, i] = dd[:, :, k + 1] * np.where(i == j, 2.0, 1.0)
+    cov = np.einsum("s,sij,sia,sjb->ab", weights, hess, y, y) / mass - np.outer(mean, mean)
+    return WeightedMoments(shift, mass, bary, (cov + cov.T) / 2.0)
 
 
 def exp_integral_simplex(simplex, vfield):
@@ -146,96 +163,31 @@ def exp_integral_simplex(simplex, vfield):
     n = len(simplex) - 1
     if any(len(v) != n for v in simplex):
         raise InputError("expected an n-simplex with n+1 vertices")
-    nodes = _nodes(simplex, vfield, 0.0)
-    return float(_simplex_volume_factor(simplex)) * divided_difference_exp(nodes)
-
-
-def _shift_for(mesh, vfield):
-    b = barycenter(mesh)
-    return float(sum(float(c) * float(x) for c, x in zip(vfield, b)))
+    return weighted_volume(SimplexMesh(simplices=(simplex,)), vfield)
 
 
 def weighted_volume(mesh, vfield):
-    """Vol_V(P): integral of e^{<V,p>} over the mesh.
-
-    The exponent is pre-shifted by <V, barycenter> so large fields stay in
-    range; terms are accumulated in mesh order with compensated summation.
-    """
-    mesh = _mesh(mesh)
-    shift = _shift_for(mesh, vfield)
-    terms = []
-    for simplex in mesh.simplices:
-        nodes = _nodes(simplex, vfield, shift)
-        terms.append(float(_simplex_volume_factor(simplex)) * divided_difference_exp(nodes))
-    return math.exp(shift) * _kahan(terms)
+    """Vol_V(P): integral of e^{<V,p>} over the mesh."""
+    wm = weighted_moments(mesh, vfield, order=0)
+    return math.exp(wm.shift) * wm.scaled_mass
 
 
 def log_weighted_volume(mesh, vfield):
     """log Vol_V(P), safe for fields whose mass would overflow a float."""
-    mesh = _mesh(mesh)
-    shift = _shift_for(mesh, vfield)
-    terms = []
-    for simplex in mesh.simplices:
-        nodes = _nodes(simplex, vfield, shift)
-        terms.append(float(_simplex_volume_factor(simplex)) * divided_difference_exp(nodes))
-    total = _kahan(terms)
-    if total <= 0:
-        raise ArithmeticError("nonpositive weighted mass")
-    return shift + math.log(total)
+    return weighted_moments(mesh, vfield, order=0).log_mass
 
 
 def weighted_barycenter(mesh, vfield):
-    """A_P(V): the e^{<V,p>}-weighted barycenter.
-
-    First moments use the same divided-difference kernel with one repeated
-    node per vertex; the barycenter shift cancels in the ratio, so this is
-    overflow-free for fields within the guard.
-    """
-    mesh = _mesh(mesh)
-    n = mesh.dim
-    shift = _shift_for(mesh, vfield)
-    mass_terms = []
-    first_terms = [[] for _ in range(n)]
-    for simplex in mesh.simplices:
-        nodes = _nodes(simplex, vfield, shift)
-        w = float(_simplex_volume_factor(simplex))
-        mass_terms.append(w * divided_difference_exp(nodes))
-        for j, v in enumerate(simplex):
-            dd_j = divided_difference_exp(nodes + [nodes[j]])
-            for axis in range(n):
-                first_terms[axis].append(w * float(v[axis]) * dd_j)
-    mass = _kahan(mass_terms)
-    if mass <= 0:
-        raise ArithmeticError("nonpositive weighted mass")
-    return tuple(_kahan(first_terms[axis]) / mass for axis in range(n))
+    """A_P(V): the e^{<V,p>}-weighted barycenter."""
+    return weighted_moments(mesh, vfield, order=1).barycenter
 
 
-def weighted_covariance(mesh, vfield, rtol=1e-12):
+def weighted_covariance(mesh, vfield):
     """Covariance of the e^{<V,p>}-weighted measure on P.
 
     Equals both the Jacobian dA_P/dV and the Hessian of log Vol_V(P).
-    Computed on the quadrature route so it stays independent of the
-    divided-difference kernel.
     """
-    mesh = _mesh(mesh)
-    shift = _shift_for(mesh, vfield)
-    m0, m1, m2 = _quad_moments(mesh, vfield, shift, rtol)
-    a = m1 / m0
-    cov = m2 / m0 - np.outer(a, a)
-    return (cov + cov.T) / 2.0
-
-
-def _quad_moments(mesh, vfield, shift, rtol=1e-12):
-    n = mesh.dim
-    m0 = 0.0
-    m1 = np.zeros(n)
-    m2 = np.zeros((n, n))
-    for simplex in mesh.simplices:
-        c0, c1, c2 = quadrature.exp_moments_simplex(simplex, vfield, shift, rtol)
-        m0 += c0
-        m1 += c1
-        m2 += c2
-    return m0, m1, m2
+    return weighted_moments(mesh, vfield).covariance
 
 
 @dataclass(frozen=True)
@@ -259,23 +211,16 @@ def moment_report(p, vfield=None):
     if vfield is None:
         vfield = tuple(0.0 for _ in range(mesh.dim))
     vfield = tuple(float(x) for x in vfield)
-    vol = volume(mesh)
-    bary = barycenter(mesh)
-    wvol = weighted_volume(mesh, vfield)
-    wbary = weighted_barycenter(mesh, vfield)
-    shift = _shift_for(mesh, vfield)
-    m0, m1, m2 = _quad_moments(mesh, vfield, shift)
-    a = m1 / m0
-    cov = m2 / m0 - np.outer(a, a)
-    cov = (cov + cov.T) / 2.0
-    quad_mass = math.exp(shift) * m0
-    err = abs(wvol - quad_mass) / abs(wvol) if wvol else 0.0
+    wm = weighted_moments(mesh, vfield)
+    quad_mass = sum(
+        quadrature.exp_moments_simplex(s, vfield, wm.shift)[0] for s in mesh.simplices
+    )
     return MomentReport(
-        volume=vol,
-        barycenter=bary,
+        volume=volume(mesh),
+        barycenter=barycenter(mesh),
         vfield=vfield,
-        weighted_volume=wvol,
-        weighted_barycenter=wbary,
-        covariance=cov,
-        err_estimate=err,
+        weighted_volume=math.exp(wm.shift) * wm.scaled_mass,
+        weighted_barycenter=wm.barycenter,
+        covariance=wm.covariance,
+        err_estimate=abs(wm.scaled_mass - quad_mass) / wm.scaled_mass,
     )

@@ -20,6 +20,7 @@ from . import moments
 from .errors import DegenerateLiftError, InputError
 from .geometry import (
     Ampleness,
+    SimplexMesh,
     ampleness_class,
     polytope_from_halfspaces,
     polytope_from_support,
@@ -209,68 +210,64 @@ def solve_soliton(decomposition, tol=1e-11, max_iter=50, start=None):
     """Common soliton field via damped Newton on V -> sum_i log Vol_V(P_i).
 
     The objective is strictly convex and proper, so the minimizer is the
-    unique zero of the gradient sum_i A_{P_i}(V).  Steps are halved until
-    the objective decreases; the Hessian (sum of weighted covariances) is
-    checked positive definite at every iterate.  Non-convergence returns
+    unique zero of the gradient sum_i A_{P_i}(V).  Objective, gradient and
+    Hessian (the sum of weighted covariances) come from one weighted moment
+    pass per part, and the pass at an accepted trial serves the next
+    iterate.  Steps are halved until the objective decreases; the Hessian
+    is checked positive definite at every iterate.  Non-convergence returns
     the best iterate with ``converged=False`` instead of raising.
     """
     n = decomposition.dim
     meshes = decomposition.meshes
     v = np.zeros(n) if start is None else np.array([float(x) for x in start])
 
-    def grad_at(vv):
-        per = [
-            np.array(moments.weighted_barycenter(mesh, tuple(vv)))
-            for mesh in meshes
-        ]
-        return sum(per), per
+    def moments_at(vv, order=2):
+        return [moments.weighted_moments(mesh, tuple(vv), order) for mesh in meshes]
 
-    def objective(vv):
-        return sum(moments.log_weighted_volume(mesh, tuple(vv)) for mesh in meshes)
+    def objective(passes):
+        return sum(p.log_mass for p in passes)
+
+    def solution(iterations, residual):
+        return SolitonSolution(
+            vfield=tuple(float(x) for x in v),
+            residual_norm=residual,
+            iterations=iterations,
+            converged=residual <= tol,
+            hessian_condition=float(np.linalg.cond(hess)),
+            per_polytope_A=tuple(p.barycenter for p in current),
+        )
 
     hess = np.eye(n)
-    grad, per = grad_at(v)
+    current = moments_at(v)
     iterations = 0
     for iterations in range(1, max_iter + 1):
+        grad = sum(np.array(p.barycenter) for p in current)
         residual = float(np.linalg.norm(grad))
         if residual <= tol:
-            return SolitonSolution(
-                vfield=tuple(float(x) for x in v),
-                residual_norm=residual,
-                iterations=iterations - 1,
-                converged=True,
-                hessian_condition=float(np.linalg.cond(hess)),
-                per_polytope_A=tuple(tuple(a) for a in per),
-            )
-        hess = sum(
-            moments.weighted_covariance(mesh, tuple(v)) for mesh in meshes
-        )
+            return solution(iterations - 1, residual)
+        hess = sum(p.covariance for p in current)
         eigs = np.linalg.eigvalsh(hess)
         if eigs[0] <= 0:
             raise ArithmeticError("weighted covariance lost positive definiteness")
         step = np.linalg.solve(hess, -grad)
         scale = 1.0
+        trial = moments_at(v + step)
         if residual > 1e-6:
             # Damped phase: halve the step until the objective decreases.
             # Near the optimum the decrease drops below float resolution,
-            # so small residuals take the full Newton step instead.
-            base = objective(v)
+            # so small residuals take the full Newton step instead.  Halved
+            # trials ask for the mass only.
+            base = objective(current)
             for _ in range(60):
-                trial = v + scale * step
                 if objective(trial) < base:
                     break
                 scale /= 2.0
+                trial = moments_at(v + scale * step, order=0)
+            if trial[0].barycenter is None:
+                trial = moments_at(v + scale * step)
         v = v + scale * step
-        grad, per = grad_at(v)
-    residual = float(np.linalg.norm(grad))
-    return SolitonSolution(
-        vfield=tuple(float(x) for x in v),
-        residual_norm=residual,
-        iterations=iterations,
-        converged=residual <= tol,
-        hessian_condition=float(np.linalg.cond(hess)),
-        per_polytope_A=tuple(tuple(a) for a in per),
-    )
+        current = trial
+    return solution(iterations, float(np.linalg.norm(sum(np.array(p.barycenter) for p in current))))
 
 
 @dataclass(frozen=True)
@@ -306,10 +303,15 @@ class LiftedConfig:
 def lifted_config(polytope, vfield, cap=None):
     """Lift P to {(p, s) : p in P, -<v,p> <= s <= cap} and check volumes.
 
-    The prism volume factors exactly as Vol(P) * (cap + <v, b(P)>); both
-    sides are computed independently (the left by triangulating the lifted
-    polytope) and recorded.  Rational data only.
+    ``polytope`` is P or a triangulation of it.  The prism volume factors
+    exactly as Vol(P) * (cap + <v, b(P)>); both sides are computed
+    independently (the left by triangulating the lifted polytope, the
+    right on the triangulation of P) and recorded.  Rational data only.
     """
+    mesh = polytope if isinstance(polytope, SimplexMesh) else None
+    if mesh is not None and mesh.parent is None:
+        raise InputError("lifted configurations need the mesh's polytope")
+    polytope = polytope if mesh is None else mesh.parent
     v = _vec(vfield)
     if any(isinstance(x, float) for x in v) or any(
         isinstance(x, float) for p in polytope.vertices for x in p
@@ -334,10 +336,9 @@ def lifted_config(polytope, vfield, cap=None):
     if lifted.degenerate:
         raise DegenerateLiftError("lifted polytope is degenerate")
     vol_lifted = moments.volume(triangulate(lifted))
-    base_mesh = triangulate(polytope)
-    vol_base = moments.volume(base_mesh)
-    b = moments.barycenter(base_mesh)
-    vol_product = vol_base * (cap + sum(a * x for a, x in zip(v, b)))
+    mesh = mesh or triangulate(polytope)
+    b = mesh.barycenter
+    vol_product = moments.volume(mesh) * (cap + sum(a * x for a, x in zip(v, b)))
     return LiftedConfig(
         polytope=lifted,
         cap=cap,

@@ -6,12 +6,13 @@ import os
 import shutil
 import subprocess
 import sys
+from functools import cached_property
 from pathlib import Path
 
 import pytest
 
 import torifano
-from torifano import moments
+from torifano import geometry, moments, stability
 from torifano.cli import main
 from torifano.problems import (
     builtin_example,
@@ -285,6 +286,29 @@ def test_soliton_check_raw_documents(tmp_path, capsys):
     assert report["results"]["norm"] == "0"
 
 
+@pytest.mark.parametrize("field", [400, 900])
+def test_soliton_check_large_field_on_p2(tmp_path, capsys, field):
+    doc = document_to_dict(builtin_example("p2"))
+    doc["vector_fields"] = [[str(field), "0"]]
+    code, report, err = run_cli(capsys, "soliton-check", "--input", write_doc(tmp_path, doc))
+    assert code == 0, err
+    # u = 2 - x has density u e^{-field u} on [0, 3], so E[x] = 2 - 2/field
+    # up to e^{-3 field}, and y given x is centred at -x/2.
+    got = [float(x) for x in report["results"]["per_polytope"][0]]
+    assert got == pytest.approx([2 - 2 / field, -1 + 1 / field], rel=1e-13)
+
+
+def test_numerical_failure_exits_three(tmp_path, capsys, monkeypatch):
+    def overflow(nodes):
+        raise OverflowError("exponent out of range")
+
+    monkeypatch.setattr(moments, "_dd_rows", overflow)
+    code, report, err = run_cli(capsys, "soliton-check", "--input", write_doc(tmp_path, PAIR_DOC))
+    assert code == 3
+    assert report is None
+    assert err == "torifano: numerical failure: exponent out of range\n"
+
+
 def test_ma_solve_obstructed_document(tmp_path, capsys):
     code, report, _ = run_cli(
         capsys,
@@ -396,3 +420,22 @@ def test_exact_commands_compute_each_part_barycenter_once(capsys, monkeypatch, c
     assert code == 0
     assert len(calls) == 2
     assert report["results"]["sum_barycenter"] == ["148/66303", "148/66303"]
+
+
+def test_lift_reuses_the_decomposition_meshes(capsys, monkeypatch):
+    # Each part is triangulated once for the decomposition and its lift once
+    # more, on its own; each part's exact barycenter is computed once.
+    triangulated, centred = [], []
+    real_triangulate = geometry.triangulate
+    monkeypatch.setattr(
+        stability, "triangulate", lambda p, *a: triangulated.append(p) or real_triangulate(p, *a)
+    )
+    real_barycenter = geometry.SimplexMesh.barycenter.func
+    counted = cached_property(lambda mesh: centred.append(mesh) or real_barycenter(mesh))
+    counted.__set_name__(geometry.SimplexMesh, "barycenter")
+    monkeypatch.setattr(geometry.SimplexMesh, "barycenter", counted)
+    code, report, _ = run_cli(capsys, "lift", "--example", "hexagon-dP6-t")
+    assert code == 0
+    assert len(triangulated) == 4
+    assert len(centred) == 2
+    assert [part["identity_holds"] for part in report["results"]["parts"]] == [True, True]

@@ -1,6 +1,8 @@
 """Exact moments and the two weighted-integration routes."""
 
+import decimal
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -16,14 +18,17 @@ from torifano.geometry import (
     translate,
     triangulate,
 )
+from torifano import moments
 from torifano.moments import (
     barycenter,
     divided_difference_exp,
     exp_integral_simplex,
+    log_weighted_volume,
     moment_report,
     volume,
     weighted_barycenter,
     weighted_covariance,
+    weighted_moments,
     weighted_volume,
 )
 from torifano.quadrature import exp_moments_simplex
@@ -279,3 +284,152 @@ def test_weighted_barycenter_translation_equivariance(shift):
     out = weighted_barycenter(moved, v)
     for got, want, s in zip(out, base, shift):
         assert abs(got - (want + float(s))) < 1e-10
+
+
+def decimal_divided_difference(nodes, digits=60):
+    """[nodes] exp to ``digits`` digits by the mean-shifted series
+    e^c sum_k h_k(a - c) / (m + k)!, h_k the complete homogeneous polynomial.
+    The terms grow to about e^{spread/2} before they cancel, so the working
+    precision grows with the spread."""
+    spread = max(nodes) - min(nodes)
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits + 20 + int(spread / 4)
+        xs = [decimal.Decimal(float(x)) for x in nodes]
+        m = len(xs) - 1
+        c = sum(xs) / len(xs)
+        terms = int(1.5 * spread) + digits + 40
+        h = [decimal.Decimal(1)] + [decimal.Decimal(0)] * terms
+        for b in (x - c for x in xs):
+            for k in range(1, terms + 1):
+                h[k] += b * h[k - 1]
+        total, fact = decimal.Decimal(0), decimal.Decimal(math.factorial(m))
+        for k in range(terms + 1):
+            total += h[k] / fact
+            fact *= m + k + 1
+        return c.exp() * total
+
+
+def oracle_node_sets(low=-20, high=30, sizes=range(2, 10), reps=4):
+    """Spread, clustered and repeated (multiplicity up to 3) node sets."""
+    rng = random.Random(20261018)
+    sets = []
+    for size in sizes:
+        for _ in range(reps):
+            sets.append([rng.uniform(low, high) for _ in range(size)])
+            centre = rng.uniform(low, high)
+            sets.append([centre + rng.uniform(-1e-3, 1e-3) for _ in range(size)])
+            base = [rng.uniform(low, high) for _ in range(size)]
+            sets.append([base[i // 3] for i in range(size)])
+    return sets
+
+
+@pytest.mark.parametrize(
+    "sets",
+    [
+        oracle_node_sets(),
+        [[x - max(s) for x in s] for s in oracle_node_sets(-2700, 0, sizes=(3, 6, 9), reps=1)],
+    ],
+    ids=["nodes-in-[-20,30]", "spread-to-2700"],
+)
+def test_divided_difference_matches_decimal_oracle(sets):
+    # The weighted pass shifts the largest node to 0, and P^2 with the field
+    # (900, 0) spreads the nodes over 2700.
+    for nodes in sets:
+        want = decimal_divided_difference(nodes)
+        got = decimal.Decimal(divided_difference_exp(nodes))
+        assert abs(got - want) <= decimal.Decimal("1e-13") * want, nodes
+
+
+def test_batched_divided_differences_match_decimal_oracle():
+    # One batch mixes spreads, so rows take different numbers of squarings;
+    # entry k of a row is the divided difference over its first k+1 nodes.
+    rows = oracle_node_sets(sizes=(6,))
+    top = max(max(r) for r in rows)
+    got = moments._dd_rows(np.array(rows) - top)
+    for row, out in zip(rows, got):
+        for k in range(len(row)):
+            want = decimal_divided_difference(row[: k + 1]) * decimal.Decimal(-top).exp()
+            assert abs(decimal.Decimal(out[k]) - want) <= decimal.Decimal("1e-13") * want
+
+
+@pytest.mark.parametrize("field", [400, 900])
+def test_p2_large_field_matches_closed_form(field):
+    # On the triangle (-1,-1), (2,-1), (-1,2) with V = (t, 0), u = 2 - x has
+    # density u e^{-t u} on [0, 3] and y given x is uniform on [-1, 1 - x]:
+    # E[x] = 2 - I2/I1, E[y] = -E[x]/2, Var x = I3/I1 - (I2/I1)^2 with
+    # I_k = int_0^3 u^k e^{-t u} du; Var y = E[u^2]/12 + Var(x)/4, and the
+    # mass is e^{2t} I1.
+    t = float(field)
+    tail = math.exp(-3 * t)
+
+    def moment(k):
+        partial = sum(3.0**j * t ** (k - j) * math.factorial(k) / math.factorial(j) for j in range(k + 1))
+        return (math.factorial(k) - tail * partial) / t ** (k + 1)
+
+    mean_u = moment(2) / moment(1)
+    var_x = moment(3) / moment(1) - mean_u**2
+    mesh = triangulate(polytope_from_support(P2, (Fraction(1),) * 3))
+    wm = weighted_moments(mesh, (field, 0))
+    assert wm.barycenter == pytest.approx((2 - mean_u, (mean_u - 2) / 2), rel=1e-13)
+    want = [[var_x, -var_x / 2], [-var_x / 2, moment(3) / moment(1) / 12 + var_x / 4]]
+    assert np.max(np.abs(wm.covariance - want)) < 1e-9 * var_x
+    assert wm.log_mass == pytest.approx(2 * t + math.log(moment(1)), rel=1e-14)
+
+
+def test_covariance_is_jacobian_and_matches_quadrature_in_four_dimensions():
+    mesh = triangulate(pe_polytope(Fraction(3, 5)))
+    for v in ((0.3, -0.2, 0.1, 1.0), (-1.5, 0.8, 2.0, -3.0)):
+        wm = weighted_moments(mesh, v)
+        step = 1e-5
+        jac = np.zeros((4, 4))
+        for j in range(4):
+            vp, vm = list(v), list(v)
+            vp[j] += step
+            vm[j] -= step
+            jac[:, j] = (np.array(weighted_barycenter(mesh, vp)) - np.array(weighted_barycenter(mesh, vm))) / (2 * step)
+        assert np.max(np.abs(jac - wm.covariance)) < 1e-7
+        m0, m1, m2 = 0.0, np.zeros(4), np.zeros((4, 4))
+        for simplex in mesh.simplices:
+            z0, z1, z2 = exp_moments_simplex([[float(x) for x in p] for p in simplex], v, wm.shift, rtol=1e-13)
+            m0, m1, m2 = m0 + z0, m1 + z1, m2 + z2
+        quad = m2 / m0 - np.outer(m1 / m0, m1 / m0)
+        assert np.max(np.abs(quad - wm.covariance)) < 1e-9 * np.max(np.abs(wm.covariance))
+        assert abs(m0 - wm.scaled_mass) < 1e-11 * m0
+        assert np.max(np.abs(m1 / m0 - wm.barycenter)) < 1e-11
+
+
+def _unimodular(rng, n):
+    m = np.eye(n, dtype=int)
+    for _ in range(6):
+        i, j = rng.sample(range(n), 2)
+        m[i] += rng.choice((-1, 1)) * m[j]
+    return m
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_weighted_moments_follow_unimodular_maps(seed):
+    # For p -> M p: A_{MP}(M^{-T} V) = M A_P(V), the covariance becomes
+    # M C M^T and the mass is unchanged, whatever triangulation MP gets.
+    rng = random.Random(seed)
+    p = pe_polytope(Fraction(3, 5))
+    m = _unimodular(rng, 4)
+    m_inv = np.rint(np.linalg.inv(m)).astype(int)
+    image = polytope_from_halfspaces(
+        [(tuple(int(x) for x in m_inv.T @ np.array(d)), c) for d, c in p.halfspaces], tol=0
+    )
+    v = np.array([rng.uniform(-2, 2) for _ in range(4)])
+    base = weighted_moments(triangulate(p), v)
+    moved = weighted_moments(triangulate(image), m_inv.T @ v)
+    assert np.allclose(moved.barycenter, m @ base.barycenter, rtol=0, atol=1e-12)
+    assert np.allclose(moved.covariance, m @ base.covariance @ m.T, rtol=0, atol=1e-11)
+    assert moved.log_mass == pytest.approx(base.log_mass, rel=1e-13)
+
+
+def test_mass_only_pass_agrees_with_full_pass():
+    mesh = triangulate(pe_polytope(Fraction(1, 2)))
+    v = (0.7, -0.4, 1.2, 2.5)
+    full = weighted_moments(mesh, v)
+    assert weighted_moments(mesh, v, order=0).log_mass == pytest.approx(full.log_mass, rel=1e-15)
+    assert weighted_moments(mesh, v, order=1).barycenter == pytest.approx(full.barycenter, rel=1e-14)
+    assert np.array_equal(weighted_covariance(mesh, v), full.covariance)
+    assert log_weighted_volume(mesh, v) == pytest.approx(math.log(weighted_volume(mesh, v)), rel=1e-14)

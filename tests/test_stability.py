@@ -10,9 +10,11 @@ from torifano import moments
 from torifano.errors import DegenerateLiftError, InputError
 from torifano.geometry import (
     Fan,
+    SimplexMesh,
     polytope_from_halfspaces,
     polytope_from_support,
     translate,
+    triangulate,
 )
 from torifano.moments import weighted_barycenter, weighted_covariance
 from torifano.problems import builtin_example
@@ -276,6 +278,14 @@ def test_lift_default_cap_and_rejections():
         lifted_config(p2, (1, 1), cap=1)
 
 
+def test_lift_accepts_a_triangulation():
+    bl = polytope_from_support(BLOWUP, (Fraction(1),) * 4)
+    mesh = triangulate(bl)
+    assert lifted_config(mesh, (1, 1), cap=1) == lifted_config(bl, (1, 1), cap=1)
+    with pytest.raises(InputError):
+        lifted_config(SimplexMesh(mesh.simplices), (1, 1), cap=1)
+
+
 def test_zero_sum_translations_preserve_invariants():
     rows = hexagon_rows(Fraction(1, 10))
     base = Decomposition.from_fan(HEXAGON, rows)
@@ -344,3 +354,16 @@ def test_part_barycenters_computed_once(monkeypatch):
     assert coupled_ke_verdict(dec).sum_barycenter == report.sum_barycenter == sum_barycenter(dec)
     assert len(calls) == dec.k
     assert sum_barycenter(dec) == tuple(sum(b[i] for b in dec.barycenters) for i in range(2))
+
+
+def test_newton_path_does_not_use_quadrature(monkeypatch):
+    from torifano import quadrature
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("quadrature on the Newton path")
+
+    monkeypatch.setattr(quadrature, "exp_moments_simplex", refuse)
+    dec = Decomposition.from_fan(BLOWUP, ((1, 1, 1, 1),))
+    sol = solve_soliton(dec, start=(1.5, -2.0))
+    assert sol.converged
+    assert abs(sol.vfield[0] - sol.vfield[1]) < 1e-10
