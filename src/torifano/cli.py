@@ -93,29 +93,26 @@ def jsonable(value):
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def _geometry_tol(doc):
-    return 0 if doc.exact else DEFAULT_FLOAT_TOL
+def _raw_parts(doc):
+    tol = 0 if doc.exact else DEFAULT_FLOAT_TOL
+    return [polytope_from_halfspaces(part, tol=tol) for part in doc.halfspaces]
 
 
-def _build_parts(doc):
-    if doc.halfspaces is not None:
-        tol = _geometry_tol(doc)
-        return [polytope_from_halfspaces(part, tol=tol) for part in doc.halfspaces]
+def _fan(doc):
     fan = Fan(doc.rays, doc.max_cones)
-    report = validate_fan(fan)
+    return fan, validate_fan(fan)
+
+
+def _decomposition(doc):
+    if doc.halfspaces is not None:
+        return Decomposition.from_polytopes(_raw_parts(doc))
+    fan, report = _fan(doc)
     if not report.ok:
         raise InputError(
             "fan is not a smooth complete Fano fan: "
             + "; ".join(w[0] for w in report.witnesses)
         )
-    return None
-
-
-def _decomposition(doc):
-    parts = _build_parts(doc)
-    if parts is not None:
-        return Decomposition.from_polytopes(parts)
-    return Decomposition.from_fan(Fan(doc.rays, doc.max_cones), doc.decomposition)
+    return Decomposition.from_fan(fan, doc.decomposition)
 
 
 def _vfields(doc):
@@ -146,7 +143,7 @@ def _cmd_validate(doc, args):
         parts = []
         ok = True
         try:
-            for polytope in _build_parts(doc):
+            for polytope in _raw_parts(doc):
                 parts.append(
                     {
                         "nvertices": polytope.nvertices,
@@ -163,8 +160,7 @@ def _cmd_validate(doc, args):
         diagnostics["note"] = "raw halfspace route: no fan, ampleness and column sums not checked"
         return results, diagnostics, 0
 
-    fan = Fan(doc.rays, doc.max_cones)
-    fan_report = validate_fan(fan)
+    fan, fan_report = _fan(doc)
     results = {
         "fan": {
             "smooth": fan_report.smooth,

@@ -21,6 +21,7 @@ from functools import cached_property
 from math import gcd, lcm
 
 from . import linalg
+from .linalg import dot
 from .errors import EmptyPolytopeError, InputError, UnboundedPolytopeError
 
 DEFAULT_FLOAT_TOL = 1e-9
@@ -43,10 +44,6 @@ def _vec(xs):
 
 def _all_exact(values):
     return all(not isinstance(v, float) for v in values)
-
-
-def dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +153,15 @@ def vertex_from_equalities(normals, offsets):
     return linalg.solve(mat, rhs, tol=tol)
 
 
+def _cone_vertices(fan, c):
+    """The vertex of each maximal cone, where its rays' halfspaces are tight."""
+    for cone in fan.max_cones:
+        v = vertex_from_equalities([fan.rays[j] for j in cone], [c[j] for j in cone])
+        if v is None:
+            raise InputError(f"cone {cone} is not simplicial of full rank")
+        yield v
+
+
 class Ampleness(enum.Enum):
     AMPLE = "Ample"
     NEF_ONLY = "NefOnly"
@@ -179,10 +185,7 @@ def ampleness_class(fan, c):
     if len(c) != fan.nrays:
         raise InputError("support vector length must match ray count")
     nef_witness = None
-    for ci, cone in enumerate(fan.max_cones):
-        v = vertex_from_equalities([fan.rays[j] for j in cone], [c[j] for j in cone])
-        if v is None:
-            raise InputError(f"cone {cone} is not simplicial of full rank")
+    for ci, (cone, v) in enumerate(zip(fan.max_cones, _cone_vertices(fan, c))):
         for j in range(fan.nrays):
             if j in cone:
                 continue
@@ -244,19 +247,43 @@ def _dedup_vertices(candidates, tol):
     return out
 
 
-def _tight_and_redundant(dim, halfspaces, vertices, tol):
-    tight_sets = []
-    redundant = []
-    for normal, offset in halfspaces:
-        tight = tuple(
-            i for i, v in enumerate(vertices) if abs(dot(normal, v) + offset) <= tol
-        )
-        tight_sets.append(tight)
-        pts = [vertices[i] for i in tight]
-        # A halfspace supports a facet exactly when its contact set has
-        # affine dimension dim-1; anything less is implied by the others.
-        redundant.append(linalg.affine_rank(pts, tol) < dim - 1)
-    return tuple(tight_sets), tuple(redundant)
+def _polytope(dim, halfspaces, vertices, tol, provenance):
+    """The polytope of valid ``halfspaces`` whose vertices are ``vertices``."""
+    vertices = tuple(vertices)
+    hull_rank = linalg.affine_rank(vertices, tol)
+    tight_sets, redundant = _tight_and_redundant(dim, halfspaces, vertices, hull_rank, tol)
+    return Polytope(
+        dim=dim,
+        halfspaces=halfspaces,
+        vertices=vertices,
+        tight_sets=tight_sets,
+        redundant=redundant,
+        provenance=provenance,
+        degenerate=hull_rank < dim,
+    )
+
+
+def _tight_and_redundant(dim, halfspaces, vertices, hull_rank, tol):
+    """Tight vertex sets of the halfspaces, and which ones support no facet.
+
+    Facets of a full-dimensional polytope are its inclusion-maximal proper
+    faces, and each is the tight set of some halfspace of the description,
+    so a halfspace supports a facet exactly when its tight set is proper and
+    lies in no larger proper tight set (Kaibel-Pfetsch, Comput. Geom. 2002).
+    A polytope of hull rank dim-1 has one facet set, all of its vertices, and
+    a lower one none.  This is the rule "affine rank of the tight set is
+    dim-1", read off the incidences instead of a rank per halfspace.
+    """
+    tight_sets = tuple(
+        tuple(i for i, v in enumerate(vertices) if abs(dot(normal, v) + offset) <= tol)
+        for normal, offset in halfspaces
+    )
+    sets = [frozenset(t) for t in tight_sets]
+    everything = frozenset(range(len(vertices)))
+    # A tight set is redundant when it lies strictly inside one of these.
+    larger = {s for s in sets if s != everything} if hull_rank == dim else {everything}
+    redundant = tuple(hull_rank < dim - 1 or any(s < t for t in larger) for s in sets)
+    return tight_sets, redundant
 
 
 def polytope_from_support(fan, c):
@@ -273,26 +300,10 @@ def polytope_from_support(fan, c):
     tol = 0 if exact else DEFAULT_FLOAT_TOL
     halfspaces = tuple((fan.rays[j], c[j]) for j in range(fan.nrays))
 
-    candidates = []
-    for cone in fan.max_cones:
-        v = vertex_from_equalities([fan.rays[j] for j in cone], [c[j] for j in cone])
-        if v is None:
-            raise InputError(f"cone {cone} is not simplicial of full rank")
-        if all(dot(d, v) + off >= -tol for d, off in halfspaces):
-            candidates.append(v)
-    vertices = tuple(_dedup_vertices(candidates, tol))
-    n = fan.dim
-    degenerate = linalg.affine_rank(vertices, tol) < n
-    tight_sets, redundant = _tight_and_redundant(n, halfspaces, vertices, tol)
-    return Polytope(
-        dim=n,
-        halfspaces=halfspaces,
-        vertices=vertices,
-        tight_sets=tight_sets,
-        redundant=redundant,
-        provenance="fan-support",
-        degenerate=degenerate,
-    )
+    candidates = [
+        v for v in _cone_vertices(fan, c) if all(dot(d, v) + off >= -tol for d, off in halfspaces)
+    ]
+    return _polytope(fan.dim, halfspaces, _dedup_vertices(candidates, tol), tol, "fan-support")
 
 
 def _vertex_subsets(hs, tol):
@@ -387,7 +398,7 @@ def polytope_from_halfspaces(halfspaces, tol=None, provenance="raw"):
         if all(s >= -tol for s in slacks):
             candidates.append(v)
             tight.append({j for j, s in enumerate(slacks) if s == 0})
-    vertices = tuple(_dedup_vertices(candidates, tol))
+    vertices = _dedup_vertices(candidates, tol)
 
     columns = list(zip(*normals))
     if not vertices:
@@ -404,17 +415,7 @@ def polytope_from_halfspaces(halfspaces, tol=None, provenance="raw"):
     if direction is not None:
         raise UnboundedPolytopeError(f"unbounded along {direction}", direction=direction)
 
-    degenerate = linalg.affine_rank(vertices, tol) < n
-    tight_sets, redundant = _tight_and_redundant(n, hs, vertices, tol)
-    return Polytope(
-        dim=n,
-        halfspaces=tuple(hs),
-        vertices=vertices,
-        tight_sets=tight_sets,
-        redundant=redundant,
-        provenance=provenance,
-        degenerate=degenerate,
-    )
+    return _polytope(n, tuple(hs), vertices, tol, provenance)
 
 
 def support_function(polytope, u):
@@ -467,12 +468,7 @@ def minkowski_sum(fan, parts):
     poly = polytope_from_support(fan, total)
 
     part_polys = [polytope_from_support(fan, c) for c in parts]
-    for cone in fan.max_cones:
-        rays = [fan.rays[j] for j in cone]
-        vsum = vertex_from_equalities(rays, [total[j] for j in cone])
-        pieces = [
-            vertex_from_equalities(rays, [c[j] for j in cone]) for c in parts
-        ]
+    for vsum, *pieces in zip(_cone_vertices(fan, total), *(_cone_vertices(fan, c) for c in parts)):
         combined = tuple(sum(p[i] for p in pieces) for i in range(fan.dim))
         if vsum != combined:
             raise ArithmeticError("per-cone vertices must add")
@@ -541,6 +537,11 @@ def triangulate(polytope, apex="lexmin"):
     Every face is coned from its lexicographically extreme vertex over the
     triangulations of the facets that miss it.  The scheme depends only on
     vertex coordinates, so it is independent of input ordering.
+
+    The facets of a face F are the inclusion-maximal proper sets F n T over
+    the facets T of the polytope: each facet G of F lies in a facet T that
+    misses part of F, so G = F n T, and a proper F n T lies in some facet
+    of F (Kaibel-Pfetsch, Comput. Geom. 2002).  No rank test is needed.
     """
     if polytope.degenerate:
         raise InputError("cannot triangulate a degenerate polytope")
@@ -551,13 +552,9 @@ def triangulate(polytope, apex="lexmin"):
     tol = 0 if _all_exact([x for v in verts for x in v]) else DEFAULT_FLOAT_TOL
     pick = min if apex == "lexmin" else max
 
-    facet_sets = []
-    for tight, red in zip(polytope.tight_sets, polytope.redundant):
-        if red:
-            continue
-        key = tuple(sorted(tight))
-        if key not in facet_sets:
-            facet_sets.append(key)
+    facet_sets = dict.fromkeys(
+        frozenset(tight) for tight, red in zip(polytope.tight_sets, polytope.redundant) if not red
+    )
 
     cache = {}
 
@@ -570,15 +567,12 @@ def triangulate(polytope, apex="lexmin"):
             result = [face]
         else:
             apex_idx = pick(face, key=lambda i: verts[i])
+            subs = dict.fromkeys(tuple(i for i in face if i in tight) for tight in facet_sets)
+            proper = {sub: set(sub) for sub in subs if len(sub) < len(face)}
             result = []
-            seen = []
-            for tight in facet_sets:
-                sub = tuple(i for i in face if i in tight)
-                if apex_idx in sub or sub in seen:
+            for sub, members in proper.items():
+                if apex_idx in members or any(members < s for s in proper.values()):
                     continue
-                if linalg.affine_rank([verts[i] for i in sub], tol) != d - 1:
-                    continue
-                seen.append(sub)
                 for simplex in tri_face(sub, d - 1):
                     result.append((apex_idx,) + simplex)
         cache[face] = result

@@ -2,9 +2,11 @@
 
 Everything operates on plain Python sequences so a single code path serves
 both ``fractions.Fraction`` (exact, ``tol == 0``) and ``float`` (tolerance
-based) inputs.  Matrices are sequences of row sequences.  Sizes stay below
-eight in this package, so asymptotics are irrelevant; clarity and exactness
-are not.
+based) inputs.  Matrices are sequences of row sequences.  One echelon
+routine, Gaussian elimination with partial pivoting, reduces the rows;
+``solve``, ``det``, ``rank`` and ``kernel_vector`` read its result.  Sizes
+stay below eight in this package, so asymptotics are irrelevant; clarity
+and exactness are not.
 """
 
 from __future__ import annotations
@@ -35,6 +37,34 @@ def _pivot_row(rows, col, start, tol):
     return best
 
 
+def _echelon(rows, ncols, tol):
+    """Reduce ``rows`` in place to row echelon form over the first ``ncols`` columns.
+
+    Row operations act on whole rows, so columns past ``ncols`` (a right-hand
+    side) are carried along.  A column whose candidate pivots are all at most
+    ``tol`` in magnitude is skipped.  Returns the pivot columns, pivot i
+    sitting in row i, and the sign of the row permutation.
+    """
+    pivots, sign = [], 1
+    for col in range(ncols):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        piv = _pivot_row(rows, col, r, tol)
+        if piv is None:
+            continue
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            sign = -sign
+        pivot = rows[r][col]
+        for k in range(r + 1, len(rows)):
+            factor = rows[k][col] / pivot
+            if factor:
+                rows[k] = [a - factor * b for a, b in zip(rows[k], rows[r])]
+        pivots.append(col)
+    return pivots, sign
+
+
 def solve(matrix, rhs, tol=0):
     """Solve a square system exactly (Fraction) or with partial pivoting.
 
@@ -43,21 +73,14 @@ def solve(matrix, rhs, tol=0):
     """
     n = len(matrix)
     rows = [[_lift(x) for x in row] + [_lift(b)] for row, b in zip(matrix, rhs)]
-    for col in range(n):
-        piv = _pivot_row(rows, col, col, tol)
-        if piv is None:
-            return None
-        rows[col], rows[piv] = rows[piv], rows[col]
-        pivot = rows[col][col]
-        for r in range(col + 1, n):
-            factor = rows[r][col] / pivot
-            if factor:
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
+    if len(_echelon(rows, n, tol)[0]) < n:
+        return None
     sol = [None] * n
     for col in range(n - 1, -1, -1):
         acc = rows[col][n] - sum(rows[col][j] * sol[j] for j in range(col + 1, n))
         sol[col] = acc / rows[col][col]
     return tuple(sol)
+
 
 def det(matrix):
     """Determinant by fraction-preserving Gaussian elimination."""
@@ -65,46 +88,19 @@ def det(matrix):
     if n == 0:
         return Fraction(1)
     rows = _lift_rows(matrix)
-    sign = 1
-    result = rows[0][0] - rows[0][0]  # zero of the scalar type in play
-    one = result + 1
-    acc = one
-    for col in range(n):
-        piv = _pivot_row(rows, col, col, 0)
-        if piv is None:
-            return result
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            sign = -sign
-        pivot = rows[col][col]
-        acc = acc * pivot
-        for r in range(col + 1, n):
-            factor = rows[r][col] / pivot
-            if factor:
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
+    zero = rows[0][0] - rows[0][0]  # of the scalar type in play
+    pivots, sign = _echelon(rows, n, 0)
+    if len(pivots) < n:
+        return zero
+    acc = zero + 1
+    for i in range(n):
+        acc = acc * rows[i][i]
     return sign * acc
 
 
 def rank(matrix, tol=0):
     rows = _lift_rows(matrix)
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    r = 0
-    for col in range(ncols):
-        piv = _pivot_row(rows, col, r, tol)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pivot = rows[r][col]
-        for k in range(r + 1, len(rows)):
-            factor = rows[k][col] / pivot
-            if factor:
-                rows[k] = [a - factor * b for a, b in zip(rows[k], rows[r])]
-        r += 1
-        if r == len(rows):
-            break
-    return r
+    return len(_echelon(rows, len(rows[0]) if rows else 0, tol)[0])
 
 
 def kernel_vector(matrix, tol=0):
@@ -118,31 +114,14 @@ def kernel_vector(matrix, tol=0):
         return None
     ncols = len(rows[0])
     zero = rows[0][0] - rows[0][0]
-    one = zero + 1
-    pivots = []  # (row, col)
-    r = 0
-    for col in range(ncols):
-        piv = _pivot_row(rows, col, r, tol)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pivot = rows[r][col]
-        for k in range(r + 1, len(rows)):
-            factor = rows[k][col] / pivot
-            if factor:
-                rows[k] = [a - factor * b for a, b in zip(rows[k], rows[r])]
-        pivots.append((r, col))
-        r += 1
-        if r == len(rows):
-            break
-    pivot_cols = {col for _, col in pivots}
-    free = [c for c in range(ncols) if c not in pivot_cols]
+    pivots, _ = _echelon(rows, ncols, tol)
+    free = [c for c in range(ncols) if c not in pivots]
     if not free:
         return None
-    f = free[0]
     vec = [zero] * ncols
-    vec[f] = one
-    for row_idx, col in reversed(pivots):
+    vec[free[0]] = zero + 1
+    for row_idx in range(len(pivots) - 1, -1, -1):
+        col = pivots[row_idx]
         acc = sum(rows[row_idx][j] * vec[j] for j in range(col + 1, ncols))
         vec[col] = -acc / rows[row_idx][col]
     return tuple(vec)

@@ -21,6 +21,7 @@ from .errors import DegenerateLiftError, InputError
 from .geometry import (
     Ampleness,
     SimplexMesh,
+    _vec,
     ampleness_class,
     polytope_from_halfspaces,
     polytope_from_support,
@@ -28,10 +29,6 @@ from .geometry import (
 )
 
 KE_FLOAT_TOL = 1e-10
-
-
-def _vec(xs):
-    return tuple(x if isinstance(x, float) else Fraction(x) for x in xs)
 
 
 class Decomposition:

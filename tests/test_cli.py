@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import torifano
-from torifano import geometry, moments, stability
+from torifano import cli, geometry, moments, stability
 from torifano.cli import main
 from torifano.problems import (
     builtin_example,
@@ -170,6 +170,16 @@ def test_nonconvergence_exits_three(capsys):
     )
     assert code == 3
     assert report["results"]["converged"] is False
+
+
+def test_solve_cut_short_exits_three(capsys, monkeypatch):
+    # The hexagon solve needs two Newton iterations; one cannot converge.
+    real = stability.solve_soliton
+    monkeypatch.setattr(cli, "solve_soliton", lambda dec, tol: real(dec, tol=tol, max_iter=1))
+    code, report, _ = run_cli(capsys, "soliton-solve", "--example", "hexagon-dP6-t:1/10")
+    assert code == 3
+    assert report["results"]["converged"] is False
+    assert report["results"]["iterations"] == 1
 
 
 def test_builtin_documents_roundtrip():

@@ -28,6 +28,8 @@ from torifano.geometry import (
     vertex_from_equalities,
 )
 from torifano.moments import barycenter, volume
+from torifano.problems import builtin_example
+from torifano.stability import Decomposition, coupled_ke_verdict, sum_barycenter
 
 P2 = Fan(((1, 0), (0, 1), (-1, -1)), ((0, 1), (1, 2), (2, 0)))
 HEXAGON = Fan(
@@ -412,3 +414,146 @@ def test_minkowski_sum_raises_when_support_numbers_do_not_add(monkeypatch):
     half = Fraction(1, 2)
     with pytest.raises(ArithmeticError, match="support numbers must add on rays"):
         minkowski_sum(P2, ((half, half, half), (half, half, half)))
+
+
+# ---------------------------------------------------------------------------
+# facets read off vertex-halfspace incidences against the affine-rank rule
+
+
+def _flat_systems():
+    # Besides the pinning rows: rows tight at one vertex, on an edge, nowhere.
+    square = [(d + (0,), c) for d, c in _box(2) + [((1, 1), 2)]] + [((1, 0, 1), 1)]
+    segment = [(d + (0, 0), c) for d, c in _box(1)] + [((1, 1, 0), 1), ((0, 1, 1), 0)]
+    point = [((1, 1), 1)]
+    systems = [
+        ("square-R3", square, (2,), 2),
+        ("segment-R3", segment, (1, 2), 1),
+        ("point-R2", point, (0, 1), 0),
+    ]
+    for name, rows, pinned, hull_rank in systems:
+        n = len(rows[0][0])
+        rows = rows + [(_unit(n, i, s), 0) for i in pinned for s in (1, -1)]
+        yield pytest.param(_exact(rows), 0, hull_rank, id=f"{name}-exact")
+        floats = [(d, float(c)) for d, c in rows]
+        yield pytest.param(floats, geometry.DEFAULT_FLOAT_TOL, hull_rank, id=f"{name}-float")
+
+
+@pytest.mark.parametrize("rows,tol,hull_rank", _flat_systems())
+def test_flat_polytope_facets_match_the_affine_rank_rule(rows, tol, hull_rank):
+    polytope = polytope_from_halfspaces(rows)
+    vertices, tight_sets, redundant = _all_subsets_reference(rows, tol)
+    assert polytope.degenerate
+    assert linalg.affine_rank(polytope.vertices, tol) == hull_rank
+    assert polytope.vertices == vertices
+    assert polytope.tight_sets == tight_sets
+    assert polytope.redundant == redundant
+    # At hull rank n-1 only rows tight at every vertex support a facet; below it none do.
+    everything = tuple(range(len(vertices)))
+    assert redundant == tuple(hull_rank < polytope.dim - 1 or t != everything for t in tight_sets)
+
+
+def _triangulate_reference(polytope, apex):
+    """Boundary-cone simplices, each facet found by an affine-rank test.
+
+    The loop triangulate ran before it read the facets of a face off the
+    facet incidences; kept here as the reference for order and content.
+    """
+    verts, n = polytope.vertices, polytope.dim
+    tol = 0 if all(isinstance(x, Fraction) for v in verts for x in v) else geometry.DEFAULT_FLOAT_TOL
+    pick = min if apex == "lexmin" else max
+    facet_sets = []
+    for tight in polytope.tight_sets:
+        if linalg.affine_rank([verts[i] for i in tight], tol) >= n - 1 and tight not in facet_sets:
+            facet_sets.append(tight)
+
+    def tri_face(face, d):
+        if d == 0 or len(face) == d + 1:
+            return [face]
+        apex_idx = pick(face, key=lambda i: verts[i])
+        result, seen = [], []
+        for tight in facet_sets:
+            sub = tuple(i for i in face if i in tight)
+            if apex_idx in sub or sub in seen:
+                continue
+            if linalg.affine_rank([verts[i] for i in sub], tol) != d - 1:
+                continue
+            seen.append(sub)
+            result += [(apex_idx,) + simplex for simplex in tri_face(sub, d - 1)]
+        return result
+
+    return tuple(tuple(verts[i] for i in idx) for idx in tri_face(tuple(range(len(verts))), n))
+
+
+def _product(p, q):
+    a, b = len(p[0][0]), len(q[0][0])
+    return [(d + (0,) * b, c) for d, c in p] + [((0,) * a + e, c) for e, c in q]
+
+
+def _triangulated_systems():
+    hexagon = list(zip(HEXAGON.rays, ONES6))
+    triangle = _simplex(2, 2)
+    shapes = {
+        "cube-3": _box(3),
+        "cube-4": _box(4, Fraction(1, 2)),
+        "cross-3": _cross(3),
+        "prism": _product(triangle, _box(1)),
+        "hexagon-x-interval": _product(hexagon, _box(1, 2)),
+        "triangle-x-triangle": _product(triangle, _simplex(2, 1)),
+        "hexagon-x-square": _product(hexagon, _box(2)),
+    }
+    for seed, (name, rows) in enumerate(shapes.items()):
+        yield pytest.param(_exact(rows), id=name)
+        yield pytest.param(_shear(random.Random(seed), _padded(random.Random(seed), _exact(rows), 3)),
+                           id=f"{name}-sheared")
+    for c in ("critical", "1/2"):
+        for i, part in enumerate(builtin_example(f"pE-4fold-c:{c}").halfspaces):
+            yield pytest.param(part, id=f"pE-4fold-c:{c}-part{i}")
+
+
+@pytest.mark.parametrize("rows", _triangulated_systems())
+@pytest.mark.parametrize("apex", ["lexmin", "lexmax"])
+def test_triangulation_matches_the_affine_rank_facet_test(rows, apex):
+    polytope = polytope_from_halfspaces(rows)
+    assert triangulate(polytope, apex=apex).simplices == _triangulate_reference(polytope, apex)
+
+
+def test_one_affine_rank_call_per_polytope_build(monkeypatch):
+    calls = []
+    for name in ("affine_rank", "rank"):
+        real = getattr(linalg, name)
+        monkeypatch.setattr(linalg, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
+    cube = polytope_from_halfspaces(_shear(random.Random(3), _padded(random.Random(3), _box(3), 4)))
+    hexagon = polytope_from_support(HEXAGON, ONES6)
+    assert calls == ["affine_rank", "rank"] * 2
+    triangulate(cube)
+    triangulate(hexagon)
+    assert len(calls) == 4
+
+
+def _unimodular(rng, n, shears=6):
+    """A seeded product of elementary +-1 shears, as integer rows."""
+    u = [list(_unit(n, i)) for i in range(n)]
+    for _ in range(shears):
+        i, j = rng.sample(range(n), 2)
+        sign = rng.choice((1, -1))
+        u[i] = [a + sign * b for a, b in zip(u[i], u[j])]
+    return u
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("name", ["p2", "blowup-p2-1pt", "hexagon-dP6-t:1/10"])
+def test_lattice_change_of_basis_maps_the_barycenter_sum(name, seed):
+    # Rays U d cut out {x : <d, U^T x> >= -c} = U^{-T} P, so U^T maps the
+    # new barycenter sum back to the old one and the verdict is unchanged.
+    doc = builtin_example(name)
+    n = doc.dimension
+    u = _unimodular(random.Random(seed), n)
+    assert u != [list(_unit(n, i)) for i in range(n)]
+    rays = [tuple(linalg.dot(row, d) for row in u) for d in doc.rays]
+    fan = Fan(rays, doc.max_cones)
+    assert validate_fan(fan).ok
+    before = Decomposition.from_fan(Fan(doc.rays, doc.max_cones), doc.decomposition)
+    after = Decomposition.from_fan(fan, doc.decomposition)
+    moved = sum_barycenter(after)
+    assert tuple(sum(u[k][i] * moved[k] for k in range(n)) for i in range(n)) == sum_barycenter(before)
+    assert coupled_ke_verdict(after).exists == coupled_ke_verdict(before).exists
