@@ -272,7 +272,9 @@ def _tight_and_redundant(dim, halfspaces, vertices, hull_rank, tol):
     lies in no larger proper tight set (Kaibel-Pfetsch, Comput. Geom. 2002).
     A polytope of hull rank dim-1 has one facet set, all of its vertices, and
     a lower one none.  This is the rule "affine rank of the tight set is
-    dim-1", read off the incidences instead of a rank per halfspace.
+    dim-1", read off the incidences instead of a rank per halfspace.  A row
+    with a zero normal cuts nothing, so it is redundant even where it is
+    tight at every vertex.
     """
     tight_sets = tuple(
         tuple(i for i, v in enumerate(vertices) if abs(dot(normal, v) + offset) <= tol)
@@ -282,16 +284,21 @@ def _tight_and_redundant(dim, halfspaces, vertices, hull_rank, tol):
     everything = frozenset(range(len(vertices)))
     # A tight set is redundant when it lies strictly inside one of these.
     larger = {s for s in sets if s != everything} if hull_rank == dim else {everything}
-    redundant = tuple(hull_rank < dim - 1 or any(s < t for t in larger) for s in sets)
+    redundant = tuple(
+        hull_rank < dim - 1 or not any(normal) or any(s < t for t in larger)
+        for (normal, _), s in zip(halfspaces, sets)
+    )
     return tight_sets, redundant
 
 
 def polytope_from_support(fan, c):
     """Polytope of a support vector over a smooth complete fan.
 
-    One candidate vertex per maximal cone, duplicates merged, infeasible
-    candidates (non-convex supports) dropped.  Empty interior comes back as
-    a degenerate polytope rather than an error.
+    One candidate vertex per maximal cone, duplicates merged.  A candidate
+    that violates some halfspace means the support is not convex, and the
+    candidates would not be the vertices of the halfspace system, so that
+    raises InputError.  Empty interior comes back as a degenerate polytope
+    rather than an error.
     """
     c = _vec(c)
     if len(c) != fan.nrays:
@@ -300,9 +307,13 @@ def polytope_from_support(fan, c):
     tol = 0 if exact else DEFAULT_FLOAT_TOL
     halfspaces = tuple((fan.rays[j], c[j]) for j in range(fan.nrays))
 
-    candidates = [
-        v for v in _cone_vertices(fan, c) if all(dot(d, v) + off >= -tol for d, off in halfspaces)
-    ]
+    candidates = list(_cone_vertices(fan, c))
+    for cone, v in zip(fan.max_cones, candidates):
+        for j, (d, off) in enumerate(halfspaces):
+            if dot(d, v) + off < -tol:
+                raise InputError(
+                    f"support is not convex: the vertex of cone {list(cone)} violates ray {j}"
+                )
     return _polytope(fan.dim, halfspaces, _dedup_vertices(candidates, tol), tol, "fan-support")
 
 

@@ -12,6 +12,10 @@ cumulative distribution Phi carries an exponential tail estimate beyond both
 grid ends; without it the truncation error of the box is O(e^{-R}), which
 dominates the discretization error at the default window.
 
+The state holds the k potentials and their slopes as one (k, N) array each,
+so a sweep is array arithmetic over all parts at once; the grid diagnostics
+derived from them (w, rho, tails, mass, minimizer) are computed on first use.
+
 Solutions exist along the whole path exactly when the weighted barycenters
 cancel; otherwise the minimizer of w = sum(t f_i + (1-t) h_i) drifts or the
 updates stall, which is reported as an obstruction rather than an error.
@@ -21,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -85,19 +90,32 @@ def _transport_slope(y, a, b, v):
 
 
 def _cumtrapz(y, dx):
-    out = np.empty_like(y)
-    out[0] = 0.0
-    np.cumsum((y[1:] + y[:-1]) * (dx / 2.0), out=out[1:])
+    """Cumulative trapezoid rule along the last axis, starting from 0."""
+    out = np.zeros_like(y)
+    np.cumsum((y[..., 1:] + y[..., :-1]) * (dx / 2.0), axis=-1, out=out[..., 1:])
     return out
+
+
+def _tails(state):
+    """Masses of rho beyond both grid ends, from the end slopes of w."""
+    t, cols = state.t, [0, -1]
+    ends = t * state.slopes[:, cols].sum(axis=0) + (1.0 - t) * state.h_slopes[:, cols].sum(axis=0)
+    decay_l = max(-ends[0], MIN_EDGE_DECAY)
+    decay_r = max(ends[1], MIN_EDGE_DECAY)
+    return float(state.rho[0]) / decay_l, float(state.rho[-1]) / decay_r
 
 
 @dataclass(frozen=True)
 class MAState:
-    """One point on the continuity path, with its grid diagnostics.
+    """One point on the continuity path.
 
-    ``mass`` is the tail-corrected integral of rho; ``w_min``/``x_w`` locate
-    the minimum of w = sum(t f_i + (1-t) h_i) and ``growth_eps`` is the
-    largest linear growth rate w admits away from that minimum.
+    ``f``, ``slopes``, ``h_ref`` and ``h_slopes`` are (k, N) arrays, one row
+    per part over the grid ``xs``.  The grid diagnostics are computed on
+    first use: w = sum(t f_i + (1-t) h_i) and rho = e^{-w}; ``tails``, the
+    masses of rho beyond both grid ends; ``mass``, the tail-corrected
+    integral of rho; ``w_min``/``x_w``, the minimum of w and where it is;
+    and ``growth_eps``, the largest linear growth rate w admits away from
+    that minimum.
     """
 
     t: float
@@ -105,54 +123,41 @@ class MAState:
     spacing: float
     intervals: tuple
     vfields: tuple
-    f: tuple
-    slopes: tuple
-    h_ref: tuple
-    h_slopes: tuple
-    rho: np.ndarray
-    mass: float
-    w_min: float
-    x_w: float
-    growth_eps: float
+    f: np.ndarray
+    slopes: np.ndarray
+    h_ref: np.ndarray
+    h_slopes: np.ndarray
     update_norm: float
 
+    @cached_property
+    def w(self):
+        return self.t * self.f.sum(axis=0) + (1.0 - self.t) * self.h_ref.sum(axis=0)
 
-def _edge_tails(rho, wprime_left, wprime_right):
-    decay_l = max(-wprime_left, MIN_EDGE_DECAY)
-    decay_r = max(wprime_right, MIN_EDGE_DECAY)
-    return float(rho[0]) / decay_l, float(rho[-1]) / decay_r
+    @cached_property
+    def rho(self):
+        return np.exp(-self.w)
 
+    tails = cached_property(_tails)
 
-def _diagnose(t, xs, spacing, intervals, vfields, f, slopes, h_ref, h_slopes, update_norm):
-    w = t * sum(f) + (1.0 - t) * sum(h_ref)
-    rho = np.exp(-w)
-    wprime_l = t * sum(s[0] for s in slopes) + (1.0 - t) * sum(s[0] for s in h_slopes)
-    wprime_r = t * sum(s[-1] for s in slopes) + (1.0 - t) * sum(s[-1] for s in h_slopes)
-    tail_l, tail_r = _edge_tails(rho, wprime_l, wprime_r)
-    mass = float(tail_l + np.trapezoid(rho, dx=spacing) + tail_r)
-    idx = int(np.argmin(w))
-    w_min = float(w[idx])
-    x_w = float(xs[idx])
-    away = np.abs(xs - x_w) > 0.5 * spacing
-    growth = (w[away] - w_min + 0.1) / np.abs(xs[away] - x_w)
-    growth_eps = float(growth.min()) if growth.size else 0.0
-    return MAState(
-        t=t,
-        xs=xs,
-        spacing=spacing,
-        intervals=intervals,
-        vfields=vfields,
-        f=f,
-        slopes=slopes,
-        h_ref=h_ref,
-        h_slopes=h_slopes,
-        rho=rho,
-        mass=mass,
-        w_min=w_min,
-        x_w=x_w,
-        growth_eps=growth_eps,
-        update_norm=update_norm,
-    )
+    @cached_property
+    def mass(self):
+        tail_l, tail_r = self.tails
+        return float(tail_l + np.trapezoid(self.rho, dx=self.spacing) + tail_r)
+
+    @cached_property
+    def w_min(self):
+        return float(np.min(self.w))
+
+    @cached_property
+    def x_w(self):
+        return float(self.xs[np.argmin(self.w)])
+
+    @cached_property
+    def growth_eps(self):
+        xs, x_w = self.xs, self.x_w
+        away = np.abs(xs - x_w) > 0.5 * self.spacing
+        growth = (self.w[away] - self.w_min + 0.1) / np.abs(xs[away] - x_w)
+        return float(growth.min()) if growth.size else 0.0
 
 
 def make_grid(R=8.0, spacing=0.004):
@@ -179,26 +184,17 @@ def initial_state(intervals, vfields=None, R=8.0, spacing=0.004, t=0.0):
     if len(vfields) != len(intervals):
         raise InputError("need one field value per interval")
     xs = make_grid(R, spacing)
-    h_ref, h_slopes = [], []
-    for a, b in intervals:
-        values, slopes = _ref_values_1d(a, b, xs)
-        h_ref.append(values)
-        h_slopes.append(slopes)
-    h_ref = tuple(h_ref)
-    h_slopes = tuple(h_slopes)
-    return _diagnose(
-        float(t), xs, float(spacing), intervals, vfields,
-        tuple(v.copy() for v in h_ref), tuple(s.copy() for s in h_slopes),
-        h_ref, h_slopes, update_norm=float("inf"),
+    h_ref, h_slopes = map(np.array, zip(*(_ref_values_1d(a, b, xs) for a, b in intervals)))
+    return MAState(
+        t=float(t), xs=xs, spacing=float(spacing), intervals=intervals, vfields=vfields,
+        f=h_ref.copy(), slopes=h_slopes.copy(), h_ref=h_ref, h_slopes=h_slopes,
+        update_norm=float("inf"),
     )
 
 
 def at_stage(state, t):
     """Warm start: same potentials, new path parameter."""
-    return _diagnose(
-        float(t), state.xs, state.spacing, state.intervals, state.vfields,
-        state.f, state.slopes, state.h_ref, state.h_slopes, state.update_norm,
-    )
+    return replace(state, t=float(t))
 
 
 def ma_step_1d(state, relaxation=0.5):
@@ -210,53 +206,31 @@ def ma_step_1d(state, relaxation=0.5):
     """
     if not 0.0 < relaxation <= 1.0:
         raise ConfigurationError("relaxation must lie in (0, 1]")
-    xs, dx, t = state.xs, state.spacing, state.t
-    k = len(state.intervals)
-    zero_idx = len(xs) // 2
+    dx, t = state.spacing, state.t
+    zero_idx = len(state.xs) // 2
 
     cum = _cumtrapz(state.rho, dx)
-    wprime_l = t * sum(s[0] for s in state.slopes) + (1 - t) * sum(s[0] for s in state.h_slopes)
-    wprime_r = t * sum(s[-1] for s in state.slopes) + (1 - t) * sum(s[-1] for s in state.h_slopes)
-    tail_l, tail_r = _edge_tails(state.rho, wprime_l, wprime_r)
-    total = tail_l + float(cum[-1]) + tail_r
-    phi = (tail_l + cum) / total
-
-    cand_slopes = []
-    cand_f = []
-    for (a, b), v in zip(state.intervals, state.vfields):
-        vol = _weighted_length(a, b, v)
-        slope = _transport_slope(vol * phi, a, b, v)
-        # G is strictly increasing for finite V, so the inverted slope must
-        # inherit the monotonicity of the cumulative mass.
-        if not np.all(np.diff(slope) >= -1e-12):
-            raise ArithmeticError("transport slope not monotone")
-        ftilde = _cumtrapz(slope, dx)
-        ftilde -= ftilde[zero_idx]
-        cand_slopes.append(slope)
-        cand_f.append(ftilde)
-
+    tail_l, tail_r = state.tails
+    phi = (tail_l + cum) / (tail_l + float(cum[-1]) + tail_r)
+    cand_slopes = np.array([
+        _transport_slope(_weighted_length(a, b, v) * phi, a, b, v)
+        for (a, b), v in zip(state.intervals, state.vfields)
+    ])
+    # G is strictly increasing for finite V, so the inverted slopes must
+    # inherit the monotonicity of the cumulative mass.
+    if not np.all(np.diff(cand_slopes, axis=-1) >= -1e-12):
+        raise ArithmeticError("transport slope not monotone")
+    cand_f = _cumtrapz(cand_slopes, dx)
+    cand_f -= cand_f[:, zero_idx, None]
     if t > 0.0:
-        w_cand = t * sum(cand_f) + (1.0 - t) * sum(state.h_ref)
-        rho_cand = np.exp(-w_cand)
-        sl = t * sum(s[0] for s in cand_slopes) + (1 - t) * sum(s[0] for s in state.h_slopes)
-        sr = t * sum(s[-1] for s in cand_slopes) + (1 - t) * sum(s[-1] for s in state.h_slopes)
-        tl, tr = _edge_tails(rho_cand, sl, sr)
-        total_cand = tl + float(np.trapezoid(rho_cand, dx=dx)) + tr
-        kappa = math.log(total_cand) / (t * k)
-        cand_f = [ft + kappa for ft in cand_f]
+        candidate = replace(state, f=cand_f, slopes=cand_slopes)
+        cand_f = cand_f + math.log(candidate.mass) / (t * len(cand_f))
 
     lam = relaxation
-    new_f = tuple((1 - lam) * f + lam * c for f, c in zip(state.f, cand_f))
-    new_slopes = tuple(
-        (1 - lam) * s + lam * c for s, c in zip(state.slopes, cand_slopes)
-    )
-    update_norm = max(
-        float(np.max(np.abs(nf - f))) for nf, f in zip(new_f, state.f)
-    )
-    return _diagnose(
-        t, xs, dx, state.intervals, state.vfields,
-        new_f, new_slopes, state.h_ref, state.h_slopes, update_norm,
-    )
+    new_f = (1 - lam) * state.f + lam * cand_f
+    new_slopes = (1 - lam) * state.slopes + lam * cand_slopes
+    update_norm = float(np.max(np.abs(new_f - state.f)))
+    return replace(state, f=new_f, slopes=new_slopes, update_norm=update_norm)
 
 
 def w_diagnostics(state):
@@ -274,8 +248,8 @@ def obstruction_residual(state):
     At an exact solution of the t=1 system this equals the sum of the
     weighted barycenters, which vanishes precisely when the path can close.
     """
-    slope_sum = sum(state.slopes)
-    density = np.exp(-sum(state.f))
+    slope_sum = state.slopes.sum(axis=0)
+    density = np.exp(-state.f.sum(axis=0))
     return float(np.trapezoid(slope_sum * density, dx=state.spacing))
 
 
@@ -325,7 +299,7 @@ def _snapshot(state, iterations, include_arrays):
     }
     if include_arrays:
         snap["grid"] = state.xs.tolist()
-        snap["f"] = [f.tolist() for f in state.f]
+        snap["f"] = state.f.tolist()
         snap["rho"] = state.rho.tolist()
     return snap
 
@@ -384,37 +358,23 @@ def solve_continuity_1d(
             obstructed = f"no convergence in {max_iter} sweeps at t={t}"
         snapshots.append(_snapshot(state, it, include_arrays))
         if obstructed:
-            diagnostics = w_diagnostics(state)
-            diagnostics.update(
-                {
-                    "reason": obstructed,
-                    "t": t,
-                    "update_norm": state.update_norm,
-                    "obstruction_residual": obstruction_residual(state),
-                    "barycenter_residual": residual_exact,
-                    # The exact theory ties obstruction to a nonzero
-                    # barycenter residual; the detection thresholds above
-                    # are numerical judgment calls.
-                    "heuristic_detection": True,
-                }
-            )
-            return ContinuityResult(
-                status="Obstructed",
-                state=state,
-                diagnostics=diagnostics,
-                snapshots=tuple(snapshots),
-            )
+            break
     diagnostics = w_diagnostics(state)
     diagnostics.update(
         {
-            "t": 1.0,
+            "t": t,
             "update_norm": state.update_norm,
             "obstruction_residual": obstruction_residual(state),
             "barycenter_residual": residual_exact,
         }
     )
+    if obstructed:
+        # The exact theory ties obstruction to a nonzero barycenter
+        # residual; the detection thresholds above are numerical judgment
+        # calls.
+        diagnostics.update(reason=obstructed, heuristic_detection=True)
     return ContinuityResult(
-        status="Converged",
+        status="Obstructed" if obstructed else "Converged",
         state=state,
         diagnostics=diagnostics,
         snapshots=tuple(snapshots),

@@ -400,6 +400,34 @@ def test_validate_reports_redundancy(capsys):
     assert report["results"]["decomposition"]["row_ampleness"] == ["Ample", "Ample"]
 
 
+def test_nonconvex_support_row_exits_two(tmp_path, capsys):
+    doc = {
+        "name": "hexagon-nonconvex",
+        "dimension": 2,
+        "rays": [[1, 0], [1, 1], [0, 1], [-1, 0], [-1, -1], [0, -1]],
+        "max_cones": [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5], [5, 0]],
+        "decomposition": [["8/3", "3", "3", "8", "2", "1/4"]],
+    }
+    path = write_doc(tmp_path, doc)
+    for command in ("ke-verdict", "barycenter"):
+        code, report, err = run_cli(capsys, command, "--input", path)
+        assert code == 2 and report is None
+        assert "not convex" in err
+    code, report, _ = run_cli(capsys, "validate", "--input", path)
+    assert code == 0
+    assert report["results"]["decomposition"]["row_ampleness"] == ["NotConvex"]
+
+
+def test_validate_flags_zero_normal_row(tmp_path, capsys):
+    square = [[[1, 0], 1], [[-1, 0], 1], [[0, 1], 1], [[0, -1], 1]]
+    doc = {"name": "square", "dimension": 2, "halfspaces": [square + [[[0, 0], 0]]]}
+    code, report, _ = run_cli(capsys, "validate", "--input", write_doc(tmp_path, doc))
+    assert code == 0
+    assert report["results"]["parts"] == [
+        {"nvertices": 4, "redundant_halfspaces": [4], "degenerate": False}
+    ]
+
+
 def test_out_flag_mirrors_stdout(tmp_path, capsys):
     out = tmp_path / "report.json"
     code, _, _ = run_cli(

@@ -119,6 +119,25 @@ def test_redundant_halfspace_flagged():
     assert set(p.vertices) == {(-1,), (1,)}
 
 
+def test_zero_normal_row_is_redundant():
+    # |x|, |y| <= 1 and 0 >= 0, a row tight at every vertex that cuts nothing.
+    square = [((1, 0), 1), ((-1, 0), 1), ((0, 1), 1), ((0, -1), 1)]
+    p = polytope_from_halfspaces(square + [((0, 0), 0)])
+    assert p.tight_sets[4] == (0, 1, 2, 3)
+    assert p.redundant == (False, False, False, False, True)
+
+
+def test_nonconvex_support_raises():
+    # A NotConvex hexagon row: its cone vertices miss (5, -3), a vertex of
+    # the halfspace system, so they do not describe the polygon.
+    row = tuple(Fraction(x) for x in ("8/3", "3", "3", "8", "2", "1/4"))
+    assert ampleness_class(HEXAGON, row).kind is Ampleness.NOT_CONVEX
+    with pytest.raises(InputError, match="not convex"):
+        polytope_from_support(HEXAGON, row)
+    raw = polytope_from_halfspaces(list(zip(HEXAGON.rays, row)))
+    assert raw.nvertices == 5 and (5, -3) in raw.vertices
+
+
 def _assert_farkas_certificate(rows, y):
     assert all(isinstance(x, Fraction) and x >= 0 for x in y)
     n = len(rows[0][0])
@@ -398,8 +417,13 @@ def test_minkowski_sum_raises_when_cone_vertices_do_not_add(monkeypatch):
     real = geometry.vertex_from_equalities
     ample = geometry.AmplenessReport(Ampleness.AMPLE)
     monkeypatch.setattr(geometry, "ampleness_class", lambda fan, c: ample)
+    # An affine map of every cone vertex keeps each part convex but breaks
+    # additivity: the sum picks up the shift once, the parts once each.
+    shift = (Fraction(1, 10), 0)
     monkeypatch.setattr(
-        geometry, "vertex_from_equalities", lambda *a: tuple(x + 1 for x in real(*a))
+        geometry,
+        "vertex_from_equalities",
+        lambda *a: tuple(x / 2 + s for x, s in zip(real(*a), shift)),
     )
     half = Fraction(1, 2)
     with pytest.raises(ArithmeticError, match="per-cone vertices must add"):

@@ -1,6 +1,8 @@
 """Continuity-path solver for the 1-D coupled Monge-Ampere system."""
 
 import math
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -52,26 +54,9 @@ def test_fubini_study_sup_error():
 
 def test_exact_solution_is_near_fixed_point():
     state = initial_state([(-1.0, 1.0)], t=1.0)
-    xs = state.xs
-    exact_f = fs_exact(xs)
-    exact_slope = np.tanh(xs / 2.0)
-    state = state.__class__(
-        t=1.0,
-        xs=xs,
-        spacing=state.spacing,
-        intervals=state.intervals,
-        vfields=state.vfields,
-        f=(exact_f,),
-        slopes=(exact_slope,),
-        h_ref=state.h_ref,
-        h_slopes=state.h_slopes,
-        rho=np.exp(-exact_f),
-        mass=state.mass,
-        w_min=float(exact_f.min()),
-        x_w=0.0,
-        growth_eps=state.growth_eps,
-        update_norm=float("inf"),
-    )
+    exact_f = fs_exact(state.xs)
+    exact_slope = np.tanh(state.xs / 2.0)
+    state = replace(state, f=exact_f[None, :], slopes=exact_slope[None, :])
     stepped = ma_step_1d(state, relaxation=1.0)
     assert stepped.update_norm < 1e-5
 
@@ -320,3 +305,114 @@ def test_non_monotone_transport_slope_raises(monkeypatch):
     monkeypatch.setattr(masolver, "_transport_slope", lambda y, a, b, v: -np.asarray(y))
     with pytest.raises(ArithmeticError, match="transport slope not monotone"):
         ma_step_1d(state)
+
+
+# ---------------------------------------------------------------------------
+# the stacked sweep against the per-part sweep it replaced, bit for bit
+
+
+def _ref_cumtrapz(y, dx):
+    out = np.empty_like(y)
+    out[0] = 0.0
+    np.cumsum((y[1:] + y[:-1]) * (dx / 2.0), out=out[1:])
+    return out
+
+
+def _ref_edge_tails(rho, wprime_left, wprime_right):
+    decay_l = max(-wprime_left, masolver.MIN_EDGE_DECAY)
+    decay_r = max(wprime_right, masolver.MIN_EDGE_DECAY)
+    return float(rho[0]) / decay_l, float(rho[-1]) / decay_r
+
+
+def _ref_diagnose(t, xs, spacing, intervals, vfields, f, slopes, h_ref, h_slopes, update_norm):
+    w = t * sum(f) + (1.0 - t) * sum(h_ref)
+    rho = np.exp(-w)
+    wprime_l = t * sum(s[0] for s in slopes) + (1.0 - t) * sum(s[0] for s in h_slopes)
+    wprime_r = t * sum(s[-1] for s in slopes) + (1.0 - t) * sum(s[-1] for s in h_slopes)
+    tail_l, tail_r = _ref_edge_tails(rho, wprime_l, wprime_r)
+    mass = float(tail_l + np.trapezoid(rho, dx=spacing) + tail_r)
+    idx = int(np.argmin(w))
+    w_min = float(w[idx])
+    x_w = float(xs[idx])
+    away = np.abs(xs - x_w) > 0.5 * spacing
+    growth = (w[away] - w_min + 0.1) / np.abs(xs[away] - x_w)
+    growth_eps = float(growth.min()) if growth.size else 0.0
+    return SimpleNamespace(
+        t=t, xs=xs, spacing=spacing, intervals=intervals, vfields=vfields,
+        f=f, slopes=slopes, h_ref=h_ref, h_slopes=h_slopes, rho=rho, mass=mass,
+        w_min=w_min, x_w=x_w, growth_eps=growth_eps, update_norm=update_norm,
+    )
+
+
+def _ref_step(state, relaxation):
+    xs, dx, t = state.xs, state.spacing, state.t
+    k = len(state.intervals)
+    zero_idx = len(xs) // 2
+    cum = _ref_cumtrapz(state.rho, dx)
+    wprime_l = t * sum(s[0] for s in state.slopes) + (1 - t) * sum(s[0] for s in state.h_slopes)
+    wprime_r = t * sum(s[-1] for s in state.slopes) + (1 - t) * sum(s[-1] for s in state.h_slopes)
+    tail_l, tail_r = _ref_edge_tails(state.rho, wprime_l, wprime_r)
+    total = tail_l + float(cum[-1]) + tail_r
+    phi = (tail_l + cum) / total
+    cand_slopes, cand_f = [], []
+    for (a, b), v in zip(state.intervals, state.vfields):
+        vol = masolver._weighted_length(a, b, v)
+        slope = masolver._transport_slope(vol * phi, a, b, v)
+        ftilde = _ref_cumtrapz(slope, dx)
+        ftilde -= ftilde[zero_idx]
+        cand_slopes.append(slope)
+        cand_f.append(ftilde)
+    if t > 0.0:
+        w_cand = t * sum(cand_f) + (1.0 - t) * sum(state.h_ref)
+        rho_cand = np.exp(-w_cand)
+        sl = t * sum(s[0] for s in cand_slopes) + (1 - t) * sum(s[0] for s in state.h_slopes)
+        sr = t * sum(s[-1] for s in cand_slopes) + (1 - t) * sum(s[-1] for s in state.h_slopes)
+        tl, tr = _ref_edge_tails(rho_cand, sl, sr)
+        total_cand = tl + float(np.trapezoid(rho_cand, dx=dx)) + tr
+        kappa = math.log(total_cand) / (t * k)
+        cand_f = [ft + kappa for ft in cand_f]
+    lam = relaxation
+    new_f = tuple((1 - lam) * f + lam * c for f, c in zip(state.f, cand_f))
+    new_slopes = tuple((1 - lam) * s + lam * c for s, c in zip(state.slopes, cand_slopes))
+    update_norm = max(float(np.max(np.abs(nf - f))) for nf, f in zip(new_f, state.f))
+    return _ref_diagnose(
+        t, xs, dx, state.intervals, state.vfields,
+        new_f, new_slopes, state.h_ref, state.h_slopes, update_norm,
+    )
+
+
+def _assert_same_bits(stacked, ref):
+    for name in ("f", "slopes", "rho", "mass", "update_norm", "x_w", "w_min", "growth_eps"):
+        want = np.asarray(getattr(ref, name), dtype=float)
+        got = np.asarray(getattr(stacked, name), dtype=float)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+
+
+TRIPLE = ((-1.0, 0.5), (-0.5, 0.5), (-0.5, 1.0))
+
+
+@pytest.mark.parametrize("relaxation", [0.5, 1.0])
+@pytest.mark.parametrize("t", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize(
+    "intervals, vfields",
+    [
+        (((-1.0, 1.0),), (0.0,)),  # cancelling
+        (((-1.0, 1.0),), (1.5,)),  # obstructed
+        (PAIR, (0.0, 0.0)),  # cancelling
+        (PAIR, (2.0, 0.0)),  # obstructed
+        (TRIPLE, (0.0, 0.0, 0.0)),  # cancelling
+        (TRIPLE, (1.0, 1.0, 1.0)),  # obstructed
+    ],
+)
+def test_stacked_sweep_matches_per_part_sweep(intervals, vfields, t, relaxation):
+    state = at_stage(initial_state(intervals, vfields, R=6.0, spacing=0.02), t)
+    ref = _ref_diagnose(
+        state.t, state.xs, state.spacing, state.intervals, state.vfields,
+        tuple(state.f), tuple(state.slopes), tuple(state.h_ref), tuple(state.h_slopes),
+        state.update_norm,
+    )
+    _assert_same_bits(state, ref)
+    for _ in range(6):
+        state = ma_step_1d(state, relaxation)
+        ref = _ref_step(ref, relaxation)
+        _assert_same_bits(state, ref)
