@@ -22,12 +22,7 @@ import numpy as np
 
 from . import __version__
 from .errors import InputError, UnknownExampleError
-from .geometry import (
-    DEFAULT_FLOAT_TOL,
-    Fan,
-    polytope_from_halfspaces,
-    validate_fan,
-)
+from .geometry import Fan, polytope_from_halfspaces, validate_fan
 from .masolver import DEFAULT_T_SCHEDULE, solve_continuity_1d
 from .moments import volume, weighted_barycenter
 from .problems import (
@@ -94,8 +89,7 @@ def jsonable(value):
 
 
 def _raw_parts(doc):
-    tol = 0 if doc.exact else DEFAULT_FLOAT_TOL
-    return [polytope_from_halfspaces(part, tol=tol) for part in doc.halfspaces]
+    return [polytope_from_halfspaces(part) for part in doc.halfspaces]
 
 
 def _fan(doc):
@@ -221,16 +215,11 @@ def _cmd_soliton_check(doc, args):
     if vfields is None:
         raise InputError("soliton-check needs vector_fields in the document")
     residual = soliton_residual(dec, vfields)
-    is_zero = (
-        all(x == 0 for x in residual.total)
-        if dec.exact and all(isinstance(x, Fraction) for row in vfields for x in row)
-        else residual.norm < args.tol
-    )
     results = {
         "residual": list(residual.total),
         "per_polytope": [list(r) for r in residual.per_polytope],
         "norm": residual.norm,
-        "is_soliton": is_zero,
+        "is_soliton": residual.norm < args.tol,
     }
     return results, {"tol": args.tol}, 0
 

@@ -4,7 +4,9 @@ The combinatorial layer works over ``fractions.Fraction`` whenever the input
 data is rational, so smoothness, completeness, ampleness, vertex positions,
 volumes and barycenters are exact.  Float offsets are accepted for the few
 workflows that genuinely need irrational parameters; those go through the
-same code paths with a small absolute tolerance.
+same code paths with a small absolute tolerance.  :func:`tolerance` makes
+that choice once per polytope, from its own data, and the polytope carries
+it.
 
 Conventions: a ray is a primitive integer column vector; a support vector
 ``c`` over a fan with rays ``d_j`` cuts out ``P = {x : <d_j, x> >= -c_j}``.
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -42,8 +44,14 @@ def _vec(xs):
     return tuple(_coerce(x) for x in xs)
 
 
-def _all_exact(values):
-    return all(not isinstance(v, float) for v in values)
+def tolerance(scalars):
+    """0 when every scalar is an int or Fraction, DEFAULT_FLOAT_TOL otherwise.
+
+    This is the one place where the type of the data decides between exact
+    and float comparison.  A polytope carries the value as ``tol`` and every
+    comparison made on it, or on anything derived from it, reads that.
+    """
+    return 0 if all(isinstance(x, (Fraction, int)) for x in scalars) else DEFAULT_FLOAT_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -149,17 +157,7 @@ def vertex_from_equalities(normals, offsets):
     """Solve <d_j, v> = -c_j for the listed normals; None when singular."""
     rhs = [-_coerce(c) for c in offsets]
     mat = [_vec(d) for d in normals]
-    tol = 0 if _all_exact([x for row in mat for x in row] + rhs) else DEFAULT_FLOAT_TOL
-    return linalg.solve(mat, rhs, tol=tol)
-
-
-def _cone_vertices(fan, c):
-    """The vertex of each maximal cone, where its rays' halfspaces are tight."""
-    for cone in fan.max_cones:
-        v = vertex_from_equalities([fan.rays[j] for j in cone], [c[j] for j in cone])
-        if v is None:
-            raise InputError(f"cone {cone} is not simplicial of full rank")
-        yield v
+    return linalg.solve(mat, rhs, tol=tolerance([*rhs, *(x for row in mat for x in row)]))
 
 
 class Ampleness(enum.Enum):
@@ -174,29 +172,50 @@ class AmplenessReport:
     witness: tuple = None  # (cone index, ray index) where convexity fails/ties
 
 
-def ampleness_class(fan, c):
-    """Classify a support vector as Ample, NefOnly, or NotConvex.
+def _cone_vertices(fan, c, tol):
+    """The vertex of each maximal cone, and the ampleness class of ``c``.
 
-    For each maximal cone the candidate vertex is solved exactly; strictness
-    of all non-defining halfspaces at every candidate is ampleness, an
-    equality somewhere (without violation) is the nef boundary.
+    A cone's vertex is where its rays' halfspaces are tight.  A ray outside
+    the cone with slack below -tol at that vertex breaks convexity, and the
+    vertices found up to there come back; a slack within tol is the nef
+    boundary.
     """
-    c = _vec(c)
-    if len(c) != fan.nrays:
-        raise InputError("support vector length must match ray count")
-    nef_witness = None
-    for ci, (cone, v) in enumerate(zip(fan.max_cones, _cone_vertices(fan, c))):
+    vertices, nef_witness = [], None
+    for ci, cone in enumerate(fan.max_cones):
+        v = vertex_from_equalities([fan.rays[j] for j in cone], [c[j] for j in cone])
+        if v is None:
+            raise InputError(f"cone {cone} is not simplicial of full rank")
+        vertices.append(v)
         for j in range(fan.nrays):
             if j in cone:
                 continue
             slack = dot(fan.rays[j], v) + c[j]
-            if slack < 0:
-                return AmplenessReport(Ampleness.NOT_CONVEX, (ci, j))
-            if slack == 0 and nef_witness is None:
+            if slack < -tol:
+                return vertices, AmplenessReport(Ampleness.NOT_CONVEX, (ci, j))
+            if slack <= tol and nef_witness is None:
                 nef_witness = (ci, j)
     if nef_witness is not None:
-        return AmplenessReport(Ampleness.NEF_ONLY, nef_witness)
-    return AmplenessReport(Ampleness.AMPLE)
+        return vertices, AmplenessReport(Ampleness.NEF_ONLY, nef_witness)
+    return vertices, AmplenessReport(Ampleness.AMPLE)
+
+
+def _support(fan, c):
+    c = _vec(c)
+    if len(c) != fan.nrays:
+        raise InputError("support vector length must match ray count")
+    return c
+
+
+def ampleness_class(fan, c):
+    """Classify a support vector as Ample, NefOnly, or NotConvex.
+
+    For each maximal cone the candidate vertex is solved, exactly on
+    rational input; strictness of all non-defining halfspaces at every
+    candidate is ampleness, an equality somewhere (without violation) is the
+    nef boundary.  Float supports compare within their tolerance.
+    """
+    c = _support(fan, c)
+    return _cone_vertices(fan, c, tolerance(c))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -210,8 +229,11 @@ class Polytope:
     ``halfspaces[j]`` is a ``(normal, offset)`` pair for
     ``<normal, x> >= -offset``; ``tight_sets[j]`` lists the vertex indices on
     its boundary and ``redundant[j]`` flags halfspaces whose tight set spans
-    less than a facet.  ``degenerate`` marks empty or lower-dimensional
-    intersections, which carry no mesh.
+    less than a facet.  ``tol`` is the :func:`tolerance` of the halfspace
+    data, 0 when it is exact: tight sets, vertex merging, the triangulation
+    and every verdict on the polytope compare within it, and ``tol == 0`` is
+    what "exact" means downstream.  ``degenerate`` marks empty or
+    lower-dimensional intersections, which carry no mesh.
     """
 
     dim: int
@@ -219,16 +241,12 @@ class Polytope:
     vertices: tuple
     tight_sets: tuple
     redundant: tuple
-    provenance: str
+    tol: float
     degenerate: bool = False
 
     @property
     def nvertices(self):
         return len(self.vertices)
-
-    def interior_point(self):
-        n = len(self.vertices)
-        return tuple(sum(v[i] for v in self.vertices) / n for i in range(self.dim))
 
 
 def _dedup_vertices(candidates, tol):
@@ -247,7 +265,7 @@ def _dedup_vertices(candidates, tol):
     return out
 
 
-def _polytope(dim, halfspaces, vertices, tol, provenance):
+def _polytope(dim, halfspaces, vertices, tol):
     """The polytope of valid ``halfspaces`` whose vertices are ``vertices``."""
     vertices = tuple(vertices)
     hull_rank = linalg.affine_rank(vertices, tol)
@@ -258,7 +276,7 @@ def _polytope(dim, halfspaces, vertices, tol, provenance):
         vertices=vertices,
         tight_sets=tight_sets,
         redundant=redundant,
-        provenance=provenance,
+        tol=tol,
         degenerate=hull_rank < dim,
     )
 
@@ -300,21 +318,16 @@ def polytope_from_support(fan, c):
     raises InputError.  Empty interior comes back as a degenerate polytope
     rather than an error.
     """
-    c = _vec(c)
-    if len(c) != fan.nrays:
-        raise InputError("support vector length must match ray count")
-    exact = _all_exact(c)
-    tol = 0 if exact else DEFAULT_FLOAT_TOL
-    halfspaces = tuple((fan.rays[j], c[j]) for j in range(fan.nrays))
-
-    candidates = list(_cone_vertices(fan, c))
-    for cone, v in zip(fan.max_cones, candidates):
-        for j, (d, off) in enumerate(halfspaces):
-            if dot(d, v) + off < -tol:
-                raise InputError(
-                    f"support is not convex: the vertex of cone {list(cone)} violates ray {j}"
-                )
-    return _polytope(fan.dim, halfspaces, _dedup_vertices(candidates, tol), tol, "fan-support")
+    c = _support(fan, c)
+    tol = tolerance(c)
+    candidates, amp = _cone_vertices(fan, c, tol)
+    if amp.kind is Ampleness.NOT_CONVEX:
+        ci, j = amp.witness
+        raise InputError(
+            f"support is not convex: the vertex of cone {list(fan.max_cones[ci])} violates ray {j}"
+        )
+    halfspaces = tuple(zip(fan.rays, c))
+    return _polytope(fan.dim, halfspaces, _dedup_vertices(candidates, tol), tol)
 
 
 def _vertex_subsets(hs, tol):
@@ -335,9 +348,10 @@ def _vertex_subsets(hs, tol):
     import numpy as np
 
     m, n = len(hs), len(hs[0][0])
-    scales = [lcm(1, *(x.denominator for x in (*d, c) if not isinstance(x, float))) for d, c in hs]
+    # A float has no denominator: its row is unsafe or scaled by the others.
+    scales = [lcm(1, *(getattr(x, "denominator", 1) for x in (*d, c))) for d, c in hs]
     rows = [[Fraction(x) * s for x in (*d, c)] for (d, c), s in zip(hs, scales)]
-    unsafe = [any(isinstance(x, float) for x in d) or max(s, *map(abs, row)) >= 2**52
+    unsafe = [tolerance(d) > 0 or max(s, *map(abs, row)) >= 2**52
               for (d, _), row, s in zip(hs, rows, scales)]
     G = np.array([[0.0 if bad else float(x) for x in row] for row, bad in zip(rows, unsafe)])
     norms, norms_a = np.abs(G).sum(axis=1), np.abs(G[:, :n]).sum(axis=1)
@@ -372,14 +386,16 @@ def _vertex_subsets(hs, tol):
         yield from itertools.compress(block, ~drop)
 
 
-def polytope_from_halfspaces(halfspaces, tol=None, provenance="raw"):
+def polytope_from_halfspaces(halfspaces):
     """Vertex enumeration for an explicit halfspace list.
 
     Row n-subsets that a float screen cannot rule out are solved exactly, in
     lexicographic order, keeping solutions that satisfy every row.  One exact
     LP then certifies an empty system (Farkas) or finds a recession direction
-    (Stiemke).  The regime is dimension <= 6 and at most 32 halfspaces;
-    larger input is an error.
+    (Stiemke).  The tolerance is the :func:`tolerance` of these rows alone,
+    0 when they are exact, whatever other polytopes they are used with.  The
+    regime is dimension <= 6 and at most 32 halfspaces; larger input is an
+    error.
     """
     hs = [(_vec(d), _coerce(c)) for d, c in halfspaces]
     if not hs:
@@ -392,15 +408,13 @@ def polytope_from_halfspaces(halfspaces, tol=None, provenance="raw"):
         raise InputError(
             f"raw halfspace regime is dim <= {MAX_RAW_DIM}, m <= {MAX_RAW_HALFSPACES}"
         )
-    exact = _all_exact([x for d, c in hs for x in (*d, c)])
-    if tol is None:
-        tol = 0 if exact else DEFAULT_FLOAT_TOL
+    tol = tolerance([x for d, c in hs for x in (*d, c)])
 
     normals = [d for d, _ in hs]
     candidates, tight = [], []
     for subset in _vertex_subsets(hs, tol):
         # Exact rows tight at a known vertex meet in it or are singular.
-        if exact and any(t.issuperset(subset) for t in tight):
+        if tol == 0 and any(t.issuperset(subset) for t in tight):
             continue
         v = linalg.solve([normals[j] for j in subset], [-hs[j][1] for j in subset], tol)
         if v is None:
@@ -426,7 +440,7 @@ def polytope_from_halfspaces(halfspaces, tol=None, provenance="raw"):
     if direction is not None:
         raise UnboundedPolytopeError(f"unbounded along {direction}", direction=direction)
 
-    return _polytope(n, tuple(hs), vertices, tol, provenance)
+    return _polytope(n, tuple(hs), vertices, tol)
 
 
 def support_function(polytope, u):
@@ -446,16 +460,11 @@ def translate(polytope, t):
         raise InputError("translation has wrong dimension")
     if all(x == 0 for x in t):
         return polytope
-    vertices = tuple(tuple(a + b for a, b in zip(v, t)) for v in polytope.vertices)
-    halfspaces = tuple((d, c + dot(d, t)) for d, c in polytope.halfspaces)
-    return Polytope(
-        dim=polytope.dim,
-        halfspaces=halfspaces,
-        vertices=vertices,
-        tight_sets=polytope.tight_sets,
-        redundant=polytope.redundant,
-        provenance="translate",
-        degenerate=polytope.degenerate,
+    return replace(
+        polytope,
+        halfspaces=tuple((d, c + dot(d, t)) for d, c in polytope.halfspaces),
+        vertices=tuple(tuple(a + b for a, b in zip(v, t)) for v in polytope.vertices),
+        tol=max(polytope.tol, tolerance(t)),
     )
 
 
@@ -464,7 +473,8 @@ def minkowski_sum(fan, parts):
 
     All parts must be Ample or NefOnly.  The construction is linear per
     maximal cone, which is checked, along with support-number additivity
-    on every ray direction; a failed check raises ``ArithmeticError``.
+    on every ray direction, both within the parts' tolerance; a failed check
+    raises ``ArithmeticError``.
     """
     parts = [_vec(c) for c in parts]
     if not parts:
@@ -475,19 +485,21 @@ def minkowski_sum(fan, parts):
         kind = ampleness_class(fan, c).kind
         if kind is Ampleness.NOT_CONVEX:
             raise InputError("Minkowski summands must be Ample or NefOnly")
+    tol = tolerance([x for c in parts for x in c])
     total = tuple(sum(c[j] for c in parts) for j in range(fan.nrays))
     poly = polytope_from_support(fan, total)
 
     part_polys = [polytope_from_support(fan, c) for c in parts]
-    for vsum, *pieces in zip(_cone_vertices(fan, total), *(_cone_vertices(fan, c) for c in parts)):
+    cone_vertices = [_cone_vertices(fan, c, tol)[0] for c in (total, *parts)]
+    for vsum, *pieces in zip(*cone_vertices):
         combined = tuple(sum(p[i] for p in pieces) for i in range(fan.dim))
-        if vsum != combined:
+        if any(abs(a - b) > tol for a, b in zip(vsum, combined)):
             raise ArithmeticError("per-cone vertices must add")
     for j in range(fan.nrays):
         lhs = sum(
             min(dot(fan.rays[j], v) for v in pp.vertices) for pp in part_polys
         )
-        if lhs != -total[j]:
+        if abs(lhs + total[j]) > tol:
             raise ArithmeticError("support numbers must add on rays")
     return total, poly
 
@@ -560,7 +572,7 @@ def triangulate(polytope, apex="lexmin"):
         raise InputError("apex rule must be 'lexmin' or 'lexmax'")
     verts = polytope.vertices
     n = polytope.dim
-    tol = 0 if _all_exact([x for v in verts for x in v]) else DEFAULT_FLOAT_TOL
+    tol = polytope.tol
     pick = min if apex == "lexmin" else max
 
     facet_sets = dict.fromkeys(

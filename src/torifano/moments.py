@@ -41,9 +41,7 @@ def _mesh(p):
 def volume(mesh):
     """Total volume, exact for rational meshes."""
     mesh = _mesh(mesh)
-    nf = math.factorial(mesh.dim)
-    total = sum(mesh.factors)
-    return total / nf if isinstance(total, float) else Fraction(total, nf)
+    return sum(mesh.factors, Fraction(0)) / math.factorial(mesh.dim)
 
 
 def barycenter(mesh):

@@ -16,17 +16,20 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InputError, UnknownExampleError
+from .geometry import tolerance
 
 HEXAGON_DEFAULT_T = Fraction(1, 10)
 
 
 def parse_scalar(value, where):
-    """int and "p/q" strings parse exactly; floats stay floats."""
+    """int and "p/q" strings parse exactly; finite floats stay floats."""
     if isinstance(value, bool):
         raise InputError(f"{where}: expected a number, got a boolean")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise InputError(f"{where}: expected a finite number, got {value}")
         return value
     if isinstance(value, str):
         try:
@@ -42,15 +45,19 @@ def format_scalar(value):
     return value
 
 
+def _list(value, where, what, length=None):
+    """``value`` as a tuple, when it is a JSON list of the given length."""
+    if not isinstance(value, (list, tuple)) or length not in (None, len(value)):
+        raise InputError(f"{where}: expected {what}")
+    return tuple(value)
+
+
 def _int_vector(value, length, where):
-    if not isinstance(value, (list, tuple)) or len(value) != length:
-        raise InputError(f"{where}: expected an integer vector of length {length}")
-    out = []
+    value = _list(value, where, f"an integer vector of length {length}", length)
     for i, entry in enumerate(value):
         if isinstance(entry, bool) or not isinstance(entry, int):
             raise InputError(f"{where}[{i}]: expected an integer")
-        out.append(entry)
-    return tuple(out)
+    return value
 
 
 @dataclass(frozen=True)
@@ -73,15 +80,9 @@ class ProblemDocument:
 
     @property
     def exact(self):
-        """True when no float contaminates the geometry data."""
-        if self.halfspaces is not None:
-            for part in self.halfspaces:
-                for normal, offset in part:
-                    if isinstance(offset, float) or any(
-                        isinstance(x, float) for x in normal
-                    ):
-                        return False
-        return True
+        """True when no float contaminates the geometry data: halfspaces or decomposition."""
+        rows = [(*d, c) for part in self.halfspaces or () for d, c in part]
+        return tolerance([x for row in (*rows, *(self.decomposition or ())) for x in row]) == 0
 
 
 def _is_halfspace_pair(entry):
@@ -149,7 +150,9 @@ def document_from_dict(data, default_name="unnamed"):
     if not has_raw and len(fan_keys) != 3:
         raise InputError("document: exactly one geometry source (rays+max_cones+decomposition or halfspaces)")
 
-    notes = list(data.get("notes", ()))
+    notes = list(_list(data.get("notes", ()), "notes", "a list of strings"))
+    if not all(isinstance(note, str) for note in notes):
+        raise InputError("notes: expected a list of strings")
     rays = max_cones = decomposition = halfspaces = None
     if has_raw:
         halfspaces = _parse_halfspaces(
@@ -158,11 +161,12 @@ def document_from_dict(data, default_name="unnamed"):
         k = len(halfspaces)
     else:
         rays = tuple(
-            _int_vector(r, dim, f"rays[{i}]") for i, r in enumerate(data["rays"])
+            _int_vector(r, dim, f"rays[{i}]")
+            for i, r in enumerate(_list(data["rays"], "rays", "a list of rays"))
         )
         max_cones = []
-        for i, cone in enumerate(data["max_cones"]):
-            cone = tuple(cone)
+        for i, cone in enumerate(_list(data["max_cones"], "max_cones", "a list of cones")):
+            cone = _list(cone, f"max_cones[{i}]", "a list of ray indices")
             for idx in cone:
                 if isinstance(idx, bool) or not isinstance(idx, int) or not 0 <= idx < len(rays):
                     raise InputError(f"max_cones[{i}]: ray index {idx!r} out of range")
@@ -173,8 +177,7 @@ def document_from_dict(data, default_name="unnamed"):
             raise InputError("decomposition: expected a non-empty matrix")
         decomposition = []
         for i, row in enumerate(matrix):
-            if len(row) != len(rays):
-                raise InputError(f"decomposition[{i}]: expected {len(rays)} entries")
+            row = _list(row, f"decomposition[{i}]", f"{len(rays)} entries", len(rays))
             decomposition.append(
                 tuple(parse_scalar(x, f"decomposition[{i}][{j}]") for j, x in enumerate(row))
             )
@@ -183,13 +186,12 @@ def document_from_dict(data, default_name="unnamed"):
 
     vector_fields = None
     if data.get("vector_fields") is not None:
-        vf = data["vector_fields"]
-        if len(vf) != k:
-            raise InputError(f"vector_fields: expected {k} vectors, one per part")
+        vf = _list(data["vector_fields"], "vector_fields", f"{k} vectors, one per part", k)
         vector_fields = tuple(
-            tuple(parse_scalar(x, f"vector_fields[{i}]") for x in row)
-            if len(row) == dim
-            else _bad_vf(i, dim)
+            tuple(
+                parse_scalar(x, f"vector_fields[{i}]")
+                for x in _list(row, f"vector_fields[{i}]", f"a vector of length {dim}", dim)
+            )
             for i, row in enumerate(vf)
         )
 
@@ -207,10 +209,6 @@ def document_from_dict(data, default_name="unnamed"):
         options=dict(options),
         notes=tuple(notes),
     )
-
-
-def _bad_vf(i, dim):
-    raise InputError(f"vector_fields[{i}]: expected a vector of length {dim}")
 
 
 def document_to_dict(doc):
@@ -285,20 +283,19 @@ def _pe_document(param):
         # halfspaces go redundant, which the geometry layer reports.
         c = parse_scalar(param, "pE-4fold-c parameter")
         label = str(param)
-    one_minus = 1 - c if isinstance(c, Fraction) else 1.0 - c
     return ProblemDocument(
         name=f"pE-4fold-c:{label}",
         dimension=4,
-        halfspaces=(_pe_part(c), _pe_part(one_minus)),
+        halfspaces=(_pe_part(c), _pe_part(1 - c)),
         notes=("halfspace normals are the negated leq-form bundle rays",),
     )
 
 
 def _hexagon_document(param):
     t = HEXAGON_DEFAULT_T if param in (None, "") else parse_scalar(param, "hexagon-dP6-t parameter")
-    if isinstance(t, Fraction) and not -Fraction(1, 2) < t < Fraction(1, 2):
-        raise InputError(f"hexagon-dP6-t: parameter {t} outside (-1/2, 1/2)")
     half = Fraction(1, 2)
+    if not -half < t < half:
+        raise InputError(f"hexagon-dP6-t: parameter {t} outside (-1/2, 1/2)")
     row_plus = [half, half + t, half, half, half, half]
     row_minus = [half, half - t, half, half, half, half]
     return ProblemDocument(

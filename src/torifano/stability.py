@@ -25,6 +25,7 @@ from .geometry import (
     ampleness_class,
     polytope_from_halfspaces,
     polytope_from_support,
+    tolerance,
     triangulate,
 )
 
@@ -34,12 +35,12 @@ KE_FLOAT_TOL = 1e-10
 class Decomposition:
     """A tuple of polytopes decomposing the anticanonical polytope.
 
-    Fan-based instances remember their support matrix; raw instances (built
-    straight from halfspace data) only carry the polytopes, so the
-    normalization checks that need support numbers are skipped for them.
+    Built from a fan's support matrix or straight from halfspace data; the
+    normalization checks that need support numbers live in
+    :func:`validate_decomposition`.
     """
 
-    def __init__(self, polytopes, fan=None, support_matrix=None):
+    def __init__(self, polytopes):
         polytopes = tuple(polytopes)
         if not polytopes:
             raise InputError("decomposition needs at least one polytope")
@@ -50,8 +51,6 @@ class Decomposition:
             if p.degenerate:
                 raise InputError(f"part {i} is degenerate (empty interior)")
         self.polytopes = polytopes
-        self.fan = fan
-        self.support_matrix = support_matrix
 
     @classmethod
     def from_fan(cls, fan, rows):
@@ -59,8 +58,7 @@ class Decomposition:
         for row in rows:
             if len(row) != fan.nrays:
                 raise InputError("support row length must match ray count")
-        polys = tuple(polytope_from_support(fan, row) for row in rows)
-        return cls(polys, fan=fan, support_matrix=rows)
+        return cls(polytope_from_support(fan, row) for row in rows)
 
     @classmethod
     def from_polytopes(cls, polytopes):
@@ -82,11 +80,9 @@ class Decomposition:
     def barycenters(self):
         return tuple(moments.barycenter(mesh) for mesh in self.meshes)
 
-    @cached_property
+    @property
     def exact(self):
-        return all(
-            not isinstance(x, float) for p in self.polytopes for v in p.vertices for x in v
-        )
+        return all(p.tol == 0 for p in self.polytopes)
 
 
 @dataclass(frozen=True)
@@ -102,7 +98,10 @@ class DecompositionReport:
 
 
 def validate_decomposition(fan, matrix):
-    """Check each row is Ample and the columns sum to the all-ones vector."""
+    """Check each row is Ample and the columns sum to the all-ones vector.
+
+    Float rows compare their column sums within the rows' tolerance.
+    """
     rows = tuple(_vec(row) for row in matrix)
     if not rows:
         raise InputError("decomposition needs at least one row")
@@ -115,9 +114,10 @@ def validate_decomposition(fan, matrix):
         kinds.append(amp.kind.value)
         if amp.kind is not Ampleness.AMPLE:
             failures.append(("row-not-ample", i, amp.kind.value, amp.witness))
+    tol = tolerance([x for row in rows for x in row])
     sums = tuple(sum(row[j] for row in rows) for j in range(fan.nrays))
     for j, s in enumerate(sums):
-        if s != 1:
+        if abs(s - 1) > tol:
             failures.append(("column-sum", j, str(s)))
     return DecompositionReport(
         k=len(rows),
@@ -155,11 +155,11 @@ class KEVerdict:
 def coupled_ke_verdict(decomposition, tol=KE_FLOAT_TOL):
     """Coupled Kahler-Einstein existence: barycenter sum equal to zero.
 
-    Rational input is decided exactly; float input (irrational parameters)
-    compares against ``tol`` in the sup norm.
+    Exact polytopes are decided exactly; float ones (irrational parameters)
+    compare against ``tol`` in the sup norm.
     """
     s = sum_barycenter(decomposition)
-    exact = all(not isinstance(x, float) for x in s)
+    exact = decomposition.exact
     if exact:
         exists = all(x == 0 for x in s)
     else:
@@ -310,9 +310,7 @@ def lifted_config(polytope, vfield, cap=None):
         raise InputError("lifted configurations need the mesh's polytope")
     polytope = polytope if mesh is None else mesh.parent
     v = _vec(vfield)
-    if any(isinstance(x, float) for x in v) or any(
-        isinstance(x, float) for p in polytope.vertices for x in p
-    ):
+    if polytope.tol or tolerance(v):
         raise InputError("lifted configurations are exact-rational only")
     if len(v) != polytope.dim:
         raise InputError("vector field has wrong dimension")
@@ -329,7 +327,7 @@ def lifted_config(polytope, vfield, cap=None):
     halfspaces = [(tuple(d) + (0,), c) for d, c in polytope.halfspaces]
     halfspaces.append((tuple(v) + (1,), Fraction(0)))
     halfspaces.append((tuple(Fraction(0) for _ in range(n)) + (-1,), cap))
-    lifted = polytope_from_halfspaces(halfspaces, provenance="lift")
+    lifted = polytope_from_halfspaces(halfspaces)
     if lifted.degenerate:
         raise DegenerateLiftError("lifted polytope is degenerate")
     vol_lifted = moments.volume(triangulate(lifted))

@@ -73,8 +73,7 @@ def criterion(number, label):
 
 def pe_parts(param):
     doc = builtin_example(f"pE-4fold-c:{param}" if param is not None else "pE-4fold-c")
-    tol = 0 if doc.exact else 1e-9
-    return [polytope_from_halfspaces(part, tol=tol) for part in doc.halfspaces]
+    return [polytope_from_halfspaces(part) for part in doc.halfspaces]
 
 
 def hexagon_rows(t):
@@ -108,7 +107,7 @@ def test_criterion_1_bundle_exact_moments():
     for c in (Fraction(3, 10), Fraction(1, 2), Fraction(7, 10)):
         started = time.perf_counter()
         doc = builtin_example(f"pE-4fold-c:{c}")
-        part = polytope_from_halfspaces(doc.halfspaces[0], tol=0)
+        part = polytope_from_halfspaces(doc.halfspaces[0])
         mesh = triangulate(part)
         vol = volume(mesh)
         bary = barycenter(mesh)

@@ -477,3 +477,65 @@ def test_lift_reuses_the_decomposition_meshes(capsys, monkeypatch):
     assert len(triangulated) == 4
     assert len(centred) == 2
     assert [part["identity_holds"] for part in report["results"]["parts"]] == [True, True]
+
+
+def test_validate_float_rows_sum_within_tolerance(tmp_path, capsys):
+    # 0.7 + 0.2 + 0.1 is 0.9999999999999999 in float.
+    hexagon = document_to_dict(builtin_example("hexagon-dP6-t"))
+    doc = dict(hexagon, decomposition=[[x] * 6 for x in (0.7, 0.2, 0.1)])
+    code, report, _ = run_cli(capsys, "validate", "--input", write_doc(tmp_path, doc))
+    assert code == 0
+    assert report["results"]["decomposition"]["failures"] == []
+    assert report["results"]["ok"] is True
+    assert report["diagnostics"]["exact"] is False
+
+
+@pytest.mark.parametrize("spec", ["p1xp1", "hexagon-dP6-t:0"])
+def test_soliton_check_zero_field_on_ke_examples(tmp_path, capsys, spec):
+    # Both are Kahler-Einstein, so V = 0 is a soliton; the float residual is
+    # rounding noise far below --tol.
+    doc = document_to_dict(builtin_example(spec))
+    doc["vector_fields"] = [[0, 0]] * len(doc["decomposition"])
+    code, report, _ = run_cli(capsys, "soliton-check", "--input", write_doc(tmp_path, doc))
+    assert code == 0
+    assert float(report["results"]["norm"]) < 1e-15
+    assert report["results"]["is_soliton"] is True
+
+
+def test_raw_part_tolerance_ignores_other_parts(tmp_path, capsys):
+    # x >= -1/10^12 is redundant next to x >= 0 when compared exactly, next
+    # to a float part as much as next to an exact one.
+    exact = [[[1], 0], [[-1], 1], [[1], "1/1000000000000"]]
+    for name, other in (("float", [[[1], 0.5], [[-1], 0.5]]), ("exact", [[[1], "1/2"], [[-1], "1/2"]])):
+        doc = {"name": "pair", "dimension": 1, "halfspaces": [exact, other]}
+        code, report, _ = run_cli(capsys, "validate", "--input", write_doc(tmp_path, doc, f"{name}.json"))
+        assert code == 0
+        assert report["results"]["parts"][0]["redundant_halfspaces"] == [2], name
+
+
+_P2_DOC = document_to_dict(builtin_example("p2"))
+_INTERVAL = {"name": "interval", "dimension": 1}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        dict(_P2_DOC, rays=5),
+        dict(_P2_DOC, max_cones=[5]),
+        dict(_P2_DOC, decomposition=[5]),
+        dict(_P2_DOC, vector_fields=5),
+        dict(_P2_DOC, vector_fields=[5]),
+        dict(_P2_DOC, notes=5),
+        dict(_P2_DOC, decomposition=[[math.nan, 1, 1]]),
+        dict(_INTERVAL, halfspaces=[[[1], math.nan], [[-1], 1]]),
+        dict(_INTERVAL, halfspaces=[[[1], math.inf], [[-1], 1]]),
+    ],
+    ids=["rays", "cone", "row", "fields", "field", "notes", "nan-support", "nan-offset", "inf-offset"],
+)
+def test_malformed_documents_exit_two_without_traceback(tmp_path, doc):
+    r = run_cli_process("validate", "--input", write_doc(tmp_path, doc))
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert "Traceback" not in r.stderr
+    lines = r.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("torifano: invalid input:"), r.stderr

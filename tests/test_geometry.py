@@ -103,7 +103,7 @@ def test_cube_triangulates_into_six_tetrahedra():
             normal = [0, 0, 0]
             normal[axis] = sign
             halfspaces.append((tuple(normal), Fraction(1)))
-    cube = polytope_from_halfspaces(halfspaces, tol=0)
+    cube = polytope_from_halfspaces(halfspaces)
     assert cube.nvertices == 8
     mesh = triangulate(cube)
     assert len(mesh.simplices) == 6
@@ -113,7 +113,7 @@ def test_cube_triangulates_into_six_tetrahedra():
 def test_redundant_halfspace_flagged():
     # x >= -1, x <= 1, and a slack copy of the upper bound.
     p = polytope_from_halfspaces(
-        (((1,), Fraction(1)), ((-1,), Fraction(1)), ((-1,), Fraction(5))), tol=0
+        (((1,), Fraction(1)), ((-1,), Fraction(1)), ((-1,), Fraction(5)))
     )
     assert p.redundant == (False, False, True)
     assert set(p.vertices) == {(-1,), (1,)}
@@ -148,14 +148,14 @@ def _assert_farkas_certificate(rows, y):
 def test_empty_system_certificate():
     rows = (((1,), Fraction(-1)), ((-1,), Fraction(-1)))
     with pytest.raises(EmptyPolytopeError) as err:
-        polytope_from_halfspaces(rows, tol=0)
+        polytope_from_halfspaces(rows)
     _assert_farkas_certificate(rows, err.value.certificate)
 
 
 def test_unbounded_system_direction():
     with pytest.raises(UnboundedPolytopeError) as err:
         polytope_from_halfspaces(
-            (((1, 0), Fraction(0)), ((0, 1), Fraction(0))), tol=0
+            (((1, 0), Fraction(0)), ((0, 1), Fraction(0)))
         )
     direction = err.value.direction
     assert direction is not None
@@ -165,7 +165,7 @@ def test_unbounded_system_direction():
 def test_raw_route_dimension_guard():
     halfspaces = [((1,) * 7, Fraction(1))]
     with pytest.raises(InputError):
-        polytope_from_halfspaces(halfspaces, tol=0)
+        polytope_from_halfspaces(halfspaces)
 
 
 def test_support_function_hexagon():
@@ -377,7 +377,7 @@ def test_cut_cross_polytope_is_empty_in_every_basis(seed):
     (d, c), cut = facets[0], Fraction(1, 2)
     rows = _shear(random.Random(seed), facets + [(tuple(-x for x in d), -c - cut)])
     with pytest.raises(EmptyPolytopeError, match="infeasible") as err:
-        polytope_from_halfspaces(rows, tol=0)
+        polytope_from_halfspaces(rows)
     _assert_farkas_certificate(rows, err.value.certificate)
 
 
@@ -387,7 +387,7 @@ def test_unbounded_direction_is_a_recession_ray(seed):
     del rows[random.Random(seed).randrange(len(rows))]
     rows = _shear(random.Random(seed), rows)
     with pytest.raises(UnboundedPolytopeError, match="unbounded along") as err:
-        polytope_from_halfspaces(rows, tol=0)
+        polytope_from_halfspaces(rows)
     direction = err.value.direction
     assert any(x != 0 for x in direction)
     assert all(linalg.dot(d, direction) >= 0 for d, _ in rows)
@@ -396,7 +396,7 @@ def test_unbounded_direction_is_a_recession_ray(seed):
 def test_lines_without_vertex_reported_with_lineality():
     rows = [(d, c) for d, c in _box(3) if d[0] == 0]
     with pytest.raises(UnboundedPolytopeError, match="feasible but has no vertex") as err:
-        polytope_from_halfspaces(rows, tol=0)
+        polytope_from_halfspaces(rows)
     assert all(linalg.dot(d, err.value.direction) == 0 for d, _ in rows)
 
 
@@ -581,3 +581,31 @@ def test_lattice_change_of_basis_maps_the_barycenter_sum(name, seed):
     moved = sum_barycenter(after)
     assert tuple(sum(u[k][i] * moved[k] for k in range(n)) for i in range(n)) == sum_barycenter(before)
     assert coupled_ke_verdict(after).exists == coupled_ke_verdict(before).exists
+
+
+def test_float_support_is_classified_within_its_tolerance():
+    # The vertex of cone 0 lies on ray 2's line, one rounding error away in
+    # float: the float row is NefOnly like its exact twin, and ray 1's facet
+    # shrinks to a point in both.
+    row = (0.1, 0.3, 0.2, 1.0, 1.0, 1.0)
+    twin = tuple(Fraction(str(x)) for x in row)
+    assert ampleness_class(HEXAGON, twin) == geometry.AmplenessReport(Ampleness.NEF_ONLY, (0, 2))
+    assert ampleness_class(HEXAGON, row) == ampleness_class(HEXAGON, twin)
+    polys = [polytope_from_support(HEXAGON, c) for c in (row, twin)]
+    assert [(p.nvertices, p.redundant) for p in polys] == [(5, (False, True, False, False, False, False))] * 2
+    assert [p.tol for p in polys] == [geometry.DEFAULT_FLOAT_TOL, 0]
+
+
+def test_float_minkowski_sum_adds_within_tolerance():
+    parts = [(0.1, 0.3, 0.2, 0.4, 0.4, 0.4), (0.9, 0.7, 0.8, 0.6, 0.6, 0.6)]
+    total, poly = minkowski_sum(HEXAGON, parts)
+    assert total == (1.0,) * 6
+    assert poly.nvertices == 6
+
+
+def test_tolerance_is_zero_exactly_on_rational_scalars():
+    assert geometry.tolerance([1, Fraction(1, 3)]) == 0
+    assert geometry.tolerance([]) == 0
+    assert geometry.tolerance([1, 0.5]) == geometry.DEFAULT_FLOAT_TOL
+    moved = translate(polytope_from_support(P2, (1, 1, 1)), (0.5, 0))
+    assert moved.tol == geometry.DEFAULT_FLOAT_TOL

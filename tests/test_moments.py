@@ -51,7 +51,7 @@ def pe_polytope(c):
     for j, d in enumerate(PE_NORMALS_LEQ):
         offset = c if j in (3, 4) else Fraction(1, 2)
         halfspaces.append((tuple(-x for x in d), offset))
-    return polytope_from_halfspaces(halfspaces, tol=0)
+    return polytope_from_halfspaces(halfspaces)
 
 
 def interval_mesh(a, b):
@@ -81,7 +81,7 @@ def test_blowup_quad_barycenter():
         ((-1, -1), Fraction(1)),
         ((1, 1), Fraction(1)),
     )
-    mesh = triangulate(polytope_from_halfspaces(halfspaces, tol=0))
+    mesh = triangulate(polytope_from_halfspaces(halfspaces))
     assert volume(mesh) == 4
     assert barycenter(mesh) == (Fraction(1, 12), Fraction(1, 12))
 
@@ -148,7 +148,6 @@ def test_covariance_frozen_values():
             ((0, 1), Fraction(1)),
             ((0, -1), Fraction(1)),
         ),
-        tol=0,
     )
     cov = weighted_covariance(triangulate(square), (0, 0))
     assert abs(cov[0][0] - 1 / 3) < 1e-12
@@ -415,7 +414,7 @@ def test_weighted_moments_follow_unimodular_maps(seed):
     m = _unimodular(rng, 4)
     m_inv = np.rint(np.linalg.inv(m)).astype(int)
     image = polytope_from_halfspaces(
-        [(tuple(int(x) for x in m_inv.T @ np.array(d)), c) for d, c in p.halfspaces], tol=0
+        [(tuple(int(x) for x in m_inv.T @ np.array(d)), c) for d, c in p.halfspaces]
     )
     v = np.array([rng.uniform(-2, 2) for _ in range(4)])
     base = weighted_moments(triangulate(p), v)

@@ -72,13 +72,12 @@ def shoelace(vertices):
 
 
 def interval(a, b):
-    return polytope_from_halfspaces((((1,), -Fraction(a)), ((-1,), Fraction(b))), tol=0)
+    return polytope_from_halfspaces((((1,), -Fraction(a)), ((-1,), Fraction(b))))
 
 
 def pe_parts(c):
     doc = builtin_example(f"pE-4fold-c:{c}" if c != "critical" else "pE-4fold-c")
-    tol = 0 if doc.exact else 1e-9
-    return [polytope_from_halfspaces(part, tol=tol) for part in doc.halfspaces]
+    return [polytope_from_halfspaces(part) for part in doc.halfspaces]
 
 
 def test_hexagon_symmetric_pair_admits_ke():
