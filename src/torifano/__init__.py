@@ -53,9 +53,7 @@ from .moments import (
     moment_report,
     volume,
     weighted_barycenter,
-    weighted_covariance,
     weighted_moments,
-    weighted_volume,
 )
 from .problems import (
     ProblemDocument,

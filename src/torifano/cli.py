@@ -18,8 +18,6 @@ import time
 from enum import Enum
 from fractions import Fraction
 
-import numpy as np
-
 from . import __version__
 from .errors import InputError, UnknownExampleError
 from .geometry import Fan, polytope_from_halfspaces, validate_fan
@@ -73,15 +71,15 @@ def jsonable(value):
         return value
     if isinstance(value, Fraction):
         return str(value)
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, int):
         return int(value)
-    if isinstance(value, (float, np.floating)):
+    if isinstance(value, float):
         return format(float(value), ".17g")
     if isinstance(value, Enum):
         return value.name
     if isinstance(value, dict):
         return {str(k): jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple, np.ndarray)):
+    if isinstance(value, (list, tuple)):
         return [jsonable(v) for v in value]
     if value is None or isinstance(value, str):
         return value
@@ -99,7 +97,7 @@ def _fan(doc):
 
 def _decomposition(doc):
     if doc.halfspaces is not None:
-        return Decomposition.from_polytopes(_raw_parts(doc))
+        return Decomposition(_raw_parts(doc))
     fan, report = _fan(doc)
     if not report.ok:
         raise InputError(
@@ -258,8 +256,8 @@ def _cmd_lift(doc, args):
     vfield = _single_vfield(args, dec)
     cap = parse_scalar(args.cap, "--cap") if args.cap else None
     parts = []
-    for mesh in dec.meshes:
-        lifted = lifted_config(mesh, vfield, cap=cap)
+    for polytope in dec.polytopes:
+        lifted = lifted_config(polytope, vfield, cap=cap)
         parts.append(
             {
                 "cap": lifted.cap,

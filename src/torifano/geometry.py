@@ -8,6 +8,13 @@ same code paths with a small absolute tolerance.  :func:`tolerance` makes
 that choice once per polytope, from its own data, and the polytope carries
 it.
 
+Each polytope's derived data is computed in one place.  Both vertex routes,
+per maximal cone from support numbers and by enumeration from raw
+halfspaces, compute the slack <d_j, v> + c_j of every halfspace at every
+candidate vertex; the polytope's tight sets and redundancy flags are read
+off those slack rows, and its triangulation is ``Polytope.mesh``, computed
+on first use.
+
 Conventions: a ray is a primitive integer column vector; a support vector
 ``c`` over a fan with rays ``d_j`` cuts out ``P = {x : <d_j, x> >= -c_j}``.
 Raw halfspace input uses the same lower-bound form.
@@ -17,10 +24,10 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd, isfinite, lcm
 
 from . import linalg
 from .linalg import dot
@@ -173,30 +180,37 @@ class AmplenessReport:
 
 
 def _cone_vertices(fan, c, tol):
-    """The vertex of each maximal cone, and the ampleness class of ``c``.
+    """The vertex of each maximal cone, its slack rows, and the class of ``c``.
 
-    A cone's vertex is where its rays' halfspaces are tight.  A ray outside
-    the cone with slack below -tol at that vertex breaks convexity, and the
-    vertices found up to there come back; a slack within tol is the nef
-    boundary.
+    A cone's vertex v is where its rays' halfspaces are tight, and its slack
+    row holds <d_j, v> + c_j for every ray j, the cone's own included, so a
+    polytope reads its tight sets off the rows.  A ray outside the cone with
+    slack below -tol breaks convexity, and the vertices and rows found up to
+    there come back; a slack within tol is the nef boundary.  A float vertex
+    or slack that overflowed is an input error, since it would compare false
+    against both bounds.
     """
-    vertices, nef_witness = [], None
+    vertices, slacks, nef_witness = [], [], None
     for ci, cone in enumerate(fan.max_cones):
         v = vertex_from_equalities([fan.rays[j] for j in cone], [c[j] for j in cone])
         if v is None:
             raise InputError(f"cone {cone} is not simplicial of full rank")
+        row = [dot(ray, v) + cj for ray, cj in zip(fan.rays, c)]
+        # Fractions cannot overflow; only float entries are checked.
+        if tol and not all(isfinite(x) for x in (*v, *row) if isinstance(x, float)):
+            raise InputError(f"the vertex of cone {list(cone)} overflows the float range")
         vertices.append(v)
-        for j in range(fan.nrays):
+        slacks.append(row)
+        for j, slack in enumerate(row):
             if j in cone:
                 continue
-            slack = dot(fan.rays[j], v) + c[j]
             if slack < -tol:
-                return vertices, AmplenessReport(Ampleness.NOT_CONVEX, (ci, j))
+                return vertices, slacks, AmplenessReport(Ampleness.NOT_CONVEX, (ci, j))
             if slack <= tol and nef_witness is None:
                 nef_witness = (ci, j)
     if nef_witness is not None:
-        return vertices, AmplenessReport(Ampleness.NEF_ONLY, nef_witness)
-    return vertices, AmplenessReport(Ampleness.AMPLE)
+        return vertices, slacks, AmplenessReport(Ampleness.NEF_ONLY, nef_witness)
+    return vertices, slacks, AmplenessReport(Ampleness.AMPLE)
 
 
 def _support(fan, c):
@@ -215,7 +229,7 @@ def ampleness_class(fan, c):
     nef boundary.  Float supports compare within their tolerance.
     """
     c = _support(fan, c)
-    return _cone_vertices(fan, c, tolerance(c))[1]
+    return _cone_vertices(fan, c, tolerance(c))[2]
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +247,8 @@ class Polytope:
     data, 0 when it is exact: tight sets, vertex merging, the triangulation
     and every verdict on the polytope compare within it, and ``tol == 0`` is
     what "exact" means downstream.  ``degenerate`` marks empty or
-    lower-dimensional intersections, which carry no mesh.
+    lower-dimensional intersections, which carry no mesh; ``mesh`` is the
+    :func:`triangulate` mesh of any other polytope, kept once computed.
     """
 
     dim: int
@@ -248,28 +263,38 @@ class Polytope:
     def nvertices(self):
         return len(self.vertices)
 
-
-def _dedup_vertices(candidates, tol):
-    out = []
-    for v in candidates:
-        dup = False
-        for w in out:
-            if tol == 0:
-                dup = v == w
-            else:
-                dup = all(abs(a - b) <= tol for a, b in zip(v, w))
-            if dup:
-                break
-        if not dup:
-            out.append(v)
-    return out
+    @cached_property
+    def mesh(self):
+        """The :func:`triangulate` mesh, computed on first use."""
+        return triangulate(self)
 
 
-def _polytope(dim, halfspaces, vertices, tol):
-    """The polytope of valid ``halfspaces`` whose vertices are ``vertices``."""
-    vertices = tuple(vertices)
+def _distinct(points, tol):
+    """Indices of the points not within tol of an earlier kept point."""
+
+    def same(v, w):
+        return v == w if tol == 0 else all(abs(a - b) <= tol for a, b in zip(v, w))
+
+    kept = []
+    for i, v in enumerate(points):
+        if not any(same(v, points[k]) for k in kept):
+            kept.append(i)
+    return kept
+
+
+def _polytope(dim, halfspaces, candidates, slacks, tol):
+    """The polytope of valid ``halfspaces`` whose vertices are ``candidates``.
+
+    ``slacks[i][j]`` is <d_j, v_i> + c_j at candidate i, as the vertex
+    enumeration computed it.  Candidates within tol of an earlier one are
+    merged into it, and the tight sets are read off the kept rows.
+    """
+    kept = _distinct(candidates, tol)
+    vertices = tuple(candidates[i] for i in kept)
     hull_rank = linalg.affine_rank(vertices, tol)
-    tight_sets, redundant = _tight_and_redundant(dim, halfspaces, vertices, hull_rank, tol)
+    tight_sets, redundant = _tight_and_redundant(
+        dim, halfspaces, [slacks[i] for i in kept], hull_rank, tol
+    )
     return Polytope(
         dim=dim,
         halfspaces=halfspaces,
@@ -281,9 +306,10 @@ def _polytope(dim, halfspaces, vertices, tol):
     )
 
 
-def _tight_and_redundant(dim, halfspaces, vertices, hull_rank, tol):
+def _tight_and_redundant(dim, halfspaces, slacks, hull_rank, tol):
     """Tight vertex sets of the halfspaces, and which ones support no facet.
 
+    Halfspace j is tight at vertex i when ``slacks[i][j]`` is within tol.
     Facets of a full-dimensional polytope are its inclusion-maximal proper
     faces, and each is the tight set of some halfspace of the description,
     so a halfspace supports a facet exactly when its tight set is proper and
@@ -295,11 +321,11 @@ def _tight_and_redundant(dim, halfspaces, vertices, hull_rank, tol):
     tight at every vertex.
     """
     tight_sets = tuple(
-        tuple(i for i, v in enumerate(vertices) if abs(dot(normal, v) + offset) <= tol)
-        for normal, offset in halfspaces
+        tuple(i for i, row in enumerate(slacks) if abs(row[j]) <= tol)
+        for j in range(len(halfspaces))
     )
     sets = [frozenset(t) for t in tight_sets]
-    everything = frozenset(range(len(vertices)))
+    everything = frozenset(range(len(slacks)))
     # A tight set is redundant when it lies strictly inside one of these.
     larger = {s for s in sets if s != everything} if hull_rank == dim else {everything}
     redundant = tuple(
@@ -319,15 +345,18 @@ def polytope_from_support(fan, c):
     rather than an error.
     """
     c = _support(fan, c)
-    tol = tolerance(c)
-    candidates, amp = _cone_vertices(fan, c, tol)
+    return _support_polytope(fan, c, _cone_vertices(fan, c, tolerance(c)))
+
+
+def _support_polytope(fan, c, cones):
+    """The polytope of ``c`` from its :func:`_cone_vertices` result ``cones``."""
+    vertices, slacks, amp = cones
     if amp.kind is Ampleness.NOT_CONVEX:
         ci, j = amp.witness
         raise InputError(
             f"support is not convex: the vertex of cone {list(fan.max_cones[ci])} violates ray {j}"
         )
-    halfspaces = tuple(zip(fan.rays, c))
-    return _polytope(fan.dim, halfspaces, _dedup_vertices(candidates, tol), tol)
+    return _polytope(fan.dim, tuple(zip(fan.rays, c)), vertices, slacks, tolerance(c))
 
 
 def _vertex_subsets(hs, tol):
@@ -411,7 +440,7 @@ def polytope_from_halfspaces(halfspaces):
     tol = tolerance([x for d, c in hs for x in (*d, c)])
 
     normals = [d for d, _ in hs]
-    candidates, tight = [], []
+    candidates, slack_rows, tight = [], [], []
     for subset in _vertex_subsets(hs, tol):
         # Exact rows tight at a known vertex meet in it or are singular.
         if tol == 0 and any(t.issuperset(subset) for t in tight):
@@ -422,11 +451,11 @@ def polytope_from_halfspaces(halfspaces):
         slacks = [dot(d, v) + c for d, c in hs]
         if all(s >= -tol for s in slacks):
             candidates.append(v)
+            slack_rows.append(slacks)
             tight.append({j for j, s in enumerate(slacks) if s == 0})
-    vertices = _dedup_vertices(candidates, tol)
 
     columns = list(zip(*normals))
-    if not vertices:
+    if not candidates:
         # Farkas: empty iff some y >= 0 has sum y_j d_j = 0, sum y_j c_j = -1.
         certificate, _ = linalg.farkas(columns + [[c for _, c in hs]], [0] * n + [-1])
         if certificate is not None:
@@ -440,7 +469,7 @@ def polytope_from_halfspaces(halfspaces):
     if direction is not None:
         raise UnboundedPolytopeError(f"unbounded along {direction}", direction=direction)
 
-    return _polytope(n, tuple(hs), vertices, tol)
+    return _polytope(n, tuple(hs), candidates, slack_rows, tol)
 
 
 def support_function(polytope, u):
@@ -474,34 +503,28 @@ def minkowski_sum(fan, parts):
     All parts must be Ample or NefOnly.  The construction is linear per
     maximal cone, which is checked, along with support-number additivity
     on every ray direction, both within the parts' tolerance; a failed check
-    raises ``ArithmeticError``.
+    raises ``ArithmeticError``.  Each support vector's cone vertices are
+    solved once and give its class, its vertices and its slack rows.
     """
-    parts = [_vec(c) for c in parts]
+    parts = [_support(fan, c) for c in parts]
     if not parts:
         raise InputError("need at least one summand")
-    for c in parts:
-        if len(c) != fan.nrays:
-            raise InputError("support vector length must match ray count")
-        kind = ampleness_class(fan, c).kind
-        if kind is Ampleness.NOT_CONVEX:
-            raise InputError("Minkowski summands must be Ample or NefOnly")
-    tol = tolerance([x for c in parts for x in c])
     total = tuple(sum(c[j] for c in parts) for j in range(fan.nrays))
-    poly = polytope_from_support(fan, total)
+    cones = [_cone_vertices(fan, c, tolerance(c)) for c in (total, *parts)]
+    if any(amp.kind is Ampleness.NOT_CONVEX for _, _, amp in cones[1:]):
+        raise InputError("Minkowski summands must be Ample or NefOnly")
+    tol = tolerance([x for c in parts for x in c])
 
-    part_polys = [polytope_from_support(fan, c) for c in parts]
-    cone_vertices = [_cone_vertices(fan, c, tol)[0] for c in (total, *parts)]
-    for vsum, *pieces in zip(*cone_vertices):
+    for vsum, *pieces in zip(*(vertices for vertices, _, _ in cones)):
         combined = tuple(sum(p[i] for p in pieces) for i in range(fan.dim))
         if any(abs(a - b) > tol for a, b in zip(vsum, combined)):
             raise ArithmeticError("per-cone vertices must add")
+    # A part's smallest slack of ray j is its support number on d_j plus c_j,
+    # so the support numbers add up to -total_j when these minima sum to 0.
     for j in range(fan.nrays):
-        lhs = sum(
-            min(dot(fan.rays[j], v) for v in pp.vertices) for pp in part_polys
-        )
-        if abs(lhs + total[j]) > tol:
+        if abs(sum(min(row[j] for row in slacks) for _, slacks, _ in cones[1:])) > tol:
             raise ArithmeticError("support numbers must add on rays")
-    return total, poly
+    return total, _support_polytope(fan, total, cones[0])
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +547,6 @@ class SimplexMesh:
     """
 
     simplices: tuple
-    parent: Polytope = field(compare=False, default=None)
 
     @property
     def dim(self):
@@ -603,7 +625,7 @@ def triangulate(polytope, apex="lexmin"):
 
     top = tuple(range(len(verts)))
     simplices = tuple(tuple(verts[i] for i in idx) for idx in tri_face(top, n))
-    mesh = SimplexMesh(simplices=simplices, parent=polytope)
+    mesh = SimplexMesh(simplices=simplices)
     if any(w <= tol for w in mesh.factors):
         raise ArithmeticError("degenerate simplex in triangulation")
     return mesh

@@ -1,15 +1,19 @@
-"""Exact and exponentially weighted moments of polytopes.
+"""Exact and exponentially weighted moments of triangulated polytopes.
 
-Volumes and barycenters of rational meshes are exact; they read the volume
-factors and the barycenter that each :class:`SimplexMesh` holds.  The
-weighted functionals Vol_V(P) = integral of e^{<V,p>}, its normalized first
-moment A_P(V) and the covariance all come from one numpy pass over the
-simplices of a mesh, :func:`weighted_moments`.  On a simplex with vertex
-exponents a_i = <V, v_i> the integral of e^{<V,p>} is dim! vol [a] exp, the
-divided difference of exp over the a_i; its derivatives [a, a_i] and
-[a, a_i, a_j] (doubled when i = j) give the first and second moments
-(Baldoni, Berline, De Loera, Koppe and Vergne, Math. Comp. 2011).  The
-independent quadrature route in :mod:`.quadrature` only cross-checks it.
+Every moment here is computed from a :class:`SimplexMesh`, usually
+``Polytope.mesh``.  Volumes and barycenters of rational meshes are exact;
+they read the volume factors and the barycenter that each mesh holds.  The weighted functionals
+Vol_V(P) = integral of e^{<V,p>}, its normalized first moment A_P(V) and the
+covariance all come from one numpy pass over the simplices of a mesh,
+:func:`weighted_moments`, which is the weighted entry point; its result
+carries the mass, the log mass, A_P(V) and the covariance.  On a simplex
+with vertex exponents a_i = <V, v_i> the integral of e^{<V,p>} is dim! vol
+[a] exp, the divided difference of exp over the a_i; its derivatives
+[a, a_i] and [a, a_i, a_j] (doubled when i = j) give the first and second
+moments (Baldoni, Berline, De Loera, Koppe and Vergne, Math. Comp. 2011).
+Second moments are taken about A_P(V) itself, so the covariance is a sum
+of squares and loses no digits to cancellation.  The independent quadrature
+route in :mod:`.quadrature` only cross-checks it.
 """
 
 from __future__ import annotations
@@ -23,30 +27,20 @@ import numpy as np
 
 from . import quadrature
 from .errors import InputError
-from .geometry import Polytope, SimplexMesh, triangulate
 
 # Taylor terms beyond the node count; after scaling every node lies within
 # 1/2 of the expansion point, so the truncation is below 1e-18 relative.
 _TAYLOR_EXTRA = 16
 
 
-def _mesh(p):
-    if isinstance(p, SimplexMesh):
-        return p
-    if isinstance(p, Polytope):
-        return triangulate(p)
-    raise InputError("expected a Polytope or SimplexMesh")
-
-
 def volume(mesh):
     """Total volume, exact for rational meshes."""
-    mesh = _mesh(mesh)
     return sum(mesh.factors, Fraction(0)) / math.factorial(mesh.dim)
 
 
 def barycenter(mesh):
     """Volume-weighted centroid, exact for rational meshes."""
-    return _mesh(mesh).barycenter
+    return mesh.barycenter
 
 
 # ---------------------------------------------------------------------------
@@ -102,15 +96,21 @@ def divided_difference_exp(nodes):
 class WeightedMoments:
     """Moments of the measure e^{<V,p>} dp on a mesh.
 
-    The mass is e^shift * scaled_mass, with shift the largest vertex
-    exponent; ``barycenter`` is A_P(V) and ``covariance`` the Hessian of
-    log Vol_V(P), each None when the pass stopped at a lower order.
+    The mass Vol_V(P) is e^shift * scaled_mass, with shift the largest
+    vertex exponent; ``log_mass`` stays finite where the mass would overflow
+    a float.  ``barycenter`` is A_P(V) and ``covariance`` both the Jacobian
+    dA_P/dV and the Hessian of log Vol_V(P), each None when the pass stopped
+    at a lower order.
     """
 
     shift: float
     scaled_mass: float
     barycenter: tuple = None
     covariance: object = None
+
+    @property
+    def mass(self):
+        return math.exp(self.shift) * self.scaled_mass
 
     @property
     def log_mass(self):
@@ -123,10 +123,10 @@ def weighted_moments(mesh, vfield, order=2):
     One batch of divided differences covers every simplex: for each vertex
     pair i <= j the nodes (a, a_i, a_j) give [a], [a, a_i] and [a, a_i, a_j]
     at once.  Nodes are shifted by the largest vertex exponent, so all are
-    <= 0 and no field whose exponents are finite overflows; first and second
-    moments are taken about the exact barycenter.
+    <= 0 and no field whose exponents are finite overflows.  First moments
+    are taken about the exact barycenter and second moments about A_P(V),
+    so the covariance needs no subtraction of the squared mean.
     """
-    mesh = _mesh(mesh)
     points, weights = mesh.arrays
     expo = points @ np.array([float(x) for x in vfield])
     if not np.isfinite(expo).all():
@@ -151,41 +151,14 @@ def weighted_moments(mesh, vfield, order=2):
     i, j = np.array(pairs).T
     hess = np.zeros((count, k, k))
     hess[:, i, j] = hess[:, j, i] = dd[:, :, k + 1] * np.where(i == j, 2.0, 1.0)
-    cov = np.einsum("s,sij,sia,sjb->ab", weights, hess, y, y) / mass - np.outer(mean, mean)
+    y = y - mean
+    cov = np.einsum("s,sij,sia,sjb->ab", weights, hess, y, y) / mass
     return WeightedMoments(shift, mass, bary, (cov + cov.T) / 2.0)
-
-
-def exp_integral_simplex(simplex, vfield):
-    """Integral of e^{<V,p>} over one simplex via divided differences."""
-    simplex = tuple(tuple(v) for v in simplex)
-    n = len(simplex) - 1
-    if any(len(v) != n for v in simplex):
-        raise InputError("expected an n-simplex with n+1 vertices")
-    return weighted_volume(SimplexMesh(simplices=(simplex,)), vfield)
-
-
-def weighted_volume(mesh, vfield):
-    """Vol_V(P): integral of e^{<V,p>} over the mesh."""
-    wm = weighted_moments(mesh, vfield, order=0)
-    return math.exp(wm.shift) * wm.scaled_mass
-
-
-def log_weighted_volume(mesh, vfield):
-    """log Vol_V(P), safe for fields whose mass would overflow a float."""
-    return weighted_moments(mesh, vfield, order=0).log_mass
 
 
 def weighted_barycenter(mesh, vfield):
     """A_P(V): the e^{<V,p>}-weighted barycenter."""
     return weighted_moments(mesh, vfield, order=1).barycenter
-
-
-def weighted_covariance(mesh, vfield):
-    """Covariance of the e^{<V,p>}-weighted measure on P.
-
-    Equals both the Jacobian dA_P/dV and the Hessian of log Vol_V(P).
-    """
-    return weighted_moments(mesh, vfield).covariance
 
 
 @dataclass(frozen=True)
@@ -199,13 +172,12 @@ class MomentReport:
     err_estimate: float
 
 
-def moment_report(p, vfield=None):
-    """Bundle exact and weighted moments of one polytope.
+def moment_report(mesh, vfield=None):
+    """Bundle exact and weighted moments of one mesh.
 
     ``err_estimate`` is the relative disagreement of the two independent
     weighted-mass routes (divided differences vs quadrature).
     """
-    mesh = _mesh(p)
     if vfield is None:
         vfield = tuple(0.0 for _ in range(mesh.dim))
     vfield = tuple(float(x) for x in vfield)
@@ -217,7 +189,7 @@ def moment_report(p, vfield=None):
         volume=volume(mesh),
         barycenter=barycenter(mesh),
         vfield=vfield,
-        weighted_volume=math.exp(wm.shift) * wm.scaled_mass,
+        weighted_volume=wm.mass,
         weighted_barycenter=wm.barycenter,
         covariance=wm.covariance,
         err_estimate=abs(wm.scaled_mass - quad_mass) / wm.scaled_mass,

@@ -20,7 +20,6 @@ from . import moments
 from .errors import DegenerateLiftError, InputError
 from .geometry import (
     Ampleness,
-    SimplexMesh,
     _vec,
     ampleness_class,
     polytope_from_halfspaces,
@@ -60,10 +59,6 @@ class Decomposition:
                 raise InputError("support row length must match ray count")
         return cls(polytope_from_support(fan, row) for row in rows)
 
-    @classmethod
-    def from_polytopes(cls, polytopes):
-        return cls(tuple(polytopes))
-
     @property
     def k(self):
         return len(self.polytopes)
@@ -72,9 +67,9 @@ class Decomposition:
     def dim(self):
         return self.polytopes[0].dim
 
-    @cached_property
+    @property
     def meshes(self):
-        return tuple(triangulate(p) for p in self.polytopes)
+        return tuple(p.mesh for p in self.polytopes)
 
     @cached_property
     def barycenters(self):
@@ -300,15 +295,11 @@ class LiftedConfig:
 def lifted_config(polytope, vfield, cap=None):
     """Lift P to {(p, s) : p in P, -<v,p> <= s <= cap} and check volumes.
 
-    ``polytope`` is P or a triangulation of it.  The prism volume factors
-    exactly as Vol(P) * (cap + <v, b(P)>); both sides are computed
-    independently (the left by triangulating the lifted polytope, the
-    right on the triangulation of P) and recorded.  Rational data only.
+    The prism volume factors exactly as Vol(P) * (cap + <v, b(P)>); both
+    sides are computed independently (the left by triangulating the lifted
+    polytope, the right on ``polytope.mesh``) and recorded.  Rational data
+    only.
     """
-    mesh = polytope if isinstance(polytope, SimplexMesh) else None
-    if mesh is not None and mesh.parent is None:
-        raise InputError("lifted configurations need the mesh's polytope")
-    polytope = polytope if mesh is None else mesh.parent
     v = _vec(vfield)
     if polytope.tol or tolerance(v):
         raise InputError("lifted configurations are exact-rational only")
@@ -331,7 +322,7 @@ def lifted_config(polytope, vfield, cap=None):
     if lifted.degenerate:
         raise DegenerateLiftError("lifted polytope is degenerate")
     vol_lifted = moments.volume(triangulate(lifted))
-    mesh = mesh or triangulate(polytope)
+    mesh = polytope.mesh
     b = mesh.barycenter
     vol_product = moments.volume(mesh) * (cap + sum(a * x for a, x in zip(v, b)))
     return LiftedConfig(

@@ -465,9 +465,14 @@ def test_lift_reuses_the_decomposition_meshes(capsys, monkeypatch):
     # more, on its own; each part's exact barycenter is computed once.
     triangulated, centred = [], []
     real_triangulate = geometry.triangulate
-    monkeypatch.setattr(
-        stability, "triangulate", lambda p, *a: triangulated.append(p) or real_triangulate(p, *a)
-    )
+
+    def counted_triangulate(p, *a):
+        triangulated.append(p)
+        return real_triangulate(p, *a)
+
+    # Polytope.mesh calls geometry's binding, the lift stability's own.
+    monkeypatch.setattr(geometry, "triangulate", counted_triangulate)
+    monkeypatch.setattr(stability, "triangulate", counted_triangulate)
     real_barycenter = geometry.SimplexMesh.barycenter.func
     counted = cached_property(lambda mesh: centred.append(mesh) or real_barycenter(mesh))
     counted.__set_name__(geometry.SimplexMesh, "barycenter")
@@ -539,3 +544,17 @@ def test_malformed_documents_exit_two_without_traceback(tmp_path, doc):
     assert "Traceback" not in r.stderr
     lines = r.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("torifano: invalid input:"), r.stderr
+
+
+@pytest.mark.parametrize("command", ["validate", "ke-verdict"])
+def test_overflowing_float_row_exits_two(tmp_path, command):
+    # Finite supports whose cone vertices overflow: a NaN slack would compare
+    # false against both bounds and pass the row as Ample.
+    doc = dict(_P2_DOC, decomposition=[[1e308, 1e308, 1e308]])
+    r = run_cli_process(command, "--input", write_doc(tmp_path, doc))
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert "Traceback" not in r.stderr
+    lines = r.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("torifano: invalid input:"), r.stderr
+    assert "cone [0, 1]" in lines[0]

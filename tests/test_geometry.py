@@ -415,8 +415,6 @@ def test_six_cube_at_the_regime_cap():
 
 def test_minkowski_sum_raises_when_cone_vertices_do_not_add(monkeypatch):
     real = geometry.vertex_from_equalities
-    ample = geometry.AmplenessReport(Ampleness.AMPLE)
-    monkeypatch.setattr(geometry, "ampleness_class", lambda fan, c: ample)
     # An affine map of every cone vertex keeps each part convex but breaks
     # additivity: the sum picks up the shift once, the parts once each.
     shift = (Fraction(1, 10), 0)
@@ -431,9 +429,14 @@ def test_minkowski_sum_raises_when_cone_vertices_do_not_add(monkeypatch):
 
 
 def test_minkowski_sum_raises_when_support_numbers_do_not_add(monkeypatch):
-    real = geometry.polytope_from_support
+    real = geometry.vertex_from_equalities
+    # Shifting each cone vertex by a linear function of the cone's support
+    # numbers keeps the per-cone vertices additive and every part convex,
+    # but the halfspaces of rays 0 and 2 are no longer tight at any vertex.
     monkeypatch.setattr(
-        geometry, "polytope_from_support", lambda fan, c: translate(real(fan, c), (1, 0))
+        geometry,
+        "vertex_from_equalities",
+        lambda normals, offsets: tuple(x + s for x, s in zip(real(normals, offsets), (sum(offsets) / 10, 0))),
     )
     half = Fraction(1, 2)
     with pytest.raises(ArithmeticError, match="support numbers must add on rays"):

@@ -2,9 +2,12 @@
 
 Each rule maps a problem to an equivalent one and says how the answer moves,
 so it checks the pipeline without a frozen number.  Examples are drawn by
-hypothesis with a fixed seed.
+hypothesis with a fixed seed.  The rules run on the plane fans of the
+registry, on raw halfspace documents (pE-4fold-c, dimension 4) and on a
+fan document of (P^1)^3.
 """
 
+import itertools
 from dataclasses import replace
 from fractions import Fraction
 
@@ -14,7 +17,7 @@ from hypothesis import strategies as st
 
 from torifano import cli
 from torifano.geometry import translate
-from torifano.problems import builtin_example
+from torifano.problems import ProblemDocument, builtin_example
 from torifano.stability import (
     Decomposition,
     coupled_ke_verdict,
@@ -37,14 +40,14 @@ def _outcome(command, doc):
 
 
 @st.composite
-def decompositions(draw):
-    """A built-in fan document whose first row is split into translated multiples.
+def decompositions(draw, docs=st.sampled_from(FAN_SPECS).map(builtin_example)):
+    """A fan document whose first row is split into translated multiples.
 
     Piece i of the first row c is a_i c + (<d_j, t_i>)_j: the polytope a_i P
     translated by t_i.  The a_i are positive and sum to one and the t_i sum
     to zero, so the columns still sum to the all-ones vector.
     """
-    doc = builtin_example(draw(st.sampled_from(FAN_SPECS)))
+    doc = draw(docs)
     first, *rest = doc.decomposition
     k = draw(st.integers(2, 3))
     weights = draw(st.lists(st.integers(1, 4), min_size=k, max_size=k))
@@ -57,30 +60,87 @@ def decompositions(draw):
     return replace(doc, decomposition=pieces + tuple(rest))
 
 
-@RULES
-@given(doc=st.sampled_from(FAN_SPECS).map(builtin_example), data=st.data())
-def test_permuting_rays_keeps_the_reports(doc, data):
-    perm = data.draw(st.permutations(range(len(doc.rays))))
+P1_CUBED = ProblemDocument(
+    name="p1^3",
+    dimension=3,
+    rays=tuple(tuple(sign * int(i == axis) for i in range(3)) for axis in range(3) for sign in (1, -1)),
+    max_cones=tuple(
+        tuple(2 * axis + side for axis, side in enumerate(sides))
+        for sides in itertools.product((0, 1), repeat=3)
+    ),
+    decomposition=(tuple(Fraction(1) for _ in range(6)),),
+)
+
+
+@st.composite
+def raw_documents(draw):
+    """pE-4fold-c:1/2 with its two equal parts translated apart, by shifts summing to zero."""
+    doc = builtin_example("pE-4fold-c:1/2")
+    shift = draw(st.tuples(*[small] * doc.dimension))
+    parts = tuple(
+        tuple((d, c + sign * sum(a * b for a, b in zip(d, shift))) for d, c in part)
+        for part, sign in zip(doc.halfspaces, (1, -1))
+    )
+    return replace(doc, halfspaces=parts)
+
+
+higher = st.one_of(raw_documents(), decompositions(st.just(P1_CUBED)))
+
+
+def _permute_rows(doc, draw):
+    """The same problem with its halfspace rows (a fan's rays) reordered."""
+    if doc.halfspaces is not None:
+        return replace(doc, halfspaces=tuple(tuple(draw(st.permutations(part))) for part in doc.halfspaces))
+    perm = draw(st.permutations(range(len(doc.rays))))
     new_index = {old: new for new, old in enumerate(perm)}
-    moved = replace(
+    return replace(
         doc,
         rays=tuple(doc.rays[old] for old in perm),
         max_cones=tuple(tuple(new_index[i] for i in cone) for cone in doc.max_cones),
         decomposition=tuple(tuple(row[old] for old in perm) for row in doc.decomposition),
     )
+
+
+def _rows_keep_the_reports(doc, draw):
+    moved = _permute_rows(doc, draw)
     for command in ("ke-verdict", "barycenter"):
         assert _outcome(command, moved) == _outcome(command, doc)
+
+
+def _parts_permute_the_part_entries(doc, draw):
+    perm = draw(st.permutations(range(doc.k)))
+    if doc.halfspaces is not None:
+        moved = replace(doc, halfspaces=tuple(doc.halfspaces[i] for i in perm))
+    else:
+        moved = replace(doc, decomposition=tuple(doc.decomposition[i] for i in perm))
+    before, after = _outcome("barycenter", doc), _outcome("barycenter", moved)
+    assert after["results"]["parts"] == [before["results"]["parts"][i] for i in perm]
+    assert after["results"]["sum_barycenter"] == before["results"]["sum_barycenter"]
+    assert _outcome("ke-verdict", moved) == _outcome("ke-verdict", doc)
+
+
+@RULES
+@given(doc=st.sampled_from(FAN_SPECS).map(builtin_example), data=st.data())
+def test_permuting_rays_keeps_the_reports(doc, data):
+    _rows_keep_the_reports(doc, data.draw)
+
+
+@RULES
+@given(doc=higher, data=st.data())
+def test_permuting_halfspace_rows_keeps_the_reports_in_higher_dimension(doc, data):
+    _rows_keep_the_reports(doc, data.draw)
 
 
 @RULES
 @given(doc=decompositions(), data=st.data())
 def test_permuting_parts_permutes_the_part_entries(doc, data):
-    perm = data.draw(st.permutations(range(doc.k)))
-    moved = replace(doc, decomposition=tuple(doc.decomposition[i] for i in perm))
-    before, after = _outcome("barycenter", doc), _outcome("barycenter", moved)
-    assert after["results"]["parts"] == [before["results"]["parts"][i] for i in perm]
-    assert after["results"]["sum_barycenter"] == before["results"]["sum_barycenter"]
-    assert _outcome("ke-verdict", moved) == _outcome("ke-verdict", doc)
+    _parts_permute_the_part_entries(doc, data.draw)
+
+
+@RULES
+@given(doc=higher, data=st.data())
+def test_permuting_parts_permutes_the_part_entries_in_higher_dimension(doc, data):
+    _parts_permute_the_part_entries(doc, data.draw)
 
 
 @RULES
@@ -113,3 +173,31 @@ def test_lattice_change_maps_the_soliton_field(spec, steps):
     w = solve_soliton(cli._decomposition(moved))
     assert v.converged and w.converged
     assert np.allclose(w.vfield, u @ np.array(v.vfield), rtol=0, atol=1e-9)
+
+
+@RULES
+@given(doc=higher, data=st.data())
+def test_lattice_change_maps_the_barycenters_in_higher_dimension(doc, data):
+    # Normals U d cut out {x : <d, U^T x> >= -c} = U^{-T} P, so U^T maps
+    # each moved barycenter, and their sum, back to the old one.
+    n = doc.dimension
+    u = np.eye(n, dtype=int)
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 2), st.sampled_from((1, -1)))
+    for i, j, sign in data.draw(st.lists(pairs, min_size=1, max_size=6)):
+        u[i] += sign * u[j + (j >= i)]
+
+    def move(d):
+        return tuple(int(x) for x in u @ np.array(d))
+
+    if doc.halfspaces is not None:
+        moved = replace(doc, halfspaces=tuple(tuple((move(d), c) for d, c in part) for part in doc.halfspaces))
+    else:
+        moved = replace(doc, rays=tuple(move(d) for d in doc.rays))
+    before, after = cli._decomposition(doc), cli._decomposition(moved)
+
+    def back(b):
+        return tuple(sum(int(u[k][i]) * b[k] for k in range(n)) for i in range(n))
+
+    assert [back(b) for b in after.barycenters] == list(before.barycenters)
+    assert back(sum_barycenter(after)) == sum_barycenter(before)
+    assert coupled_ke_verdict(after).exists == coupled_ke_verdict(before).exists

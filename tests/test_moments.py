@@ -22,14 +22,10 @@ from torifano import moments
 from torifano.moments import (
     barycenter,
     divided_difference_exp,
-    exp_integral_simplex,
-    log_weighted_volume,
     moment_report,
     volume,
     weighted_barycenter,
-    weighted_covariance,
     weighted_moments,
-    weighted_volume,
 )
 from torifano.quadrature import exp_moments_simplex
 
@@ -55,7 +51,12 @@ def pe_polytope(c):
 
 
 def interval_mesh(a, b):
-    return SimplexMesh(simplices=(((a,), (b,)),), parent=None)
+    return SimplexMesh(simplices=(((a,), (b,)),))
+
+
+def simplex_mass(simplex, vfield):
+    """Integral of e^{<V,p>} over one simplex."""
+    return weighted_moments(SimplexMesh(simplices=(simplex,)), vfield, order=0).mass
 
 
 def closed_form_mean(a, b, v):
@@ -102,27 +103,27 @@ def test_bundle_fourth_coordinate_at_half():
 
 
 def test_exp_integral_unit_interval():
-    value = exp_integral_simplex(((0,), (1,)), (1,))
+    value = simplex_mass(((0,), (1,)), (1,))
     assert abs(value - (math.e - 1)) < 1e-14
 
 
 def test_exp_integral_standard_2simplex_is_one():
     # Iterated integral of e^{x+y} over {x,y>=0, x+y<=1} is exactly 1.
-    value = exp_integral_simplex(((0, 0), (1, 0), (0, 1)), (1, 1))
+    value = simplex_mass(((0, 0), (1, 0), (0, 1)), (1, 1))
     assert abs(value - 1.0) < 1e-14
 
 
 def test_exp_integral_zero_field_is_volume():
-    value = exp_integral_simplex(((0, 0), (2, 0), (0, 2)), (0, 0))
+    value = simplex_mass(((0, 0), (2, 0), (0, 2)), (0, 0))
     assert value == 2
 
 
 def test_weighted_volume_interval_closed_forms():
     mesh = interval_mesh(-1, 1)
-    assert abs(weighted_volume(mesh, (1,)) - 2 * math.sinh(1)) < 1e-14
-    assert abs(weighted_volume(mesh, (0,)) - 2) < 1e-15
+    assert abs(weighted_moments(mesh, (1,), order=0).mass - 2 * math.sinh(1)) < 1e-14
+    assert abs(weighted_moments(mesh, (0,), order=0).mass - 2) < 1e-15
     shifted = interval_mesh(0, 2)
-    ratio = weighted_volume(shifted, (1,)) / weighted_volume(mesh, (1,))
+    ratio = weighted_moments(shifted, (1,), order=0).mass / weighted_moments(mesh, (1,), order=0).mass
     assert abs(ratio - math.e) < 1e-13
 
 
@@ -140,7 +141,7 @@ def test_weighted_barycenter_zero_field_is_exact_barycenter():
 
 
 def test_covariance_frozen_values():
-    assert abs(weighted_covariance(interval_mesh(-1, 1), (0,))[0][0] - 1 / 3) < 1e-12
+    assert abs(weighted_moments(interval_mesh(-1, 1), (0,)).covariance[0][0] - 1 / 3) < 1e-12
     square = polytope_from_halfspaces(
         (
             ((1, 0), Fraction(1)),
@@ -149,7 +150,7 @@ def test_covariance_frozen_values():
             ((0, -1), Fraction(1)),
         ),
     )
-    cov = weighted_covariance(triangulate(square), (0, 0))
+    cov = weighted_moments(triangulate(square), (0, 0)).covariance
     assert abs(cov[0][0] - 1 / 3) < 1e-12
     assert abs(cov[1][1] - 1 / 3) < 1e-12
     assert abs(cov[0][1]) < 1e-12
@@ -161,7 +162,7 @@ def test_hexagon_covariance_positive_definite_vs_quadrature():
         ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)),
     )
     mesh = triangulate(polytope_from_support(fan, (Fraction(1),) * 6))
-    cov = np.array(weighted_covariance(mesh, (2, 0)))
+    cov = np.array(weighted_moments(mesh, (2, 0)).covariance)
     eigs = np.linalg.eigvalsh(cov)
     assert eigs.min() > 0
     # Independent route: raw moment accumulation over the mesh cells.
@@ -206,7 +207,7 @@ def test_divided_difference_wide_nodes_match_direct_formula():
 
 def test_overflow_guard():
     with pytest.raises(OverflowError):
-        exp_integral_simplex(((0,), (1000,)), (1,))
+        simplex_mass(((0,), (1000,)), (1,))
 
 
 def test_dd_vs_quadrature_random_simplices():
@@ -217,7 +218,7 @@ def test_dd_vs_quadrature_random_simplices():
         while abs(np.linalg.det(simplex[1:] - simplex[0])) < 1e-3:
             simplex = rng.uniform(-1.5, 1.5, size=(n + 1, n))
         vfield = rng.uniform(-10, 10, size=n)
-        dd = exp_integral_simplex(
+        dd = simplex_mass(
             tuple(map(tuple, simplex)), tuple(vfield)
         )
         quad, _, _ = exp_moments_simplex(simplex.tolist(), vfield.tolist(), rtol=1e-13)
@@ -227,7 +228,7 @@ def test_dd_vs_quadrature_random_simplices():
 def test_finite_difference_jacobian_matches_covariance():
     mesh = triangulate(polytope_from_support(P2, (Fraction(1),) * 3))
     v = (0.4, -0.7)
-    cov = np.array(weighted_covariance(mesh, v))
+    cov = np.array(weighted_moments(mesh, v).covariance)
     step = 1e-5
     jac = np.zeros((2, 2))
     for j in range(2):
@@ -257,13 +258,13 @@ def test_mesh_independence_of_moments():
     hi = triangulate(p, apex="lexmax")
     assert volume(lo) == volume(hi)
     assert barycenter(lo) == barycenter(hi)
-    wlo = weighted_volume(lo, (0.3, -0.2, 0.1, 1.0))
-    whi = weighted_volume(hi, (0.3, -0.2, 0.1, 1.0))
+    wlo = weighted_moments(lo, (0.3, -0.2, 0.1, 1.0), order=0).mass
+    whi = weighted_moments(hi, (0.3, -0.2, 0.1, 1.0), order=0).mass
     assert abs(wlo - whi) / abs(wlo) < 1e-12
 
 
 def test_moment_report_cross_validates():
-    report = moment_report(polytope_from_support(P2, (Fraction(1),) * 3), (1.0, 0.5))
+    report = moment_report(polytope_from_support(P2, (Fraction(1),) * 3).mesh, (1.0, 0.5))
     assert report.err_estimate < 1e-11
     assert report.volume == Fraction(9, 2)
 
@@ -375,6 +376,18 @@ def test_p2_large_field_matches_closed_form(field):
     assert wm.log_mass == pytest.approx(2 * t + math.log(moment(1)), rel=1e-14)
 
 
+@pytest.mark.parametrize("field", [1e3, 1e4, 1e5])
+def test_covariance_keeps_its_digits_far_from_the_barycenter(field):
+    # Under V = (t, 0) the x-marginal on {x, y >= -1, x + y <= 1} is
+    # (2 - x) e^{tx} on [-1, 2], so u = 2 - x is Gamma(2, t) cut at 3 and
+    # Var x = 2 / t^2 up to a relative e^{-3t}.  The measure sits about 3
+    # away from the barycenter, so taking the second moment there and
+    # subtracting the squared mean would cancel most digits.
+    mesh = polytope_from_support(P2, (Fraction(1),) * 3).mesh
+    cov = weighted_moments(mesh, (field, 0)).covariance
+    assert cov[0][0] == pytest.approx(2 / field**2, rel=1e-12, abs=0)
+
+
 def test_covariance_is_jacobian_and_matches_quadrature_in_four_dimensions():
     mesh = triangulate(pe_polytope(Fraction(3, 5)))
     for v in ((0.3, -0.2, 0.1, 1.0), (-1.5, 0.8, 2.0, -3.0)):
@@ -430,5 +443,6 @@ def test_mass_only_pass_agrees_with_full_pass():
     full = weighted_moments(mesh, v)
     assert weighted_moments(mesh, v, order=0).log_mass == pytest.approx(full.log_mass, rel=1e-15)
     assert weighted_moments(mesh, v, order=1).barycenter == pytest.approx(full.barycenter, rel=1e-14)
-    assert np.array_equal(weighted_covariance(mesh, v), full.covariance)
-    assert log_weighted_volume(mesh, v) == pytest.approx(math.log(weighted_volume(mesh, v)), rel=1e-14)
+    assert np.array_equal(weighted_moments(mesh, v).covariance, full.covariance)
+    mass_only = weighted_moments(mesh, v, order=0)
+    assert mass_only.log_mass == pytest.approx(math.log(mass_only.mass), rel=1e-14)

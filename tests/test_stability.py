@@ -10,13 +10,11 @@ from torifano import moments
 from torifano.errors import DegenerateLiftError, InputError
 from torifano.geometry import (
     Fan,
-    SimplexMesh,
     polytope_from_halfspaces,
     polytope_from_support,
     translate,
-    triangulate,
 )
-from torifano.moments import weighted_barycenter, weighted_covariance
+from torifano.moments import weighted_barycenter, weighted_moments
 from torifano.problems import builtin_example
 from torifano.stability import (
     Decomposition,
@@ -191,7 +189,7 @@ def test_hexagon_soliton_is_zero_field():
 
 
 def test_interval_pair_residual_frozen():
-    dec = Decomposition.from_polytopes(
+    dec = Decomposition(
         (interval(-1, Fraction(1, 4)), interval(0, Fraction(3, 4)))
     )
     res = soliton_residual(dec, ((1,), (0,)))
@@ -212,7 +210,7 @@ def test_interval_pair_residual_frozen():
 def test_interval_pair_soliton_matches_bisection():
     p1 = interval(-1, Fraction(1, 4))
     p2 = interval(0, Fraction(3, 4))
-    dec = Decomposition.from_polytopes((p1, p2))
+    dec = Decomposition((p1, p2))
     sol = solve_soliton(dec)
     assert sol.converged and sol.residual_norm < 1e-11
 
@@ -231,7 +229,7 @@ def test_interval_pair_soliton_matches_bisection():
 
 
 def test_bundle_pair_ke_at_critical_parameter():
-    dec = Decomposition.from_polytopes(pe_parts("critical"))
+    dec = Decomposition(pe_parts("critical"))
     verdict = coupled_ke_verdict(dec)
     assert verdict.exists
     assert not verdict.exact
@@ -239,13 +237,13 @@ def test_bundle_pair_ke_at_critical_parameter():
 
 
 def test_bundle_pair_sum_changes_sign_across_critical():
-    below = sum_barycenter(Decomposition.from_polytopes(pe_parts(Fraction(7, 10))))
-    above = sum_barycenter(Decomposition.from_polytopes(pe_parts(Fraction(18, 25))))
+    below = sum_barycenter(Decomposition(pe_parts(Fraction(7, 10))))
+    above = sum_barycenter(Decomposition(pe_parts(Fraction(18, 25))))
     assert below[:3] == (0, 0, 0) and above[:3] == (0, 0, 0)
     assert below[3] * above[3] < 0
     for s in (below, above):
         verdict = coupled_ke_verdict(
-            Decomposition.from_polytopes(pe_parts(Fraction(7, 10)))
+            Decomposition(pe_parts(Fraction(7, 10)))
         )
         assert not verdict.exists and verdict.exact
 
@@ -277,19 +275,11 @@ def test_lift_default_cap_and_rejections():
         lifted_config(p2, (1, 1), cap=1)
 
 
-def test_lift_accepts_a_triangulation():
-    bl = polytope_from_support(BLOWUP, (Fraction(1),) * 4)
-    mesh = triangulate(bl)
-    assert lifted_config(mesh, (1, 1), cap=1) == lifted_config(bl, (1, 1), cap=1)
-    with pytest.raises(InputError):
-        lifted_config(SimplexMesh(mesh.simplices), (1, 1), cap=1)
-
-
 def test_zero_sum_translations_preserve_invariants():
     rows = hexagon_rows(Fraction(1, 10))
     base = Decomposition.from_fan(HEXAGON, rows)
     shift = (Fraction(2, 3), Fraction(-1, 5))
-    moved = Decomposition.from_polytopes(
+    moved = Decomposition(
         (
             translate(polytope_from_support(HEXAGON, rows[0]), shift),
             translate(
@@ -302,10 +292,10 @@ def test_zero_sum_translations_preserve_invariants():
     v = (Fraction(3), Fraction(-4))
     assert df_invariant(moved, v).value == df_invariant(base, v).value
 
-    pair = Decomposition.from_polytopes(
+    pair = Decomposition(
         (interval(-1, Fraction(1, 4)), interval(0, Fraction(3, 4)))
     )
-    pair_moved = Decomposition.from_polytopes(
+    pair_moved = Decomposition(
         (
             translate(interval(-1, Fraction(1, 4)), (Fraction(1, 3),)),
             translate(interval(0, Fraction(3, 4)), (Fraction(-1, 3),)),
@@ -340,7 +330,7 @@ def test_validate_decomposition_reports_failures():
 def test_soliton_hessian_is_positive_definite():
     dec = Decomposition.from_fan(BLOWUP, ((1, 1, 1, 1),))
     for v in ((0.0, 0.0), (-0.5, -0.5), (1.0, -2.0)):
-        hess = sum(weighted_covariance(mesh, v) for mesh in dec.meshes)
+        hess = sum(weighted_moments(mesh, v).covariance for mesh in dec.meshes)
         assert np.linalg.eigvalsh(np.array(hess, dtype=float)).min() > 0
 
 
