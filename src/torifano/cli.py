@@ -28,7 +28,6 @@ from .problems import (
     document_to_dict,
     load_problem,
     parse_scalar,
-    registry_names,
 )
 from .stability import (
     Decomposition,
@@ -90,27 +89,10 @@ def _raw_parts(doc):
     return [polytope_from_halfspaces(part) for part in doc.halfspaces]
 
 
-def _fan(doc):
-    fan = Fan(doc.rays, doc.max_cones)
-    return fan, validate_fan(fan)
-
-
 def _decomposition(doc):
     if doc.halfspaces is not None:
         return Decomposition(_raw_parts(doc))
-    fan, report = _fan(doc)
-    if not report.ok:
-        raise InputError(
-            "fan is not a smooth complete Fano fan: "
-            + "; ".join(w[0] for w in report.witnesses)
-        )
-    return Decomposition.from_fan(fan, doc.decomposition)
-
-
-def _vfields(doc):
-    if doc.vector_fields is None:
-        return None
-    return tuple(tuple(v) for v in doc.vector_fields)
+    return Decomposition.from_fan(Fan(doc.rays, doc.max_cones), doc.decomposition)
 
 
 def _single_vfield(args, dec):
@@ -132,34 +114,32 @@ def _part_interval(polytope):
 def _cmd_validate(doc, args):
     diagnostics = {"exact": doc.exact}
     if doc.halfspaces is not None:
-        parts = []
-        ok = True
         try:
-            for polytope in _raw_parts(doc):
-                parts.append(
-                    {
-                        "nvertices": polytope.nvertices,
-                        "redundant_halfspaces": [
-                            j for j, r in enumerate(polytope.redundant) if r
-                        ],
-                        "degenerate": polytope.degenerate,
-                    }
-                )
-                ok = ok and not polytope.degenerate
+            polytopes = _raw_parts(doc)
         except InputError as exc:
             return {"ok": False, "reason": str(exc)}, diagnostics, 0
-        results = {"ok": ok, "parts": parts}
+        parts = [
+            {
+                "nvertices": p.nvertices,
+                "redundant_halfspaces": [j for j, r in enumerate(p.redundant) if r],
+                "degenerate": p.degenerate,
+            }
+            for p in polytopes
+        ]
+        results = {"ok": not any(p.degenerate for p in polytopes), "parts": parts}
         diagnostics["note"] = "raw halfspace route: no fan, ampleness and column sums not checked"
         return results, diagnostics, 0
 
-    fan, fan_report = _fan(doc)
+    fan = Fan(doc.rays, doc.max_cones)
+    fan_report = validate_fan(fan)
     results = {
         "fan": {
             "smooth": fan_report.smooth,
             "complete": fan_report.complete,
             "fano": fan_report.fano,
             "witnesses": [list(w) for w in fan_report.witnesses],
-        }
+        },
+        "ok": False,
     }
     if fan_report.ok:
         dec_report = validate_decomposition(fan, doc.decomposition)
@@ -170,14 +150,12 @@ def _cmd_validate(doc, args):
             "failures": [list(f) for f in dec_report.failures],
         }
         results["ok"] = dec_report.ok
-    else:
-        results["ok"] = False
     return results, diagnostics, 0
 
 
 def _cmd_barycenter(doc, args):
     dec = _decomposition(doc)
-    vfields = _vfields(doc)
+    vfields = doc.vector_fields
     parts = []
     for i, mesh in enumerate(dec.meshes):
         entry = {
@@ -209,10 +187,9 @@ def _cmd_ke_verdict(doc, args):
 
 def _cmd_soliton_check(doc, args):
     dec = _decomposition(doc)
-    vfields = _vfields(doc)
-    if vfields is None:
+    if doc.vector_fields is None:
         raise InputError("soliton-check needs vector_fields in the document")
-    residual = soliton_residual(dec, vfields)
+    residual = soliton_residual(dec, doc.vector_fields)
     results = {
         "residual": list(residual.total),
         "per_polytope": [list(r) for r in residual.per_polytope],
@@ -275,7 +252,7 @@ def _cmd_ma_solve(doc, args):
     if dec.dim != 1:
         raise InputError("ma-solve supports one-dimensional decompositions only")
     intervals = [_part_interval(p) for p in dec.polytopes]
-    vfields = _vfields(doc)
+    vfields = doc.vector_fields
     scalars = [0.0] * dec.k if vfields is None else [float(v[0]) for v in vfields]
     result = solve_continuity_1d(
         intervals,
@@ -366,8 +343,6 @@ def build_parser():
 
 
 def _resolve_document(args):
-    if args.input and args.example:
-        raise UsageError("give exactly one of --input or --example")
     if args.input:
         return load_problem(args.input)
     if args.example:
@@ -403,10 +378,7 @@ def main(argv=None):
             raise UsageError("missing command; expected one of: " + ", ".join(COMMANDS))
         doc = _resolve_document(args)
         report, code = run(args.command, doc, args)
-    except UsageError as exc:
-        print(f"torifano: {exc}", file=sys.stderr)
-        return 1
-    except UnknownExampleError as exc:
+    except (UsageError, UnknownExampleError) as exc:
         print(f"torifano: {exc}", file=sys.stderr)
         return 1
     except InputError as exc:

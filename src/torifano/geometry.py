@@ -335,22 +335,18 @@ def _tight_and_redundant(dim, halfspaces, slacks, hull_rank, tol):
     return tight_sets, redundant
 
 
-def polytope_from_support(fan, c):
+def polytope_from_support(fan, c, cones=None):
     """Polytope of a support vector over a smooth complete fan.
 
     One candidate vertex per maximal cone, duplicates merged.  A candidate
     that violates some halfspace means the support is not convex, and the
     candidates would not be the vertices of the halfspace system, so that
     raises InputError.  Empty interior comes back as a degenerate polytope
-    rather than an error.
+    rather than an error.  ``cones`` is the :func:`_cone_vertices` result of
+    ``c`` when the caller has solved the cones already.
     """
     c = _support(fan, c)
-    return _support_polytope(fan, c, _cone_vertices(fan, c, tolerance(c)))
-
-
-def _support_polytope(fan, c, cones):
-    """The polytope of ``c`` from its :func:`_cone_vertices` result ``cones``."""
-    vertices, slacks, amp = cones
+    vertices, slacks, amp = cones or _cone_vertices(fan, c, tolerance(c))
     if amp.kind is Ampleness.NOT_CONVEX:
         ci, j = amp.witness
         raise InputError(
@@ -524,7 +520,7 @@ def minkowski_sum(fan, parts):
     for j in range(fan.nrays):
         if abs(sum(min(row[j] for row in slacks) for _, slacks, _ in cones[1:])) > tol:
             raise ArithmeticError("support numbers must add on rays")
-    return total, _support_polytope(fan, total, cones[0])
+    return total, polytope_from_support(fan, total, cones[0])
 
 
 # ---------------------------------------------------------------------------

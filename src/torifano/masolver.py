@@ -30,6 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigurationError, DomainMismatchError, InputError
+from .linalg import dot
 
 DEFAULT_T_SCHEDULE = (0.0, 0.25, 0.5, 0.75, 0.9, 1.0)
 MAX_SPACING = 0.05
@@ -48,7 +49,7 @@ def reference_potential(vertices, x):
     if not vertices:
         raise InputError("reference potential needs at least one vertex")
     x = tuple(float(c) for c in x)
-    exps = [sum(a * b for a, b in zip(v, x)) for v in vertices]
+    exps = [dot(v, x) for v in vertices]
     peak = max(exps)
     return peak + math.log(sum(math.exp(e - peak) for e in exps) / len(exps))
 

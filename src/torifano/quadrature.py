@@ -8,7 +8,6 @@ feeds into these numbers, so the two paths can cross-validate each other.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial

@@ -2,7 +2,8 @@
 
 A decomposition of the anticanonical class is a k-row support matrix whose
 rows are ample and whose columns sum to the all-ones vector, so that the
-row polytopes Minkowski-sum to the anticanonical polytope.  The coupled
+row polytopes Minkowski-sum to the anticanonical polytope; on the fan
+route :func:`validate_decomposition` alone decides this.  The coupled
 Kahler-Einstein verdict is the vanishing of the barycenter sum; the coupled
 soliton verdict replaces barycenters by e^{<V,p>}-weighted ones, and the
 common soliton field is the minimizer of the strictly convex log-mass sum.
@@ -20,13 +21,15 @@ from . import moments
 from .errors import DegenerateLiftError, InputError
 from .geometry import (
     Ampleness,
+    _cone_vertices,
+    _polytope,
     _vec,
-    ampleness_class,
-    polytope_from_halfspaces,
     polytope_from_support,
     tolerance,
     triangulate,
+    validate_fan,
 )
+from .linalg import dot
 
 KE_FLOAT_TOL = 1e-10
 
@@ -34,9 +37,8 @@ KE_FLOAT_TOL = 1e-10
 class Decomposition:
     """A tuple of polytopes decomposing the anticanonical polytope.
 
-    Built from a fan's support matrix or straight from halfspace data; the
-    normalization checks that need support numbers live in
-    :func:`validate_decomposition`.
+    Built by :meth:`from_fan`, which checks the support matrix, or from
+    halfspace data, which has no support numbers to check.
     """
 
     def __init__(self, polytopes):
@@ -53,11 +55,19 @@ class Decomposition:
 
     @classmethod
     def from_fan(cls, fan, rows):
-        rows = tuple(_vec(row) for row in rows)
-        for row in rows:
-            if len(row) != fan.nrays:
-                raise InputError("support row length must match ray count")
-        return cls(polytope_from_support(fan, row) for row in rows)
+        """The parts of the support ``rows`` over ``fan``, checked first.
+
+        InputError names the first failure of :func:`validate_fan` or
+        :func:`validate_decomposition`; the parts reuse validation's cone pass.
+        """
+        fan_report = validate_fan(fan)
+        if not fan_report.ok:
+            witnesses = "; ".join(w[0] for w in fan_report.witnesses)
+            raise InputError(f"fan is not a smooth complete Fano fan: {witnesses}")
+        report = validate_decomposition(fan, rows)
+        if not report.ok:
+            raise InputError(_failure_message(fan, report.failures[0]))
+        return cls(polytope_from_support(fan, r, c) for r, c in zip(report.rows, report.cones))
 
     @property
     def k(self):
@@ -86,27 +96,40 @@ class DecompositionReport:
     row_ampleness: tuple
     column_sums: tuple
     failures: tuple
+    rows: tuple
+    cones: tuple  # each row's _cone_vertices result, for building its part
 
     @property
     def ok(self):
         return not self.failures
 
 
+def _failure_message(fan, failure):
+    if failure[0] == "column-sum":
+        return "decomposition column {1} sums to {2}, not 1".format(*failure)
+    _, i, kind, (ci, j) = failure
+    cone = list(fan.max_cones[ci])
+    if kind == Ampleness.NOT_CONVEX.value:
+        return f"row {i} support is not convex: the vertex of cone {cone} violates ray {j}"
+    return f"row {i} support is nef, not ample: the vertex of cone {cone} is tight on ray {j}"
+
+
 def validate_decomposition(fan, matrix):
     """Check each row is Ample and the columns sum to the all-ones vector.
 
-    Float rows compare their column sums within the rows' tolerance.
+    Each row's cones are solved once and kept on the report.  Float rows
+    compare their column sums within the rows' tolerance.
     """
     rows = tuple(_vec(row) for row in matrix)
     if not rows:
         raise InputError("decomposition needs at least one row")
     failures = []
-    kinds = []
+    cones = []
     for i, row in enumerate(rows):
         if len(row) != fan.nrays:
             raise InputError(f"row {i} length {len(row)} != ray count {fan.nrays}")
-        amp = ampleness_class(fan, row)
-        kinds.append(amp.kind.value)
+        cones.append(_cone_vertices(fan, row, tolerance(row)))
+        amp = cones[i][2]
         if amp.kind is not Ampleness.AMPLE:
             failures.append(("row-not-ample", i, amp.kind.value, amp.witness))
     tol = tolerance([x for row in rows for x in row])
@@ -116,9 +139,11 @@ def validate_decomposition(fan, matrix):
             failures.append(("column-sum", j, str(s)))
     return DecompositionReport(
         k=len(rows),
-        row_ampleness=tuple(kinds),
+        row_ampleness=tuple(amp.kind.value for _, _, amp in cones),
         column_sums=sums,
         failures=tuple(failures),
+        rows=rows,
+        cones=tuple(cones),
     )
 
 
@@ -275,7 +300,7 @@ def df_invariant(decomposition, vfield):
     v = _vec(vfield)
     if len(v) != len(s):
         raise InputError("vector field has wrong dimension")
-    value = sum(a * b for a, b in zip(v, s))
+    value = dot(v, s)
     return DFReport(value=value, vfield=v, sum_barycenter=s)
 
 
@@ -297,15 +322,16 @@ def lifted_config(polytope, vfield, cap=None):
 
     The prism volume factors exactly as Vol(P) * (cap + <v, b(P)>); both
     sides are computed independently (the left by triangulating the lifted
-    polytope, the right on ``polytope.mesh``) and recorded.  Rational data
-    only.
+    polytope, the right on ``polytope.mesh``) and recorded.  The lifted
+    vertices are (p, -<v,p>) and (p, cap) over the vertices p of P, so any
+    dimension works.  Rational data only.
     """
     v = _vec(vfield)
     if polytope.tol or tolerance(v):
         raise InputError("lifted configurations are exact-rational only")
     if len(v) != polytope.dim:
         raise InputError("vector field has wrong dimension")
-    heights = [-sum(a * b for a, b in zip(v, vert)) for vert in polytope.vertices]
+    heights = [-dot(v, vert) for vert in polytope.vertices]
     top = max(heights)
     if cap is None:
         cap = top + 1
@@ -315,16 +341,21 @@ def lifted_config(polytope, vfield, cap=None):
             f"cap {cap} cuts below the graph maximum {top}"
         )
     n = polytope.dim
-    halfspaces = [(tuple(d) + (0,), c) for d, c in polytope.halfspaces]
-    halfspaces.append((tuple(v) + (1,), Fraction(0)))
-    halfspaces.append((tuple(Fraction(0) for _ in range(n)) + (-1,), cap))
-    lifted = polytope_from_halfspaces(halfspaces)
+    halfspaces = [((*d, 0), c) for d, c in polytope.halfspaces]
+    halfspaces += [((*v, 1), Fraction(0)), ((0,) * n + (-1,), cap)]
+    points, slacks = [], []
+    for p, h in zip(polytope.vertices, heights):
+        # Rows: P's halfspaces, then s >= -<v,p> and s <= cap.
+        base = [dot(d, p) + c for d, c in polytope.halfspaces]
+        points += [(*p, h), (*p, cap)]
+        slacks += [base + [0, cap - h], base + [cap - h, 0]]
+    lifted = _polytope(n + 1, tuple(halfspaces), points, slacks, 0)
     if lifted.degenerate:
         raise DegenerateLiftError("lifted polytope is degenerate")
     vol_lifted = moments.volume(triangulate(lifted))
     mesh = polytope.mesh
     b = mesh.barycenter
-    vol_product = moments.volume(mesh) * (cap + sum(a * x for a, x in zip(v, b)))
+    vol_product = moments.volume(mesh) * (cap + dot(v, b))
     return LiftedConfig(
         polytope=lifted,
         cap=cap,

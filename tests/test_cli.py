@@ -558,3 +558,86 @@ def test_overflowing_float_row_exits_two(tmp_path, command):
     lines = r.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("torifano: invalid input:"), r.stderr
     assert "cone [0, 1]" in lines[0]
+
+
+_BLOWUP_DOC = document_to_dict(builtin_example("blowup-p2-1pt"))
+# Valid documents whose decompositions are not ample splittings of c_1.
+_INVALID_DECOMPOSITIONS = {
+    # 2 c_1(P^2): both rows ample, every column sums to 2
+    "p2-twice": dict(
+        _P2_DOC, decomposition=[[1, 1, 1], [1, 1, 1]], vector_fields=[[0, 0], [0, 0]]
+    ),
+    # columns sum to one, but the first row is nef and not ample
+    "blowup-nef-row": dict(
+        _BLOWUP_DOC,
+        decomposition=[["1/2", "1/2", "1/2", "1"], ["1/2", "1/2", "1/2", "0"]],
+        vector_fields=[[0, 0], [0, 0]],
+    ),
+    "p1-twice": {
+        "name": "p1-twice",
+        "dimension": 1,
+        "rays": [[1], [-1]],
+        "max_cones": [[0], [1]],
+        "decomposition": [[1, 1], [1, 1]],
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "command, name",
+    [
+        (command, name)
+        for command in ("barycenter", "ke-verdict", "soliton-check", "soliton-solve", "df", "lift")
+        for name in ("p2-twice", "blowup-nef-row")
+    ]
+    + [("ma-solve", "p1-twice")],
+)
+def test_commands_reject_what_validate_rejects(tmp_path, capsys, command, name):
+    path = write_doc(tmp_path, _INVALID_DECOMPOSITIONS[name])
+    code, report, err = run_cli(capsys, command, "--input", path)
+    assert code == 2 and report is None
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("torifano: invalid input:"), err
+
+
+@pytest.mark.parametrize(
+    "name, failures",
+    [
+        ("p2-twice", [["column-sum", j, "2"] for j in range(3)]),
+        ("blowup-nef-row", [["row-not-ample", 0, "NefOnly", [0, 1]]]),
+        ("p1-twice", [["column-sum", j, "2"] for j in range(2)]),
+    ],
+)
+def test_validate_reports_invalid_decompositions(tmp_path, capsys, name, failures):
+    path = write_doc(tmp_path, _INVALID_DECOMPOSITIONS[name])
+    code, report, _ = run_cli(capsys, "validate", "--input", path)
+    assert code == 0
+    assert report["results"]["ok"] is False
+    assert report["results"]["decomposition"]["failures"] == failures
+
+
+@pytest.mark.parametrize("command", ["validate", "ke-verdict"])
+def test_fan_documents_solve_each_row_once(capsys, monkeypatch, command):
+    # One cone pass per decomposition row plus one for the Fano check.
+    calls = []
+    real = geometry._cone_vertices
+
+    def counted(fan, c, tol):
+        calls.append(c)
+        return real(fan, c, tol)
+
+    monkeypatch.setattr(geometry, "_cone_vertices", counted)
+    monkeypatch.setattr(stability, "_cone_vertices", counted)
+    code, _, _ = run_cli(capsys, command, "--example", "hexagon-dP6-t")
+    assert code == 0
+    assert len(calls) == 3
+
+
+def test_lift_works_in_dimension_six(tmp_path, capsys):
+    # P^6 lifts to dimension 7, past the raw halfspace regime.
+    rays = [[int(i == j) for j in range(6)] for i in range(6)] + [[-1] * 6]
+    cones = [[j for j in range(7) if j != i] for i in range(7)]
+    doc = {"name": "p6", "dimension": 6, "rays": rays, "max_cones": cones, "decomposition": [[1] * 7]}
+    code, report, _ = run_cli(capsys, "lift", "--input", write_doc(tmp_path, doc))
+    assert code == 0
+    assert [part["identity_holds"] for part in report["results"]["parts"]] == [True]

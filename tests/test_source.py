@@ -17,3 +17,27 @@ def test_package_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert SOURCES and found == []
+
+
+def _unused_imports(tree):
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_package_modules_use_every_import():
+    # __init__ imports in order to re-export.
+    found = [
+        f"{path.name}:{line} {name}"
+        for path in SOURCES
+        if path.name != "__init__.py"
+        for line, name in _unused_imports(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert SOURCES and found == []

@@ -275,6 +275,58 @@ def test_lift_default_cap_and_rejections():
         lifted_config(p2, (1, 1), cap=1)
 
 
+@pytest.mark.parametrize(
+    "polytope, vfield, cap",
+    [
+        (polytope_from_support(P2, (1, 1, 1)), (1, 1), 3),
+        # cap at the graph maximum: the top and bottom vertices there merge
+        (polytope_from_support(P2, (1, 1, 1)), (1, 1), 2),
+        (polytope_from_support(BLOWUP, (1, 1, 1, 1)), (1, 1), 1),
+        (polytope_from_support(HEXAGON, (1,) * 6), (0, 0), Fraction(1, 3)),
+        (interval(-1, 1), (1,), 1),
+    ],
+)
+def test_lift_matches_vertex_enumeration(polytope, vfield, cap):
+    # The lift writes its vertices down; enumerating them from the lifted
+    # halfspaces finds the same vertices, tight sets and redundant rows.
+    lifted = lifted_config(polytope, vfield, cap=cap).polytope
+    enumerated = polytope_from_halfspaces(lifted.halfspaces)
+
+    def faces(p):
+        return [frozenset(p.vertices[i] for i in t) for t in p.tight_sets]
+
+    assert set(lifted.vertices) == set(enumerated.vertices)
+    assert len(lifted.vertices) == len(enumerated.vertices)
+    assert faces(lifted) == faces(enumerated)
+    assert lifted.redundant == enumerated.redundant
+    assert not lifted.degenerate
+
+
+def test_flat_lift_is_degenerate():
+    # v = 0 and cap 0: every top vertex merges with its bottom one.
+    p2 = polytope_from_support(P2, (1, 1, 1))
+    with pytest.raises(DegenerateLiftError, match="degenerate"):
+        lifted_config(p2, (0, 0), cap=0)
+
+
+@pytest.mark.parametrize(
+    "fan, rows, message",
+    [
+        # 2 c_1(P^2): both rows ample, every column sums to 2
+        (P2, ((1, 1, 1), (1, 1, 1)), "column 0 sums to 2"),
+        (
+            BLOWUP,
+            ((Fraction(1, 2),) * 3 + (1,), (Fraction(1, 2),) * 3 + (0,)),
+            "row 0 support is nef, not ample",
+        ),
+    ],
+)
+def test_from_fan_rejects_what_validate_rejects(fan, rows, message):
+    assert not validate_decomposition(fan, rows).ok
+    with pytest.raises(InputError, match=message):
+        Decomposition.from_fan(fan, rows)
+
+
 def test_zero_sum_translations_preserve_invariants():
     rows = hexagon_rows(Fraction(1, 10))
     base = Decomposition.from_fan(HEXAGON, rows)
