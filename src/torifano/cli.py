@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from enum import Enum
@@ -21,7 +22,6 @@ from fractions import Fraction
 from . import __version__
 from .errors import InputError, UnknownExampleError
 from .geometry import Fan, polytope_from_halfspaces, validate_fan
-from .masolver import DEFAULT_T_SCHEDULE, solve_continuity_1d
 from .moments import volume, weighted_barycenter
 from .problems import (
     builtin_example,
@@ -248,13 +248,19 @@ def _cmd_lift(doc, args):
 
 
 def _cmd_ma_solve(doc, args):
+    # Imported here: the MA solver is the one module every other command
+    # can do without, and it loads numpy.
+    from . import masolver
+
+    if args.t_schedule is None:
+        args.t_schedule = masolver.DEFAULT_T_SCHEDULE
     dec = _decomposition(doc)
     if dec.dim != 1:
         raise InputError("ma-solve supports one-dimensional decompositions only")
     intervals = [_part_interval(p) for p in dec.polytopes]
     vfields = doc.vector_fields
     scalars = [0.0] * dec.k if vfields is None else [float(v[0]) for v in vfields]
-    result = solve_continuity_1d(
+    result = masolver.solve_continuity_1d(
         intervals,
         scalars,
         t_schedule=args.t_schedule,
@@ -308,6 +314,16 @@ def _parse_grid(text):
     return fields
 
 
+def _parse_tol(text):
+    try:
+        tol = float(text)
+    except ValueError:
+        raise UsageError(f"--tol: {text!r} is not a number") from None
+    if not 0 < tol < math.inf:
+        raise UsageError(f"--tol must be finite and positive, got {text!r}")
+    return tol
+
+
 def _parse_schedule(text):
     try:
         return tuple(float(tok) for tok in text.split(","))
@@ -324,8 +340,8 @@ def build_parser():
         src = p.add_mutually_exclusive_group()
         src.add_argument("--input", help="problem document (JSON file)")
         src.add_argument("--example", help="built-in example name[:param]")
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                       help="verdict / convergence tolerance (default 1e-10)")
+        p.add_argument("--tol", type=_parse_tol, default=DEFAULT_TOL,
+                       help="verdict / convergence tolerance, finite and positive (default 1e-10)")
         p.add_argument("--out", help="also write the report to this file")
         if name in ("df", "lift"):
             p.add_argument("--vfield", help="comma-separated vector, rationals allowed")
@@ -335,8 +351,8 @@ def build_parser():
             p.add_argument("--grid", type=_parse_grid, default={"R": 8.0, "h": 0.004},
                            help="grid as R=8,h=0.004")
             p.add_argument("--t-schedule", dest="t_schedule", type=_parse_schedule,
-                           default=DEFAULT_T_SCHEDULE,
-                           help="comma-separated increasing path ending at 1")
+                           help="comma-separated increasing path ending at 1 "
+                                "(default: the solver's built-in schedule)")
             p.add_argument("--snapshots",
                            help="write one JSON object per path stage to this file")
     return parser

@@ -145,6 +145,8 @@ def validate_fan(fan):
         for wall in itertools.combinations(cone, fan.dim - 1):
             wall_count[wall] = wall_count.get(wall, 0) + 1
     complete = bool(fan.max_cones)
+    if not complete:
+        witnesses.append(("complete", {"max_cones": 0}))
     for wall, count in sorted(wall_count.items()):
         if count != 2:
             complete = False

@@ -34,6 +34,8 @@ from .linalg import dot
 
 DEFAULT_T_SCHEDULE = (0.0, 0.25, 0.5, 0.75, 0.9, 1.0)
 MAX_SPACING = 0.05
+# Nodes per part; the default grid (R = 8, h = 0.004) has 4,001.
+MAX_GRID_NODES = 2**16
 # Decay-rate floor for the tail estimate; a flatter density than this at the
 # window edge means mass is escaping and shows up in the drift detector.
 MIN_EDGE_DECAY = 0.05
@@ -162,10 +164,15 @@ class MAState:
 
 
 def make_grid(R=8.0, spacing=0.004):
+    """Nodes -R..R at ``spacing``, checked before anything is allocated."""
     if spacing > MAX_SPACING:
         raise ConfigurationError(f"grid spacing {spacing} is above {MAX_SPACING}")
-    if spacing <= 0 or R <= 0:
+    if not (spacing > 0 and R > 0):
         raise ConfigurationError("grid needs positive radius and spacing")
+    # 2 * round(R / h) + 1 <= MAX_GRID_NODES exactly when this holds.
+    if not R / spacing < (MAX_GRID_NODES - 1) / 2:
+        raise ConfigurationError(
+            f"grid R={R}, h={spacing} has more than {MAX_GRID_NODES} nodes per part")
     half = int(round(R / spacing))
     if half < 4:
         raise ConfigurationError("grid radius is below four spacings")

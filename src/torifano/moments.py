@@ -23,9 +23,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from . import quadrature
 from .errors import InputError
 
 # Taylor terms beyond the node count; after scaling every node lies within
@@ -57,6 +54,8 @@ def _dd_rows(nodes):
     each squaring, so rounding errors add up instead of doubling
     (McCurdy, Ng and Parlett, Math. Comp. 1984).
     """
+    import numpy as np
+
     count, k = nodes.shape
     top = nodes.max(axis=1)
     steps = np.maximum(np.frexp(top - nodes.min(axis=1))[1], 0)
@@ -81,6 +80,8 @@ def _dd_rows(nodes):
 
 def divided_difference_exp(nodes):
     """[a_0, ..., a_m] exp, stable across clustered and separated nodes."""
+    import numpy as np
+
     xs = [float(x) for x in nodes]
     if not xs:
         raise InputError("divided difference needs at least one node")
@@ -127,6 +128,8 @@ def weighted_moments(mesh, vfield, order=2):
     are taken about the exact barycenter and second moments about A_P(V),
     so the covariance needs no subtraction of the squared mean.
     """
+    import numpy as np
+
     points, weights = mesh.arrays
     expo = points @ np.array([float(x) for x in vfield])
     if not np.isfinite(expo).all():
@@ -178,6 +181,8 @@ def moment_report(mesh, vfield=None):
     ``err_estimate`` is the relative disagreement of the two independent
     weighted-mass routes (divided differences vs quadrature).
     """
+    from . import quadrature
+
     if vfield is None:
         vfield = tuple(0.0 for _ in range(mesh.dim))
     vfield = tuple(float(x) for x in vfield)

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-import numpy as np
-
 from . import moments
 from .errors import DegenerateLiftError, InputError
 from .geometry import (
@@ -62,7 +60,7 @@ class Decomposition:
         """
         fan_report = validate_fan(fan)
         if not fan_report.ok:
-            witnesses = "; ".join(w[0] for w in fan_report.witnesses)
+            witnesses = "; ".join(_fan_witness_message(fan, w) for w in fan_report.witnesses)
             raise InputError(f"fan is not a smooth complete Fano fan: {witnesses}")
         report = validate_decomposition(fan, rows)
         if not report.ok:
@@ -104,14 +102,30 @@ class DecompositionReport:
         return not self.failures
 
 
+def _support_fault(fan, kind, witness):
+    ci, j = witness
+    cone = list(fan.max_cones[ci])
+    if kind == Ampleness.NOT_CONVEX.value:
+        return f"not convex: the vertex of cone {cone} violates ray {j}"
+    return f"nef, not ample: the vertex of cone {cone} is tight on ray {j}"
+
+
+def _fan_witness_message(fan, witness):
+    kind, data = witness
+    if kind == "smooth":
+        return f"cone {list(data['cone'])} has det {data['det']}, not 1 or -1"
+    if kind == "fano":
+        return f"the anticanonical support is {_support_fault(fan, data['ampleness'], data['witness'])}"
+    if "wall" not in data:
+        return "the fan has no maximal cones"
+    return f"wall {list(data['wall'])} has incidence {data['incidence']}, not 2"
+
+
 def _failure_message(fan, failure):
     if failure[0] == "column-sum":
         return "decomposition column {1} sums to {2}, not 1".format(*failure)
-    _, i, kind, (ci, j) = failure
-    cone = list(fan.max_cones[ci])
-    if kind == Ampleness.NOT_CONVEX.value:
-        return f"row {i} support is not convex: the vertex of cone {cone} violates ray {j}"
-    return f"row {i} support is nef, not ample: the vertex of cone {cone} is tight on ray {j}"
+    _, i, kind, witness = failure
+    return f"row {i} support is {_support_fault(fan, kind, witness)}"
 
 
 def validate_decomposition(fan, matrix):
@@ -197,6 +211,8 @@ class SolitonResidual:
 
     @property
     def norm(self):
+        import numpy as np
+
         return float(np.linalg.norm(self.total))
 
 
@@ -234,6 +250,8 @@ def solve_soliton(decomposition, tol=1e-11, max_iter=50, start=None):
     is checked positive definite at every iterate.  Non-convergence returns
     the best iterate with ``converged=False`` instead of raising.
     """
+    import numpy as np
+
     n = decomposition.dim
     meshes = decomposition.meshes
     v = np.zeros(n) if start is None else np.array([float(x) for x in start])

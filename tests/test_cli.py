@@ -74,12 +74,16 @@ def run_cli_process(*args):
     """
     script = shutil.which("torifano")
     launcher = [script] if script else [sys.executable, "-m", "torifano"]
+    return subprocess.run(
+        [*launcher, *args], capture_output=True, text=True, env=_child_env(), timeout=120
+    )
+
+
+def _child_env():
+    """This environment with the package under test first on PYTHONPATH."""
     package_root = str(Path(torifano.__file__).resolve().parent.parent)
     pythonpath = [package_root, os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in pythonpath if p))
-    return subprocess.run(
-        [*launcher, *args], capture_output=True, text=True, env=env, timeout=120
-    )
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in pythonpath if p))
 
 
 def test_console_script_deterministic_output():
@@ -641,3 +645,85 @@ def test_lift_works_in_dimension_six(tmp_path, capsys):
     code, report, _ = run_cli(capsys, "lift", "--input", write_doc(tmp_path, doc))
     assert code == 0
     assert [part["identity_holds"] for part in report["results"]["parts"]] == [True]
+
+
+def test_ma_solve_default_schedule_echo(capsys):
+    code, report, _ = run_cli(capsys, "ma-solve", "--example", "p1-fubini", "--grid", "R=2,h=0.05")
+    assert code == 0
+    assert report["options_used"]["t_schedule"] == ["0", "0.25", "0.5", "0.75", "0.90000000000000002", "1"]
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf", "0", "abc"])
+def test_tol_must_be_finite_and_positive(capsys, tol):
+    code, report, err = run_cli(capsys, "ke-verdict", "--example", "hexagon-dP6-t", f"--tol={tol}")
+    assert code == 1 and report is None
+    assert err.startswith("torifano: --tol"), err
+
+
+def test_grid_above_the_node_cap_exits_two(capsys):
+    # h = 2^-5 and R = 1024 give 2 * 32768 + 1 nodes, one pair past the cap.
+    code, report, err = run_cli(capsys, "ma-solve", "--example", "p1-fubini", "--grid", "R=1024,h=0.03125")
+    assert code == 2 and report is None
+    assert "nodes per part" in err
+
+
+_EMPTY_FAN_DOC = dict(_P2_DOC, max_cones=[])
+# P^2 without its cone [2, 0]: the walls [0] and [2] lie in one cone each.
+_INCOMPLETE_P2_DOC = dict(_P2_DOC, max_cones=[[0, 1], [1, 2]])
+
+
+def test_empty_fan_has_a_witness(tmp_path, capsys):
+    path = write_doc(tmp_path, _EMPTY_FAN_DOC)
+    code, report, _ = run_cli(capsys, "validate", "--input", path)
+    assert code == 0 and report["results"]["ok"] is False
+    assert report["results"]["fan"]["complete"] is False
+    assert report["results"]["fan"]["witnesses"] == [["complete", {"max_cones": 0}]]
+    code, report, err = run_cli(capsys, "ke-verdict", "--input", path)
+    assert code == 2 and report is None
+    assert err == "torifano: invalid input: fan is not a smooth complete Fano fan: the fan has no maximal cones\n"
+
+
+def test_incomplete_fan_reason_names_the_walls(tmp_path, capsys):
+    code, report, err = run_cli(capsys, "ke-verdict", "--input", write_doc(tmp_path, _INCOMPLETE_P2_DOC))
+    assert code == 2 and report is None
+    assert err == (
+        "torifano: invalid input: fan is not a smooth complete Fano fan: "
+        "wall [0] has incidence 1, not 2; wall [2] has incidence 1, not 2\n"
+    )
+
+
+# One child interpreter runs every command line it is given through
+# cli.main and prints the exit codes and whether numpy got imported.
+_NUMPY_PROBE = """
+import contextlib, io, json, sys
+from torifano import cli
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(cli.main(argv))
+print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules}))
+"""
+
+
+def _numpy_probe(runs):
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE, json.dumps(runs)],
+        capture_output=True, text=True, env=_child_env(), timeout=300, check=True,
+    )
+    return json.loads(proc.stdout)
+
+
+def test_exact_commands_on_fan_documents_never_import_numpy(tmp_path):
+    rational = write_doc(tmp_path, document_to_dict(builtin_example("hexagon-dP6-t:1/7")))
+    sources = [["--example", name] for name in ("p2", "p1xp1", "blowup-p2-1pt", "hexagon-dP6-t", "p1-fubini")]
+    sources.append(["--input", rational])
+    runs = [[command, *source] for command in ("validate", "barycenter", "ke-verdict", "df", "lift")
+            for source in sources]
+    probe = _numpy_probe(runs)
+    assert probe["codes"] == [0] * len(runs)
+    assert probe["numpy"] is False
+
+
+def test_numpy_probe_sees_a_float_command():
+    probe = _numpy_probe([["soliton-solve", "--example", "blowup-p2-1pt"]])
+    assert probe == {"codes": [0], "numpy": True}

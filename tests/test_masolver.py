@@ -1,6 +1,7 @@
 """Continuity-path solver for the 1-D coupled Monge-Ampere system."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -297,6 +298,27 @@ def test_configuration_errors():
         initial_state([(1.0, -1.0)])
     with pytest.raises(InputError):
         initial_state([(-1.0, 1.0)], vfields=(1.0, 2.0))
+
+
+def test_grid_node_cap():
+    # h = 2^-5 keeps R / h exact: 32767 half-steps fit, 32768 do not.
+    assert len(make_grid(R=1023.96875, spacing=2**-5)) == 65535 <= masolver.MAX_GRID_NODES
+    with pytest.raises(ConfigurationError, match="nodes per part"):
+        make_grid(R=1024.0, spacing=2**-5)
+    with pytest.raises(ConfigurationError, match="positive radius"):
+        make_grid(R=math.nan)
+
+
+@pytest.mark.parametrize("R, spacing", [(1024.0, 2**-5), (1e9, 0.001), (math.inf, 0.01), (1e300, 1e-300)])
+def test_grid_above_the_cap_allocates_nothing(R, spacing):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigurationError):
+            initial_state([(-1.0, 1.0)], R=R, spacing=spacing)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def test_non_monotone_transport_slope_raises(monkeypatch):

@@ -408,3 +408,22 @@ def test_newton_path_does_not_use_quadrature(monkeypatch):
     sol = solve_soliton(dec, start=(1.5, -2.0))
     assert sol.converged
     assert abs(sol.vfield[0] - sol.vfield[1]) < 1e-10
+
+
+@pytest.mark.parametrize(
+    "fan, reason",
+    [
+        (Fan(P2.rays, ((0, 1), (1, 2))), "wall [0] has incidence 1, not 2; wall [2] has incidence 1, not 2"),
+        (Fan(P2.rays, ()), "the fan has no maximal cones"),
+        # det((1, 0), (1, 2)) = 2
+        (Fan(((1, 0), (1, 2), (-1, -1), (0, -1)), ((0, 1), (1, 2), (2, 3), (0, 3))),
+         "cone [0, 1] has det 2, not 1 or -1"),
+        # the Hirzebruch surface F_2: -K is nef, not ample
+        (Fan(((1, 0), (0, 1), (-1, 2), (0, -1)), ((0, 1), (1, 2), (2, 3), (0, 3))),
+         "the anticanonical support is nef, not ample: the vertex of cone [0, 1] is tight on ray 2"),
+    ],
+)
+def test_fan_rejection_names_each_witness(fan, reason):
+    with pytest.raises(InputError) as info:
+        Decomposition.from_fan(fan, ((1,) * fan.nrays,))
+    assert str(info.value) == f"fan is not a smooth complete Fano fan: {reason}"
