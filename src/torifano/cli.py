@@ -12,6 +12,7 @@ are serialized as strings with 17 significant digits and rationals as
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -331,7 +332,9 @@ def _parse_schedule(text):
         raise UsageError(f"--t-schedule: {text!r} is not a comma-separated float list") from None
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process."""
     parser = _Parser(prog="torifano", description=__doc__)
     parser.add_argument("--version", action="version", version=f"torifano {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="command")
@@ -348,7 +351,8 @@ def build_parser():
         if name == "lift":
             p.add_argument("--cap", help="height cap for the lifted polytope (rational)")
         if name == "ma-solve":
-            p.add_argument("--grid", type=_parse_grid, default={"R": 8.0, "h": 0.004},
+            # A string default is parsed per call: no namespace shares a dict.
+            p.add_argument("--grid", type=_parse_grid, default="R=8,h=0.004",
                            help="grid as R=8,h=0.004")
             p.add_argument("--t-schedule", dest="t_schedule", type=_parse_schedule,
                            help="comma-separated increasing path ending at 1 "

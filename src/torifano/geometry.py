@@ -9,11 +9,11 @@ that choice once per polytope, from its own data, and the polytope carries
 it.
 
 Each polytope's derived data is computed in one place.  Both vertex routes,
-per maximal cone from support numbers and by enumeration from raw
+per maximal cone from support numbers and by double description from raw
 halfspaces, compute the slack <d_j, v> + c_j of every halfspace at every
 candidate vertex; the polytope's tight sets and redundancy flags are read
 off those slack rows, and its triangulation is ``Polytope.mesh``, computed
-on first use.
+on first use.  Double description runs in integers, so nothing needs numpy.
 
 Conventions: a ray is a primitive integer column vector; a support vector
 ``c`` over a fan with rays ``d_j`` cuts out ``P = {x : <d_j, x> >= -c_j}``.
@@ -28,6 +28,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, isfinite, lcm
+from operator import truediv
 
 from . import linalg
 from .linalg import dot
@@ -35,8 +36,8 @@ from .errors import EmptyPolytopeError, InputError, UnboundedPolytopeError
 
 DEFAULT_FLOAT_TOL = 1e-9
 
-# Raw vertex enumeration screens all C(m, n) row subsets in float, 906,192 at
-# this cap, and solves exactly only those it cannot rule out.
+# The raw route's regime: at this cap, a 6-cube cut by 20 integer rows has
+# several hundred vertices, which double description finds in under a second.
 MAX_RAW_DIM = 6
 MAX_RAW_HALFSPACES = 32
 
@@ -272,14 +273,13 @@ class Polytope:
 
 
 def _distinct(points, tol):
-    """Indices of the points not within tol of an earlier kept point."""
-
-    def same(v, w):
-        return v == w if tol == 0 else all(abs(a - b) <= tol for a, b in zip(v, w))
-
+    """Indices of the points not within tol of an earlier kept point; exact ones by dict."""
+    if tol == 0:
+        first = {}
+        return [i for i, v in enumerate(points) if first.setdefault(v, i) == i]
     kept = []
     for i, v in enumerate(points):
-        if not any(same(v, points[k]) for k in kept):
+        if not any(all(abs(a - b) <= tol for a, b in zip(v, points[k])) for k in kept):
             kept.append(i)
     return kept
 
@@ -357,117 +357,107 @@ def polytope_from_support(fan, c, cones=None):
     return _polytope(fan.dim, tuple(zip(fan.rays, c)), vertices, slacks, tolerance(c))
 
 
-def _vertex_subsets(hs, tol):
-    """Row n-subsets, in lexicographic order, that a float screen cannot rule out.
+def _primitive(v):
+    g = gcd(*v)
+    return tuple(x // g for x in v)
 
-    Rows are scaled to integers as G = [normals | offsets].  For a subset S
-    and a row k the cofactors z of row k in det G[S + k] give z . G[k] =
-    det A_S * slack_k (Schur complement), with z_n = det A_S.  Laplace
-    expansion along the rows of G[S] keeps every partial sum within P, the
-    product of the rows' l1 norms, so det A_S is exact while the normals' P
-    is below 2**52, and then nonzero means |det A_S| >= 1.  z . G[k] is off
-    by at most (n + 2)**2 eps |G[k]|_1 P (Higham's gamma bounds).  S is
-    dropped when det A_S = 0, or when some slack is negative beyond twice
-    that error times the growth 2**n of the exact path's own pivoting on
-    float offsets.  Rows with float normals, or with a scale or entry of
-    2**52 or more, prove nothing.
+
+def _extreme_rays(rows):
+    """Extreme rays, primitive integer tuples, of the cone where every row is >= 0.
+
+    Double description (Motzkin, Raiffa, Thompson and Thrall 1953; Fukuda
+    and Prodon 1996).  A fraction-free Gauss-Jordan pass over [row | unit]
+    keeps rows B independent of those kept before, each reduced row (E | W)
+    with E = W B; once they span, E has one nonzero per row, and column k
+    of B^-1 = E^-1 W is the ray of their cone that leaves kept row k.  Each
+    other row then keeps the rays on its nonnegative side and joins every
+    adjacent pair across it: pairs whose common zero set, an int bitmask of
+    the rows added so far that are tight at both, has dim - 2 rows or more
+    and lies in no third ray's zero set.  None when the rows do not span.
     """
-    import numpy as np
-
-    m, n = len(hs), len(hs[0][0])
-    # A float has no denominator: its row is unsafe or scaled by the others.
-    scales = [lcm(1, *(getattr(x, "denominator", 1) for x in (*d, c))) for d, c in hs]
-    rows = [[Fraction(x) * s for x in (*d, c)] for (d, c), s in zip(hs, scales)]
-    unsafe = [tolerance(d) > 0 or max(s, *map(abs, row)) >= 2**52
-              for (d, _), row, s in zip(hs, rows, scales)]
-    G = np.array([[0.0 if bad else float(x) for x in row] for row, bad in zip(rows, unsafe)])
-    norms, norms_a = np.abs(G).sum(axis=1), np.abs(G[:, :n]).sum(axis=1)
-    proof = ~np.array(unsafe)
-    tols = np.array([0.0 if bad else tol * s for s, bad in zip(scales, unsafe)])
-    margin = 2.0**n * 2 * (n + 2) ** 2 * 2.0**-52  # 2.0**-52 is float64's eps
-    levels, position = [], {(): 0}
-    for k in range(n):
-        cols = list(itertools.combinations(range(n + 1), k + 1))
-        minor = [[position[c[:i] + c[i + 1:]] for i in range(k + 1)] for c in cols]
-        sign = np.array([(-1.0) ** (k + i) for i in range(k + 1)])
-        levels.append((np.array(minor), np.array(cols), sign))
-        position = {c: i for i, c in enumerate(cols)}
-    # the minor without column j is at position n - j
-    cofactor_sign = np.array([(-1.0) ** (n + j) for j in range(n + 1)])
-    subsets = itertools.combinations(range(m), n)
-    while block := list(itertools.islice(subsets, 256)):
-        idx = np.array(block)
-        z, parent = np.ones((1, 1)), np.zeros(len(block), dtype=int)
-        for k, (minor, cols, sign) in enumerate(levels):
-            # Equal row prefixes are adjacent; their minors are computed once.
-            first = np.diff(idx[:, : k + 1], axis=0, prepend=-1).any(axis=1)
-            z = (z[parent[first]][:, minor] * G[idx[first, k, None, None], cols] * sign).sum(axis=2)
-            parent = np.cumsum(first) - 1
-        z = z[:, ::-1] * cofactor_sign
-        det = z[:, n, None]
-        # det A_S**2 * slack_k against the bound times |det A_S|
-        slack = (z[:, None, :] * G).sum(axis=2) * det
-        bound = (margin * norms[idx].prod(axis=1)[:, None] * norms + np.abs(det) * tols) * np.abs(det)
-        exact_det = proof[idx].all(axis=1) & (norms_a[idx].prod(axis=1) < 2.0**52)
-        drop = exact_det & ((det[:, 0] == 0) | (proof & (slack < -bound)).any(axis=1))
-        yield from itertools.compress(block, ~drop)
+    size = len(rows[0])
+    basis, reduced = [], []
+    for j, row in enumerate(rows):
+        v = [*row, *(int(k == len(basis)) for k in range(size))]
+        for p, e in reduced:
+            v = [e[p] * x - v[p] * y for x, y in zip(v, e)]
+        pivot = next((col for col in range(size) if v[col]), None)
+        if pivot is not None:
+            v = _primitive(v)
+            reduced = [(p, _primitive([v[pivot] * y - e[pivot] * x for x, y in zip(v, e)])) for p, e in reduced]
+            reduced.append((pivot, v))
+            basis.append(j)
+        if len(basis) == size:
+            break
+    else:
+        return None
+    scale = lcm(*(e[p] for p, e in reduced))
+    cone = [
+        (_primitive([e[size + k] * (scale // e[p]) for p, e in sorted(reduced)]),
+         sum(1 << i for i in basis if i != j))
+        for k, j in enumerate(basis)
+    ]
+    for j, row in enumerate(rows):
+        if j in basis:
+            continue
+        values = [dot(row, r) for r, _ in cone]
+        zeros = [z for _, z in cone]
+        negative = [q for q, y in enumerate(values) if y < 0]
+        # The ray between an adjacent positive p and negative q is tight on row j.
+        joined = [
+            (_primitive([x * b - values[q] * a for a, b in zip(cone[p][0], cone[q][0])]), z | 1 << j)
+            for p, x in enumerate(values) if x > 0
+            for q in negative
+            if (z := zeros[p] & zeros[q]).bit_count() >= size - 2 and sum(z & w == z for w in zeros) == 2
+        ]
+        cone = [(r, z | (1 << j if x == 0 else 0)) for (r, z), x in zip(cone, values) if x >= 0] + joined
+    return [r for r, _ in cone]
 
 
 def polytope_from_halfspaces(halfspaces):
-    """Vertex enumeration for an explicit halfspace list.
+    """Vertex enumeration for an explicit halfspace list, by double description.
 
-    Row n-subsets that a float screen cannot rule out are solved exactly, in
-    lexicographic order, keeping solutions that satisfy every row.  One exact
-    LP then certifies an empty system (Farkas) or finds a recession direction
-    (Stiemke).  The tolerance is the :func:`tolerance` of these rows alone,
-    0 when they are exact, whatever other polytopes they are used with.  The
-    regime is dimension <= 6 and at most 32 halfspaces; larger input is an
-    error.
+    Row j times the least integer s_j > 0 that clears its denominators
+    (floats enter by their exact binary value) is the integer row a_j of the
+    cone C = {(x, t) : s_j (<d_j, x> + c_j t) >= 0, t >= 0}.  The extreme
+    rays y of C with t > 0 are the vertices, sorted, so that the polytope
+    does not depend on row order, with exact slack rows <a_j, y> / (s_j t);
+    float rows round both, and vertices merge within the tolerance, the
+    :func:`tolerance` of these rows alone.  A ray with t = 0 is reported as
+    unbounded.  Without vertices the system is empty, as one exact LP
+    certifies (Farkas), or its normals do not span and it has lines.  The
+    regime is dimension <= 6 and at most 32 halfspaces.
     """
     hs = [(_vec(d), _coerce(c)) for d, c in halfspaces]
     if not hs:
         raise InputError("need at least one halfspace")
     n = len(hs[0][0])
-    m = len(hs)
     if any(len(d) != n for d, _ in hs):
         raise InputError("halfspace normals must share one dimension")
-    if n > MAX_RAW_DIM or m > MAX_RAW_HALFSPACES:
-        raise InputError(
-            f"raw halfspace regime is dim <= {MAX_RAW_DIM}, m <= {MAX_RAW_HALFSPACES}"
-        )
+    if n > MAX_RAW_DIM or len(hs) > MAX_RAW_HALFSPACES:
+        raise InputError(f"raw halfspace regime is dim <= {MAX_RAW_DIM}, m <= {MAX_RAW_HALFSPACES}")
     tol = tolerance([x for d, c in hs for x in (*d, c)])
 
-    normals = [d for d, _ in hs]
-    candidates, slack_rows, tight = [], [], []
-    for subset in _vertex_subsets(hs, tol):
-        # Exact rows tight at a known vertex meet in it or are singular.
-        if tol == 0 and any(t.issuperset(subset) for t in tight):
-            continue
-        v = linalg.solve([normals[j] for j in subset], [-hs[j][1] for j in subset], tol)
-        if v is None:
-            continue
-        slacks = [dot(d, v) + c for d, c in hs]
-        if all(s >= -tol for s in slacks):
-            candidates.append(v)
-            slack_rows.append(slacks)
-            tight.append({j for j, s in enumerate(slacks) if s == 0})
-
-    columns = list(zip(*normals))
-    if not candidates:
+    exact = [[Fraction(x) for x in (*d, c)] for d, c in hs]
+    scales = [lcm(*(x.denominator for x in row)) for row in exact]
+    rows = [tuple(x.numerator * (s // x.denominator) for x in row) for row, s in zip(exact, scales)]
+    rays = _extreme_rays([(0,) * n + (1,), *rows]) or ()
+    bounded = sorted((r for r in rays if r[n] > 0), key=lambda r: [Fraction(x, r[n]) for x in r[:n]])
+    if not bounded:
         # Farkas: empty iff some y >= 0 has sum y_j d_j = 0, sum y_j c_j = -1.
-        certificate, _ = linalg.farkas(columns + [[c for _, c in hs]], [0] * n + [-1])
+        normals = [d for d, _ in hs]
+        certificate, _ = linalg.farkas([*zip(*normals), [c for _, c in hs]], [0] * n + [-1])
         if certificate is not None:
             raise EmptyPolytopeError("halfspace system is infeasible", certificate=certificate)
-        raise UnboundedPolytopeError(
-            "feasible but has no vertex", direction=linalg.kernel_vector(normals, tol)
-        )
-    # Stiemke: with rank A = n, P is bounded iff A^T (1 + y) = 0 for some
-    # y >= 0; otherwise the ray has A d >= 0 and 1^T A d > 0.
-    _, direction = linalg.farkas(columns, [-sum(col) for col in columns])
+        raise UnboundedPolytopeError("feasible but has no vertex", direction=linalg.kernel_vector(normals, tol))
+    direction = min((r[:n] for r in rays if r[n] == 0), default=None)
     if direction is not None:
-        raise UnboundedPolytopeError(f"unbounded along {direction}", direction=direction)
+        raise UnboundedPolytopeError(f"unbounded along {list(direction)}", direction=direction)
 
-    return _polytope(n, tuple(hs), candidates, slack_rows, tol)
+    ratio = truediv if tol else Fraction
+    vertices = [tuple(ratio(x, r[n]) for x in r[:n]) for r in bounded]
+    slacks = [[ratio(dot(a, r), s * r[n]) for a, s in zip(rows, scales)] for r in bounded]
+    return _polytope(n, tuple(hs), vertices, slacks, tol)
 
 
 def support_function(polytope, u):
@@ -540,8 +530,9 @@ class SimplexMesh:
     """Disjoint simplices covering a polytope, as coordinate tuples.
 
     The volume factor of each simplex (dim! times its volume), the
-    barycenter, both exact on rational meshes, and the float arrays of the
-    weighted moment pass are computed on first use and kept here.
+    barycenter, both exact on rational meshes, and the floats that the
+    weighted moment pass turns into arrays are computed on first use and
+    kept here.
     """
 
     simplices: tuple
@@ -567,11 +558,10 @@ class SimplexMesh:
         return tuple(m / total for m in moment)
 
     @cached_property
-    def arrays(self):
-        """Float vertices, shaped (simplex, vertex, axis), and float factors."""
-        import numpy as np
-
-        return np.array(self.simplices, dtype=float), np.array(self.factors, dtype=float)
+    def floats(self):
+        """Float vertices, nested as (simplex, vertex, axis), and float factors."""
+        points = tuple(tuple(tuple(map(float, v)) for v in s) for s in self.simplices)
+        return points, tuple(map(float, self.factors))
 
 
 def triangulate(polytope, apex="lexmin"):

@@ -134,7 +134,8 @@ def farkas(matrix, rhs):
     variable per row, pivoting by Bland's smallest-index rule, which cannot
     cycle (Bland, Math. Oper. Res. 1977).  Returns ``(y, None)``, or
     ``(None, u)`` with ``u^T matrix >= 0`` and ``u^T rhs < 0``.  Floats
-    enter by their exact binary value.
+    enter by their exact binary value.  It serves only the emptiness
+    certificate of a raw halfspace system without vertices.
     """
     p, q = len(matrix), len(matrix[0])
     signs = [-1 if b < 0 else 1 for b in rhs]

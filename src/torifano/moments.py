@@ -130,7 +130,7 @@ def weighted_moments(mesh, vfield, order=2):
     """
     import numpy as np
 
-    points, weights = mesh.arrays
+    points, weights = map(np.array, mesh.floats)
     expo = points @ np.array([float(x) for x in vfield])
     if not np.isfinite(expo).all():
         raise OverflowError("vertex exponents outside the float range")

@@ -32,6 +32,9 @@ PAIR_DOC = {
     "vector_fields": [["2"], ["0"]],
 }
 
+# x >= 0, y >= 0: a vertex and two recession rays.
+ORTHANT_DOC = {"name": "orthant", "dimension": 2, "halfspaces": [[[[1, 0], "0"], [[0, 1], "0"]]]}
+
 REPORT_KEYS = {
     "command",
     "diagnostics",
@@ -722,6 +725,28 @@ def test_exact_commands_on_fan_documents_never_import_numpy(tmp_path):
     probe = _numpy_probe(runs)
     assert probe["codes"] == [0] * len(runs)
     assert probe["numpy"] is False
+
+
+def test_exact_commands_on_raw_documents_never_import_numpy(tmp_path):
+    # Vertex enumeration is integer arithmetic, whatever the document's outcome.
+    orthant = write_doc(tmp_path, ORTHANT_DOC)
+    runs = [[command, "--example", "pE-4fold-c:3/5"] for command in ("validate", "barycenter")]
+    runs.append(["validate", "--input", orthant])
+    assert _numpy_probe(runs) == {"codes": [0, 0, 0], "numpy": False}
+
+
+def test_unbounded_reason_names_an_integer_recession_ray(tmp_path, capsys):
+    orthant = write_doc(tmp_path, ORTHANT_DOC)
+    code, report, _ = run_cli(capsys, "validate", "--input", orthant)
+    assert code == 0
+    assert report["results"] == {"ok": False, "reason": "unbounded along [0, 1]"}
+
+
+def test_parser_is_built_once_and_parses_fresh_defaults():
+    assert cli.build_parser() is cli.build_parser()
+    first, second = (cli.build_parser().parse_args(["ma-solve", "--example", "p1-fubini"]) for _ in range(2))
+    assert first.grid == second.grid == {"R": 8.0, "h": 0.004}
+    assert first.grid is not second.grid
 
 
 def test_numpy_probe_sees_a_float_command():

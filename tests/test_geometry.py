@@ -1,6 +1,7 @@
 """Fans, support polytopes, raw halfspace intersection, triangulation."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -251,14 +252,15 @@ def test_translate_equivariance_of_moments(c, shift):
 
 
 # ---------------------------------------------------------------------------
-# raw route: screened enumeration against solving every subset
+# raw route: double description against solving every subset
 
 
 def _all_subsets_reference(halfspaces, tol):
     """Vertices, tight sets and redundancy flags from solving every n-subset.
 
     The enumeration loop the raw route used before it screened subsets in
-    float; kept here as the reference for order and content.
+    float; kept here as the reference for content.  The vertices come back
+    sorted, the order of the raw route, and the tight sets index them.
     """
     n = len(halfspaces[0][0])
     candidates = []
@@ -276,7 +278,10 @@ def _all_subsets_reference(halfspaces, tol):
     redundant = tuple(
         linalg.affine_rank([candidates[i] for i in tight], tol) < n - 1 for tight in tight_sets
     )
-    return tuple(candidates), tight_sets, redundant
+    order = sorted(range(len(candidates)), key=candidates.__getitem__)
+    position = {old: new for new, old in enumerate(order)}
+    tight_sets = tuple(tuple(sorted(position[i] for i in tight)) for tight in tight_sets)
+    return tuple(candidates[i] for i in order), tight_sets, redundant
 
 
 def _shear(rng, rows, shears=5):
@@ -369,6 +374,72 @@ def test_screened_enumeration_matches_all_subsets(rows, tol):
     assert any(redundant) and not all(redundant)
 
 
+def _assert_matches_reference(rows, tol):
+    """The raw route agrees with solving every subset: vertices within tol,
+    tight sets through those vertices, redundancy flags; or both find none."""
+    vertices, tight_sets, redundant = _all_subsets_reference(rows, tol)
+    if not vertices:
+        with pytest.raises(EmptyPolytopeError):
+            polytope_from_halfspaces(rows)
+        return
+    polytope = polytope_from_halfspaces(rows)
+    match = [
+        next((i for i, w in enumerate(vertices) if all(abs(a - b) <= tol for a, b in zip(v, w))), None)
+        for v in polytope.vertices
+    ]
+    assert None not in match and sorted(match) == list(range(len(vertices)))
+    assert [{match[i] for i in t} for t in polytope.tight_sets] == [set(t) for t in tight_sets]
+    assert polytope.redundant == redundant
+
+
+def _small_system(rng, n, kind):
+    """A box, a cross-polytope (a degenerate vertex on every axis) or a simplex,
+    with up to 12 rows in all: random integer rows, optionally one coordinate
+    pinned to 0 (a flat system), and optionally float offsets.  Zero normals,
+    which the reference does not flag, have a test of their own."""
+    facets = {"box": _box(n, 2), "cross": _cross(n, 2), "simplex": _simplex(n, 3)}[kind]
+    rows = list(facets)
+    while len(rows) < min(12, len(facets) + 4):
+        d = tuple(rng.randint(-2, 2) for _ in range(n))
+        if any(d):
+            rows.append((d, Fraction(rng.randint(-1, 4))))
+    pinned = n > 1 and rng.random() < 0.3
+    if pinned:
+        rows[-2:] = [(_unit(n, 0), 0), (_unit(n, 0, -1), 0)]
+    if rng.random() < 0.3:
+        shift = 0.0 if pinned else 0.1
+        return [(d, float(c) + shift) for d, c in rows], geometry.DEFAULT_FLOAT_TOL
+    return _exact(rows), 0
+
+
+# The 4-D cross-polytope has 16 facets, more than the 12 rows allowed here.
+@pytest.mark.parametrize("kind,n", [(k, n) for k in ("box", "cross", "simplex") for n in (2, 3, 4) if (k, n) != ("cross", 4)])
+@pytest.mark.parametrize("seed", range(4))
+def test_double_description_matches_all_subsets_on_seeded_systems(kind, n, seed):
+    rows, tol = _small_system(random.Random(f"{kind}:{n}:{seed}"), n, kind)
+    _assert_matches_reference(_shear(random.Random(seed), rows) if tol == 0 else rows, tol)
+
+
+@st.composite
+def small_systems(draw):
+    """A box of dimension <= 4 and further rows with small integer entries, at most 12 in all."""
+    n = draw(st.integers(1, 4))
+    rows = _box(n, draw(st.integers(1, 3)))
+    normals = st.tuples(*[st.integers(-2, 2)] * n).filter(any)
+    rows += draw(st.lists(st.tuples(normals, st.integers(-1, 4).map(Fraction)), max_size=12 - 2 * n))
+    if n > 1 and draw(st.booleans()):
+        rows[:2] = [(_unit(n, 0), Fraction(0)), (_unit(n, 0, -1), Fraction(0))]
+    if draw(st.booleans()):
+        return [(d, float(c) + draw(st.sampled_from((0.0, 0.1)))) for d, c in rows], geometry.DEFAULT_FLOAT_TOL
+    return rows, 0
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(small_systems())
+def test_double_description_matches_all_subsets(system):
+    _assert_matches_reference(*system)
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_cut_cross_polytope_is_empty_in_every_basis(seed):
     # The 4-D cross-polytope with one row reversed past its facet; elimination
@@ -391,6 +462,19 @@ def test_unbounded_direction_is_a_recession_ray(seed):
     direction = err.value.direction
     assert any(x != 0 for x in direction)
     assert all(linalg.dot(d, direction) >= 0 for d, _ in rows)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_unbounded_direction_is_a_primitive_integer_ray_that_leaves_some_row(seed):
+    rows = _box(4, 2)
+    del rows[random.Random(seed).randrange(len(rows))]
+    rows = _shear(random.Random(seed), rows)
+    with pytest.raises(UnboundedPolytopeError) as err:
+        polytope_from_halfspaces(rows)
+    direction = err.value.direction
+    assert all(type(x) is int for x in direction) and math.gcd(*direction) == 1
+    assert any(linalg.dot(d, direction) > 0 for d, _ in rows)
+    assert str(err.value) == f"unbounded along {list(direction)}"
 
 
 def test_lines_without_vertex_reported_with_lineality():

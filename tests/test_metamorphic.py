@@ -3,20 +3,22 @@
 Each rule maps a problem to an equivalent one and says how the answer moves,
 so it checks the pipeline without a frozen number.  Examples are drawn by
 hypothesis with a fixed seed.  The rules run on the plane fans of the
-registry, on raw halfspace documents (pE-4fold-c, dimension 4) and on a
-fan document of (P^1)^3.
+registry, on raw halfspace documents (pE-4fold-c, dimension 4), on a
+fan document of (P^1)^3 and on a raw system at the size cap.
 """
 
 import itertools
+import random
 from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torifano import cli
-from torifano.geometry import translate
+from torifano import cli, linalg
+from torifano.geometry import MAX_RAW_DIM, MAX_RAW_HALFSPACES, polytope_from_halfspaces, translate
 from torifano.problems import ProblemDocument, builtin_example
 from torifano.stability import (
     Decomposition,
@@ -201,3 +203,40 @@ def test_lattice_change_maps_the_barycenters_in_higher_dimension(doc, data):
     assert [back(b) for b in after.barycenters] == list(before.barycenters)
     assert back(sum_barycenter(after)) == sum_barycenter(before)
     assert coupled_ke_verdict(after).exists == coupled_ke_verdict(before).exists
+
+
+def _cut_box(rng):
+    """The box [-2, 2]^6 and random integer rows that cut it, up to the size cap."""
+    n = MAX_RAW_DIM
+    rows = [(tuple(sign * int(i == axis) for i in range(n)), 2) for axis in range(n) for sign in (1, -1)]
+    while len(rows) < MAX_RAW_HALFSPACES:
+        d = tuple(rng.randint(-3, 3) for _ in range(n))
+        width = sum(map(abs, d))
+        if width >= 3:
+            # <d, x> >= -c cuts off the box corner where <d, x> = -2 width.
+            rows.append((d, rng.randint(2, 2 * width - 1)))
+    return rows
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_vertices_at_the_size_cap_are_feasible_and_independent_of_basis_and_order(seed):
+    rng = random.Random(seed)
+    rows = _cut_box(rng)
+    n = MAX_RAW_DIM
+    polytope = polytope_from_halfspaces(rows)
+    assert polytope.nvertices > 2**n
+    for v in polytope.vertices:
+        slacks = [linalg.dot(d, v) + c for d, c in rows]
+        assert min(slacks) >= 0
+        assert linalg.rank([d for (d, _), s in zip(rows, slacks) if s == 0]) == n
+    shuffled = list(rows)
+    rng.shuffle(shuffled)
+    assert polytope_from_halfspaces(shuffled).vertices == polytope.vertices
+    # Normals U d cut out U^{-T} P, so U^T maps the new vertices back.
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(8):
+        i, j = rng.sample(range(n), 2)
+        u[i] = [a + rng.choice((1, -1)) * b for a, b in zip(u[i], u[j])]
+    moved = polytope_from_halfspaces([(tuple(linalg.dot(row, d) for row in u), c) for d, c in rows])
+    back = {tuple(sum(u[k][i] * w[k] for k in range(n)) for i in range(n)) for w in moved.vertices}
+    assert back == set(polytope.vertices)

@@ -75,6 +75,20 @@ def test_only_the_float_solvers_import_numpy_at_module_level():
     assert SOURCES and found == []
 
 
+def test_geometry_never_imports_numpy():
+    # Vertex enumeration (integers) and triangulation need no numpy, so no
+    # command on any document loads it through them; the weighted moment
+    # pass builds its arrays in moments.
+    tree = ast.parse((Path(torifano.__file__).parent / "geometry.py").read_text(encoding="utf-8"))
+    found = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and any(name.partition(".")[0] == "numpy" for name in _imported_modules(node))
+    ]
+    assert found == []
+
+
 def test_package_init_imports_no_submodule():
     # ``import torifano`` stays cheap: every public name loads on first use.
     tree = ast.parse(Path(torifano.__file__).read_text(encoding="utf-8"))
