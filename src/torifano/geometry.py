@@ -8,12 +8,15 @@ same code paths with a small absolute tolerance.  :func:`tolerance` makes
 that choice once per polytope, from its own data, and the polytope carries
 it.
 
-Each polytope's derived data is computed in one place.  Both vertex routes,
-per maximal cone from support numbers and by double description from raw
-halfspaces, compute the slack <d_j, v> + c_j of every halfspace at every
-candidate vertex; the polytope's tight sets and redundancy flags are read
-off those slack rows, and its triangulation is ``Polytope.mesh``, computed
-on first use.  Double description runs in integers, so nothing needs numpy.
+Each polytope's derived data is computed in one place, from one incidence
+record per vertex: an int bitmask of the halfspaces tight there.  Each
+vertex route hands over the record it has.  Per maximal cone from support
+numbers, the cone's slack row is compared with the tolerance, the one place
+where a tolerance decides tightness; by double description from raw
+halfspaces, a vertex's record is its ray's exact zero set.  The polytope's
+tight sets, redundancy flags and dimension are read off the records, and
+its triangulation is ``Polytope.mesh``, computed on first use.  Double
+description runs in integers, so nothing needs numpy.
 
 Conventions: a ray is a primitive integer column vector; a support vector
 ``c`` over a fan with rays ``d_j`` cuts out ``P = {x : <d_j, x> >= -c_j}``.
@@ -26,9 +29,9 @@ import enum
 import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from math import gcd, isfinite, lcm
-from operator import truediv
+from operator import and_
 
 from . import linalg
 from .linalg import dot
@@ -272,69 +275,53 @@ class Polytope:
         return triangulate(self)
 
 
-def _distinct(points, tol):
-    """Indices of the points not within tol of an earlier kept point; exact ones by dict."""
-    if tol == 0:
-        first = {}
-        return [i for i, v in enumerate(points) if first.setdefault(v, i) == i]
-    kept = []
-    for i, v in enumerate(points):
-        if not any(all(abs(a - b) <= tol for a, b in zip(v, points[k])) for k in kept):
-            kept.append(i)
-    return kept
-
-
-def _polytope(dim, halfspaces, candidates, slacks, tol):
+def _polytope(dim, halfspaces, candidates, tight, tol):
     """The polytope of valid ``halfspaces`` whose vertices are ``candidates``.
 
-    ``slacks[i][j]`` is <d_j, v_i> + c_j at candidate i, as the vertex
-    enumeration computed it.  Candidates within tol of an earlier one are
-    merged into it, and the tight sets are read off the kept rows.
+    ``tight[i]`` is the incidence record of candidate i, an int bitmask of
+    the halfspaces tight there, as the vertex route found it.  Candidates
+    within tol of an earlier kept one merge into it with the union of their
+    masks, and everything else is read off the masks.  Tight sets are their
+    transpose.  The rows tight at every vertex are the implicit equalities,
+    which cut out the affine hull, so its rank is dim minus the rank of
+    their normals (Schrijver, Theory of Linear and Integer Programming,
+    section 8.2), and -1 without vertices.  Facets of a full-dimensional polytope are its
+    inclusion-maximal proper faces, and each is the tight set of some
+    halfspace, so a halfspace supports a facet exactly when its tight set is
+    proper and lies in no larger proper tight set (Kaibel-Pfetsch, Comput.
+    Geom. 2002).  A polytope of hull rank dim-1 has one facet set, all of
+    its vertices, and a lower one none.  A row with a zero normal cuts
+    nothing, so it is redundant even where it is tight at every vertex.
     """
-    kept = _distinct(candidates, tol)
-    vertices = tuple(candidates[i] for i in kept)
-    hull_rank = linalg.affine_rank(vertices, tol)
-    tight_sets, redundant = _tight_and_redundant(
-        dim, halfspaces, [slacks[i] for i in kept], hull_rank, tol
-    )
-    return Polytope(
-        dim=dim,
-        halfspaces=halfspaces,
-        vertices=vertices,
-        tight_sets=tight_sets,
-        redundant=redundant,
-        tol=tol,
-        degenerate=hull_rank < dim,
-    )
-
-
-def _tight_and_redundant(dim, halfspaces, slacks, hull_rank, tol):
-    """Tight vertex sets of the halfspaces, and which ones support no facet.
-
-    Halfspace j is tight at vertex i when ``slacks[i][j]`` is within tol.
-    Facets of a full-dimensional polytope are its inclusion-maximal proper
-    faces, and each is the tight set of some halfspace of the description,
-    so a halfspace supports a facet exactly when its tight set is proper and
-    lies in no larger proper tight set (Kaibel-Pfetsch, Comput. Geom. 2002).
-    A polytope of hull rank dim-1 has one facet set, all of its vertices, and
-    a lower one none.  This is the rule "affine rank of the tight set is
-    dim-1", read off the incidences instead of a rank per halfspace.  A row
-    with a zero normal cuts nothing, so it is redundant even where it is
-    tight at every vertex.
-    """
+    merged = {}
+    for v, mask in zip(candidates, tight):
+        if tol:
+            v = next((w for w in merged if all(abs(a - b) <= tol for a, b in zip(v, w))), v)
+        merged[v] = merged.get(v, 0) | mask
+    masks = list(merged.values())
+    everywhere = reduce(and_, masks, -1)
+    equalities = [d for j, (d, _) in enumerate(halfspaces) if everywhere >> j & 1]
+    hull_rank = dim - linalg.rank(equalities, tol) if masks else -1
     tight_sets = tuple(
-        tuple(i for i, row in enumerate(slacks) if abs(row[j]) <= tol)
-        for j in range(len(halfspaces))
+        tuple(i for i, mask in enumerate(masks) if mask >> j & 1) for j in range(len(halfspaces))
     )
     sets = [frozenset(t) for t in tight_sets]
-    everything = frozenset(range(len(slacks)))
+    everything = frozenset(range(len(masks)))
     # A tight set is redundant when it lies strictly inside one of these.
     larger = {s for s in sets if s != everything} if hull_rank == dim else {everything}
     redundant = tuple(
         hull_rank < dim - 1 or not any(normal) or any(s < t for t in larger)
         for (normal, _), s in zip(halfspaces, sets)
     )
-    return tight_sets, redundant
+    return Polytope(
+        dim=dim,
+        halfspaces=halfspaces,
+        vertices=tuple(merged),
+        tight_sets=tight_sets,
+        redundant=redundant,
+        tol=tol,
+        degenerate=hull_rank < dim,
+    )
 
 
 def polytope_from_support(fan, c, cones=None):
@@ -348,13 +335,16 @@ def polytope_from_support(fan, c, cones=None):
     ``c`` when the caller has solved the cones already.
     """
     c = _support(fan, c)
-    vertices, slacks, amp = cones or _cone_vertices(fan, c, tolerance(c))
+    tol = tolerance(c)
+    vertices, slacks, amp = cones or _cone_vertices(fan, c, tol)
     if amp.kind is Ampleness.NOT_CONVEX:
         ci, j = amp.witness
         raise InputError(
             f"support is not convex: the vertex of cone {list(fan.max_cones[ci])} violates ray {j}"
         )
-    return _polytope(fan.dim, tuple(zip(fan.rays, c)), vertices, slacks, tolerance(c))
+    # The one place where a tolerance decides that a halfspace is tight.
+    tight = [sum(1 << j for j, s in enumerate(row) if abs(s) <= tol) for row in slacks]
+    return _polytope(fan.dim, tuple(zip(fan.rays, c)), vertices, tight, tol)
 
 
 def _primitive(v):
@@ -363,7 +353,7 @@ def _primitive(v):
 
 
 def _extreme_rays(rows):
-    """Extreme rays, primitive integer tuples, of the cone where every row is >= 0.
+    """Extreme rays of the cone where every row is >= 0, with their zero sets.
 
     Double description (Motzkin, Raiffa, Thompson and Thrall 1953; Fukuda
     and Prodon 1996).  A fraction-free Gauss-Jordan pass over [row | unit]
@@ -373,7 +363,9 @@ def _extreme_rays(rows):
     other row then keeps the rays on its nonnegative side and joins every
     adjacent pair across it: pairs whose common zero set, an int bitmask of
     the rows added so far that are tight at both, has dim - 2 rows or more
-    and lies in no third ray's zero set.  None when the rows do not span.
+    and lies in no third ray's zero set.  Each ray comes back as a primitive
+    integer tuple and its zero set over all rows; None when the rows do not
+    span.
     """
     size = len(rows[0])
     basis, reduced = [], []
@@ -411,7 +403,7 @@ def _extreme_rays(rows):
             if (z := zeros[p] & zeros[q]).bit_count() >= size - 2 and sum(z & w == z for w in zeros) == 2
         ]
         cone = [(r, z | (1 << j if x == 0 else 0)) for (r, z), x in zip(cone, values) if x >= 0] + joined
-    return [r for r, _ in cone]
+    return cone
 
 
 def polytope_from_halfspaces(halfspaces):
@@ -421,12 +413,14 @@ def polytope_from_halfspaces(halfspaces):
     (floats enter by their exact binary value) is the integer row a_j of the
     cone C = {(x, t) : s_j (<d_j, x> + c_j t) >= 0, t >= 0}.  The extreme
     rays y of C with t > 0 are the vertices, sorted, so that the polytope
-    does not depend on row order, with exact slack rows <a_j, y> / (s_j t);
-    float rows round both, and vertices merge within the tolerance, the
-    :func:`tolerance` of these rows alone.  A ray with t = 0 is reported as
-    unbounded.  Without vertices the system is empty, as one exact LP
-    certifies (Farkas), or its normals do not span and it has lines.  The
-    regime is dimension <= 6 and at most 32 halfspaces.
+    does not depend on row order, and each one's zero set is its exact
+    incidence record.  Float rows round the vertices, which then merge
+    within the tolerance, the :func:`tolerance` of these rows alone, and a
+    merged vertex is tight on every row that one of its parts was tight on.
+    A ray with t = 0 is reported as unbounded.  Without vertices the system
+    is empty, as one exact LP certifies (Farkas), or its normals do not span
+    and it has lines.  The regime is dimension <= 6 and at most 32
+    halfspaces.
     """
     hs = [(_vec(d), _coerce(c)) for d, c in halfspaces]
     if not hs:
@@ -442,7 +436,8 @@ def polytope_from_halfspaces(halfspaces):
     scales = [lcm(*(x.denominator for x in row)) for row in exact]
     rows = [tuple(x.numerator * (s // x.denominator) for x in row) for row, s in zip(exact, scales)]
     rays = _extreme_rays([(0,) * n + (1,), *rows]) or ()
-    bounded = sorted((r for r in rays if r[n] > 0), key=lambda r: [Fraction(x, r[n]) for x in r[:n]])
+    # Bit 0 of a zero set is the row t >= 0, tight at no vertex.
+    bounded = sorted((tuple(Fraction(x, r[n]) for x in r[:n]), z >> 1) for r, z in rays if r[n] > 0)
     if not bounded:
         # Farkas: empty iff some y >= 0 has sum y_j d_j = 0, sum y_j c_j = -1.
         normals = [d for d, _ in hs]
@@ -450,14 +445,12 @@ def polytope_from_halfspaces(halfspaces):
         if certificate is not None:
             raise EmptyPolytopeError("halfspace system is infeasible", certificate=certificate)
         raise UnboundedPolytopeError("feasible but has no vertex", direction=linalg.kernel_vector(normals, tol))
-    direction = min((r[:n] for r in rays if r[n] == 0), default=None)
+    direction = min((r[:n] for r, _ in rays if r[n] == 0), default=None)
     if direction is not None:
         raise UnboundedPolytopeError(f"unbounded along {list(direction)}", direction=direction)
 
-    ratio = truediv if tol else Fraction
-    vertices = [tuple(ratio(x, r[n]) for x in r[:n]) for r in bounded]
-    slacks = [[ratio(dot(a, r), s * r[n]) for a, s in zip(rows, scales)] for r in bounded]
-    return _polytope(n, tuple(hs), vertices, slacks, tol)
+    vertices = [tuple(map(float, v)) if tol else v for v, _ in bounded]
+    return _polytope(n, tuple(hs), vertices, [z for _, z in bounded], tol)
 
 
 def support_function(polytope, u):

@@ -162,12 +162,3 @@ def farkas(matrix, rhs):
         return tuple(value.get(j, Fraction(0)) for j in range(q)), None
     return None, tuple(-s * (1 - reduced[q + i]) for i, s in enumerate(signs))
 
-
-def affine_rank(points, tol=0):
-    """Dimension of the affine hull of a point collection."""
-    pts = list(points)
-    if len(pts) <= 1:
-        return 0 if pts else -1
-    base = pts[0]
-    diffs = [[a - b for a, b in zip(p, base)] for p in pts[1:]]
-    return rank(diffs, tol)

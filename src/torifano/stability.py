@@ -361,13 +361,15 @@ def lifted_config(polytope, vfield, cap=None):
     n = polytope.dim
     halfspaces = [((*d, 0), c) for d, c in polytope.halfspaces]
     halfspaces += [((*v, 1), Fraction(0)), ((0,) * n + (-1,), cap)]
-    points, slacks = [], []
-    for p, h in zip(polytope.vertices, heights):
-        # Rows: P's halfspaces, then s >= -<v,p> and s <= cap.
-        base = [dot(d, p) + c for d, c in polytope.halfspaces]
+    # Rows: P's halfspaces, then s >= -<v,p> and s <= cap.  Where cap is the
+    # height the two lifts of p coincide and merge, tight on both new rows.
+    k = len(polytope.halfspaces)
+    points, tight = [], []
+    for i, (p, h) in enumerate(zip(polytope.vertices, heights)):
+        mask = sum(1 << j for j, t in enumerate(polytope.tight_sets) if i in t)
         points += [(*p, h), (*p, cap)]
-        slacks += [base + [0, cap - h], base + [cap - h, 0]]
-    lifted = _polytope(n + 1, tuple(halfspaces), points, slacks, 0)
+        tight += [mask | 1 << k, mask | 1 << k + 1]
+    lifted = _polytope(n + 1, tuple(halfspaces), points, tight, 0)
     if lifted.degenerate:
         raise DegenerateLiftError("lifted polytope is degenerate")
     vol_lifted = moments.volume(triangulate(lifted))

@@ -171,12 +171,23 @@ def test_invalid_input_exits_two(tmp_path, capsys):
     assert code == 2
 
 
-def test_nonconvergence_exits_three(capsys):
-    code, report, _ = run_cli(
-        capsys, "soliton-solve", "--example", "blowup-p2-1pt", "--tol", "1e-30"
-    )
+# Both parts lie in x >= 1/2, so every weighted barycenter does too and the
+# soliton residual sum_i A_i(V) stays above 1 for every field V.
+UNREACHABLE_DOC = {
+    "name": "right-of-a-half",
+    "dimension": 1,
+    "halfspaces": [
+        [[[1], "-1/2"], [[-1], "1"]],
+        [[[1], "-1/2"], [[-1], "2"]],
+    ],
+}
+
+
+def test_nonconvergence_exits_three(tmp_path, capsys):
+    code, report, _ = run_cli(capsys, "soliton-solve", "--input", write_doc(tmp_path, UNREACHABLE_DOC))
     assert code == 3
     assert report["results"]["converged"] is False
+    assert float(report["results"]["residual_norm"]) > 0.5
 
 
 def test_solve_cut_short_exits_three(capsys, monkeypatch):

@@ -33,6 +33,7 @@ from torifano.problems import builtin_example
 from torifano.stability import Decomposition, coupled_ke_verdict, sum_barycenter
 
 P2 = Fan(((1, 0), (0, 1), (-1, -1)), ((0, 1), (1, 2), (2, 0)))
+P1XP1 = Fan(((1, 0), (0, 1), (-1, 0), (0, -1)), ((0, 1), (1, 2), (2, 3), (3, 0)))
 HEXAGON = Fan(
     ((1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)),
     ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)),
@@ -276,7 +277,7 @@ def _all_subsets_reference(halfspaces, tol):
         for d, c in halfspaces
     )
     redundant = tuple(
-        linalg.affine_rank([candidates[i] for i in tight], tol) < n - 1 for tight in tight_sets
+        _affine_rank([candidates[i] for i in tight], tol) < n - 1 for tight in tight_sets
     )
     order = sorted(range(len(candidates)), key=candidates.__getitem__)
     position = {old: new for new, old in enumerate(order)}
@@ -298,6 +299,14 @@ def _shear(rng, rows, shears=5):
 
 def _unit(n, i, sign=1):
     return tuple(sign * int(i == j) for j in range(n))
+
+
+def _affine_rank(points, tol=0):
+    """Dimension of the affine hull of a point collection, -1 when it is empty."""
+    points = list(points)
+    if not points:
+        return -1
+    return linalg.rank([[a - b for a, b in zip(p, points[0])] for p in points[1:]], tol)
 
 
 def _box(n, r=1):
@@ -554,13 +563,55 @@ def test_flat_polytope_facets_match_the_affine_rank_rule(rows, tol, hull_rank):
     polytope = polytope_from_halfspaces(rows)
     vertices, tight_sets, redundant = _all_subsets_reference(rows, tol)
     assert polytope.degenerate
-    assert linalg.affine_rank(polytope.vertices, tol) == hull_rank
+    assert _affine_rank(polytope.vertices, tol) == hull_rank
     assert polytope.vertices == vertices
     assert polytope.tight_sets == tight_sets
     assert polytope.redundant == redundant
     # At hull rank n-1 only rows tight at every vertex support a facet; below it none do.
     everything = tuple(range(len(vertices)))
     assert redundant == tuple(hull_rank < polytope.dim - 1 or t != everything for t in tight_sets)
+
+
+@pytest.mark.parametrize(
+    "fan,c,hull_rank,redundant",
+    [
+        (P1XP1, (1, 0, 1, 0), 1, (True, False, True, False)),
+        (P2, (0, 0, 0), 0, (True, True, True)),
+        (HEXAGON, (1, 1, 0, 0, 0, 0), 1, (True, True, False, True, True, False)),
+        (Fan(P2.rays, ()), (1, 1, 1), -1, (True, True, True)),
+    ],
+    ids=["p1xp1-segment", "p2-point", "hexagon-segment", "no-cones-empty"],
+)
+def test_flat_fan_polytopes_read_their_rank_off_the_implicit_equalities(fan, c, hull_rank, redundant):
+    for row in (tuple(map(Fraction, c)), tuple(map(float, c))):
+        polytope = polytope_from_support(fan, row)
+        assert polytope.degenerate
+        assert _affine_rank(polytope.vertices, polytope.tol) == hull_rank
+        assert polytope.redundant == redundant
+        assert polytope.tight_sets == tuple(
+            tuple(i for i, v in enumerate(polytope.vertices) if abs(linalg.dot(d, v) + cj) <= polytope.tol)
+            for d, cj in polytope.halfspaces
+        )
+
+
+def test_float_vertices_split_within_tol_merge_like_their_exact_twin():
+    # In binary 0.1 + 0.2 > 0.3, so the float row x + y <= 0.3 cuts the
+    # corner (0.1, 0.2) into two vertices within tol of each other; merged,
+    # the corner is tight on every row either of them was tight on.
+    assert 0.1 + 0.2 > 0.3
+    rows = [((1, 0), 0.0), ((0, 1), 0.0), ((-1, -1), 0.3), ((-1, 0), 0.1), ((0, -1), 0.2)]
+    floats = polytope_from_halfspaces(rows)
+    exact = polytope_from_halfspaces([(d, Fraction(str(c))) for d, c in rows])
+    assert floats.tol == geometry.DEFAULT_FLOAT_TOL
+    for p in (floats, exact):
+        assert (p.nvertices, p.redundant, p.degenerate) == (4, (False, False, True, False, False), False)
+    twin = [
+        next(k for k, w in enumerate(exact.vertices) if all(abs(a - b) <= floats.tol for a, b in zip(v, w)))
+        for v in floats.vertices
+    ]
+    assert sorted(twin) == list(range(4))
+    assert [tuple(sorted(twin[i] for i in t)) for t in floats.tight_sets] == list(exact.tight_sets)
+    assert exact.tight_sets[2] == (exact.vertices.index((Fraction(1, 10), Fraction(1, 5))),)
 
 
 def _triangulate_reference(polytope, apex):
@@ -574,7 +625,7 @@ def _triangulate_reference(polytope, apex):
     pick = min if apex == "lexmin" else max
     facet_sets = []
     for tight in polytope.tight_sets:
-        if linalg.affine_rank([verts[i] for i in tight], tol) >= n - 1 and tight not in facet_sets:
+        if _affine_rank([verts[i] for i in tight], tol) >= n - 1 and tight not in facet_sets:
             facet_sets.append(tight)
 
     def tri_face(face, d):
@@ -586,7 +637,7 @@ def _triangulate_reference(polytope, apex):
             sub = tuple(i for i in face if i in tight)
             if apex_idx in sub or sub in seen:
                 continue
-            if linalg.affine_rank([verts[i] for i in sub], tol) != d - 1:
+            if _affine_rank([verts[i] for i in sub], tol) != d - 1:
                 continue
             seen.append(sub)
             result += [(apex_idx,) + simplex for simplex in tri_face(sub, d - 1)]
@@ -628,17 +679,20 @@ def test_triangulation_matches_the_affine_rank_facet_test(rows, apex):
     assert triangulate(polytope, apex=apex).simplices == _triangulate_reference(polytope, apex)
 
 
-def test_one_affine_rank_call_per_polytope_build(monkeypatch):
+def test_one_rank_call_per_polytope_build(monkeypatch):
+    # A build ranks the normals of its implicit equalities, the rows tight at
+    # every vertex, and triangulation ranks nothing.
     calls = []
-    for name in ("affine_rank", "rank"):
-        real = getattr(linalg, name)
-        monkeypatch.setattr(linalg, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
+    real = linalg.rank
+    monkeypatch.setattr(linalg, "rank", lambda *a: calls.append(list(a[0])) or real(*a))
     cube = polytope_from_halfspaces(_shear(random.Random(3), _padded(random.Random(3), _box(3), 4)))
     hexagon = polytope_from_support(HEXAGON, ONES6)
-    assert calls == ["affine_rank", "rank"] * 2
+    polytope_from_support(P1XP1, (1, 0, 1, 0))
+    assert calls == [[], [], [(0, 1), (0, -1)]]
+    assert not hasattr(linalg, "affine_rank")
     triangulate(cube)
     triangulate(hexagon)
-    assert len(calls) == 4
+    assert len(calls) == 3
 
 
 def _unimodular(rng, n, shears=6):

@@ -225,13 +225,27 @@ def test_vertices_at_the_size_cap_are_feasible_and_independent_of_basis_and_orde
     n = MAX_RAW_DIM
     polytope = polytope_from_halfspaces(rows)
     assert polytope.nvertices > 2**n
-    for v in polytope.vertices:
+    assert not polytope.degenerate
+    tight = [[] for _ in rows]
+    for i, v in enumerate(polytope.vertices):
         slacks = [linalg.dot(d, v) + c for d, c in rows]
         assert min(slacks) >= 0
         assert linalg.rank([d for (d, _), s in zip(rows, slacks) if s == 0]) == n
-    shuffled = list(rows)
-    rng.shuffle(shuffled)
-    assert polytope_from_halfspaces(shuffled).vertices == polytope.vertices
+        for j, s in enumerate(slacks):
+            if s == 0:
+                tight[j].append(i)
+    assert polytope.tight_sets == tuple(map(tuple, tight))
+    # Kaibel-Pfetsch: a row of a full-dimensional polytope supports a facet
+    # exactly when its tight set lies in no larger proper tight set.
+    sets = [set(t) for t in tight]
+    proper = [t for t in sets if len(t) < polytope.nvertices]
+    assert polytope.redundant == tuple(any(s < t for t in proper) for s in sets)
+    order = list(range(len(rows)))
+    rng.shuffle(order)
+    shuffled = polytope_from_halfspaces([rows[k] for k in order])
+    assert shuffled.vertices == polytope.vertices
+    assert shuffled.tight_sets == tuple(polytope.tight_sets[k] for k in order)
+    assert shuffled.redundant == tuple(polytope.redundant[k] for k in order)
     # Normals U d cut out U^{-T} P, so U^T maps the new vertices back.
     u = [[int(i == j) for j in range(n)] for i in range(n)]
     for _ in range(8):
