@@ -6,11 +6,13 @@ is
     f_i'' e^{V_i f_i'} / Vol_{V_i}(P_i) = e^{-t sum f - (1-t) sum h},
 
 driven from the reference potentials h_i (vertex log-sum-exp) at t=0 to the
-soliton-type equation at t=1.  Each sweep replaces the slope of f_i by the
-cumulative-mass transport map G_i^{-1}(Vol_i * Phi) and under-relaxes.  The
-cumulative distribution Phi carries an exponential tail estimate beyond both
-grid ends; without it the truncation error of the box is O(e^{-R}), which
-dominates the discretization error at the default window.
+soliton-type equation at t=1.  A sweep replaces the slope of f_i by the
+cumulative-mass transport map G_i^{-1}(Vol_i * Phi).  The cumulative
+distribution Phi carries an exponential tail estimate beyond both grid ends;
+without it the truncation error of the box is O(e^{-R}), which dominates the
+discretization error at the default window.  At each t the path iterates the
+sweep to its fixed point with type-II Anderson mixing of the last few sweeps,
+which converges in a fraction of the sweeps plain under-relaxation needs.
 
 The state holds the k potentials and their slopes as one (k, N) array each,
 so a sweep is array arithmetic over all parts at once; the grid diagnostics
@@ -39,6 +41,13 @@ MAX_GRID_NODES = 2**16
 # Decay-rate floor for the tail estimate; a flatter density than this at the
 # window edge means mass is escaping and shows up in the drift detector.
 MIN_EDGE_DECAY = 0.05
+# Below this |field x length| the closed-form mean cancels, and its series
+# is summed instead: the first omitted term is below 1.3e-16 there.
+SERIES_BELOW = 0.25
+# Past sweeps the Anderson step combines; the history restarts at each t.
+ANDERSON_MEMORY = 5
+# Relative singular-value cut of the scaled Gram matrix of the history.
+GRAM_RCOND = 1e-10
 
 
 def reference_potential(vertices, x):
@@ -68,27 +77,53 @@ def _ref_values_1d(a, b, xs):
     return values, slopes
 
 
-def _weighted_length(a, b, v):
-    if abs(v) < 1e-12:
-        return b - a
-    return (math.exp(v * b) - math.exp(v * a)) / v
+def _mean_fraction(z):
+    """Mean of u on [0, 1] under the density e^{zu}, for z >= 0.
+
+    g(z) = 1/(1 - e^{-z}) - 1/z.  Its two terms cancel for small z, so
+    there the Bernoulli series 1/2 + z/12 - z^3/720 + ... is summed instead.
+    """
+    if z < SERIES_BELOW:
+        z2 = z * z
+        return 0.5 + z * (1 / 12 + z2 * (-1 / 720 + z2 * (1 / 30240 + z2 * (
+            -1 / 1209600 + z2 / 47900160))))
+    return -1.0 / math.expm1(-z) - 1.0 / z
 
 
 def interval_weighted_mean(a, b, v):
-    """Mean of the interval under the density e^{v s}, in closed form."""
-    if abs(v) < 1e-12:
-        return 0.5 * (a + b)
-    ea, eb = math.exp(v * a), math.exp(v * b)
-    return ((b - 1.0 / v) * eb - (a - 1.0 / v) * ea) / (eb - ea)
+    """Mean of the interval under the density e^{v s}, in closed form.
+
+    a + L g(vL) with L = b - a, evaluated through g(-z) = 1 - g(z) so that
+    no exponential of a large field is ever formed.
+    """
+    length = b - a
+    z = v * length
+    if z >= 0.0:
+        return a + length * _mean_fraction(z)
+    return b - length * _mean_fraction(-z)
 
 
-def _transport_slope(y, a, b, v):
-    """Inverse of G(p) = integral_a^p e^{vs} ds, clipped to [a, b]."""
-    if abs(v) < 1e-12:
-        slope = a + y
+def _fraction_quantile(phi, z):
+    """u in [0, 1] with (e^{zu} - 1) / (e^z - 1) = phi, for z >= 0."""
+    if z < 1e-8:
+        # u = phi + z phi (1 - phi) / 2 + O(z^2); also exact at z = 0.
+        return phi + 0.5 * z * phi * (1.0 - phi)
+    if z <= 1.0:
+        return np.log1p(phi * math.expm1(z)) / z
+    # e^{zu} = e^z (phi + (1 - phi) e^{-z}) forms no overflowing exponential;
+    # phi = 0 with e^{-z} below the float range gives u = -inf, clipped to 0.
+    with np.errstate(divide="ignore"):
+        return 1.0 + np.log(phi + (1.0 - phi) * math.exp(-z)) / z
+
+
+def _transport_slope(phi, a, b, v):
+    """Slope p in [a, b] with the mass fraction phi of e^{vs} ds on [a, p]."""
+    length = b - a
+    z = v * length
+    if z >= 0.0:
+        slope = a + length * _fraction_quantile(phi, z)
     else:
-        arg = np.maximum(math.exp(v * a) + v * y, 1e-300)
-        slope = np.log(arg) / v
+        slope = b - length * _fraction_quantile(1.0 - phi, -z)
     return np.clip(slope, a, b)
 
 
@@ -211,6 +246,8 @@ def ma_step_1d(state, relaxation=0.5):
     Candidate slopes come from inverting the cumulative mass through each
     G_i; candidate potentials are their integrals anchored at x=0, with the
     common constant pinned so the updated density has unit mass (for t>0).
+    With ``relaxation`` 1 the result is the candidate itself: the map whose
+    fixed point the continuity path solves for at each t.
     """
     if not 0.0 < relaxation <= 1.0:
         raise ConfigurationError("relaxation must lie in (0, 1]")
@@ -221,7 +258,7 @@ def ma_step_1d(state, relaxation=0.5):
     tail_l, tail_r = state.tails
     phi = (tail_l + cum) / (tail_l + float(cum[-1]) + tail_r)
     cand_slopes = np.array([
-        _transport_slope(_weighted_length(a, b, v) * phi, a, b, v)
+        _transport_slope(phi, a, b, v)
         for (a, b), v in zip(state.intervals, state.vfields)
     ])
     # G is strictly increasing for finite V, so the inverted slopes must
@@ -239,6 +276,57 @@ def ma_step_1d(state, relaxation=0.5):
     new_slopes = (1 - lam) * state.slopes + lam * cand_slopes
     update_norm = float(np.max(np.abs(new_f - state.f)))
     return replace(state, f=new_f, slopes=new_slopes, update_norm=update_norm)
+
+
+class _Anderson:
+    """Type-II Anderson mixing of the sweep (Anderson 1965; Walker-Ni 2011).
+
+    For the iterate x and its residual r = g(x) - x, the next iterate is
+    x + beta r - (dX + beta dR) gamma, with gamma the least-squares fit of
+    r by the last ANDERSON_MEMORY residual differences dR and dX the
+    matching iterate differences.  dR and dX + beta dR live in preallocated
+    ring buffers, and the Gram matrix of dR gains one row per step, so a
+    step costs one small least-squares solve and a few passes over the
+    iterate.  Without history the step is x + beta r, the relaxed sweep.
+    """
+
+    def __init__(self, size, beta):
+        self.beta = beta
+        self.dr = np.empty((ANDERSON_MEMORY, size))
+        self.dmix = np.empty((ANDERSON_MEMORY, size))
+        self.gram = np.empty((ANDERSON_MEMORY, ANDERSON_MEMORY))
+        self.restart()
+
+    def restart(self):
+        self.count = 0
+        self.last = None
+
+    def step(self, x, r):
+        """The next iterate from the flat iterate x and its residual r."""
+        m = 0
+        if self.last is not None:
+            slot = self.count % ANDERSON_MEMORY
+            dr, dmix = self.dr[slot], self.dmix[slot]
+            np.subtract(r, self.last[1], out=dr)
+            np.subtract(x, self.last[0], out=dmix)
+            dmix += self.beta * dr
+            self.count += 1
+            m = min(self.count, ANDERSON_MEMORY)
+            row = self.dr[:m] @ dr
+            self.gram[slot, :m] = row
+            self.gram[:m, slot] = row
+        self.last = (x, r)
+        new = x + self.beta * r
+        if m:
+            # Unit-diagonal scaling, so the rank cut below judges the
+            # angles between residual differences, not their sizes.
+            scale = np.sqrt(np.diag(self.gram)[:m])
+            scale[scale == 0.0] = 1.0
+            gram = self.gram[:m, :m] / np.outer(scale, scale)
+            fit = (self.dr[:m] @ r) / scale
+            gamma = np.linalg.lstsq(gram, fit, rcond=GRAM_RCOND)[0] / scale
+            new -= gamma @ self.dmix[:m]
+        return new
 
 
 def w_diagnostics(state):
@@ -325,6 +413,8 @@ def solve_continuity_1d(
 ):
     """Sweep the continuity path, warm-starting every stage.
 
+    At each t the sweep is iterated with Anderson mixing (memory
+    ANDERSON_MEMORY, mixing ``relaxation``), restarted at every stage.
     Returns Converged with the final t=1 state, or Obstructed as soon as
     the w-minimizer drifts past R/2 or the updates stall above ``tol``
     (less than one percent progress across a 50-sweep window).  Both are
@@ -335,6 +425,8 @@ def solve_continuity_1d(
         raise ConfigurationError("t schedule must end at t = 1")
     if any(t1 >= t2 for t1, t2 in zip(t_schedule, t_schedule[1:])):
         raise ConfigurationError("t schedule must increase")
+    if not 0.0 < relaxation <= 1.0:
+        raise ConfigurationError("relaxation must lie in (0, 1]")
 
     state = initial_state(intervals, vfields, R=R, spacing=spacing, t=t_schedule[0])
     # Exact obstruction witness, independent of the grid: the path can close
@@ -343,13 +435,22 @@ def solve_continuity_1d(
         interval_weighted_mean(a, b, v)
         for (a, b), v in zip(state.intervals, state.vfields)
     )
+    k = len(state.intervals)
+    mixer = _Anderson(2 * state.f.size, relaxation)
     snapshots = []
     for t in t_schedule:
         state = at_stage(state, t)
+        mixer.restart()
+        x = np.concatenate((state.f, state.slopes))
         history = []
         obstructed = None
         for it in range(1, max_iter + 1):
-            state = ma_step_1d(state, relaxation)
+            swept = ma_step_1d(state, 1.0)
+            residual = np.concatenate((swept.f, swept.slopes)) - x
+            new = mixer.step(x.ravel(), residual.ravel()).reshape(x.shape)
+            update_norm = float(np.max(np.abs(new[:k] - x[:k])))
+            state = replace(state, f=new[:k], slopes=new[k:], update_norm=update_norm)
+            x = new
             history.append(state.update_norm)
             if abs(state.x_w) > R / 2.0:
                 obstructed = f"w-minimizer drifted to {state.x_w:.3f}"

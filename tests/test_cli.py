@@ -356,6 +356,32 @@ def test_ma_solve_obstructed_document(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("field", ["800", "-800"])
+def test_ma_solve_large_field_exits_zero(tmp_path, capsys, field):
+    doc = {"name": "p1-field", "dimension": 1, "halfspaces": [[[[1], "1"], [[-1], "1"]]],
+           "vector_fields": [[field]]}
+    code, report, err = run_cli(capsys, "ma-solve", "--input", write_doc(tmp_path, doc), "--grid", "R=8,h=0.008")
+    assert code == 0, err
+    assert report["results"]["status"] == "Obstructed"
+    # The mean of [-1, 1] under e^{800 s} is 1 - 1/800 up to e^{-1600}.
+    want = math.copysign(1.0 - 1.0 / 800.0, float(field))
+    assert float(report["diagnostics"]["barycenter_residual"]) == pytest.approx(want, abs=1e-15)
+
+
+def test_ma_solve_small_field_residual_matches_soliton_check(tmp_path, capsys):
+    doc = {"name": "p1-pair", "dimension": 1,
+           "halfspaces": [[[[1], "5/8"], [[-1], "3/8"]], [[[1], "3/8"], [[-1], "5/8"]]],
+           "vector_fields": [["1e-8"], ["0"]]}
+    path = write_doc(tmp_path, doc)
+    code, report, _ = run_cli(capsys, "ma-solve", "--input", path, "--grid", "R=8,h=0.008")
+    assert code == 0
+    residual = float(report["diagnostics"]["barycenter_residual"])
+    code, check, _ = run_cli(capsys, "soliton-check", "--input", path)
+    assert code == 0
+    assert residual == pytest.approx(float(check["results"]["residual"][0]), abs=1e-15)
+    assert residual == pytest.approx(1e-8 / 12.0, rel=1e-6)
+
+
 def test_ma_solve_snapshots_jsonl(tmp_path, capsys):
     snap_path = tmp_path / "stages.jsonl"
     code, report, _ = run_cli(

@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 from dataclasses import replace
+from decimal import Decimal, localcontext
 from types import SimpleNamespace
 
 import numpy as np
@@ -93,6 +94,41 @@ def test_balanced_fields_converge():
     assert result.status == "Converged"
     assert abs(result.diagnostics["obstruction_residual"]) < 1e-6
     assert abs(result.diagnostics["barycenter_residual"]) < 1e-12
+
+
+SMALL_AND_LARGE_FIELDS = [1e-11, -1e-11, 1e-8, -1e-8, 1e-4, -1e-4, 2.0, -2.0, 800.0, -800.0]
+
+
+def _decimal_mass(a, p, v):
+    """integral_a^p e^{vs} ds in 50-digit decimal arithmetic."""
+    a, p, v = Decimal(a), Decimal(p), Decimal(v)
+    return ((v * p).exp() - (v * a).exp()) / v
+
+
+@pytest.mark.parametrize("v", SMALL_AND_LARGE_FIELDS)
+def test_interval_weighted_mean_matches_decimal_reference(v):
+    # The closed form cancels below |v L| ~ 1 and overflows past e^709; the
+    # reference is the same closed form, carried to 50 digits.
+    a, b = -0.375, 0.625
+    with localcontext() as ctx:
+        ctx.prec = 50
+        da, db, dv = Decimal(a), Decimal(b), Decimal(v)
+        ea, eb = (dv * da).exp(), (dv * db).exp()
+        want = float(((db - 1 / dv) * eb - (da - 1 / dv) * ea) / (eb - ea))
+    assert interval_weighted_mean(a, b, v) == pytest.approx(want, abs=1e-15)
+
+
+@pytest.mark.parametrize("v", SMALL_AND_LARGE_FIELDS)
+def test_transport_slope_inverts_the_mass_fraction(v):
+    a, b = -0.375, 0.625
+    phis = np.array([0.0, 0.1, 0.5, 0.9, 1.0])
+    slopes = masolver._transport_slope(phis, a, b, v)
+    assert slopes[0] == a and slopes[-1] == b
+    with localcontext() as ctx:
+        ctx.prec = 50
+        total = _decimal_mass(a, b, v)
+        for phi, slope in zip(phis[1:-1], slopes[1:-1]):
+            assert float(_decimal_mass(a, float(slope), v) / total) == pytest.approx(phi, abs=1e-12)
 
 
 def test_obstruction_cooccurs_with_nonzero_residual():
@@ -289,6 +325,9 @@ def test_configuration_errors():
         solve_continuity_1d([(-1.0, 1.0)], t_schedule=(0.0, 0.5))
     with pytest.raises(ConfigurationError):
         solve_continuity_1d([(-1.0, 1.0)], t_schedule=(0.5, 0.25, 1.0))
+    for relaxation in (0.0, 1.5):
+        with pytest.raises(ConfigurationError, match="relaxation"):
+            solve_continuity_1d([(-1.0, 1.0)], relaxation=relaxation)
     state = initial_state([(-1.0, 1.0)])
     with pytest.raises(ConfigurationError):
         ma_step_1d(state, relaxation=0.0)
@@ -324,7 +363,7 @@ def test_grid_above_the_cap_allocates_nothing(R, spacing):
 def test_non_monotone_transport_slope_raises(monkeypatch):
     # A typed error, not an assert, so the check survives python -O.
     state = initial_state(PAIR, t=0.5)
-    monkeypatch.setattr(masolver, "_transport_slope", lambda y, a, b, v: -np.asarray(y))
+    monkeypatch.setattr(masolver, "_transport_slope", lambda phi, a, b, v: -np.asarray(phi))
     with pytest.raises(ArithmeticError, match="transport slope not monotone"):
         ma_step_1d(state)
 
@@ -378,8 +417,7 @@ def _ref_step(state, relaxation):
     phi = (tail_l + cum) / total
     cand_slopes, cand_f = [], []
     for (a, b), v in zip(state.intervals, state.vfields):
-        vol = masolver._weighted_length(a, b, v)
-        slope = masolver._transport_slope(vol * phi, a, b, v)
+        slope = masolver._transport_slope(phi, a, b, v)
         ftilde = _ref_cumtrapz(slope, dx)
         ftilde -= ftilde[zero_idx]
         cand_slopes.append(slope)
@@ -438,3 +476,157 @@ def test_stacked_sweep_matches_per_part_sweep(intervals, vfields, t, relaxation)
         state = ma_step_1d(state, relaxation)
         ref = _ref_step(ref, relaxation)
         _assert_same_bits(state, ref)
+
+
+# ---------------------------------------------------------------------------
+# the t = 1 endpoint in closed form
+#
+# At t = 1 every part is carried by one cumulative mass y = Phi(x).  With Q_i
+# the quantile of e^{V_i p} dp / Vol_i on [a_i, b_i], f_i' = Q_i(y); and
+# rho = e^{-sum f_i} obeys d rho / dy = -sum_i Q_i(y), so rho(y) is minus the
+# integral of sum Q_i from 0 to y, and dy/dx = rho(y).  Solutions are unique
+# up to translation; the path's translate is pinned where sum f_i' = 0.
+
+
+def _quantile(y, a, b, v):
+    if v == 0.0:
+        return a + y * (b - a)
+    ea, eb = math.exp(v * a), math.exp(v * b)
+    return math.log(ea + y * (eb - ea)) / v
+
+
+def _quantile_integral(y, a, b, v):
+    """The integral of Q from 0 to y; at y = 1 it is the weighted mean."""
+    if v == 0.0:
+        return a * y + 0.5 * (b - a) * y * y
+    ea, eb = math.exp(v * a), math.exp(v * b)
+    d = eb - ea
+    w = ea + y * d
+    return (w * math.log(w) - ea * math.log(ea) - y * d) / (d * v)
+
+
+def _endpoint_slopes(intervals, vfields, x0, nodes):
+    """Q_i(y(x)) at ``nodes``, with y(x0) the mass where sum Q_i vanishes."""
+
+    def rho(y):
+        return -sum(_quantile_integral(y, a, b, v) for (a, b), v in zip(intervals, vfields))
+
+    def rk4(y, h):
+        k1 = rho(y)
+        k2 = rho(y + 0.5 * h * k1)
+        k3 = rho(y + 0.5 * h * k2)
+        k4 = rho(y + h * k3)
+        return y + h * (k1 + 2 * k2 + 2 * k3 + k4) / 6
+
+    y_star = bisect(
+        lambda y: sum(_quantile(y, a, b, v) for (a, b), v in zip(intervals, vfields)), 0.0, 1.0
+    )
+    ys = {}
+    for side in (nodes[nodes >= x0], nodes[nodes < x0][::-1]):
+        x, y = x0, y_star
+        for node in side:
+            y = rk4(y, node - x)
+            x = node
+            ys[node] = y
+    return np.array([
+        [_quantile(ys[node], a, b, v) for node in nodes] for (a, b), v in zip(intervals, vfields)
+    ])
+
+
+def _balancing_field(a1, b1, v1, a2, b2):
+    """v2 with the two weighted means cancelling, from the oracle's own forms."""
+    m1 = _quantile_integral(1.0, a1, b1, v1)
+    return bisect(lambda v: _quantile_integral(1.0, a2, b2, v) + m1, -20.0, 20.0)
+
+
+@pytest.mark.parametrize(
+    "intervals, vfields",
+    [
+        (((-1.0, 1.0),), (0.0,)),
+        (MIRROR, (0.0, 0.0)),
+        (PAIR, (2.0, _balancing_field(-0.75, 0.25, 2.0, -0.25, 0.75))),
+        (TRIPLE, (1.0, 0.0, -1.0)),
+    ],
+    ids=["k1-fubini-study", "k2-mirror", "k2-balanced-fields", "k3-cancelling-fields"],
+)
+def test_converged_slopes_match_closed_form_endpoint(intervals, vfields):
+    result = solve_continuity_1d(intervals, vfields=vfields)
+    assert result.status == "Converged"
+    xs, h = result.state.xs, result.state.spacing
+    total = result.state.slopes.sum(axis=0)
+    j = int(np.flatnonzero(total >= 0.0)[0])
+    x0 = xs[j - 1] - total[j - 1] * h / (total[j] - total[j - 1])
+    near = np.abs(xs - x0) < 5.0
+    want = _endpoint_slopes(intervals, vfields, x0, xs[near])
+    err = float(np.max(np.abs(result.state.slopes[:, near] - want)))
+    # The grid's O(h^2) error: at most 2e-6 at the default h = 0.004.
+    assert err <= 0.15 * h * h, err
+
+
+# ---------------------------------------------------------------------------
+# Anderson-mixed sweeps against the relaxed Picard loop they replaced
+
+
+def _picard_mean(a, b, v):
+    if abs(v) < 1e-12:
+        return 0.5 * (a + b)
+    ea, eb = math.exp(v * a), math.exp(v * b)
+    return ((b - 1.0 / v) * eb - (a - 1.0 / v) * ea) / (eb - ea)
+
+
+def _picard_continuity(intervals, vfields, tol, R=8.0, max_iter=2500, relaxation=0.5):
+    """Status, final state and barycenter residual of the Picard loop."""
+    state = initial_state(intervals, vfields, R=R)
+    residual = sum(_picard_mean(a, b, v) for (a, b), v in zip(intervals, vfields))
+    for t in DEFAULT_T_SCHEDULE:
+        state = at_stage(state, t)
+        history = []
+        for _ in range(max_iter):
+            state = ma_step_1d(state, relaxation)
+            history.append(state.update_norm)
+            if abs(state.x_w) > R / 2.0:
+                return "Obstructed", state, residual
+            if state.update_norm < tol:
+                break
+            if len(history) > 50 and history[-1] > 0.99 * history[-51]:
+                return "Obstructed", state, residual
+        else:
+            return "Obstructed", state, residual
+    return "Converged", state, residual
+
+
+P1_PAIR = ((-0.375, 0.625), (-0.625, 0.375))
+
+
+@pytest.mark.parametrize(
+    "intervals, vfields",
+    [
+        (((-1.0, 1.0),), (0.0,)),  # p1-fubini
+        (MIRROR, (0.0, 0.0)),
+        (P1_PAIR, (0.0, 0.0)),  # cancelling
+        (P1_PAIR, (1.25, -1.25)),  # cancelling
+        (P1_PAIR, (0.5, 0.5)),  # obstructed
+        (P1_PAIR, (-1.0, -1.0)),  # obstructed
+    ],
+)
+def test_anderson_matches_picard_reference(intervals, vfields):
+    tol = 1e-10
+    status, state, residual = _picard_continuity(intervals, vfields, tol)
+    result = solve_continuity_1d(intervals, vfields=vfields, tol=tol)
+    assert result.status == status
+    assert result.diagnostics["barycenter_residual"] == pytest.approx(residual, abs=1e-13)
+    if status == "Converged":
+        zero_idx = len(state.xs) // 2
+        assert np.max(np.abs(result.state.f[:, zero_idx] - state.f[:, zero_idx])) <= 10 * tol
+        assert abs(result.state.mass - state.mass) <= 10 * tol
+
+
+@pytest.mark.parametrize(
+    "intervals, vfields, budget",
+    [(((-1.0, 1.0),), (0.0,), 60), (P1_PAIR, (0.5, 0.5), 100)],
+    ids=["p1-fubini", "obstructed-pair"],
+)
+def test_anderson_sweep_budget(intervals, vfields, budget):
+    # The relaxed Picard loop took 236 and 1,081 sweeps on these.
+    result = solve_continuity_1d(intervals, vfields=vfields, tol=1e-10)
+    assert sum(snap["iterations"] for snap in result.snapshots) <= budget
