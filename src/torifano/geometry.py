@@ -8,6 +8,9 @@ same code paths with a small absolute tolerance.  :func:`tolerance` makes
 that choice once per polytope, from its own data, and the polytope carries
 it.
 
+A fan inverts each maximal cone's ray matrix once, in ``Fan.cone_inverses``:
+smoothness is read off it, and a cone's vertex is one product with it.
+
 Each polytope's derived data is computed in one place, from one incidence
 record per vertex: an int bitmask of the halfspaces tight there.  Each
 vertex route hands over the record it has.  Per maximal cone from support
@@ -34,7 +37,7 @@ from math import gcd, isfinite, lcm
 from operator import and_
 
 from . import linalg
-from .linalg import dot
+from .linalg import _primitive, dot
 from .errors import EmptyPolytopeError, InputError, UnboundedPolytopeError
 
 DEFAULT_FLOAT_TOL = 1e-9
@@ -106,6 +109,20 @@ class Fan:
     def nrays(self):
         return len(self.rays)
 
+    @cached_property
+    def cone_inverses(self):
+        """Each maximal cone's ray matrix inverse as rows, or None when singular.
+
+        The entries are ints exactly when the inverse is integral, that is
+        when the cone is smooth, and Fractions otherwise.
+        """
+        inverses = []
+        for cone in self.max_cones:
+            found = linalg.integer_inverse([self.rays[j] for j in cone])
+            inverse, scale = found[1:] if found else (None, 1)
+            inverses.append(inverse if scale == 1 else [tuple(Fraction(x, scale) for x in row) for row in inverse])
+        return tuple(inverses)
+
 
 @dataclass(frozen=True)
 class FanReport:
@@ -136,11 +153,11 @@ def validate_fan(fan):
 
     witnesses = []
     smooth = True
-    for ci, cone in enumerate(fan.max_cones):
-        d = linalg.det([fan.rays[i] for i in cone])
-        if abs(d) != 1:
+    for cone, inverse in zip(fan.max_cones, fan.cone_inverses):
+        # An integer matrix has det +-1 exactly when its inverse is integral.
+        if inverse is None or any(x.denominator != 1 for row in inverse for x in row):
             smooth = False
-            witnesses.append(("smooth", {"cone": cone, "det": str(d)}))
+            witnesses.append(("smooth", {"cone": cone, "det": str(linalg.det([fan.rays[i] for i in cone]))}))
 
     # A complete simplicial fan is characterized by every wall (codimension-1
     # cone) lying in exactly two maximal cones.
@@ -166,13 +183,6 @@ def validate_fan(fan):
     return FanReport(smooth=smooth, complete=complete, fano=fano, witnesses=tuple(witnesses))
 
 
-def vertex_from_equalities(normals, offsets):
-    """Solve <d_j, v> = -c_j for the listed normals; None when singular."""
-    rhs = [-_coerce(c) for c in offsets]
-    mat = [_vec(d) for d in normals]
-    return linalg.solve(mat, rhs, tol=tolerance([*rhs, *(x for row in mat for x in row)]))
-
-
 class Ampleness(enum.Enum):
     AMPLE = "Ample"
     NEF_ONLY = "NefOnly"
@@ -188,19 +198,21 @@ class AmplenessReport:
 def _cone_vertices(fan, c, tol):
     """The vertex of each maximal cone, its slack rows, and the class of ``c``.
 
-    A cone's vertex v is where its rays' halfspaces are tight, and its slack
-    row holds <d_j, v> + c_j for every ray j, the cone's own included, so a
-    polytope reads its tight sets off the rows.  A ray outside the cone with
-    slack below -tol breaks convexity, and the vertices and rows found up to
-    there come back; a slack within tol is the nef boundary.  A float vertex
-    or slack that overflowed is an input error, since it would compare false
-    against both bounds.
+    A cone's vertex v is where its rays' halfspaces are tight, v = -D^-1 c
+    over the cone for exact and float ``c`` alike, and its slack row holds
+    <d_j, v> + c_j for every ray j, the cone's own included, so a polytope
+    reads its tight sets off the rows.  A ray outside the cone with slack
+    below -tol breaks convexity, and the vertices and rows found up to
+    there come back; a slack within tol is the nef boundary.  A float
+    vertex or slack that overflowed is an input error, since it would
+    compare false against both bounds.
     """
     vertices, slacks, nef_witness = [], [], None
-    for ci, cone in enumerate(fan.max_cones):
-        v = vertex_from_equalities([fan.rays[j] for j in cone], [c[j] for j in cone])
-        if v is None:
+    for ci, (cone, inverse) in enumerate(zip(fan.max_cones, fan.cone_inverses)):
+        if inverse is None:
             raise InputError(f"cone {cone} is not simplicial of full rank")
+        offsets = [c[j] for j in cone]
+        v = tuple(-dot(row, offsets) for row in inverse)
         row = [dot(ray, v) + cj for ray, cj in zip(fan.rays, c)]
         # Fractions cannot overflow; only float entries are checked.
         if tol and not all(isfinite(x) for x in (*v, *row) if isinstance(x, float)):
@@ -347,48 +359,25 @@ def polytope_from_support(fan, c, cones=None):
     return _polytope(fan.dim, tuple(zip(fan.rays, c)), vertices, tight, tol)
 
 
-def _primitive(v):
-    g = gcd(*v)
-    return tuple(x // g for x in v)
-
-
 def _extreme_rays(rows):
     """Extreme rays of the cone where every row is >= 0, with their zero sets.
 
     Double description (Motzkin, Raiffa, Thompson and Thrall 1953; Fukuda
-    and Prodon 1996).  A fraction-free Gauss-Jordan pass over [row | unit]
-    keeps rows B independent of those kept before, each reduced row (E | W)
-    with E = W B; once they span, E has one nonzero per row, and column k
-    of B^-1 = E^-1 W is the ray of their cone that leaves kept row k.  Each
-    other row then keeps the rays on its nonnegative side and joins every
-    adjacent pair across it: pairs whose common zero set, an int bitmask of
-    the rows added so far that are tight at both, has dim - 2 rows or more
-    and lies in no third ray's zero set.  Each ray comes back as a primitive
-    integer tuple and its zero set over all rows; None when the rows do not
-    span.
+    and Prodon 1996).  The starting cone is that of the first rows B that
+    span, from :func:`linalg.integer_inverse`: column k of B^-1 is its ray
+    that leaves kept row k.  Each other row then keeps the rays on its
+    nonnegative side and joins every adjacent pair across it: pairs whose
+    common zero set, an int bitmask of the rows added so far that are
+    tight at both, has dim - 2 rows or more and lies in no third ray's zero
+    set.  Each ray comes back as a primitive integer tuple and its zero set
+    over all rows; None when the rows do not span.
     """
     size = len(rows[0])
-    basis, reduced = [], []
-    for j, row in enumerate(rows):
-        v = [*row, *(int(k == len(basis)) for k in range(size))]
-        for p, e in reduced:
-            v = [e[p] * x - v[p] * y for x, y in zip(v, e)]
-        pivot = next((col for col in range(size) if v[col]), None)
-        if pivot is not None:
-            v = _primitive(v)
-            reduced = [(p, _primitive([v[pivot] * y - e[pivot] * x for x, y in zip(v, e)])) for p, e in reduced]
-            reduced.append((pivot, v))
-            basis.append(j)
-        if len(basis) == size:
-            break
-    else:
+    found = linalg.integer_inverse(rows)
+    if found is None:
         return None
-    scale = lcm(*(e[p] for p, e in reduced))
-    cone = [
-        (_primitive([e[size + k] * (scale // e[p]) for p, e in sorted(reduced)]),
-         sum(1 << i for i in basis if i != j))
-        for k, j in enumerate(basis)
-    ]
+    basis, inverse, _ = found
+    cone = [(_primitive(column), sum(1 << i for i in basis if i != j)) for column, j in zip(zip(*inverse), basis)]
     for j, row in enumerate(rows):
         if j in basis:
             continue

@@ -4,27 +4,25 @@ Everything operates on plain Python sequences so a single code path serves
 both ``fractions.Fraction`` (exact, ``tol == 0``) and ``float`` (tolerance
 based) inputs.  Matrices are sequences of row sequences.  One echelon
 routine, Gaussian elimination with partial pivoting, reduces the rows;
-``solve``, ``det``, ``rank`` and ``kernel_vector`` read its result.  Sizes
-stay below eight in this package, so asymptotics are irrelevant; clarity
-and exactness are not.
+``det``, ``rank`` and ``kernel_vector`` read its result.  Integer matrices
+have one fraction-free routine, ``integer_inverse``.  Sizes stay below
+eight in this package, so asymptotics are irrelevant; clarity and
+exactness are not.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 def dot(u, v):
     return sum(a * b for a, b in zip(u, v))
 
 
-def _lift(x):
-    # Plain ints would hit true division below; keep them exact.
-    return Fraction(x) if isinstance(x, int) else x
-
-
 def _lift_rows(matrix):
-    return [[_lift(x) for x in row] for row in matrix]
+    # Plain ints would hit true division below; keep them exact.
+    return [[Fraction(x) if isinstance(x, int) else x for x in row] for row in matrix]
 
 
 def _pivot_row(rows, col, start, tol):
@@ -63,23 +61,6 @@ def _echelon(rows, ncols, tol):
                 rows[k] = [a - factor * b for a, b in zip(rows[k], rows[r])]
         pivots.append(col)
     return pivots, sign
-
-
-def solve(matrix, rhs, tol=0):
-    """Solve a square system exactly (Fraction) or with partial pivoting.
-
-    Returns the solution as a tuple, or None when the matrix is singular
-    (pivot magnitude <= tol).
-    """
-    n = len(matrix)
-    rows = [[_lift(x) for x in row] + [_lift(b)] for row, b in zip(matrix, rhs)]
-    if len(_echelon(rows, n, tol)[0]) < n:
-        return None
-    sol = [None] * n
-    for col in range(n - 1, -1, -1):
-        acc = rows[col][n] - sum(rows[col][j] * sol[j] for j in range(col + 1, n))
-        sol[col] = acc / rows[col][col]
-    return tuple(sol)
 
 
 def det(matrix):
@@ -125,6 +106,40 @@ def kernel_vector(matrix, tol=0):
         acc = sum(rows[row_idx][j] * vec[j] for j in range(col + 1, ncols))
         vec[col] = -acc / rows[row_idx][col]
     return tuple(vec)
+
+
+def _primitive(v):
+    g = gcd(*v)
+    return tuple(x // g for x in v)
+
+
+def integer_inverse(rows):
+    """``(basis, inverse, scale)``: the first integer rows B that span, B^-1 = inverse / scale.
+
+    A fraction-free Gauss-Jordan pass over [row | unit] keeps each row
+    independent of those kept before, as primitive reduced rows (E | W)
+    with E = W B.  Once they span, E has one nonzero e_p per row, in column
+    p, and row p of B^-1 is W / e_p.  The scale is positive, and 1 exactly
+    when B^-1 is integral.  None when the rows do not span.
+    """
+    size = len(rows[0])
+    basis, reduced = [], []
+    for j, row in enumerate(rows):
+        v = [*row, *(int(k == len(basis)) for k in range(size))]
+        for p, e in reduced:
+            v = [e[p] * x - v[p] * y for x, y in zip(v, e)]
+        pivot = next((col for col in range(size) if v[col]), None)
+        if pivot is not None:
+            v = _primitive(v)
+            reduced = [(p, _primitive([v[pivot] * y - e[pivot] * x for x, y in zip(v, e)])) for p, e in reduced]
+            reduced.append((pivot, v))
+            basis.append(j)
+        if len(basis) == size:
+            break
+    else:
+        return None
+    scale = lcm(*(e[p] for p, e in reduced))
+    return basis, [tuple(x * (scale // e[p]) for x in e[size:]) for p, e in sorted(reduced)], scale
 
 
 def farkas(matrix, rhs):

@@ -12,7 +12,7 @@ distribution Phi carries an exponential tail estimate beyond both grid ends;
 without it the truncation error of the box is O(e^{-R}), which dominates the
 discretization error at the default window.  At each t the path iterates the
 sweep to its fixed point with type-II Anderson mixing of the last few sweeps,
-which converges in a fraction of the sweeps plain under-relaxation needs.
+which converges in a fraction of the sweeps damped Picard iteration needs.
 
 The state holds the k potentials and their slopes as one (k, N) array each,
 so a sweep is array arithmetic over all parts at once; the grid diagnostics
@@ -46,6 +46,8 @@ MIN_EDGE_DECAY = 0.05
 SERIES_BELOW = 0.25
 # Past sweeps the Anderson step combines; the history restarts at each t.
 ANDERSON_MEMORY = 5
+# Weight of the new residual in each Anderson step.
+ANDERSON_MIXING = 0.5
 # Relative singular-value cut of the scaled Gram matrix of the history.
 GRAM_RCOND = 1e-10
 
@@ -240,17 +242,13 @@ def at_stage(state, t):
     return replace(state, t=float(t))
 
 
-def ma_step_1d(state, relaxation=0.5):
-    """One transport sweep at fixed t, under-relaxed by ``relaxation``.
+def ma_step_1d(state):
+    """One transport sweep at fixed t: the map whose fixed point the path solves for.
 
     Candidate slopes come from inverting the cumulative mass through each
     G_i; candidate potentials are their integrals anchored at x=0, with the
     common constant pinned so the updated density has unit mass (for t>0).
-    With ``relaxation`` 1 the result is the candidate itself: the map whose
-    fixed point the continuity path solves for at each t.
     """
-    if not 0.0 < relaxation <= 1.0:
-        raise ConfigurationError("relaxation must lie in (0, 1]")
     dx, t = state.spacing, state.t
     zero_idx = len(state.xs) // 2
 
@@ -270,28 +268,24 @@ def ma_step_1d(state, relaxation=0.5):
     if t > 0.0:
         candidate = replace(state, f=cand_f, slopes=cand_slopes)
         cand_f = cand_f + math.log(candidate.mass) / (t * len(cand_f))
-
-    lam = relaxation
-    new_f = (1 - lam) * state.f + lam * cand_f
-    new_slopes = (1 - lam) * state.slopes + lam * cand_slopes
-    update_norm = float(np.max(np.abs(new_f - state.f)))
-    return replace(state, f=new_f, slopes=new_slopes, update_norm=update_norm)
+    update_norm = float(np.max(np.abs(cand_f - state.f)))
+    return replace(state, f=cand_f, slopes=cand_slopes, update_norm=update_norm)
 
 
 class _Anderson:
     """Type-II Anderson mixing of the sweep (Anderson 1965; Walker-Ni 2011).
 
     For the iterate x and its residual r = g(x) - x, the next iterate is
-    x + beta r - (dX + beta dR) gamma, with gamma the least-squares fit of
-    r by the last ANDERSON_MEMORY residual differences dR and dX the
-    matching iterate differences.  dR and dX + beta dR live in preallocated
-    ring buffers, and the Gram matrix of dR gains one row per step, so a
-    step costs one small least-squares solve and a few passes over the
-    iterate.  Without history the step is x + beta r, the relaxed sweep.
+    x + beta r - (dX + beta dR) gamma, with beta = ANDERSON_MIXING, gamma
+    the least-squares fit of r by the last ANDERSON_MEMORY residual
+    differences dR and dX the matching iterate differences.  dR and
+    dX + beta dR live in preallocated ring buffers, and the Gram matrix of
+    dR gains one row per step, so a step costs one small least-squares
+    solve and a few passes over the iterate.  Without history the step is
+    x + beta r, the damped sweep.
     """
 
-    def __init__(self, size, beta):
-        self.beta = beta
+    def __init__(self, size):
         self.dr = np.empty((ANDERSON_MEMORY, size))
         self.dmix = np.empty((ANDERSON_MEMORY, size))
         self.gram = np.empty((ANDERSON_MEMORY, ANDERSON_MEMORY))
@@ -309,14 +303,14 @@ class _Anderson:
             dr, dmix = self.dr[slot], self.dmix[slot]
             np.subtract(r, self.last[1], out=dr)
             np.subtract(x, self.last[0], out=dmix)
-            dmix += self.beta * dr
+            dmix += ANDERSON_MIXING * dr
             self.count += 1
             m = min(self.count, ANDERSON_MEMORY)
             row = self.dr[:m] @ dr
             self.gram[slot, :m] = row
             self.gram[:m, slot] = row
         self.last = (x, r)
-        new = x + self.beta * r
+        new = x + ANDERSON_MIXING * r
         if m:
             # Unit-diagonal scaling, so the rank cut below judges the
             # angles between residual differences, not their sizes.
@@ -408,13 +402,12 @@ def solve_continuity_1d(
     spacing=0.004,
     tol=1e-9,
     max_iter=2500,
-    relaxation=0.5,
     include_arrays=False,
 ):
     """Sweep the continuity path, warm-starting every stage.
 
     At each t the sweep is iterated with Anderson mixing (memory
-    ANDERSON_MEMORY, mixing ``relaxation``), restarted at every stage.
+    ANDERSON_MEMORY, mixing ANDERSON_MIXING), restarted at every stage.
     Returns Converged with the final t=1 state, or Obstructed as soon as
     the w-minimizer drifts past R/2 or the updates stall above ``tol``
     (less than one percent progress across a 50-sweep window).  Both are
@@ -425,8 +418,6 @@ def solve_continuity_1d(
         raise ConfigurationError("t schedule must end at t = 1")
     if any(t1 >= t2 for t1, t2 in zip(t_schedule, t_schedule[1:])):
         raise ConfigurationError("t schedule must increase")
-    if not 0.0 < relaxation <= 1.0:
-        raise ConfigurationError("relaxation must lie in (0, 1]")
 
     state = initial_state(intervals, vfields, R=R, spacing=spacing, t=t_schedule[0])
     # Exact obstruction witness, independent of the grid: the path can close
@@ -436,7 +427,7 @@ def solve_continuity_1d(
         for (a, b), v in zip(state.intervals, state.vfields)
     )
     k = len(state.intervals)
-    mixer = _Anderson(2 * state.f.size, relaxation)
+    mixer = _Anderson(2 * state.f.size)
     snapshots = []
     for t in t_schedule:
         state = at_stage(state, t)
@@ -445,7 +436,7 @@ def solve_continuity_1d(
         history = []
         obstructed = None
         for it in range(1, max_iter + 1):
-            swept = ma_step_1d(state, 1.0)
+            swept = ma_step_1d(state)
             residual = np.concatenate((swept.f, swept.slopes)) - x
             new = mixer.step(x.ravel(), residual.ravel()).reshape(x.shape)
             update_norm = float(np.max(np.abs(new[:k] - x[:k])))

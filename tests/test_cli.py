@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import torifano
-from torifano import cli, geometry, moments, stability
+from torifano import cli, geometry, linalg, moments, stability
 from torifano.cli import main
 from torifano.problems import (
     builtin_example,
@@ -675,6 +675,37 @@ def test_fan_documents_solve_each_row_once(capsys, monkeypatch, command):
     code, _, _ = run_cli(capsys, command, "--example", "hexagon-dP6-t")
     assert code == 0
     assert len(calls) == 3
+
+
+@pytest.mark.parametrize("command", ["validate", "ke-verdict"])
+def test_fan_documents_invert_each_cone_once(capsys, monkeypatch, command):
+    # One inverse per maximal cone per Fan, shared by the smoothness and
+    # Fano checks and every row; building the polytopes inverts nothing.
+    fans, inverses, built = [], [], []
+    real_inverse, real_init, real_build = linalg.integer_inverse, geometry.Fan.__post_init__, geometry.polytope_from_support
+
+    def counted_inverse(rows):
+        inverses.append(rows)
+        return real_inverse(rows)
+
+    def counted_init(fan):
+        fans.append(fan)
+        real_init(fan)
+
+    def build(*args):
+        before = len(inverses)
+        polytope = real_build(*args)
+        built.append(len(inverses) - before)
+        return polytope
+
+    monkeypatch.setattr(linalg, "integer_inverse", counted_inverse)
+    monkeypatch.setattr(geometry.Fan, "__post_init__", counted_init)
+    monkeypatch.setattr(stability, "polytope_from_support", build)
+    code, _, _ = run_cli(capsys, command, "--example", "hexagon-dP6-t")
+    assert code == 0
+    assert len(fans) == 1
+    assert len(inverses) == len(fans[0].max_cones) == 6
+    assert built == ([0, 0] if command == "ke-verdict" else [])
 
 
 def test_lift_works_in_dimension_six(tmp_path, capsys):

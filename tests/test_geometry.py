@@ -26,11 +26,12 @@ from torifano.geometry import (
     translate,
     triangulate,
     validate_fan,
-    vertex_from_equalities,
 )
 from torifano.moments import barycenter, volume
 from torifano.problems import builtin_example
 from torifano.stability import Decomposition, coupled_ke_verdict, sum_barycenter
+
+from test_linalg import _solve_reference
 
 P2 = Fan(((1, 0), (0, 1), (-1, -1)), ((0, 1), (1, 2), (2, 0)))
 P1XP1 = Fan(((1, 0), (0, 1), (-1, 0), (0, -1)), ((0, 1), (1, 2), (2, 3), (3, 0)))
@@ -80,10 +81,34 @@ def test_p2_anticanonical_vertices():
     assert set(p.vertices) == {(-1, -1), (2, -1), (-1, 2)}
 
 
-def test_vertex_from_equalities_exact():
+def test_cone_vertices_exact():
     # Two axis halfspaces at level 1/2 meet at the negated offsets.
-    v = vertex_from_equalities(((1, 0), (0, 1)), (Fraction(1, 2), Fraction(1, 2)))
-    assert v == (Fraction(-1, 2), Fraction(-1, 2))
+    half = Fraction(1, 2)
+    vertices, _, _ = geometry._cone_vertices(P2, (half, half, half), 0)
+    assert vertices == [(-half, -half), (1, -half), (-half, 1)]
+    assert all(type(x) is Fraction for v in vertices for x in v)
+
+
+def test_cone_inverses_are_integral_exactly_on_smooth_cones():
+    rng = random.Random(15)
+    kinds = set()
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        rays = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(n + 2)]
+        fan = Fan(rays, [rng.sample(range(n + 2), n) for _ in range(3)])
+        for cone, inverse in zip(fan.max_cones, fan.cone_inverses):
+            matrix = [fan.rays[j] for j in cone]
+            d = linalg.det(matrix)
+            if d == 0:
+                assert inverse is None
+                kinds.add("singular")
+                continue
+            integral = all(type(x) is int for row in inverse for x in row)
+            assert integral == (abs(d) == 1)
+            kinds.add("smooth" if integral else "not smooth")
+            identity = [[int(i == k) for k in range(n)] for i in range(n)]
+            assert [[sum(x * y for x, y in zip(row, col)) for col in zip(*matrix)] for row in inverse] == identity
+    assert kinds == {"singular", "smooth", "not smooth"}
 
 
 def test_hexagon_vertices_triangulation_volume():
@@ -266,7 +291,7 @@ def _all_subsets_reference(halfspaces, tol):
     n = len(halfspaces[0][0])
     candidates = []
     for subset in itertools.combinations(range(len(halfspaces)), n):
-        v = linalg.solve(
+        v = _solve_reference(
             [halfspaces[j][0] for j in subset], [-halfspaces[j][1] for j in subset], tol=tol
         )
         if v is not None and all(linalg.dot(d, v) + c >= -tol for d, c in halfspaces):
@@ -506,31 +531,37 @@ def test_six_cube_at_the_regime_cap():
     assert len(set(polytope.vertices)) == 64
 
 
+def _move_cone_vertices(monkeypatch, move):
+    """Make every cone vertex v of support c be ``move(v, c on the cone)``.
+
+    The slack rows follow the moved vertices; the class stays the real one.
+    """
+    real = geometry._cone_vertices
+
+    def moved(fan, c, tol):
+        vertices, _, amp = real(fan, c, tol)
+        vertices = [move(v, [c[j] for j in cone]) for v, cone in zip(vertices, fan.max_cones)]
+        slacks = [[linalg.dot(ray, v) + cj for ray, cj in zip(fan.rays, c)] for v in vertices]
+        return vertices, slacks, amp
+
+    monkeypatch.setattr(geometry, "_cone_vertices", moved)
+
+
 def test_minkowski_sum_raises_when_cone_vertices_do_not_add(monkeypatch):
-    real = geometry.vertex_from_equalities
     # An affine map of every cone vertex keeps each part convex but breaks
     # additivity: the sum picks up the shift once, the parts once each.
     shift = (Fraction(1, 10), 0)
-    monkeypatch.setattr(
-        geometry,
-        "vertex_from_equalities",
-        lambda *a: tuple(x / 2 + s for x, s in zip(real(*a), shift)),
-    )
+    _move_cone_vertices(monkeypatch, lambda v, offsets: tuple(x / 2 + s for x, s in zip(v, shift)))
     half = Fraction(1, 2)
     with pytest.raises(ArithmeticError, match="per-cone vertices must add"):
         minkowski_sum(P2, ((half, half, half), (half, half, half)))
 
 
 def test_minkowski_sum_raises_when_support_numbers_do_not_add(monkeypatch):
-    real = geometry.vertex_from_equalities
     # Shifting each cone vertex by a linear function of the cone's support
     # numbers keeps the per-cone vertices additive and every part convex,
     # but the halfspaces of rays 0 and 2 are no longer tight at any vertex.
-    monkeypatch.setattr(
-        geometry,
-        "vertex_from_equalities",
-        lambda normals, offsets: tuple(x + s for x, s in zip(real(normals, offsets), (sum(offsets) / 10, 0))),
-    )
+    _move_cone_vertices(monkeypatch, lambda v, offsets: tuple(x + s for x, s in zip(v, (sum(offsets) / 10, 0))))
     half = Fraction(1, 2)
     with pytest.raises(ArithmeticError, match="support numbers must add on rays"):
         minkowski_sum(P2, ((half, half, half), (half, half, half)))

@@ -1,9 +1,11 @@
-"""The echelon core of linalg against the elimination loops it replaced.
+"""The elimination routines of linalg against plain Fraction references.
 
-The reference functions below are the separate loops that ``solve``,
-``det``, ``rank`` and ``kernel_vector`` ran before they shared one echelon
-routine.  The arithmetic is unchanged, so exact results must be equal and
-float results bitwise equal, signed zeros included.
+The reference functions below are the separate loops that ``det``, ``rank``
+and ``kernel_vector`` ran before they shared one echelon routine, and the
+solve loop they shared it with.  The arithmetic is unchanged, so exact
+results must be equal and float results bitwise equal, signed zeros
+included.  The fraction-free ``integer_inverse`` is checked against the
+Fraction solve and rank loops.
 """
 
 import math
@@ -193,12 +195,40 @@ def test_rank_and_kernel_vector_match_the_separate_loops(kind, data):
 @pytest.mark.parametrize("kind", KINDS)
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(data=st.data())
-def test_solve_and_det_match_the_separate_loops(kind, data):
+def test_det_matches_the_separate_loop(kind, data):
     matrix = data.draw(matrices(kind, square=True))
-    rhs = data.draw(st.lists(SCALARS[kind], min_size=len(matrix), max_size=len(matrix)))
-    tol = _tol(data, kind)
-    assert_same(linalg.solve(matrix, rhs, tol), _solve_reference(matrix, rhs, tol))
     assert_same(linalg.det(matrix), _det_reference(matrix))
+
+
+@pytest.mark.parametrize("square", [True, False], ids=["square", "any-shape"])
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_integer_inverse_matches_the_fraction_reference(square, data):
+    matrix = data.draw(matrices("int", square=square))
+    size = len(matrix[0])
+    basis = []
+    for j, row in enumerate(matrix):
+        if len(basis) < size and _rank_reference([matrix[i] for i in basis] + [row]) > len(basis):
+            basis.append(j)
+    found = linalg.integer_inverse(matrix)
+    if len(basis) < size:
+        assert found is None
+        return
+    kept, inverse, scale = found
+    assert kept == basis
+    b = [matrix[i] for i in basis]
+    assert type(scale) is int and scale > 0
+    assert all(type(x) is int for row in inverse for x in row)
+    # inverse / scale times B is the identity ...
+    assert [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in inverse] == [
+        [scale * (i == k) for k in range(size)] for i in range(size)
+    ]
+    # ... column by column the Fraction solution of B x = e_k ...
+    for k, column in enumerate(zip(*inverse)):
+        want = _solve_reference(b, [int(i == k) for i in range(size)])
+        assert tuple(Fraction(x, scale) for x in column) == want
+    # ... and integral exactly when det B is +-1.
+    assert (scale == 1) == (abs(_det_reference(b)) == 1)
 
 
 def test_empty_and_zero_matrices():
@@ -206,4 +236,5 @@ def test_empty_and_zero_matrices():
     assert linalg.rank([]) == 0 and linalg.kernel_vector([]) is None
     assert_same(linalg.det([[0.0, 0.0], [0.0, -0.0]]), 0.0)
     assert_same(linalg.kernel_vector([[-0.0, 0.0]]), _kernel_vector_reference([[-0.0, 0.0]]))
-    assert linalg.solve([[0, 1], [0, 2]], [1, 2]) is None
+    assert linalg.integer_inverse([[0, 1], [0, 2]]) is None
+    assert linalg.integer_inverse([[1, 2, 3]]) is None
