@@ -51,15 +51,11 @@ _EXPORTS = {
         "legendre_dual",
         "ma_step_1d",
         "obstruction_residual",
-        "reference_potential",
         "solve_continuity_1d",
     ),
     "moments": (
-        "MomentReport",
         "WeightedMoments",
         "barycenter",
-        "divided_difference_exp",
-        "moment_report",
         "volume",
         "weighted_barycenter",
         "weighted_moments",
@@ -72,7 +68,6 @@ _EXPORTS = {
         "load_problem",
         "registry_names",
     ),
-    "quadrature": (),
     "stability": (
         "Decomposition",
         "KEVerdict",

@@ -3,18 +3,22 @@ emit a deterministic JSON report.
 
 Exit codes separate operational failure from mathematical outcome: 0 covers
 every computed verdict (including NotExists and Obstructed), 1 is a usage
-mistake, 2 invalid input, 3 non-convergence of a requested solve or a
-numerical failure (an ``ArithmeticError``, overflow included).  Floats
-are serialized as strings with 17 significant digits and rationals as
-"p/q", so identical inputs byte-reproduce the report apart from wall time.
+mistake (an ``--out`` path that cannot be written included), 2 invalid
+input, 3 non-convergence of a requested solve or a numerical failure (an
+``ArithmeticError``, overflow included).  Floats are serialized as strings
+with 17 significant digits and rationals as "p/q", in full however many
+digits they have, so identical inputs byte-reproduce the report apart from
+wall time.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
+import os
 import sys
 import time
 from enum import Enum
@@ -96,9 +100,18 @@ def _decomposition(doc):
     return Decomposition.from_fan(Fan(doc.rays, doc.max_cones), doc.decomposition)
 
 
+def _parse_scalar_options(args):
+    """--vfield and --cap as numbers, parsed like document scalars: before
+    the command runs, under the int-to-str digit limit."""
+    if getattr(args, "vfield", None):
+        args.vfield = tuple(parse_scalar(tok.strip(), "--vfield") for tok in args.vfield.split(","))
+    if hasattr(args, "cap"):
+        args.cap = parse_scalar(args.cap, "--cap") if args.cap else None
+
+
 def _single_vfield(args, dec):
     if getattr(args, "vfield", None):
-        return tuple(parse_scalar(tok.strip(), "--vfield") for tok in args.vfield.split(","))
+        return args.vfield
     v = destabilizer(dec)
     if v is None:
         return tuple(Fraction(0) for _ in range(dec.dim))
@@ -232,10 +245,9 @@ def _cmd_df(doc, args):
 def _cmd_lift(doc, args):
     dec = _decomposition(doc)
     vfield = _single_vfield(args, dec)
-    cap = parse_scalar(args.cap, "--cap") if args.cap else None
     parts = []
     for polytope in dec.polytopes:
-        lifted = lifted_config(polytope, vfield, cap=cap)
+        lifted = lifted_config(polytope, vfield, cap=args.cap)
         parts.append(
             {
                 "cap": lifted.cap,
@@ -271,9 +283,8 @@ def _cmd_ma_solve(doc, args):
         include_arrays=args.snapshots is not None,
     )
     if args.snapshots:
-        with open(args.snapshots, "w", encoding="utf-8") as handle:
-            for snap in result.snapshots:
-                handle.write(json.dumps(jsonable(snap), sort_keys=True) + "\n")
+        _write("--snapshots", args.snapshots,
+               "".join(json.dumps(jsonable(snap), sort_keys=True) + "\n" for snap in result.snapshots))
     stages = [
         {k: v for k, v in snap.items() if k not in ("grid", "f", "rho")}
         for snap in result.snapshots
@@ -325,6 +336,26 @@ def _parse_tol(text):
     return tol
 
 
+def _output_path(flag):
+    """Parser type of an output file option, checked before any work."""
+    def parse(path):
+        if os.path.isdir(path):
+            raise UsageError(f"{flag}: {path!r} is a directory")
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise UsageError(f"{flag}: the directory of {path!r} does not exist")
+        return path
+    return parse
+
+
+def _write(flag, path, text):
+    """Write an output file; failing to is a usage error, like a bad path."""
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise UsageError(f"{flag}: cannot write {path!r}: {exc.strerror}") from None
+
+
 def _parse_schedule(text):
     try:
         return tuple(float(tok) for tok in text.split(","))
@@ -345,7 +376,7 @@ def build_parser():
         src.add_argument("--example", help="built-in example name[:param]")
         p.add_argument("--tol", type=_parse_tol, default=DEFAULT_TOL,
                        help="verdict / convergence tolerance, finite and positive (default 1e-10)")
-        p.add_argument("--out", help="also write the report to this file")
+        p.add_argument("--out", type=_output_path("--out"), help="also write the report to this file")
         if name in ("df", "lift"):
             p.add_argument("--vfield", help="comma-separated vector, rationals allowed")
         if name == "lift":
@@ -357,7 +388,7 @@ def build_parser():
             p.add_argument("--t-schedule", dest="t_schedule", type=_parse_schedule,
                            help="comma-separated increasing path ending at 1 "
                                 "(default: the solver's built-in schedule)")
-            p.add_argument("--snapshots",
+            p.add_argument("--snapshots", type=_output_path("--snapshots"),
                            help="write one JSON object per path stage to this file")
     return parser
 
@@ -397,7 +428,12 @@ def main(argv=None):
         if not args.command:
             raise UsageError("missing command; expected one of: " + ", ".join(COMMANDS))
         doc = _resolve_document(args)
-        report, code = run(args.command, doc, args)
+        _parse_scalar_options(args)
+        with _int_digits_unlimited():
+            report, code = run(args.command, doc, args)
+            payload = json.dumps(jsonable(report), indent=2, sort_keys=True) + "\n"
+        if args.out:
+            _write("--out", args.out, payload)
     except (UsageError, UnknownExampleError) as exc:
         print(f"torifano: {exc}", file=sys.stderr)
         return 1
@@ -407,12 +443,26 @@ def main(argv=None):
     except ArithmeticError as exc:
         print(f"torifano: numerical failure: {exc}", file=sys.stderr)
         return 3
-    payload = json.dumps(jsonable(report), indent=2, sort_keys=True) + "\n"
     sys.stdout.write(payload)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(payload)
     return code
+
+
+@contextlib.contextmanager
+def _int_digits_unlimited():
+    """Lift Python's int-to-str digit limit (3.11 and later) for the block.
+
+    Exact results and the messages that quote them can have more digits
+    than any input, so a command runs and its report is written without
+    the limit.  Documents and option scalars are parsed under it.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def entrypoint():

@@ -546,10 +546,10 @@ class SimplexMesh:
         return points, tuple(map(float, self.factors))
 
 
-def triangulate(polytope, apex="lexmin"):
+def triangulate(polytope):
     """Deterministic boundary-cone triangulation.
 
-    Every face is coned from its lexicographically extreme vertex over the
+    Every face is coned from its lexicographically least vertex over the
     triangulations of the facets that miss it.  The scheme depends only on
     vertex coordinates, so it is independent of input ordering.
 
@@ -560,12 +560,9 @@ def triangulate(polytope, apex="lexmin"):
     """
     if polytope.degenerate:
         raise InputError("cannot triangulate a degenerate polytope")
-    if apex not in ("lexmin", "lexmax"):
-        raise InputError("apex rule must be 'lexmin' or 'lexmax'")
     verts = polytope.vertices
     n = polytope.dim
     tol = polytope.tol
-    pick = min if apex == "lexmin" else max
 
     facet_sets = dict.fromkeys(
         frozenset(tight) for tight, red in zip(polytope.tight_sets, polytope.redundant) if not red
@@ -581,15 +578,15 @@ def triangulate(polytope, apex="lexmin"):
         elif len(face) == d + 1:
             result = [face]
         else:
-            apex_idx = pick(face, key=lambda i: verts[i])
+            apex = min(face, key=lambda i: verts[i])
             subs = dict.fromkeys(tuple(i for i in face if i in tight) for tight in facet_sets)
             proper = {sub: set(sub) for sub in subs if len(sub) < len(face)}
             result = []
             for sub, members in proper.items():
-                if apex_idx in members or any(members < s for s in proper.values()):
+                if apex in members or any(members < s for s in proper.values()):
                     continue
                 for simplex in tri_face(sub, d - 1):
-                    result.append((apex_idx,) + simplex)
+                    result.append((apex,) + simplex)
         cache[face] = result
         return result
 

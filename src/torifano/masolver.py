@@ -32,7 +32,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigurationError, DomainMismatchError, InputError
-from .linalg import dot
 
 DEFAULT_T_SCHEDULE = (0.0, 0.25, 0.5, 0.75, 0.9, 1.0)
 MAX_SPACING = 0.05
@@ -50,21 +49,6 @@ ANDERSON_MEMORY = 5
 ANDERSON_MIXING = 0.5
 # Relative singular-value cut of the scaled Gram matrix of the history.
 GRAM_RCOND = 1e-10
-
-
-def reference_potential(vertices, x):
-    """log of the average of e^{<y, x>} over the vertex set of P_i.
-
-    Smooth, convex, with gradient image the interior of the polytope; this
-    is the canonical reference potential for every part of a decomposition.
-    """
-    vertices = [tuple(float(c) for c in v) for v in vertices]
-    if not vertices:
-        raise InputError("reference potential needs at least one vertex")
-    x = tuple(float(c) for c in x)
-    exps = [dot(v, x) for v in vertices]
-    peak = max(exps)
-    return peak + math.log(sum(math.exp(e - peak) for e in exps) / len(exps))
 
 
 def _ref_values_1d(a, b, xs):

@@ -12,8 +12,8 @@ with vertex exponents a_i = <V, v_i> the integral of e^{<V,p>} is dim! vol
 [a, a_i] and [a, a_i, a_j] (doubled when i = j) give the first and second
 moments (Baldoni, Berline, De Loera, Koppe and Vergne, Math. Comp. 2011).
 Second moments are taken about A_P(V) itself, so the covariance is a sum
-of squares and loses no digits to cancellation.  The independent quadrature
-route in :mod:`.quadrature` only cross-checks it.
+of squares and loses no digits to cancellation.  This pass is the one
+weighted route; the tests hold a quadrature route that cross-checks it.
 """
 
 from __future__ import annotations
@@ -22,8 +22,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-from .errors import InputError
 
 # Taylor terms beyond the node count; after scaling every node lies within
 # 1/2 of the expansion point, so the truncation is below 1e-18 relative.
@@ -78,17 +76,6 @@ def _dd_rows(nodes):
     return e[:, 0, :] * np.exp(top)[:, None]
 
 
-def divided_difference_exp(nodes):
-    """[a_0, ..., a_m] exp, stable across clustered and separated nodes."""
-    import numpy as np
-
-    xs = [float(x) for x in nodes]
-    if not xs:
-        raise InputError("divided difference needs at least one node")
-    top = max(xs)
-    return math.exp(top) * float(_dd_rows(np.array([xs]) - top)[0, -1])
-
-
 # ---------------------------------------------------------------------------
 # the weighted moment pass
 
@@ -140,8 +127,10 @@ def weighted_moments(mesh, vfield, order=2):
     rows = np.array([tuple(range(k)) + pair for pair in pairs])
     dd = _dd_rows((expo[:, rows] - shift).reshape(-1, k + order)).reshape(count, len(pairs), k + order)
     mass = float(weights @ dd[:, 0, k - 1])
-    if not mass > 0:
+    if mass <= 0:
         raise ArithmeticError("nonpositive weighted mass")
+    if not mass < math.inf:
+        raise OverflowError("weighted mass overflows")
     if order == 0:
         return WeightedMoments(shift, mass)
     centre = np.array([float(x) for x in mesh.barycenter])
@@ -149,6 +138,8 @@ def weighted_moments(mesh, vfield, order=2):
     first = dd[:, [pairs.index((i,) * order) for i in range(k)], k]
     mean = np.einsum("s,si,sia->a", weights, first, y) / mass
     bary = tuple(float(x) for x in centre + mean)
+    if not np.isfinite(bary).all():
+        raise OverflowError("weighted barycenter overflows")
     if order == 1:
         return WeightedMoments(shift, mass, bary)
     i, j = np.array(pairs).T
@@ -156,46 +147,11 @@ def weighted_moments(mesh, vfield, order=2):
     hess[:, i, j] = hess[:, j, i] = dd[:, :, k + 1] * np.where(i == j, 2.0, 1.0)
     y = y - mean
     cov = np.einsum("s,sij,sia,sjb->ab", weights, hess, y, y) / mass
+    if not np.isfinite(cov).all():
+        raise OverflowError("weighted covariance overflows")
     return WeightedMoments(shift, mass, bary, (cov + cov.T) / 2.0)
 
 
 def weighted_barycenter(mesh, vfield):
     """A_P(V): the e^{<V,p>}-weighted barycenter."""
     return weighted_moments(mesh, vfield, order=1).barycenter
-
-
-@dataclass(frozen=True)
-class MomentReport:
-    volume: object
-    barycenter: tuple
-    vfield: tuple
-    weighted_volume: float
-    weighted_barycenter: tuple
-    covariance: object
-    err_estimate: float
-
-
-def moment_report(mesh, vfield=None):
-    """Bundle exact and weighted moments of one mesh.
-
-    ``err_estimate`` is the relative disagreement of the two independent
-    weighted-mass routes (divided differences vs quadrature).
-    """
-    from . import quadrature
-
-    if vfield is None:
-        vfield = tuple(0.0 for _ in range(mesh.dim))
-    vfield = tuple(float(x) for x in vfield)
-    wm = weighted_moments(mesh, vfield)
-    quad_mass = sum(
-        quadrature.exp_moments_simplex(s, vfield, wm.shift)[0] for s in mesh.simplices
-    )
-    return MomentReport(
-        volume=volume(mesh),
-        barycenter=barycenter(mesh),
-        vfield=vfield,
-        weighted_volume=wm.mass,
-        weighted_barycenter=wm.barycenter,
-        covariance=wm.covariance,
-        err_estimate=abs(wm.scaled_mass - quad_mass) / wm.scaled_mass,
-    )

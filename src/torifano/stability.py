@@ -284,7 +284,10 @@ def solve_soliton(decomposition, tol=1e-11, max_iter=50, start=None):
         eigs = np.linalg.eigvalsh(hess)
         if eigs[0] <= 0:
             raise ArithmeticError("weighted covariance lost positive definiteness")
-        step = np.linalg.solve(hess, -grad)
+        try:
+            step = np.linalg.solve(hess, -grad)
+        except np.linalg.LinAlgError:
+            raise ArithmeticError("weighted covariance is numerically singular") from None
         scale = 1.0
         trial = moments_at(v + step)
         if residual > 1e-6:

@@ -1,18 +1,31 @@
-"""Grundmann-Moller simplex quadrature with adaptive refinement.
+"""Test-side reference routes to the exponential moments of a mesh.
 
-This is the second, independent route to exponential moments: fixed-degree
-polynomial rules on subdivided simplices, escalating the degree until the
-mass stabilizes.  The divided-difference kernel in :mod:`.moments` never
-feeds into these numbers, so the two paths can cross-validate each other.
+The package computes every weighted moment by one divided-difference pass,
+:func:`torifano.moments.weighted_moments`.  This module holds the routes the
+tests check it against, and no command runs:
+
+- Grundmann-Moller simplex quadrature with adaptive refinement: fixed-degree
+  polynomial rules on subdivided simplices, escalating the degree until the
+  mass stabilizes.  The divided-difference kernel never feeds into these
+  numbers, so the two routes cross-validate each other.
+- :func:`divided_difference_exp`, the one-row view of the batched kernel
+  ``moments._dd_rows``.
+- :func:`moment_report`, which bundles the exact and weighted moments of a
+  mesh with the relative disagreement of the two weighted-mass routes.
 """
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
 import numpy as np
+
+from torifano.errors import InputError
+from torifano import moments
 
 # Exponent spread per cell; cells wider than this are bisected before the
 # polynomial rule is trusted.  At spread 1 the degree-9 rule is already
@@ -130,3 +143,45 @@ def exp_moments_simplex(vertices, vfield, shift=0.0, rtol=1e-12):
         m1_total += m1
         m2_total += m2
     return m0_total, m1_total, m2_total
+
+
+def divided_difference_exp(nodes):
+    """[a_0, ..., a_m] exp, stable across clustered and separated nodes."""
+    xs = [float(x) for x in nodes]
+    if not xs:
+        raise InputError("divided difference needs at least one node")
+    top = max(xs)
+    return math.exp(top) * float(moments._dd_rows(np.array([xs]) - top)[0, -1])
+
+
+@dataclass(frozen=True)
+class MomentReport:
+    volume: object
+    barycenter: tuple
+    vfield: tuple
+    weighted_volume: float
+    weighted_barycenter: tuple
+    covariance: object
+    err_estimate: float
+
+
+def moment_report(mesh, vfield=None):
+    """Bundle exact and weighted moments of one mesh.
+
+    ``err_estimate`` is the relative disagreement of the two independent
+    weighted-mass routes (divided differences vs quadrature).
+    """
+    if vfield is None:
+        vfield = tuple(0.0 for _ in range(mesh.dim))
+    vfield = tuple(float(x) for x in vfield)
+    wm = moments.weighted_moments(mesh, vfield)
+    quad_mass = sum(exp_moments_simplex(s, vfield, wm.shift)[0] for s in mesh.simplices)
+    return MomentReport(
+        volume=moments.volume(mesh),
+        barycenter=moments.barycenter(mesh),
+        vfield=vfield,
+        weighted_volume=wm.mass,
+        weighted_barycenter=wm.barycenter,
+        covariance=wm.covariance,
+        err_estimate=abs(wm.scaled_mass - quad_mass) / wm.scaled_mass,
+    )

@@ -32,7 +32,6 @@ from torifano.moments import (
     weighted_moments,
 )
 from torifano.problems import builtin_example
-from torifano.quadrature import exp_moments_simplex
 from torifano.stability import (
     Decomposition,
     coupled_ke_verdict,
@@ -43,6 +42,8 @@ from torifano.stability import (
     sum_barycenter,
     validate_decomposition,
 )
+
+from reference_moments import exp_moments_simplex
 
 P2 = Fan(((1, 0), (0, 1), (-1, -1)), ((0, 1), (1, 2), (2, 0)))
 HEXAGON = Fan(

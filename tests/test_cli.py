@@ -10,6 +10,8 @@ from functools import cached_property
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import torifano
 from torifano import cli, geometry, linalg, moments, stability
@@ -337,6 +339,16 @@ def test_numerical_failure_exits_three(tmp_path, capsys, monkeypatch):
     assert err == "torifano: numerical failure: exponent out of range\n"
 
 
+def test_newton_on_a_numerically_singular_hessian_exits_three(tmp_path, capsys):
+    # Two rows cut the first pE part down to a simplex; Newton then runs off
+    # until the summed covariance is singular to working precision.
+    doc = document_to_dict(builtin_example("pE-4fold-c:1/3"))
+    doc["halfspaces"][0] += [[[0, 1, 0, 2], 0.5], [[-2, 0, 1, -3], "-7/3"]]
+    code, report, err = run_cli(capsys, "soliton-solve", "--input", write_doc(tmp_path, doc))
+    assert code == 3 and report is None
+    assert err == "torifano: numerical failure: weighted covariance is numerically singular\n"
+
+
 def test_ma_solve_obstructed_document(tmp_path, capsys):
     code, report, _ = run_cli(
         capsys,
@@ -481,6 +493,80 @@ def test_out_flag_mirrors_stdout(tmp_path, capsys):
     written = json.loads(out.read_text())
     assert written["command"] == "df"
     assert written["results"]["value"] == "0"
+
+
+@pytest.mark.parametrize(
+    "target, message",
+    [(".", "is a directory"), ("missing/report.json", "does not exist")],
+    ids=["directory", "missing-directory"],
+)
+def test_unwritable_out_exits_one_before_any_work(tmp_path, capsys, monkeypatch, target, message):
+    monkeypatch.setattr(cli, "run", lambda *a: pytest.fail("the command ran"))
+    code, report, err = run_cli(capsys, "validate", "--example", "p2", "--out", str(tmp_path / target))
+    assert code == 1 and report is None
+    assert err.startswith("torifano: --out: ") and message in err
+    monkeypatch.undo()
+    r = run_cli_process("ke-verdict", "--example", "p2", "--out", str(tmp_path / target))
+    assert r.returncode == 1 and r.stdout == ""
+    assert len(r.stderr.splitlines()) == 1 and message in r.stderr, r.stderr
+
+
+def test_out_that_fails_to_open_exits_one_without_a_report(tmp_path, capsys):
+    # Its directory exists, so the parser passes it; the name is too long.
+    code, report, err = run_cli(capsys, "validate", "--example", "p2", "--out", str(tmp_path / ("x" * 300)))
+    assert code == 1 and report is None
+    assert err.startswith("torifano: --out: cannot write ") and len(err.splitlines()) == 1
+
+
+def test_snapshots_into_a_missing_directory_exits_one(tmp_path, capsys):
+    path = tmp_path / "missing" / "stages.jsonl"
+    code, report, err = run_cli(capsys, "ma-solve", "--example", "p1-fubini", "--snapshots", str(path))
+    assert code == 1 and report is None
+    assert err.startswith("torifano: --snapshots: ") and "does not exist" in err
+
+
+def test_rationals_past_the_int_digit_limit_are_written_in_full(tmp_path):
+    # With N = 10^2200 every input has at most 2,201 digits, but results
+    # have 4,401-digit denominators, past the default int-to-str limit.
+    n = 10**2200
+    big = "1" + "0" * 2199 + "4" + "0" * 2199 + "3"  # (N + 1)(N + 3)
+    # The interval [-1/(N+1), 1/(N+3)] has barycenter -1/((N+1)(N+3)).
+    doc = {"name": "tiny", "dimension": 1, "halfspaces": [[[[1], f"1/{n + 1}"], [[-1], f"1/{n + 3}"]]]}
+    r = run_cli_process("barycenter", "--input", write_doc(tmp_path, doc))
+    assert r.returncode == 0 and "Traceback" not in r.stderr, r.stderr
+    report = json.loads(r.stdout)
+    assert report["results"]["parts"][0]["barycenter"] == report["results"]["sum_barycenter"] == [f"-1/{big}"]
+    # Rows that differ from P^1's by 1/(N+1) and -1/(N+3) in column 1,
+    # which then sums to 1 + 2/((N+1)(N+3)).
+    doc = dict(document_to_dict(builtin_example("p1-fubini")),
+               decomposition=[["1", "1"], [0, f"1/{n + 1}"], [0, f"-1/{n + 3}"]])
+    path = write_doc(tmp_path, doc, "rows.json")
+    r = run_cli_process("validate", "--input", path)
+    assert r.returncode == 0 and "Traceback" not in r.stderr, r.stderr
+    failures = json.loads(r.stdout)["results"]["decomposition"]["failures"]
+    assert ["column-sum", 1, f"{big[:-1]}5/{big}"] in failures
+    r = run_cli_process("ke-verdict", "--input", path)
+    assert r.returncode == 2 and r.stdout == "" and "Traceback" not in r.stderr, r.stderr
+    assert len(r.stderr.splitlines()) == 1
+
+
+def test_serialization_restores_the_int_digit_limit(capsys):
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this Python has no int-to-str digit limit")
+    before = sys.get_int_max_str_digits()
+    assert run_cli(capsys, "barycenter", "--example", "p2")[0] == 0
+    assert sys.get_int_max_str_digits() == before
+
+
+@pytest.mark.parametrize("option", ["--vfield", "--cap"])
+def test_option_scalars_are_parsed_under_the_int_digit_limit(capsys, option):
+    # Like document scalars: the limit is lifted only once the command runs.
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this Python has no int-to-str digit limit")
+    value = "1/" + "7" * 5000 + (",0" if option == "--vfield" else "")
+    code, report, err = run_cli(capsys, "lift", "--example", "p2", option, value)
+    assert code == 2 and report is None
+    assert err.startswith(f"torifano: invalid input: {option}: invalid rational")
 
 
 def test_document_echo_matches_input(tmp_path, capsys):
@@ -820,3 +906,75 @@ def test_parser_is_built_once_and_parses_fresh_defaults():
 def test_numpy_probe_sees_a_float_command():
     probe = _numpy_probe([["soliton-solve", "--example", "blowup-p2-1pt"]])
     assert probe == {"codes": [0], "numpy": True}
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the console entry point
+
+_FUZZ_SCALARS = st.one_of(
+    st.integers(-4, 4),
+    st.sampled_from(["1/2", "-7/3", "0", "1/10"]),
+    st.sampled_from([0.5, -1e-300, 1e-12, 1e308]),
+    st.sampled_from([10**30, -(10**300), f"1/{10**2200 + 1}", f"-1/{10**2200 + 3}"]),
+)
+
+
+@st.composite
+def _fuzz_documents(draw):
+    """A built-in document, a mutated one, or a raw system of dimension 0-3."""
+    kind = draw(st.sampled_from(["builtin", "mutated", "raw"]))
+    if kind == "raw":
+        dim = draw(st.integers(0, 3))
+        row = st.tuples(st.lists(st.integers(-2, 2), min_size=dim, max_size=dim), _FUZZ_SCALARS)
+        parts = draw(st.lists(st.lists(row, max_size=6), max_size=2))
+        return {"name": "fuzz", "dimension": dim, "halfspaces": parts}
+    doc = json.loads(dumps_document(builtin_example(draw(st.sampled_from(_FUZZ_EXAMPLES)))))
+    if kind == "builtin":
+        return doc
+    for edit in draw(st.lists(st.sampled_from(["scalar", "ray", "row", "fields", "empty"]), min_size=1, max_size=3)):
+        if "halfspaces" in doc:
+            rows = draw(st.sampled_from(doc["halfspaces"]))
+            if edit == "empty":
+                doc["halfspaces"].append([])
+            elif rows and edit == "scalar":
+                draw(st.sampled_from(rows))[1] = draw(_FUZZ_SCALARS)
+            elif rows and edit in ("ray", "row"):
+                normal = list(draw(st.sampled_from(rows))[0])
+                normal[draw(st.integers(0, len(normal) - 1))] = draw(st.integers(-3, 3))
+                rows.append([normal, draw(_FUZZ_SCALARS)])
+        else:
+            rays, rows = doc["rays"], doc["decomposition"]
+            if edit == "scalar" and rows:
+                row = draw(st.sampled_from(rows))
+                row[draw(st.integers(0, len(row) - 1))] = draw(_FUZZ_SCALARS)
+            elif edit == "ray":
+                ray = draw(st.sampled_from(rays))
+                ray[draw(st.integers(0, len(ray) - 1))] = draw(st.integers(-3, 3))
+            elif edit == "row":
+                rows.append(draw(st.lists(_FUZZ_SCALARS, min_size=len(rays), max_size=len(rays))))
+            elif edit == "empty":
+                doc["decomposition"] = []
+        if edit == "fields":
+            k, dim = len(doc.get("decomposition", doc.get("halfspaces"))), doc["dimension"]
+            doc["vector_fields"] = draw(st.lists(st.lists(_FUZZ_SCALARS, min_size=dim, max_size=dim),
+                                                 min_size=k, max_size=k))
+    return doc
+
+
+_FUZZ_EXAMPLES = ("p2", "p1xp1", "blowup-p2-1pt", "hexagon-dP6-t:1/7", "pE-4fold-c:1/3", "p1-fubini")
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    command=st.sampled_from(cli.COMMANDS),
+    doc=_fuzz_documents(),
+    out=st.sampled_from([None, None, "report.json", ".", "missing/report.json"]),
+)
+def test_console_fuzz_exits_with_a_documented_code(tmp_path_factory, command, doc, out):
+    where = tmp_path_factory.mktemp("fuzz")
+    args = [command, "--input", write_doc(where, doc)]
+    if out is not None:
+        args += ["--out", str(where / out)]
+    r = run_cli_process(*args)
+    assert r.returncode in (0, 1, 2, 3), r.stderr
+    assert "Traceback" not in r.stderr, r.stderr

@@ -20,7 +20,6 @@ from torifano.masolver import (
     ma_step_1d,
     make_grid,
     obstruction_residual,
-    reference_potential,
     solve_continuity_1d,
     w_diagnostics,
 )
@@ -199,39 +198,32 @@ def test_sweeps_preserve_convexity_and_slope_range():
 
 
 def test_reference_potential_closed_forms():
-    seg = ((-1.0,), (1.0,))
-    for x in (-2.0, 0.0, 0.7):
-        assert reference_potential(seg, (x,)) == pytest.approx(
-            math.log(math.cosh(x)), abs=1e-12
-        )
-    square = ((1, 1), (1, -1), (-1, 1), (-1, -1))
-    for pt in ((0.3, -1.2), (2.0, 0.1)):
-        split = reference_potential(seg, pt[:1]) + reference_potential(seg, pt[1:])
-        assert reference_potential(square, pt) == pytest.approx(split, abs=1e-12)
-    with pytest.raises(InputError):
-        reference_potential((), (0.0,))
+    # h = log((e^{ax} + e^{bx}) / 2) = (a + b) x / 2 + log cosh((b - a) x / 2).
+    xs = np.array([-40.0, -2.0, -0.3, 0.0, 0.7, 5.0, 40.0])
+    values, _ = masolver._ref_values_1d(-1.0, 1.0, xs)
+    assert values == pytest.approx([math.log(math.cosh(x)) for x in xs], abs=1e-12)
+    for a, b in ((-0.75, 0.25), (0.5, 3.0), (-2.0, -1.5)):
+        values, _ = masolver._ref_values_1d(a, b, xs)
+        want = [(a + b) * x / 2 + math.log(math.cosh((b - a) * x / 2)) for x in xs]
+        assert values == pytest.approx(want, rel=1e-14, abs=1e-14)
+    # Far out the mean of two exponentials is the larger one over 2.
+    far = np.array([-1e4, 1e4])
+    values, _ = masolver._ref_values_1d(-0.75, 0.25, far)
+    assert values == pytest.approx([7500.0 - math.log(2.0), 2500.0 - math.log(2.0)], rel=1e-15)
 
 
 def test_reference_gradient_saturates_inside_polytope():
-    square = ((1, 1), (1, -1), (-1, 1), (-1, -1))
-    delta = 1e-4
-
-    def grad(pt):
-        out = []
-        for j in range(2):
-            hi = list(pt)
-            lo = list(pt)
-            hi[j] += delta
-            lo[j] -= delta
-            out.append(
-                (reference_potential(square, hi) - reference_potential(square, lo))
-                / (2 * delta)
-            )
-        return out
-
-    gx, gy = grad((20.0, 0.3))
-    assert abs(gx - 1.0) < 1e-6
-    assert abs(gy - math.tanh(0.3)) < 1e-6
+    delta = 1e-5
+    xs = np.linspace(-30.0, 30.0, 121)
+    for a, b in ((-1.0, 1.0), (-0.75, 0.25), (0.5, 3.0)):
+        _, slopes = masolver._ref_values_1d(a, b, xs)
+        hi, _ = masolver._ref_values_1d(a, b, xs + delta)
+        lo, _ = masolver._ref_values_1d(a, b, xs - delta)
+        assert np.max(np.abs(slopes - (hi - lo) / (2 * delta))) < 1e-7
+        assert slopes.min() >= a and slopes.max() <= b
+        assert np.all(np.diff(slopes) >= 0)
+        _, ends = masolver._ref_values_1d(a, b, np.array([-1e3, 0.0, 1e3]))
+        assert ends == pytest.approx([a, (a + b) / 2, b], abs=1e-15)
 
 
 def test_legendre_quadratic_is_self_dual():

