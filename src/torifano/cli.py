@@ -171,13 +171,13 @@ def _cmd_barycenter(doc, args):
     dec = _decomposition(doc)
     vfields = doc.vector_fields
     parts = []
-    for i, mesh in enumerate(dec.meshes):
+    for i, polytope in enumerate(dec.polytopes):
         entry = {
-            "volume": volume(mesh),
+            "volume": volume(polytope),
             "barycenter": list(dec.barycenters[i]),
         }
         if vfields is not None:
-            entry["weighted_barycenter"] = list(weighted_barycenter(mesh, vfields[i]))
+            entry["weighted_barycenter"] = list(weighted_barycenter(polytope.mesh, vfields[i]))
         parts.append(entry)
     results = {
         "parts": parts,

@@ -1,4 +1,4 @@
-"""Fans, support vectors, polytopes, and exact triangulation.
+"""Fans, support vectors, polytopes, their tangent cones, and triangulation.
 
 The combinatorial layer works over ``fractions.Fraction`` whenever the input
 data is rational, so smoothness, completeness, ampleness, vertex positions,
@@ -8,8 +8,10 @@ same code paths with a small absolute tolerance.  :func:`tolerance` makes
 that choice once per polytope, from its own data, and the polytope carries
 it.
 
-A fan inverts each maximal cone's ray matrix once, in ``Fan.cone_inverses``:
-smoothness is read off it, and a cone's vertex is one product with it.
+A fan inverts each maximal cone's ray matrix once, in ``Fan.cone_inverses``,
+as integer rows over one scale: smoothness is read off the scale, and a
+cone's vertex is one integer product with the rows, over the lcm of the
+support's denominators.
 
 Each polytope's derived data is computed in one place, from one incidence
 record per vertex: an int bitmask of the halfspaces tight there.  Each
@@ -17,9 +19,16 @@ vertex route hands over the record it has.  Per maximal cone from support
 numbers, the cone's slack row is compared with the tolerance, the one place
 where a tolerance decides tightness; by double description from raw
 halfspaces, a vertex's record is its ray's exact zero set.  The polytope's
-tight sets, redundancy flags and dimension are read off the records, and
-its triangulation is ``Polytope.mesh``, computed on first use.  Double
-description runs in integers, so nothing needs numpy.
+tight sets, redundancy flags and dimension are read off the records.  An
+exact polytope reads its vertices' tangent cones, ``Polytope.cones``, off
+its tight facet rows, a fan part reusing the fan's cone inverses, and
+splits a non-simple vertex's cone by the pulling recursion that also
+triangulates; its exact volume and barycenter,
+``Polytope.cone_sums``, are Lawrence-Brion sums over those cones.  The
+triangulation itself, ``Polytope.mesh``, is computed on first use for the
+weighted pass and for float polytopes, and the lift check triangulates its
+lifted polytope.  Double description and the cone data run in integers, so
+nothing needs numpy.
 
 Conventions: a ray is a primitive integer column vector; a support vector
 ``c`` over a fan with rays ``d_j`` cuts out ``P = {x : <d_j, x> >= -c_j}``.
@@ -30,10 +39,10 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property, reduce
-from math import gcd, isfinite, lcm
+from math import factorial, gcd, isfinite, lcm, prod
 from operator import and_
 
 from . import linalg
@@ -56,6 +65,12 @@ def _coerce(x):
 
 def _vec(xs):
     return tuple(_coerce(x) for x in xs)
+
+
+def _over_lcm(xs):
+    """``(scale, ints)``: rationals ``xs`` as ints over the lcm of their denominators."""
+    scale = lcm(*(x.denominator for x in xs))
+    return scale, [x.numerator * (scale // x.denominator) for x in xs]
 
 
 def tolerance(scalars):
@@ -111,17 +126,15 @@ class Fan:
 
     @cached_property
     def cone_inverses(self):
-        """Each maximal cone's ray matrix inverse as rows, or None when singular.
+        """Each maximal cone's ray matrix inverse as ``(rows, scale)``, or None when singular.
 
-        The entries are ints exactly when the inverse is integral, that is
-        when the cone is smooth, and Fractions otherwise.
+        The inverse is the integer rows over the least positive scale, which
+        is 1 exactly when the cone is smooth.
         """
-        inverses = []
-        for cone in self.max_cones:
-            found = linalg.integer_inverse([self.rays[j] for j in cone])
-            inverse, scale = found[1:] if found else (None, 1)
-            inverses.append(inverse if scale == 1 else [tuple(Fraction(x, scale) for x in row) for row in inverse])
-        return tuple(inverses)
+        return tuple(
+            found[1:] if (found := linalg.integer_inverse([self.rays[j] for j in cone])) else None
+            for cone in self.max_cones
+        )
 
 
 @dataclass(frozen=True)
@@ -155,7 +168,7 @@ def validate_fan(fan):
     smooth = True
     for cone, inverse in zip(fan.max_cones, fan.cone_inverses):
         # An integer matrix has det +-1 exactly when its inverse is integral.
-        if inverse is None or any(x.denominator != 1 for row in inverse for x in row):
+        if inverse is None or inverse[1] != 1:
             smooth = False
             witnesses.append(("smooth", {"cone": cone, "det": str(linalg.det([fan.rays[i] for i in cone]))}))
 
@@ -199,36 +212,45 @@ def _cone_vertices(fan, c, tol):
     """The vertex of each maximal cone, its slack rows, and the class of ``c``.
 
     A cone's vertex v is where its rays' halfspaces are tight, v = -D^-1 c
-    over the cone for exact and float ``c`` alike, and its slack row holds
-    <d_j, v> + c_j for every ray j, the cone's own included, so a polytope
-    reads its tight sets off the rows.  A ray outside the cone with slack
-    below -tol breaks convexity, and the vertices and rows found up to
-    there come back; a slack within tol is the nef boundary.  A float
-    vertex or slack that overflowed is an input error, since it would
-    compare false against both bounds.
+    over the cone, and its slack row holds <d_j, v> + c_j for every ray j,
+    the cone's own included, so a polytope reads its tight sets off the
+    rows.  Exact ``c`` is scaled by the lcm u of its denominators to
+    integers C; a cone whose inverse is R / s then has the integer vertex
+    -R C and slack row <d_j, -R C> + s C_j over the positive denominator
+    s u, so every sign is read off ints and the Fractions are built once,
+    at the end.  Float ``c`` runs the same lines with u = 1.  A ray outside
+    the cone with slack below -tol breaks convexity, and the vertices and
+    rows found up to there come back; a slack within tol is the nef
+    boundary.  A float vertex or slack that overflowed is an input error,
+    since it would compare false against both bounds.
     """
-    vertices, slacks, nef_witness = [], [], None
+    unit, ints = (1, c) if tol else _over_lcm(c)
+    found, nef_witness, amp = [], None, None
     for ci, (cone, inverse) in enumerate(zip(fan.max_cones, fan.cone_inverses)):
         if inverse is None:
             raise InputError(f"cone {cone} is not simplicial of full rank")
-        offsets = [c[j] for j in cone]
-        v = tuple(-dot(row, offsets) for row in inverse)
-        row = [dot(ray, v) + cj for ray, cj in zip(fan.rays, c)]
-        # Fractions cannot overflow; only float entries are checked.
+        rows, scale = inverse
+        offsets = [ints[j] for j in cone]
+        v = [-dot(row, offsets) for row in rows]
+        row = [dot(ray, v) + scale * cj for ray, cj in zip(fan.rays, ints)]
+        scale *= unit
+        found.append((v, row, scale))
+        # Ints and Fractions cannot overflow; only float entries are checked.
         if tol and not all(isfinite(x) for x in (*v, *row) if isinstance(x, float)):
             raise InputError(f"the vertex of cone {list(cone)} overflows the float range")
-        vertices.append(v)
-        slacks.append(row)
-        for j, slack in enumerate(row):
-            if j in cone:
-                continue
-            if slack < -tol:
-                return vertices, slacks, AmplenessReport(Ampleness.NOT_CONVEX, (ci, j))
-            if slack <= tol and nef_witness is None:
-                nef_witness = (ci, j)
-    if nef_witness is not None:
-        return vertices, slacks, AmplenessReport(Ampleness.NEF_ONLY, nef_witness)
-    return vertices, slacks, AmplenessReport(Ampleness.AMPLE)
+        bound = tol * scale
+        witness = next((j for j, slack in enumerate(row) if j not in cone and slack < -bound), None)
+        if witness is not None:
+            amp = AmplenessReport(Ampleness.NOT_CONVEX, (ci, witness))
+            break
+        if nef_witness is None:
+            nef_witness = next(((ci, j) for j, slack in enumerate(row) if j not in cone and slack <= bound), None)
+    if amp is None:
+        amp = AmplenessReport(Ampleness.AMPLE if nef_witness is None else Ampleness.NEF_ONLY, nef_witness)
+    build = (lambda x, d: x / d) if tol else Fraction
+    vertices = [tuple(build(x, d) for x in v) for v, _, d in found]
+    slacks = [[build(x, d) for x in row] for _, row, d in found]
+    return vertices, slacks, amp
 
 
 def _support(fan, c):
@@ -265,8 +287,12 @@ class Polytope:
     data, 0 when it is exact: tight sets, vertex merging, the triangulation
     and every verdict on the polytope compare within it, and ``tol == 0`` is
     what "exact" means downstream.  ``degenerate`` marks empty or
-    lower-dimensional intersections, which carry no mesh; ``mesh`` is the
-    :func:`triangulate` mesh of any other polytope, kept once computed.
+    lower-dimensional intersections, which carry no mesh and no cones;
+    ``mesh`` is the :func:`triangulate` mesh of any other polytope,
+    ``cones`` its vertices' tangent cones and ``cone_sums`` its exact volume
+    and barycenter, each kept once computed.  ``inverses`` maps a tuple of
+    integer rows to the integer rows of its inverse, over any scale, where
+    the route that built the polytope has them already.
     """
 
     dim: int
@@ -276,6 +302,7 @@ class Polytope:
     redundant: tuple
     tol: float
     degenerate: bool = False
+    inverses: dict = field(default=None, compare=False, repr=False)
 
     @property
     def nvertices(self):
@@ -286,8 +313,101 @@ class Polytope:
         """The :func:`triangulate` mesh, computed on first use."""
         return triangulate(self)
 
+    @cached_property
+    def cones(self):
+        """Each vertex's tangent cone as simplicial ``(weight, generators)`` pieces.
 
-def _polytope(dim, halfspaces, candidates, tight, tol):
+        The pieces of vertex v cover {v + y : <d_j, y> >= 0 for the facet
+        rows d_j tight at v}, which is the cone of P - v, and meet only on
+        their boundaries; redundant rows add nothing to it.  Generators are
+        primitive integer vectors and the weight is the |det| of their
+        matrix.  A vertex on exactly dim distinct facet normals has one
+        piece, the columns of their inverse, taken from ``inverses`` or
+        from :func:`linalg.integer_inverse`; any other vertex's cone
+        is split by :func:`_pulling` over its :func:`_extreme_rays`, whose
+        facets are the rows' zero sets.  Exact polytopes only.
+        """
+        if self.degenerate or self.tol:
+            raise InputError("tangent cones need an exact full-dimensional polytope")
+        tight = [{} for _ in self.vertices]
+        for (d, _), members, redundant in zip(self.halfspaces, self.tight_sets, self.redundant):
+            if not redundant:
+                row = _primitive(_over_lcm(d)[1])
+                for i in members:
+                    tight[i][row] = None
+        return tuple(_split_cone(tuple(rows), self.inverses or {}) for rows in tight)
+
+    @cached_property
+    def cone_sums(self):
+        """``(Vol(P), b(P))``, exact, by :func:`_cone_sums` over ``cones``."""
+        return _cone_sums(self)
+
+
+def _piece(generators):
+    generators = tuple(_primitive(w) for w in generators)
+    return abs(linalg.integer_det(generators)), generators
+
+
+def _split_cone(rows, inverses):
+    """The cone where every integer row is >= 0, as simplicial pieces."""
+    size = len(rows[0])
+    if len(rows) == size:
+        inverse = inverses.get(rows) or linalg.integer_inverse(rows)[1]
+        return (_piece(zip(*inverse)),)
+    rays = _extreme_rays(rows)
+    facets = [frozenset(i for i, (_, zeros) in enumerate(rays) if zeros >> j & 1) for j in range(len(rows))]
+    points = [r for r, _ in rays]
+    return tuple(_piece(points[i] for i in simplex) for simplex in _pulling(points, facets, size - 1))
+
+
+def _cone_sums(polytope):
+    """Vol(P) and b(P) by vertex-cone sums (Lawrence, Math. Comp. 1991; Brion 1988).
+
+    A simplicial piece of the cone at v, with weight c = |det W| over
+    generators w, contributes c <xi,v>^(n+k) / ((n+k)! prod_w -<xi,w>) to
+    the integral of <xi,x>^k / k! over P, for every xi that no generator is
+    orthogonal to: k = 0 is the volume, and the xi-gradient of k = 1 is the
+    first moment.  xi is the first (1, t, t^2, ...) at t = 1, 2, ... that no
+    generator is orthogonal to; each <xi, w> is a nonzero polynomial in t of
+    degree below n, so few t fail.  A vertex v = V / D, V integer over the
+    lcm D of its denominators, and a piece of weight c there give the ints
+    h = <xi, V>, e_w = -<xi, w> and P = prod_w e_w, and the piece adds
+    c h^n / (D^n n! P) to the volume.  Its first moment term is the
+    xi-gradient of c <xi,v>^(n+1) / ((n+1)! P):
+    c h^n ((n+1) V P + h S) / (D^(n+1) (n+1)! P^2), with S = sum_w w P / e_w.
+    The vertices that share a D are summed in ints over D and the lcm of
+    their pieces' P^2, and each such group adds one Fraction per sum, so a
+    polytope whose vertices have many denominators never forms their lcm to
+    a high power.
+    """
+    n = polytope.dim
+    cones = polytope.cones
+    generators = {w for pieces in cones for _, gens in pieces for w in gens}
+    curve = ([t**k for k in range(n)] for t in itertools.count(1))
+    xi = next(xi for xi in curve if all(dot(xi, w) for w in generators))
+    groups = {}
+    for v, pieces in zip(polytope.vertices, cones):
+        denominator, big = _over_lcm(v)
+        height = dot(xi, big)
+        terms = groups.setdefault(denominator, [])
+        for weight, gens in pieces:
+            slopes = [-dot(xi, w) for w in gens]
+            terms.append((weight * height**n, height, big, prod(slopes), gens, slopes))
+    # mass is n! Vol(P), and moment (n+1)! times the first moments.
+    mass, moment = Fraction(0), [Fraction(0)] * n
+    for denominator, terms in groups.items():
+        q = lcm(*(p * p for _, _, _, p, _, _ in terms))
+        mass += Fraction(sum(c * p * (q // (p * p)) for c, _, _, p, _, _ in terms), q * denominator**n)
+        sums = [0] * n
+        for c, height, big, p, gens, slopes in terms:
+            c *= q // (p * p)
+            s = [sum(w[k] * (p // e) for w, e in zip(gens, slopes)) for k in range(n)]
+            sums = [m + c * ((n + 1) * x * p + height * y) for m, x, y in zip(sums, big, s)]
+        moment = [m + Fraction(x, q * denominator ** (n + 1)) for m, x in zip(moment, sums)]
+    return mass / factorial(n), tuple(m / ((n + 1) * mass) for m in moment)
+
+
+def _polytope(dim, halfspaces, candidates, tight, tol, inverses=None):
     """The polytope of valid ``halfspaces`` whose vertices are ``candidates``.
 
     ``tight[i]`` is the incidence record of candidate i, an int bitmask of
@@ -304,6 +424,7 @@ def _polytope(dim, halfspaces, candidates, tight, tol):
     Geom. 2002).  A polytope of hull rank dim-1 has one facet set, all of
     its vertices, and a lower one none.  A row with a zero normal cuts
     nothing, so it is redundant even where it is tight at every vertex.
+    ``inverses`` are the route's known inverses, kept for ``Polytope.cones``.
     """
     merged = {}
     for v, mask in zip(candidates, tight):
@@ -333,6 +454,7 @@ def _polytope(dim, halfspaces, candidates, tight, tol):
         redundant=redundant,
         tol=tol,
         degenerate=hull_rank < dim,
+        inverses=inverses,
     )
 
 
@@ -344,7 +466,10 @@ def polytope_from_support(fan, c, cones=None):
     candidates would not be the vertices of the halfspace system, so that
     raises InputError.  Empty interior comes back as a degenerate polytope
     rather than an error.  ``cones`` is the :func:`_cone_vertices` result of
-    ``c`` when the caller has solved the cones already.
+    ``c`` when the caller has solved the cones already.  The polytope keeps
+    the fan's cone inverses, so the tangent cone of a vertex tight on
+    exactly one maximal cone's rays is the columns of that cone's inverse,
+    and no fan cone is inverted twice.
     """
     c = _support(fan, c)
     tol = tolerance(c)
@@ -356,7 +481,12 @@ def polytope_from_support(fan, c, cones=None):
         )
     # The one place where a tolerance decides that a halfspace is tight.
     tight = [sum(1 << j for j, s in enumerate(row) if abs(s) <= tol) for row in slacks]
-    return _polytope(fan.dim, tuple(zip(fan.rays, c)), vertices, tight, tol)
+    inverses = {
+        tuple(fan.rays[j] for j in cone): inverse[0]
+        for cone, inverse in zip(fan.max_cones, fan.cone_inverses)
+        if inverse
+    }
+    return _polytope(fan.dim, tuple(zip(fan.rays, c)), vertices, tight, tol, inverses)
 
 
 def _extreme_rays(rows):
@@ -421,9 +551,7 @@ def polytope_from_halfspaces(halfspaces):
         raise InputError(f"raw halfspace regime is dim <= {MAX_RAW_DIM}, m <= {MAX_RAW_HALFSPACES}")
     tol = tolerance([x for d, c in hs for x in (*d, c)])
 
-    exact = [[Fraction(x) for x in (*d, c)] for d, c in hs]
-    scales = [lcm(*(x.denominator for x in row)) for row in exact]
-    rows = [tuple(x.numerator * (s // x.denominator) for x in row) for row, s in zip(exact, scales)]
+    rows = [tuple(_over_lcm([Fraction(x) for x in (*d, c)])[1]) for d, c in hs]
     rays = _extreme_rays([(0,) * n + (1,), *rows]) or ()
     # Bit 0 of a zero set is the row t >= 0, tight at no vertex.
     bounded = sorted((tuple(Fraction(x, r[n]) for x in r[:n]), z >> 1) for r, z in rays if r[n] > 0)
@@ -511,10 +639,10 @@ def _volume_factor(simplex):
 class SimplexMesh:
     """Disjoint simplices covering a polytope, as coordinate tuples.
 
-    The volume factor of each simplex (dim! times its volume), the
-    barycenter, both exact on rational meshes, and the floats that the
-    weighted moment pass turns into arrays are computed on first use and
-    kept here.
+    The volume factor of each simplex (dim! times its volume), the volume
+    and the barycenter, all exact on rational meshes, and the floats that
+    the weighted moment pass turns into arrays are computed on first use
+    and kept here.
     """
 
     simplices: tuple
@@ -526,6 +654,10 @@ class SimplexMesh:
     @cached_property
     def factors(self):
         return tuple(map(_volume_factor, self.simplices))
+
+    @property
+    def volume(self):
+        return sum(self.factors, Fraction(0)) / factorial(self.dim)
 
     @cached_property
     def barycenter(self):
@@ -546,40 +678,30 @@ class SimplexMesh:
         return points, tuple(map(float, self.factors))
 
 
-def triangulate(polytope):
-    """Deterministic boundary-cone triangulation.
+def _pulling(points, facets, dim):
+    """Index tuples of the simplices of a deterministic pulling triangulation.
 
-    Every face is coned from its lexicographically least vertex over the
-    triangulations of the facets that miss it.  The scheme depends only on
-    vertex coordinates, so it is independent of input ordering.
-
-    The facets of a face F are the inclusion-maximal proper sets F n T over
-    the facets T of the polytope: each facet G of F lies in a facet T that
-    misses part of F, so G = F n T, and a proper F n T lies in some facet
-    of F (Kaibel-Pfetsch, Comput. Geom. 2002).  No rank test is needed.
+    ``points`` span a polytope of dimension ``dim`` (or a pointed cone of
+    dimension dim + 1, over its rays) whose facets are among ``facets``,
+    sets of point indices.  Every face is coned from its lexicographically
+    least point over the triangulations of the facets that miss it, so the
+    scheme depends only on the points.  The facets of a face F are the
+    inclusion-maximal proper sets F n T over the sets T: each facet G of F
+    lies in a facet T that misses part of F, so G = F n T, and a proper
+    F n T lies in some facet of F (Kaibel-Pfetsch, Comput. Geom. 2002).  No
+    rank test is needed, and sets that are no facet drop out as non-maximal.
     """
-    if polytope.degenerate:
-        raise InputError("cannot triangulate a degenerate polytope")
-    verts = polytope.vertices
-    n = polytope.dim
-    tol = polytope.tol
-
-    facet_sets = dict.fromkeys(
-        frozenset(tight) for tight, red in zip(polytope.tight_sets, polytope.redundant) if not red
-    )
-
+    facets = dict.fromkeys(facets)
     cache = {}
 
     def tri_face(face, d):
         if face in cache:
             return cache[face]
-        if d == 0:
-            result = [face]
-        elif len(face) == d + 1:
+        if d == 0 or len(face) == d + 1:
             result = [face]
         else:
-            apex = min(face, key=lambda i: verts[i])
-            subs = dict.fromkeys(tuple(i for i in face if i in tight) for tight in facet_sets)
+            apex = min(face, key=points.__getitem__)
+            subs = dict.fromkeys(tuple(i for i in face if i in tight) for tight in facets)
             proper = {sub: set(sub) for sub in subs if len(sub) < len(face)}
             result = []
             for sub, members in proper.items():
@@ -590,9 +712,17 @@ def triangulate(polytope):
         cache[face] = result
         return result
 
-    top = tuple(range(len(verts)))
-    simplices = tuple(tuple(verts[i] for i in idx) for idx in tri_face(top, n))
+    return tri_face(tuple(range(len(points))), dim)
+
+
+def triangulate(polytope):
+    """Deterministic boundary-cone triangulation, by :func:`_pulling` over the facets."""
+    if polytope.degenerate:
+        raise InputError("cannot triangulate a degenerate polytope")
+    verts = polytope.vertices
+    facets = (frozenset(tight) for tight, red in zip(polytope.tight_sets, polytope.redundant) if not red)
+    simplices = tuple(tuple(verts[i] for i in idx) for idx in _pulling(verts, facets, polytope.dim))
     mesh = SimplexMesh(simplices=simplices)
-    if any(w <= tol for w in mesh.factors):
+    if any(w <= polytope.tol for w in mesh.factors):
         raise ArithmeticError("degenerate simplex in triangulation")
     return mesh

@@ -5,9 +5,9 @@ both ``fractions.Fraction`` (exact, ``tol == 0``) and ``float`` (tolerance
 based) inputs.  Matrices are sequences of row sequences.  One echelon
 routine, Gaussian elimination with partial pivoting, reduces the rows;
 ``det``, ``rank`` and ``kernel_vector`` read its result.  Integer matrices
-have one fraction-free routine, ``integer_inverse``.  Sizes stay below
-eight in this package, so asymptotics are irrelevant; clarity and
-exactness are not.
+have two fraction-free routines, ``integer_inverse`` and ``integer_det``.
+Sizes stay below eight in this package, so asymptotics are irrelevant;
+clarity and exactness are not.
 """
 
 from __future__ import annotations
@@ -140,6 +140,28 @@ def integer_inverse(rows):
         return None
     scale = lcm(*(e[p] for p, e in reduced))
     return basis, [tuple(x * (scale // e[p]) for x in e[size:]) for p, e in sorted(reduced)], scale
+
+
+def integer_det(rows):
+    """Determinant of a square integer matrix, by Bareiss' fraction-free elimination.
+
+    Every entry after step k is a k+1 by k+1 minor, so each division by the
+    previous pivot is exact (Bareiss, Math. Comp. 1968).
+    """
+    m = [list(row) for row in rows]
+    sign, previous = 1, 1
+    for k in range(len(m) - 1):
+        if not m[k][k]:
+            swap = next((i for i in range(k + 1, len(m)) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap], sign = m[swap], m[k], -sign
+        pivot = m[k][k]
+        for i in range(k + 1, len(m)):
+            head = m[i][k]
+            m[i][k + 1 :] = [(pivot * x - head * y) // previous for x, y in zip(m[i][k + 1 :], m[k][k + 1 :])]
+        previous = pivot
+    return sign * m[-1][-1] if m else 1
 
 
 def farkas(matrix, rhs):

@@ -1,19 +1,22 @@
-"""Exact and exponentially weighted moments of triangulated polytopes.
+"""Exact moments by vertex-cone sums, and exponentially weighted moments of meshes.
 
-Every moment here is computed from a :class:`SimplexMesh`, usually
-``Polytope.mesh``.  Volumes and barycenters of rational meshes are exact;
-they read the volume factors and the barycenter that each mesh holds.  The weighted functionals
-Vol_V(P) = integral of e^{<V,p>}, its normalized first moment A_P(V) and the
-covariance all come from one numpy pass over the simplices of a mesh,
-:func:`weighted_moments`, which is the weighted entry point; its result
-carries the mass, the log mass, A_P(V) and the covariance.  On a simplex
-with vertex exponents a_i = <V, v_i> the integral of e^{<V,p>} is dim! vol
-[a] exp, the divided difference of exp over the a_i; its derivatives
-[a, a_i] and [a, a_i, a_j] (doubled when i = j) give the first and second
-moments (Baldoni, Berline, De Loera, Koppe and Vergne, Math. Comp. 2011).
-Second moments are taken about A_P(V) itself, so the covariance is a sum
-of squares and loses no digits to cancellation.  This pass is the one
-weighted route; the tests hold a quadrature route that cross-checks it.
+:func:`volume` and :func:`barycenter` are the unweighted entry points.  An
+exact polytope's are ``Polytope.cone_sums``, Lawrence-Brion sums over its
+vertices' tangent cones with no triangulation of the polytope, computed
+once per polytope; float polytopes read the volume and barycenter that
+their mesh holds.  The weighted
+functionals Vol_V(P) = integral of e^{<V,p>}, its normalized first moment
+A_P(V) and the covariance all come from one numpy pass over the simplices
+of a mesh, usually ``Polytope.mesh``, :func:`weighted_moments`, which is
+the weighted entry point; its result carries the mass, the log mass, A_P(V)
+and the covariance.  On a simplex with vertex exponents a_i = <V, v_i> the
+integral of e^{<V,p>} is dim! vol [a] exp, the divided difference of exp
+over the a_i; its derivatives [a, a_i] and [a, a_i, a_j] (doubled when
+i = j) give the first and second moments (Baldoni, Berline, De Loera,
+Koppe and Vergne, Math. Comp. 2011).  Second moments are taken about
+A_P(V) itself, so the covariance is a sum of squares and loses no digits to
+cancellation.  This pass is the one weighted route; the tests hold a
+quadrature route that cross-checks it.
 """
 
 from __future__ import annotations
@@ -21,21 +24,20 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 # Taylor terms beyond the node count; after scaling every node lies within
 # 1/2 of the expansion point, so the truncation is below 1e-18 relative.
 _TAYLOR_EXTRA = 16
 
 
-def volume(mesh):
-    """Total volume, exact for rational meshes."""
-    return sum(mesh.factors, Fraction(0)) / math.factorial(mesh.dim)
+def volume(polytope):
+    """Total volume: exact by vertex-cone sums, from the mesh for float polytopes."""
+    return polytope.mesh.volume if polytope.tol else polytope.cone_sums[0]
 
 
-def barycenter(mesh):
-    """Volume-weighted centroid, exact for rational meshes."""
-    return mesh.barycenter
+def barycenter(polytope):
+    """Volume-weighted centroid: exact by vertex-cone sums, from the mesh for float polytopes."""
+    return polytope.mesh.barycenter if polytope.tol else polytope.cone_sums[1]
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,11 @@ from .geometry import tolerance
 HEXAGON_DEFAULT_T = Fraction(1, 10)
 
 
+def _quoted(token, limit=40):
+    """A token as a message quotes it: whole when short, else its start and length."""
+    return repr(token) if len(token) <= limit else f"{token[:limit]!r}... ({len(token)} characters)"
+
+
 def parse_scalar(value, where):
     """int and "p/q" strings parse exactly; finite floats stay floats."""
     if isinstance(value, bool):
@@ -34,8 +39,12 @@ def parse_scalar(value, where):
     if isinstance(value, str):
         try:
             return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"{where}: invalid rational {value!r} ({exc})") from None
+        except ZeroDivisionError:
+            reason = "zero denominator"
+        except ValueError as exc:
+            # Fraction's message quotes the whole token, which is quoted once below.
+            reason = "not an integer, decimal or p/q" if value in str(exc) else str(exc)
+        raise InputError(f"{where}: invalid rational {_quoted(value)} ({reason})")
     raise InputError(f"{where}: expected a number or 'p/q' string, got {type(value).__name__}")
 
 

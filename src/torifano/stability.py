@@ -81,7 +81,7 @@ class Decomposition:
 
     @cached_property
     def barycenters(self):
-        return tuple(moments.barycenter(mesh) for mesh in self.meshes)
+        return tuple(moments.barycenter(p) for p in self.polytopes)
 
     @property
     def exact(self):
@@ -343,9 +343,9 @@ def lifted_config(polytope, vfield, cap=None):
 
     The prism volume factors exactly as Vol(P) * (cap + <v, b(P)>); both
     sides are computed independently (the left by triangulating the lifted
-    polytope, the right on ``polytope.mesh``) and recorded.  The lifted
-    vertices are (p, -<v,p>) and (p, cap) over the vertices p of P, so any
-    dimension works.  Rational data only.
+    polytope, the right by the vertex-cone sums of P) and recorded.  The
+    lifted vertices are (p, -<v,p>) and (p, cap) over the vertices p of P,
+    so any dimension works.  Rational data only.
     """
     v = _vec(vfield)
     if polytope.tol or tolerance(v):
@@ -375,10 +375,8 @@ def lifted_config(polytope, vfield, cap=None):
     lifted = _polytope(n + 1, tuple(halfspaces), points, tight, 0)
     if lifted.degenerate:
         raise DegenerateLiftError("lifted polytope is degenerate")
-    vol_lifted = moments.volume(triangulate(lifted))
-    mesh = polytope.mesh
-    b = mesh.barycenter
-    vol_product = moments.volume(mesh) * (cap + dot(v, b))
+    vol_lifted = triangulate(lifted).volume
+    vol_product = moments.volume(polytope) * (cap + dot(v, moments.barycenter(polytope)))
     return LiftedConfig(
         polytope=lifted,
         cap=cap,

@@ -177,8 +177,8 @@ def moment_report(mesh, vfield=None):
     wm = moments.weighted_moments(mesh, vfield)
     quad_mass = sum(exp_moments_simplex(s, vfield, wm.shift)[0] for s in mesh.simplices)
     return MomentReport(
-        volume=moments.volume(mesh),
-        barycenter=moments.barycenter(mesh),
+        volume=mesh.volume,
+        barycenter=mesh.barycenter,
         vfield=vfield,
         weighted_volume=wm.mass,
         weighted_barycenter=wm.barycenter,

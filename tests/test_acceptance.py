@@ -109,9 +109,10 @@ def test_criterion_1_bundle_exact_moments():
         started = time.perf_counter()
         doc = builtin_example(f"pE-4fold-c:{c}")
         part = polytope_from_halfspaces(doc.halfspaces[0])
+        vol = volume(part)
+        bary = barycenter(part)
         mesh = triangulate(part)
-        vol = volume(mesh)
-        bary = barycenter(mesh)
+        assert (mesh.volume, mesh.barycenter) == (vol, bary)
         assert vol == (56 * c - 3) / 144
         assert vol * bary[3] == (5 * c - 2) / 720
         assert bary[:3] == (0, 0, 0)

@@ -1,5 +1,6 @@
 """Command-line interface: reports, exit codes, determinism."""
 
+import itertools
 import json
 import math
 import os
@@ -569,6 +570,17 @@ def test_option_scalars_are_parsed_under_the_int_digit_limit(capsys, option):
     assert err.startswith(f"torifano: invalid input: {option}: invalid rational")
 
 
+@pytest.mark.parametrize("digits", [3000, 120_000])
+def test_malformed_option_scalars_are_quoted_short(capsys, digits):
+    # The message quotes the start of the token and its length, not all of it.
+    value = "1/" + "7" * digits + "x,0"
+    code, report, err = run_cli(capsys, "df", "--example", "p2", "--vfield", value)
+    assert code == 2 and report is None
+    assert err.count("\n") == 1 and len(err) < 200
+    assert err.startswith("torifano: invalid input: --vfield: invalid rational '1/777")
+    assert f"({digits + 3} characters)" in err
+
+
 def test_document_echo_matches_input(tmp_path, capsys):
     path = write_doc(tmp_path, PAIR_DOC)
     code, report, _ = run_cli(capsys, "soliton-check", "--input", path)
@@ -590,10 +602,21 @@ def test_exact_commands_compute_each_part_barycenter_once(capsys, monkeypatch, c
     assert report["results"]["sum_barycenter"] == ["148/66303", "148/66303"]
 
 
-def test_lift_reuses_the_decomposition_meshes(capsys, monkeypatch):
-    # Each part is triangulated once for the decomposition and its lift once
-    # more, on its own; each part's exact barycenter is computed once.
-    triangulated, centred = [], []
+def test_barycenter_sums_each_part_once(capsys, monkeypatch):
+    # The volume and the barycenter of a part both read its one cone-sum pass.
+    summed = []
+    real_sums = geometry._cone_sums
+    monkeypatch.setattr(geometry, "_cone_sums", lambda p: summed.append(p) or real_sums(p))
+    code, report, _ = run_cli(capsys, "barycenter", "--example", "hexagon-dP6-t")
+    assert code == 0
+    assert len(summed) == len(report["results"]["parts"]) == 2
+
+
+def test_lift_triangulates_only_the_lifted_polytopes(capsys, monkeypatch):
+    # The parts' exact moments are vertex-cone sums, so the lift check
+    # triangulates one lifted polytope per part and no mesh barycenter is
+    # taken; each part is summed once, however often its moments are read.
+    triangulated, centred, summed = [], [], []
     real_triangulate = geometry.triangulate
 
     def counted_triangulate(p, *a):
@@ -607,11 +630,52 @@ def test_lift_reuses_the_decomposition_meshes(capsys, monkeypatch):
     counted = cached_property(lambda mesh: centred.append(mesh) or real_barycenter(mesh))
     counted.__set_name__(geometry.SimplexMesh, "barycenter")
     monkeypatch.setattr(geometry.SimplexMesh, "barycenter", counted)
+    real_sums = geometry._cone_sums
+    monkeypatch.setattr(geometry, "_cone_sums", lambda p: summed.append(p) or real_sums(p))
     code, report, _ = run_cli(capsys, "lift", "--example", "hexagon-dP6-t")
     assert code == 0
-    assert len(triangulated) == 4
-    assert len(centred) == 2
+    assert [p.dim for p in triangulated] == [3, 3]
+    assert centred == []
+    assert len(summed) == 2
     assert [part["identity_holds"] for part in report["results"]["parts"]] == [True, True]
+
+
+EXACT_EXAMPLES = (
+    "p2", "p1xp1", "blowup-p2-1pt", "hexagon-dP6-t", "hexagon-dP6-t:1/7", "pE-4fold-c:1/3", "p1-fubini",
+)
+
+
+@pytest.mark.parametrize("example", EXACT_EXAMPLES)
+@pytest.mark.parametrize("command", ["barycenter", "ke-verdict", "df"])
+def test_exact_commands_never_triangulate(capsys, monkeypatch, command, example):
+    # Exact part moments are vertex-cone sums; Polytope.mesh calls
+    # geometry's binding of triangulate, the lift stability's own.
+    def refuse(polytope):
+        raise AssertionError("triangulated")
+
+    monkeypatch.setattr(geometry, "triangulate", refuse)
+    monkeypatch.setattr(stability, "triangulate", refuse)
+    code, report, _ = run_cli(capsys, command, "--example", example)
+    assert code == 0
+    assert (report["results"] | report["diagnostics"])["exact"] is True
+
+
+def _cube_fan_document(n):
+    """(P^1)^n with the anticanonical class split into two rows of 1/2."""
+    rays = [[sign * int(i == axis) for i in range(n)] for axis in range(n) for sign in (1, -1)]
+    cones = [[2 * axis + side for axis, side in enumerate(sides)] for sides in itertools.product((0, 1), repeat=n)]
+    half = ["1/2"] * (2 * n)
+    return {"name": f"p1^{n}", "dimension": n, "rays": rays, "max_cones": cones, "decomposition": [half, half]}
+
+
+def test_ke_verdict_on_a_seven_dimensional_cube_fan(tmp_path, capsys, monkeypatch):
+    # 128 vertices per part: a guard on the count of triangulations (none)
+    # and on the verdict, not a timing gate.
+    monkeypatch.setattr(geometry, "triangulate", lambda polytope: pytest.fail("triangulated"))
+    code, report, _ = run_cli(capsys, "ke-verdict", "--input", write_doc(tmp_path, _cube_fan_document(7)))
+    assert code == 0
+    assert report["results"]["verdict"] == "Exists"
+    assert report["results"]["sum_barycenter"] == ["0"] * 7
 
 
 def test_validate_float_rows_sum_within_tolerance(tmp_path, capsys):

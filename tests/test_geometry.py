@@ -103,12 +103,76 @@ def test_cone_inverses_are_integral_exactly_on_smooth_cones():
                 assert inverse is None
                 kinds.add("singular")
                 continue
-            integral = all(type(x) is int for row in inverse for x in row)
+            rows, scale = inverse
+            assert all(type(x) is int for row in rows for x in row)
+            integral = scale == 1
             assert integral == (abs(d) == 1)
             kinds.add("smooth" if integral else "not smooth")
-            identity = [[int(i == k) for k in range(n)] for i in range(n)]
-            assert [[sum(x * y for x, y in zip(row, col)) for col in zip(*matrix)] for row in inverse] == identity
+            identity = [[scale * int(i == k) for k in range(n)] for i in range(n)]
+            assert [[sum(x * y for x, y in zip(row, col)) for col in zip(*matrix)] for row in rows] == identity
+            # The scale is the least common denominator of the inverse.
+            assert math.gcd(scale, *(x for row in rows for x in row)) == 1
     assert kinds == {"singular", "smooth", "not smooth"}
+
+
+def _cone_vertices_reference(fan, c, tol):
+    """``geometry._cone_vertices`` as it ran in Fractions: v = -D^-1 c with D^-1 over Q."""
+    vertices, slacks, nef_witness = [], [], None
+    for ci, cone in enumerate(fan.max_cones):
+        _, inverse, scale = linalg.integer_inverse([fan.rays[j] for j in cone])
+        inverse = inverse if scale == 1 else [tuple(Fraction(x, scale) for x in row) for row in inverse]
+        offsets = [c[j] for j in cone]
+        v = tuple(-linalg.dot(row, offsets) for row in inverse)
+        row = [linalg.dot(ray, v) + cj for ray, cj in zip(fan.rays, c)]
+        vertices.append(v)
+        slacks.append(row)
+        for j, slack in enumerate(row):
+            if j in cone:
+                continue
+            if slack < -tol:
+                return vertices, slacks, geometry.AmplenessReport(Ampleness.NOT_CONVEX, (ci, j))
+            if slack <= tol and nef_witness is None:
+                nef_witness = (ci, j)
+    if nef_witness is not None:
+        return vertices, slacks, geometry.AmplenessReport(Ampleness.NEF_ONLY, nef_witness)
+    return vertices, slacks, geometry.AmplenessReport(Ampleness.AMPLE)
+
+
+CUBE3 = Fan(
+    [tuple(sign * int(i == axis) for i in range(3)) for axis in range(3) for sign in (1, -1)],
+    [tuple(2 * axis + side for axis, side in enumerate(sides)) for sides in itertools.product((0, 1), repeat=3)],
+)
+# Cones of determinant 2 and 3: their inverses are not integral.
+NONSMOOTH = (
+    Fan(((1, 0), (1, 2), (-1, -1), (0, -1)), ((0, 1), (1, 2), (2, 3), (3, 0))),
+    Fan(((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -2, -3)), ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))),
+)
+
+
+@pytest.mark.parametrize("kind", ["exact", "nonsmooth", "float", "mixed"])
+def test_integer_cone_vertices_match_the_fraction_version(kind):
+    # Same vertices, slack rows (values and types), class and witness, the
+    # partial lists of NotConvex supports included.
+    rng = random.Random(f"cone-vertices:{kind}")
+    fans = NONSMOOTH if kind == "nonsmooth" else (P2, P1XP1, HEXAGON, CUBE3)
+    seen = set()
+    for _ in range(300):
+        fan = rng.choice(fans)
+        c = [Fraction(rng.choice((-1, 0, 1, 1, 2, 2, 3)), rng.choice((1, 1, 2, 3))) for _ in fan.rays]
+        if kind == "float":
+            c = [float(x) + rng.choice((0.0, 1e-12, 0.25)) for x in c]
+        elif kind == "mixed":
+            c[rng.randrange(len(c))] = rng.choice((0.5, 1.0, 1.0 / 3.0))
+        c = geometry._vec(c)
+        tol = geometry.tolerance(c)
+        got = geometry._cone_vertices(fan, c, tol)
+        want = _cone_vertices_reference(fan, c, tol)
+        assert got == want
+        assert [[type(x) for x in v] for v in got[0] + got[1]] == [[type(x) for x in v] for v in want[0] + want[1]]
+        seen.add(got[2].kind)
+        if got[2].kind is Ampleness.NOT_CONVEX and len(got[0]) < len(fan.max_cones):
+            seen.add("partial")
+    assert seen == {*Ampleness, "partial"}
 
 
 def test_hexagon_vertices_triangulation_volume():
@@ -119,8 +183,8 @@ def test_hexagon_vertices_triangulation_volume():
     }
     mesh = triangulate(p)
     assert len(mesh.simplices) == 4
-    assert volume(mesh) == 3
-    assert barycenter(mesh) == (0, 0)
+    assert mesh.volume == volume(p) == 3
+    assert mesh.barycenter == barycenter(p) == (0, 0)
 
 
 def test_cube_triangulates_into_six_tetrahedra():
@@ -134,7 +198,7 @@ def test_cube_triangulates_into_six_tetrahedra():
     assert cube.nvertices == 8
     mesh = triangulate(cube)
     assert len(mesh.simplices) == 6
-    assert volume(mesh) == 8
+    assert mesh.volume == volume(cube) == 8
 
 
 def test_redundant_halfspace_flagged():
@@ -248,8 +312,8 @@ def test_triangulation_apex_choices_agree_exactly():
     lo = triangulate(p)
     hi = triangulate(_mirror(p))
     assert _cells(lo.simplices) != _cells(hi.simplices, -1)
-    assert volume(lo) == volume(hi)
-    assert barycenter(lo) == tuple(-x for x in barycenter(hi))
+    assert lo.volume == hi.volume
+    assert lo.barycenter == tuple(-x for x in hi.barycenter)
 
 
 @st.composite
@@ -282,9 +346,10 @@ def test_support_additivity_under_minkowski_sum(c1, c2):
 def test_translate_equivariance_of_moments(c, shift):
     p = polytope_from_support(P2, c)
     mesh = triangulate(p)
-    moved = triangulate(translate(p, shift))
-    assert volume(moved) == volume(mesh)
-    assert barycenter(moved) == tuple(b + s for b, s in zip(barycenter(mesh), shift))
+    moved = translate(p, shift)
+    moved_mesh = triangulate(moved)
+    assert volume(moved) == moved_mesh.volume == mesh.volume == volume(p)
+    assert barycenter(moved) == moved_mesh.barycenter == tuple(b + s for b, s in zip(barycenter(p), shift))
 
 
 # ---------------------------------------------------------------------------

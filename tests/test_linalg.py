@@ -5,7 +5,7 @@ and ``kernel_vector`` ran before they shared one echelon routine, and the
 solve loop they shared it with.  The arithmetic is unchanged, so exact
 results must be equal and float results bitwise equal, signed zeros
 included.  The fraction-free ``integer_inverse`` is checked against the
-Fraction solve and rank loops.
+Fraction solve and rank loops, and ``integer_det`` against the det loop.
 """
 
 import math
@@ -200,6 +200,14 @@ def test_det_matches_the_separate_loop(kind, data):
     assert_same(linalg.det(matrix), _det_reference(matrix))
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_integer_det_matches_the_fraction_reference(data):
+    matrix = data.draw(matrices("int", square=True))
+    got = linalg.integer_det(matrix)
+    assert type(got) is int and got == _det_reference(matrix)
+
+
 @pytest.mark.parametrize("square", [True, False], ids=["square", "any-shape"])
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(data=st.data())
@@ -238,3 +246,4 @@ def test_empty_and_zero_matrices():
     assert_same(linalg.kernel_vector([[-0.0, 0.0]]), _kernel_vector_reference([[-0.0, 0.0]]))
     assert linalg.integer_inverse([[0, 1], [0, 2]]) is None
     assert linalg.integer_inverse([[1, 2, 3]]) is None
+    assert linalg.integer_det([]) == 1 and linalg.integer_det([[0, 1], [0, 2]]) == 0

@@ -17,8 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torifano import cli, linalg
-from torifano.geometry import MAX_RAW_DIM, MAX_RAW_HALFSPACES, polytope_from_halfspaces, translate
+from torifano import cli, linalg, moments
+from torifano.geometry import MAX_RAW_DIM, MAX_RAW_HALFSPACES, polytope_from_halfspaces, translate, triangulate
 from torifano.problems import ProblemDocument, builtin_example
 from torifano.stability import (
     Decomposition,
@@ -254,3 +254,57 @@ def test_vertices_at_the_size_cap_are_feasible_and_independent_of_basis_and_orde
     moved = polytope_from_halfspaces([(tuple(linalg.dot(row, d) for row in u), c) for d, c in rows])
     back = {tuple(sum(u[k][i] * w[k] for k in range(n)) for i in range(n)) for w in moved.vertices}
     assert back == set(polytope.vertices)
+
+
+def test_cone_sums_equal_the_triangulation_at_the_size_cap():
+    # Several vertices of the cut box are on more than six rows, so their
+    # tangent cones are split.
+    polytope = polytope_from_halfspaces(_cut_box(random.Random(1)))
+    assert any(len(pieces) > 1 for pieces in polytope.cones)
+    mesh = triangulate(polytope)
+    assert moments.volume(polytope) == mesh.volume
+    assert moments.barycenter(polytope) == mesh.barycenter
+
+
+def _unimodular(rng, n):
+    """A product of eight elementary shears: row i += sign * row j."""
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(8):
+        i, j = rng.sample(range(n), 2)
+        sign = rng.choice((1, -1))
+        u[i] = [a + sign * b for a, b in zip(u[i], u[j])]
+    return u
+
+
+CROSS_3 = ProblemDocument(
+    name="cross-3",
+    dimension=3,
+    halfspaces=(tuple((signs, Fraction(1)) for signs in itertools.product((1, -1), repeat=3)),),
+)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize(
+    "doc", [builtin_example("pE-4fold-c:1/2"), P1_CUBED, CROSS_3, builtin_example("hexagon-dP6-t:1/7")],
+    ids=["pE-4fold", "p1^3", "cross-3", "hexagon"],
+)
+def test_cone_sums_equal_the_triangulation_under_lattice_changes(seed, doc):
+    # Normals U d cut out U^{-T} P: the volume is kept, U^T maps the
+    # barycenter back, and on the image cone sums equal the triangulation.
+    n = doc.dimension
+    u = _unimodular(random.Random(f"{doc.name}:{seed}"), n)
+    assert abs(linalg.det(u)) == 1
+
+    def move(d):
+        return tuple(linalg.dot(row, d) for row in u)
+
+    if doc.halfspaces is not None:
+        moved = replace(doc, halfspaces=tuple(tuple((move(d), c) for d, c in part) for part in doc.halfspaces))
+    else:
+        moved = replace(doc, rays=tuple(move(d) for d in doc.rays))
+    for before, after in zip(cli._decomposition(doc).polytopes, cli._decomposition(moved).polytopes):
+        mesh = triangulate(after)
+        assert moments.volume(after) == mesh.volume == moments.volume(before)
+        b = moments.barycenter(after)
+        assert b == mesh.barycenter
+        assert tuple(sum(u[k][i] * b[k] for k in range(n)) for i in range(n)) == moments.barycenter(before)

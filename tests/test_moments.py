@@ -1,6 +1,8 @@
 """Exact moments and the two weighted-integration routes."""
 
+import dataclasses
 import decimal
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -18,7 +20,9 @@ from torifano.geometry import (
     translate,
     triangulate,
 )
-from torifano import moments
+from torifano import cli, linalg, moments
+from torifano.errors import InputError
+from torifano.problems import builtin_example, registry_names
 from torifano.moments import (
     barycenter,
     volume,
@@ -67,9 +71,10 @@ def closed_form_mean(a, b, v):
 
 
 def test_p2_volume_and_barycenter():
-    mesh = triangulate(polytope_from_support(P2, (Fraction(1),) * 3))
-    assert volume(mesh) == Fraction(9, 2)
-    assert barycenter(mesh) == (0, 0)
+    p = polytope_from_support(P2, (Fraction(1),) * 3)
+    mesh = triangulate(p)
+    assert volume(p) == mesh.volume == Fraction(9, 2)
+    assert barycenter(p) == mesh.barycenter == (0, 0)
 
 
 def test_blowup_quad_barycenter():
@@ -81,24 +86,132 @@ def test_blowup_quad_barycenter():
         ((-1, -1), Fraction(1)),
         ((1, 1), Fraction(1)),
     )
-    mesh = triangulate(polytope_from_halfspaces(halfspaces))
-    assert volume(mesh) == 4
-    assert barycenter(mesh) == (Fraction(1, 12), Fraction(1, 12))
+    p = polytope_from_halfspaces(halfspaces)
+    mesh = triangulate(p)
+    assert volume(p) == mesh.volume == 4
+    assert barycenter(p) == mesh.barycenter == (Fraction(1, 12), Fraction(1, 12))
 
 
 def test_bundle_moments_match_closed_forms():
     for c in (Fraction(3, 10), Fraction(1, 2), Fraction(7, 10)):
-        mesh = triangulate(pe_polytope(c))
-        vol = volume(mesh)
-        bary = barycenter(mesh)
+        p = pe_polytope(c)
+        vol = volume(p)
+        bary = barycenter(p)
+        mesh = triangulate(p)
+        assert (mesh.volume, mesh.barycenter) == (vol, bary)
         assert vol == (56 * c - 3) / 144
         assert vol * bary[3] == (5 * c - 2) / 720
         assert bary[:3] == (0, 0, 0)
 
 
 def test_bundle_fourth_coordinate_at_half():
-    mesh = triangulate(pe_polytope(Fraction(1, 2)))
-    assert barycenter(mesh)[3] == Fraction(1, 250)
+    p = pe_polytope(Fraction(1, 2))
+    assert barycenter(p)[3] == triangulate(p).barycenter[3] == Fraction(1, 250)
+
+
+# ---------------------------------------------------------------------------
+# vertex-cone sums against the triangulation
+
+
+def assert_cone_sums_match_the_mesh(polytope):
+    """Exact Vol and b by cone sums equal those of the triangulation, as Fractions."""
+    mesh = triangulate(polytope)
+    assert volume(polytope) == mesh.volume
+    assert barycenter(polytope) == mesh.barycenter
+    assert all(type(x) is Fraction for x in (volume(polytope), *barycenter(polytope)))
+
+
+@pytest.mark.parametrize("spec", [*registry_names(), "hexagon-dP6-t:1/7", "hexagon-dP6-t:-1/5", "pE-4fold-c:1/3"])
+def test_cone_sums_equal_the_triangulation_on_the_builtins(spec):
+    doc = builtin_example(spec)
+    for polytope in cli._decomposition(doc).polytopes:
+        if not doc.exact:
+            # Float parts read the moments that their mesh holds.
+            assert (volume(polytope), barycenter(polytope)) == (polytope.mesh.volume, polytope.mesh.barycenter)
+            continue
+        # A fan part's cones reuse its fan's inverses and equal those of its facet rows alone.
+        assert (polytope.inverses is not None) == (doc.halfspaces is None)
+        assert polytope.cones == dataclasses.replace(polytope, inverses=None).cones
+        assert_cone_sums_match_the_mesh(polytope)
+
+
+def _random_simplex(rng, n):
+    """A simplex of n + 1 random integer normals with sum_j a_j d_j = 0, a_j > 0, around 0."""
+    while True:
+        normals = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        if linalg.det(normals) != 0:
+            break
+    weights = [rng.randint(1, 3) for _ in normals]
+    last = [-sum(a * d[i] for a, d in zip(weights, normals)) for i in range(n)]
+    return [(tuple(d), Fraction(rng.randint(1, 9), rng.randint(1, 4))) for d in [*normals, last]]
+
+
+def _random_cut_box(rng, n):
+    """A box with generic rational offsets and two random integer cuts through it."""
+    rows = [
+        (tuple(sign * int(i == axis) for i in range(n)), Fraction(rng.randint(2, 9), rng.randint(1, 3)))
+        for axis in range(n) for sign in (1, -1)
+    ]
+    for _ in range(2):
+        rows.append((tuple(rng.randint(-3, 3) or 1 for _ in range(n)), Fraction(rng.randint(5, 40), 7)))
+    return rows
+
+
+@pytest.mark.parametrize("shape", [_random_simplex, _random_cut_box])
+def test_cone_sums_equal_the_triangulation_on_simple_raw_parts(shape):
+    rng = random.Random(shape.__name__)
+    weights = set()
+    for _ in range(40):
+        n = rng.randint(2, 4)
+        polytope = polytope_from_halfspaces(shape(rng, n))
+        if any(len(pieces) > 1 for pieces in polytope.cones):
+            continue
+        weights.update(weight for (weight, _), in polytope.cones)
+        assert_cone_sums_match_the_mesh(polytope)
+    # Unimodular and non-unimodular vertices both occur.
+    assert 1 in weights and max(weights) > 1
+
+
+def _cross_polytope(n):
+    return [(signs, 1) for signs in itertools.product((1, -1), repeat=n)]
+
+
+# A pyramid over the square [-1, 1]^2 with apex (0, 0, 1): the apex is on four facets.
+SQUARE_PYRAMID = [((0, 0, 1), 0), ((1, 0, -1), 1), ((-1, 0, -1), 1), ((0, 1, -1), 1), ((0, -1, -1), 1)]
+
+
+@pytest.mark.parametrize(
+    "rows", [_cross_polytope(3), _cross_polytope(4), SQUARE_PYRAMID], ids=["cross-3", "cross-4", "pyramid"]
+)
+def test_cone_sums_equal_the_triangulation_on_non_simple_raw_parts(rows):
+    polytope = polytope_from_halfspaces(rows)
+    assert any(len(pieces) > 1 for pieces in polytope.cones)
+    assert_cone_sums_match_the_mesh(polytope)
+
+
+def test_cone_sums_of_a_six_cube_fan_match_the_product():
+    # (P^1)^6: x_i in [-c_(2i), c_(2i+1)], so Vol is the product of the
+    # widths and b_i the midpoint of each side.
+    n = 6
+    rng = random.Random(6)
+    corners = itertools.product((0, 1), repeat=n)
+    fan = Fan(
+        [tuple(sign * int(i == axis) for i in range(n)) for axis in range(n) for sign in (1, -1)],
+        [tuple(2 * axis + side for axis, side in enumerate(sides)) for sides in corners],
+    )
+    c = [Fraction(rng.randint(1, 9), rng.randint(1, 5)) for _ in range(2 * n)]
+    polytope = polytope_from_support(fan, c)
+    assert volume(polytope) == math.prod(c[2 * i] + c[2 * i + 1] for i in range(n))
+    assert barycenter(polytope) == tuple((c[2 * i + 1] - c[2 * i]) / 2 for i in range(n))
+
+
+def test_degenerate_polytopes_have_no_exact_moments():
+    flat = polytope_from_halfspaces([((1, 0), 0), ((-1, 0), 0), ((0, 1), 1), ((0, -1), 1)])
+    assert flat.degenerate
+    with pytest.raises(InputError):
+        volume(flat)
+    with pytest.raises(InputError):
+        barycenter(flat)
 
 
 def test_exp_integral_unit_interval():
@@ -270,8 +383,8 @@ def test_mesh_independence_of_moments():
     p = pe_polytope(Fraction(1, 2))
     lo = triangulate(p)
     hi = triangulate(polytope_from_halfspaces([(tuple(-x for x in d), c) for d, c in p.halfspaces]))
-    assert volume(lo) == volume(hi)
-    assert barycenter(lo) == tuple(-x for x in barycenter(hi))
+    assert lo.volume == hi.volume
+    assert lo.barycenter == tuple(-x for x in hi.barycenter)
     wlo = weighted_moments(lo, (0.3, -0.2, 0.1, 1.0), order=0).mass
     whi = weighted_moments(hi, (-0.3, 0.2, -0.1, -1.0), order=0).mass
     assert abs(wlo - whi) / abs(wlo) < 1e-12
