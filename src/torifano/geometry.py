@@ -16,7 +16,8 @@ support's denominators.
 Each polytope's derived data is computed in one place, from one incidence
 record per vertex: an int bitmask of the halfspaces tight there.  Each
 vertex route hands over the record it has.  Per maximal cone from support
-numbers, the cone's slack row is compared with the tolerance, the one place
+numbers, the record is read off the cone's integer slack row beside the
+nef test, where a float row is compared with the tolerance, the one place
 where a tolerance decides tightness; by double description from raw
 halfspaces, a vertex's record is its ray's exact zero set.  The polytope's
 tight sets, redundancy flags and dimension are read off the records.  An
@@ -27,8 +28,11 @@ triangulates; its exact volume and barycenter,
 ``Polytope.cone_sums``, are Lawrence-Brion sums over those cones.  The
 triangulation itself, ``Polytope.mesh``, is computed on first use for the
 weighted pass and for float polytopes, and the lift check triangulates its
-lifted polytope.  Double description and the cone data run in integers, so
-nothing needs numpy.
+lifted polytope.  An exact mesh's volume factors are Bareiss determinants
+of integer edge rows, and its volume and barycenter are summed in
+integers, so the exact route builds Fractions only for the values it
+returns.  Double description, the cone data and exact meshes run in
+integers, so nothing needs numpy.
 
 Conventions: a ray is a primitive integer column vector; a support vector
 ``c`` over a fan with rays ``d_j`` cuts out ``P = {x : <d_j, x> >= -c_j}``.
@@ -170,7 +174,8 @@ def validate_fan(fan):
         # An integer matrix has det +-1 exactly when its inverse is integral.
         if inverse is None or inverse[1] != 1:
             smooth = False
-            witnesses.append(("smooth", {"cone": cone, "det": str(linalg.det([fan.rays[i] for i in cone]))}))
+            det = linalg.integer_det([fan.rays[i] for i in cone])
+            witnesses.append(("smooth", {"cone": cone, "det": str(det)}))
 
     # A complete simplicial fan is characterized by every wall (codimension-1
     # cone) lying in exactly two maximal cones.
@@ -209,20 +214,23 @@ class AmplenessReport:
 
 
 def _cone_vertices(fan, c, tol):
-    """The vertex of each maximal cone, its slack rows, and the class of ``c``.
+    """The vertex of each maximal cone, its tight-set mask, and the class of ``c``.
 
     A cone's vertex v is where its rays' halfspaces are tight, v = -D^-1 c
     over the cone, and its slack row holds <d_j, v> + c_j for every ray j,
-    the cone's own included, so a polytope reads its tight sets off the
-    rows.  Exact ``c`` is scaled by the lcm u of its denominators to
-    integers C; a cone whose inverse is R / s then has the integer vertex
-    -R C and slack row <d_j, -R C> + s C_j over the positive denominator
-    s u, so every sign is read off ints and the Fractions are built once,
-    at the end.  Float ``c`` runs the same lines with u = 1.  A ray outside
-    the cone with slack below -tol breaks convexity, and the vertices and
-    rows found up to there come back; a slack within tol is the nef
-    boundary.  A float vertex or slack that overflowed is an input error,
-    since it would compare false against both bounds.
+    the cone's own included.  Exact ``c`` is scaled by the lcm u of its
+    denominators to integers C; a cone whose inverse is R / s then has the
+    integer vertex -R C and slack row <d_j, -R C> + s C_j over the positive
+    denominator s u, so every sign is read off ints and only the vertices
+    become Fractions, at the end.  Float ``c`` runs the same lines with
+    u = 1.  A ray outside the cone with slack below -tol breaks convexity,
+    and the vertices and masks found up to there come back; a slack within
+    tol is the nef boundary.  The same row gives the cone's mask, an int
+    with bit j set where ray j is tight: where the exact slack is 0, or the
+    float slack over its denominator is within tol in magnitude, the one
+    place where a tolerance decides that a halfspace is tight.  A float
+    vertex or slack that overflowed is an input error, since it would
+    compare false against both bounds.
     """
     unit, ints = (1, c) if tol else _over_lcm(c)
     found, nef_witness, amp = [], None, None
@@ -234,10 +242,11 @@ def _cone_vertices(fan, c, tol):
         v = [-dot(row, offsets) for row in rows]
         row = [dot(ray, v) + scale * cj for ray, cj in zip(fan.rays, ints)]
         scale *= unit
-        found.append((v, row, scale))
         # Ints and Fractions cannot overflow; only float entries are checked.
         if tol and not all(isfinite(x) for x in (*v, *row) if isinstance(x, float)):
             raise InputError(f"the vertex of cone {list(cone)} overflows the float range")
+        tight = (abs(x / scale) <= tol for x in row) if tol else (not x for x in row)
+        found.append((v, sum(1 << j for j, t in enumerate(tight) if t), scale))
         bound = tol * scale
         witness = next((j for j, slack in enumerate(row) if j not in cone and slack < -bound), None)
         if witness is not None:
@@ -249,8 +258,7 @@ def _cone_vertices(fan, c, tol):
         amp = AmplenessReport(Ampleness.AMPLE if nef_witness is None else Ampleness.NEF_ONLY, nef_witness)
     build = (lambda x, d: x / d) if tol else Fraction
     vertices = [tuple(build(x, d) for x in v) for v, _, d in found]
-    slacks = [[build(x, d) for x in row] for _, row, d in found]
-    return vertices, slacks, amp
+    return vertices, [mask for _, mask, _ in found], amp
 
 
 def _support(fan, c):
@@ -473,14 +481,12 @@ def polytope_from_support(fan, c, cones=None):
     """
     c = _support(fan, c)
     tol = tolerance(c)
-    vertices, slacks, amp = cones or _cone_vertices(fan, c, tol)
+    vertices, tight, amp = cones or _cone_vertices(fan, c, tol)
     if amp.kind is Ampleness.NOT_CONVEX:
         ci, j = amp.witness
         raise InputError(
             f"support is not convex: the vertex of cone {list(fan.max_cones[ci])} violates ray {j}"
         )
-    # The one place where a tolerance decides that a halfspace is tight.
-    tight = [sum(1 << j for j, s in enumerate(row) if abs(s) <= tol) for row in slacks]
     inverses = {
         tuple(fan.rays[j] for j in cone): inverse[0]
         for cone, inverse in zip(fan.max_cones, fan.cone_inverses)
@@ -602,7 +608,7 @@ def minkowski_sum(fan, parts):
     maximal cone, which is checked, along with support-number additivity
     on every ray direction, both within the parts' tolerance; a failed check
     raises ``ArithmeticError``.  Each support vector's cone vertices are
-    solved once and give its class, its vertices and its slack rows.
+    solved once and give its class, its vertices and its tight-set masks.
     """
     parts = [_support(fan, c) for c in parts]
     if not parts:
@@ -617,22 +623,18 @@ def minkowski_sum(fan, parts):
         combined = tuple(sum(p[i] for p in pieces) for i in range(fan.dim))
         if any(abs(a - b) > tol for a, b in zip(vsum, combined)):
             raise ArithmeticError("per-cone vertices must add")
-    # A part's smallest slack of ray j is its support number on d_j plus c_j,
-    # so the support numbers add up to -total_j when these minima sum to 0.
-    for j in range(fan.nrays):
-        if abs(sum(min(row[j] for row in slacks) for _, slacks, _ in cones[1:])) > tol:
+    # A part's support number on d_j is min_v <d_j, v>, which plus c_j is
+    # its smallest slack of ray j, so the support numbers add up to -total_j
+    # when these minima sum to 0.
+    for j, ray in enumerate(fan.rays):
+        slack = sum(min(dot(ray, v) for v in vertices) + c[j] for (vertices, _, _), c in zip(cones[1:], parts))
+        if abs(slack) > tol:
             raise ArithmeticError("support numbers must add on rays")
     return total, polytope_from_support(fan, total, cones[0])
 
 
 # ---------------------------------------------------------------------------
 # triangulation
-
-
-def _volume_factor(simplex):
-    """|det| of the edge matrix, i.e. dim! times the simplex volume."""
-    edges = [[a - b for a, b in zip(p, simplex[0])] for p in simplex[1:]]
-    return abs(linalg.det(edges))
 
 
 @dataclass(frozen=True)
@@ -642,7 +644,15 @@ class SimplexMesh:
     The volume factor of each simplex (dim! times its volume), the volume
     and the barycenter, all exact on rational meshes, and the floats that
     the weighted moment pass turns into arrays are computed on first use
-    and kept here.
+    and kept here.  An exact mesh, one whose coordinates have
+    :func:`tolerance` 0, works in integers: each distinct vertex is cleared
+    of its denominators once, a simplex whose vertices' denominators have
+    the lcm d is taken over d, and its factor is the Bareiss
+    :func:`linalg.integer_det` of its integer edge rows over d^n.  The
+    volume and the barycenter sum those ints over each d and build one
+    Fraction per d and output value, so a mesh whose vertices have many
+    denominators never forms their lcm.  A float mesh takes each factor as
+    the :func:`linalg.det` of its edge rows.
     """
 
     simplices: tuple
@@ -652,30 +662,84 @@ class SimplexMesh:
         return len(self.simplices[0]) - 1 if self.simplices else 0
 
     @cached_property
-    def factors(self):
-        return tuple(map(_volume_factor, self.simplices))
+    def _cleared(self):
+        """Each distinct vertex of an exact mesh as ``(denominator, ints)``, or None.
 
-    @property
+        Vertices are keyed by identity, since a triangulation shares its
+        vertex tuples among its simplices, which keep them alive.  None
+        for a float mesh.
+        """
+        points = {id(v): v for simplex in self.simplices for v in simplex}
+        if tolerance(x for v in points.values() for x in v):
+            return None
+        return {key: _over_lcm(v) for key, v in points.items()}
+
+    def _integer_simplices(self):
+        """Each simplex of an exact mesh as ``(d, rows)``: its vertices times d, in ints."""
+        cleared = self._cleared
+        for simplex in self.simplices:
+            found = [cleared[id(v)] for v in simplex]
+            d = lcm(*(scale for scale, _ in found))
+            yield d, [ints if scale == d else [x * (d // scale) for x in ints] for scale, ints in found]
+
+    @cached_property
+    def _dets(self):
+        """Per simplex of an exact mesh, ``(det, d)``: its factor is det / d^n."""
+        return [
+            (abs(linalg.integer_det([[a - b for a, b in zip(p, rows[0])] for p in rows[1:]])), d)
+            for d, rows in self._integer_simplices()
+        ]
+
+    @cached_property
+    def factors(self):
+        """Each simplex's volume times dim!, the |det| of its edge rows."""
+        if self._cleared is not None:
+            return tuple(Fraction(det, d**self.dim) for det, d in self._dets)
+        return tuple(abs(linalg.det([[a - b for a, b in zip(p, s[0])] for p in s[1:]])) for s in self.simplices)
+
+    @cached_property
     def volume(self):
-        return sum(self.factors, Fraction(0)) / factorial(self.dim)
+        n = self.dim
+        if self._cleared is None:
+            return sum(self.factors, Fraction(0)) / factorial(n)
+        masses = {}
+        for det, d in self._dets:
+            masses[d] = masses.get(d, 0) + det
+        return sum((Fraction(mass, d**n) for d, mass in masses.items()), Fraction(0)) / factorial(n)
 
     @cached_property
     def barycenter(self):
         """Volume-weighted centroid."""
         n = self.dim
-        total = sum(self.factors)
+        if self._cleared is None:
+            total = sum(self.factors)
+            if total == 0:
+                raise InputError("zero-volume mesh has no barycenter")
+            moment = [0] * n
+            for simplex, w in zip(self.simplices, self.factors):
+                moment = [m + w * (sum(v[i] for v in simplex) / (n + 1)) for i, m in enumerate(moment)]
+            return tuple(m / total for m in moment)
+        total = self.volume * factorial(n)
         if total == 0:
             raise InputError("zero-volume mesh has no barycenter")
-        moment = [0] * n
-        for simplex, w in zip(self.simplices, self.factors):
-            moment = [m + w * (sum(v[i] for v in simplex) / (n + 1)) for i, m in enumerate(moment)]
-        return tuple(m / total for m in moment)
+        # A simplex over d with factor det / d^n has the moment det / d^n
+        # times its centroid, the sum of its integer vertices over (n+1) d.
+        groups = {}
+        for (det, d), (_, rows) in zip(self._dets, self._integer_simplices()):
+            groups[d] = [m + det * sum(column) for m, column in zip(groups.get(d, [0] * n), zip(*rows))]
+        moment = [Fraction(0)] * n
+        for d, sums in groups.items():
+            moment = [m + Fraction(x, d ** (n + 1)) for m, x in zip(moment, sums)]
+        return tuple(m / ((n + 1) * total) for m in moment)
 
     @cached_property
     def floats(self):
         """Float vertices, nested as (simplex, vertex, axis), and float factors."""
         points = tuple(tuple(tuple(map(float, v)) for v in s) for s in self.simplices)
-        return points, tuple(map(float, self.factors))
+        if self._cleared is None:
+            return points, tuple(map(float, self.factors))
+        # Int true division rounds correctly, as float() of the Fraction does.
+        return points, tuple(det / d**self.dim for det, d in self._dets)
 
 
 def _pulling(points, facets, dim):
@@ -723,6 +787,7 @@ def triangulate(polytope):
     facets = (frozenset(tight) for tight, red in zip(polytope.tight_sets, polytope.redundant) if not red)
     simplices = tuple(tuple(verts[i] for i in idx) for idx in _pulling(verts, facets, polytope.dim))
     mesh = SimplexMesh(simplices=simplices)
-    if any(w <= polytope.tol for w in mesh.factors):
+    sizes = mesh.factors if mesh._cleared is None else (det for det, _ in mesh._dets)
+    if any(w <= polytope.tol for w in sizes):
         raise ArithmeticError("degenerate simplex in triangulation")
     return mesh

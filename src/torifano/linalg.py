@@ -4,8 +4,10 @@ Everything operates on plain Python sequences so a single code path serves
 both ``fractions.Fraction`` (exact, ``tol == 0``) and ``float`` (tolerance
 based) inputs.  Matrices are sequences of row sequences.  One echelon
 routine, Gaussian elimination with partial pivoting, reduces the rows;
-``det``, ``rank`` and ``kernel_vector`` read its result.  Integer matrices
-have two fraction-free routines, ``integer_inverse`` and ``integer_det``.
+``det``, ``rank`` and ``kernel_vector`` read its result; the package takes
+``det`` only of float meshes' simplices.  Integer matrices have two
+fraction-free routines, ``integer_inverse`` and ``integer_det``, and the
+exact routes use them: fan cones, tangent cones and exact simplices.
 Sizes stay below eight in this package, so asymptotics are irrelevant;
 clarity and exactness are not.
 """

@@ -12,6 +12,11 @@ tests check it against, and no command runs:
   ``moments._dd_rows``.
 - :func:`moment_report`, which bundles the exact and weighted moments of a
   mesh with the relative disagreement of the two weighted-mass routes.
+- :func:`volume_factor` and :func:`mesh_moments`, the unweighted moments of
+  a mesh summed simplex by simplex in the scalar type of its coordinates,
+  with one ``linalg.det`` per simplex: the route ``SimplexMesh`` keeps for
+  float meshes, against which its integer route for exact meshes is
+  checked.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from math import factorial
 import numpy as np
 
 from torifano.errors import InputError
-from torifano import moments
+from torifano import linalg, moments
 
 # Exponent spread per cell; cells wider than this are bisected before the
 # polynomial rule is trusted.  At spread 1 the degree-9 rule is already
@@ -185,3 +190,26 @@ def moment_report(mesh, vfield=None):
         covariance=wm.covariance,
         err_estimate=abs(wm.scaled_mass - quad_mass) / wm.scaled_mass,
     )
+
+
+def volume_factor(simplex):
+    """|det| of the edge matrix, i.e. dim! times the simplex volume."""
+    edges = [[a - b for a, b in zip(p, simplex[0])] for p in simplex[1:]]
+    return abs(linalg.det(edges))
+
+
+def mesh_moments(simplices):
+    """``(factors, volume, barycenter)`` of the simplices, one det per simplex.
+
+    Each centroid is divided by ``Fraction(n + 1)``, so a mesh with int
+    coordinates stays exact and a float one rounds as ``x / (n + 1)`` does.
+    """
+    n = len(simplices[0]) - 1 if simplices else 0
+    factors = tuple(map(volume_factor, simplices))
+    total = sum(factors)
+    if total == 0:
+        raise InputError("zero-volume mesh has no barycenter")
+    moment = [0] * n
+    for simplex, w in zip(simplices, factors):
+        moment = [m + w * (sum(v[i] for v in simplex) / Fraction(n + 1)) for i, m in enumerate(moment)]
+    return factors, sum(factors, Fraction(0)) / factorial(n), tuple(m / total for m in moment)

@@ -678,6 +678,38 @@ def test_ke_verdict_on_a_seven_dimensional_cube_fan(tmp_path, capsys, monkeypatc
     assert report["results"]["sum_barycenter"] == ["0"] * 7
 
 
+def test_lift_on_a_five_dimensional_cube_fan(tmp_path, capsys, monkeypatch):
+    # Each lifted part is a prism over a 5-cube: 6! simplices, each factor one
+    # integer det.  A guard on the identity and the counts, not a timing gate.
+    meshes, dets = [], []
+    real_triangulate, real_det = stability.triangulate, linalg.integer_det
+    monkeypatch.setattr(stability, "triangulate", lambda p: meshes.append(real_triangulate(p)) or meshes[-1])
+    monkeypatch.setattr(linalg, "integer_det", lambda rows: dets.append(rows) or real_det(rows))
+    monkeypatch.setattr(linalg, "det", lambda matrix: pytest.fail("linalg.det"))
+    code, report, _ = run_cli(capsys, "lift", "--input", write_doc(tmp_path, _cube_fan_document(5)))
+    assert code == 0
+    assert [part["identity_holds"] for part in report["results"]["parts"]] == [True, True]
+    assert [len(mesh.simplices) for mesh in meshes] == [720, 720]
+    # One det per simplex, and one per vertex cone of each part's 32 vertices.
+    assert len(dets) == 2 * (720 + 32)
+
+
+ROUTE_COMMANDS = ("barycenter", "ke-verdict", "df", "lift", "soliton-check", "soliton-solve")
+
+
+@pytest.mark.parametrize("example", EXACT_EXAMPLES)
+def test_exact_builtins_take_no_fraction_det(tmp_path, capsys, monkeypatch, example):
+    # Exact meshes, lifted or read by the weighted pass, take integer dets,
+    # and so does validate_fan: linalg.det serves only float meshes.
+    monkeypatch.setattr(linalg, "det", lambda matrix: pytest.fail("linalg.det"))
+    doc = document_to_dict(builtin_example(example))
+    parts = doc.get("decomposition") or doc["halfspaces"]
+    doc["vector_fields"] = [["1/10"] + ["0"] * (doc["dimension"] - 1)] * len(parts)
+    path = write_doc(tmp_path, doc)
+    for command in ROUTE_COMMANDS:
+        code, _, err = run_cli(capsys, command, "--input", path)
+        assert code == 0, (command, err)
+
 def test_validate_float_rows_sum_within_tolerance(tmp_path, capsys):
     # 0.7 + 0.2 + 0.1 is 0.9999999999999999 in float.
     hexagon = document_to_dict(builtin_example("hexagon-dP6-t"))

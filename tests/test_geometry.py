@@ -116,8 +116,12 @@ def test_cone_inverses_are_integral_exactly_on_smooth_cones():
 
 
 def _cone_vertices_reference(fan, c, tol):
-    """``geometry._cone_vertices`` as it ran in Fractions: v = -D^-1 c with D^-1 over Q."""
-    vertices, slacks, nef_witness = [], [], None
+    """``geometry._cone_vertices`` as it ran in Fractions: v = -D^-1 c with D^-1 over Q.
+
+    A cone's mask has bit j set where the Fraction or float slack of ray j is
+    within tol of 0.
+    """
+    vertices, masks, nef_witness = [], [], None
     for ci, cone in enumerate(fan.max_cones):
         _, inverse, scale = linalg.integer_inverse([fan.rays[j] for j in cone])
         inverse = inverse if scale == 1 else [tuple(Fraction(x, scale) for x in row) for row in inverse]
@@ -125,17 +129,17 @@ def _cone_vertices_reference(fan, c, tol):
         v = tuple(-linalg.dot(row, offsets) for row in inverse)
         row = [linalg.dot(ray, v) + cj for ray, cj in zip(fan.rays, c)]
         vertices.append(v)
-        slacks.append(row)
+        masks.append(sum(1 << j for j, slack in enumerate(row) if abs(slack) <= tol))
         for j, slack in enumerate(row):
             if j in cone:
                 continue
             if slack < -tol:
-                return vertices, slacks, geometry.AmplenessReport(Ampleness.NOT_CONVEX, (ci, j))
+                return vertices, masks, geometry.AmplenessReport(Ampleness.NOT_CONVEX, (ci, j))
             if slack <= tol and nef_witness is None:
                 nef_witness = (ci, j)
     if nef_witness is not None:
-        return vertices, slacks, geometry.AmplenessReport(Ampleness.NEF_ONLY, nef_witness)
-    return vertices, slacks, geometry.AmplenessReport(Ampleness.AMPLE)
+        return vertices, masks, geometry.AmplenessReport(Ampleness.NEF_ONLY, nef_witness)
+    return vertices, masks, geometry.AmplenessReport(Ampleness.AMPLE)
 
 
 CUBE3 = Fan(
@@ -151,8 +155,8 @@ NONSMOOTH = (
 
 @pytest.mark.parametrize("kind", ["exact", "nonsmooth", "float", "mixed"])
 def test_integer_cone_vertices_match_the_fraction_version(kind):
-    # Same vertices, slack rows (values and types), class and witness, the
-    # partial lists of NotConvex supports included.
+    # Same vertices (values and types), tight-set masks, class and witness,
+    # the partial lists of NotConvex supports included.
     rng = random.Random(f"cone-vertices:{kind}")
     fans = NONSMOOTH if kind == "nonsmooth" else (P2, P1XP1, HEXAGON, CUBE3)
     seen = set()
@@ -168,12 +172,32 @@ def test_integer_cone_vertices_match_the_fraction_version(kind):
         got = geometry._cone_vertices(fan, c, tol)
         want = _cone_vertices_reference(fan, c, tol)
         assert got == want
-        assert [[type(x) for x in v] for v in got[0] + got[1]] == [[type(x) for x in v] for v in want[0] + want[1]]
+        assert [[type(x) for x in v] for v in got[0]] == [[type(x) for x in v] for v in want[0]]
         seen.add(got[2].kind)
         if got[2].kind is Ampleness.NOT_CONVEX and len(got[0]) < len(fan.max_cones):
             seen.add("partial")
     assert seen == {*Ampleness, "partial"}
 
+
+def test_float_masks_compare_the_slack_over_its_denominator():
+    # Cone (0, 1) has det 2, so its integer slack row is twice the slack:
+    # ray 3's slack 6e-10 is within the tolerance, twice it is not.
+    c = (1.0, 1.0, 1.0, 6e-10)
+    _, masks, amp = geometry._cone_vertices(NONSMOOTH[0], c, geometry.tolerance(c))
+    assert amp == geometry.AmplenessReport(Ampleness.NEF_ONLY, (0, 3))
+    assert masks[0] == 0b1011
+
+def test_exact_cone_vertices_build_fractions_only_for_the_vertices(monkeypatch):
+    # Signs and tight sets are read off the integer slack rows, so the only
+    # Fractions built are the vertex coordinates.
+    c = (Fraction(1, 2), Fraction(2, 3), Fraction(1), Fraction(3, 4), Fraction(1, 5), Fraction(1, 6))
+    built = []
+    real = Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__", lambda cls, *a, **k: built.append(a) or real(cls, *a, **k))
+    vertices, masks, amp = geometry._cone_vertices(CUBE3, c, 0)
+    assert amp.kind is Ampleness.AMPLE
+    assert len(built) == len(CUBE3.max_cones) * CUBE3.dim
+    assert masks == [sum(1 << j for j in cone) for cone in CUBE3.max_cones]
 
 def test_hexagon_vertices_triangulation_volume():
     p = polytope_from_support(HEXAGON, ONES6)
@@ -609,15 +633,18 @@ def test_six_cube_at_the_regime_cap():
 def _move_cone_vertices(monkeypatch, move):
     """Make every cone vertex v of support c be ``move(v, c on the cone)``.
 
-    The slack rows follow the moved vertices; the class stays the real one.
+    The tight-set masks follow the moved vertices; the class stays the real one.
     """
     real = geometry._cone_vertices
 
     def moved(fan, c, tol):
         vertices, _, amp = real(fan, c, tol)
         vertices = [move(v, [c[j] for j in cone]) for v, cone in zip(vertices, fan.max_cones)]
-        slacks = [[linalg.dot(ray, v) + cj for ray, cj in zip(fan.rays, c)] for v in vertices]
-        return vertices, slacks, amp
+        masks = [
+            sum(1 << j for j, (ray, cj) in enumerate(zip(fan.rays, c)) if abs(linalg.dot(ray, v) + cj) <= tol)
+            for v in vertices
+        ]
+        return vertices, masks, amp
 
     monkeypatch.setattr(geometry, "_cone_vertices", moved)
 

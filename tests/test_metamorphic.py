@@ -247,10 +247,8 @@ def test_vertices_at_the_size_cap_are_feasible_and_independent_of_basis_and_orde
     assert shuffled.tight_sets == tuple(polytope.tight_sets[k] for k in order)
     assert shuffled.redundant == tuple(polytope.redundant[k] for k in order)
     # Normals U d cut out U^{-T} P, so U^T maps the new vertices back.
-    u = [[int(i == j) for j in range(n)] for i in range(n)]
-    for _ in range(8):
-        i, j = rng.sample(range(n), 2)
-        u[i] = [a + rng.choice((1, -1)) * b for a, b in zip(u[i], u[j])]
+    u = _unimodular(rng, n)
+    assert abs(linalg.integer_det(u)) == 1
     moved = polytope_from_halfspaces([(tuple(linalg.dot(row, d) for row in u), c) for d, c in rows])
     back = {tuple(sum(u[k][i] * w[k] for k in range(n)) for i in range(n)) for w in moved.vertices}
     assert back == set(polytope.vertices)

@@ -20,8 +20,9 @@ from torifano.geometry import (
     translate,
     triangulate,
 )
-from torifano import cli, linalg, moments
+from torifano import cli, geometry, linalg, moments
 from torifano.errors import InputError
+from torifano.stability import lifted_config
 from torifano.problems import builtin_example, registry_names
 from torifano.moments import (
     barycenter,
@@ -30,7 +31,7 @@ from torifano.moments import (
     weighted_moments,
 )
 
-from reference_moments import divided_difference_exp, exp_moments_simplex, moment_report
+from reference_moments import divided_difference_exp, exp_moments_simplex, mesh_moments, moment_report
 
 P2 = Fan(((1, 0), (0, 1), (-1, -1)), ((0, 1), (1, 2), (2, 0)))
 
@@ -113,9 +114,28 @@ def test_bundle_fourth_coordinate_at_half():
 # vertex-cone sums against the triangulation
 
 
+def assert_mesh_matches_the_reference(mesh):
+    """Volume, barycenter, factors and float factors equal the reference's, in values and types.
+
+    The volume and the barycenter are read first, so they do not lean on
+    the factors.  Float meshes match bit for bit.
+    """
+    got = (mesh.volume, *mesh.barycenter, *mesh.factors)
+    factors, vol, bary = mesh_moments(mesh.simplices)
+    want = (vol, *bary, *factors)
+    assert got == want
+    assert [type(x) for x in got] == [type(x) for x in want]
+    assert [x.hex() for x in got if type(x) is float] == [x.hex() for x in want if type(x) is float]
+    assert mesh.floats[1] == tuple(map(float, factors))
+
+
 def assert_cone_sums_match_the_mesh(polytope):
-    """Exact Vol and b by cone sums equal those of the triangulation, as Fractions."""
+    """Exact Vol and b by cone sums equal those of the triangulation, as Fractions.
+
+    The integer mesh matches the one-det-per-simplex reference.
+    """
     mesh = triangulate(polytope)
+    assert_mesh_matches_the_reference(mesh)
     assert volume(polytope) == mesh.volume
     assert barycenter(polytope) == mesh.barycenter
     assert all(type(x) is Fraction for x in (volume(polytope), *barycenter(polytope)))
@@ -126,9 +146,16 @@ def test_cone_sums_equal_the_triangulation_on_the_builtins(spec):
     doc = builtin_example(spec)
     for polytope in cli._decomposition(doc).polytopes:
         if not doc.exact:
-            # Float parts read the moments that their mesh holds.
+            # Float parts read the moments that their mesh holds, one
+            # linalg.det per simplex.
+            assert polytope.mesh._cleared is None
+            assert_mesh_matches_the_reference(polytope.mesh)
             assert (volume(polytope), barycenter(polytope)) == (polytope.mesh.volume, polytope.mesh.barycenter)
             continue
+        # Lifted meshes are exact and integer-computed too.
+        n = polytope.dim
+        for v in ((0,) * n, tuple(Fraction((-1) ** k * (k + 1), 3) for k in range(n))):
+            assert_mesh_matches_the_reference(triangulate(lifted_config(polytope, v).polytope))
         # A fan part's cones reuse its fan's inverses and equal those of its facet rows alone.
         assert (polytope.inverses is not None) == (doc.halfspaces is None)
         assert polytope.cones == dataclasses.replace(polytope, inverses=None).cones
@@ -165,6 +192,7 @@ def test_cone_sums_equal_the_triangulation_on_simple_raw_parts(shape):
         n = rng.randint(2, 4)
         polytope = polytope_from_halfspaces(shape(rng, n))
         if any(len(pieces) > 1 for pieces in polytope.cones):
+            assert_mesh_matches_the_reference(triangulate(polytope))
             continue
         weights.update(weight for (weight, _), in polytope.cones)
         assert_cone_sums_match_the_mesh(polytope)
@@ -213,6 +241,64 @@ def test_degenerate_polytopes_have_no_exact_moments():
     with pytest.raises(InputError):
         barycenter(flat)
 
+
+# ---------------------------------------------------------------------------
+# integer meshes against the one-det-per-simplex reference
+
+
+def test_integer_meshes_equal_the_reference_on_hand_built_meshes():
+    # Int coordinates give a Fraction barycenter; mixed denominators put
+    # the simplices over different lcms, and the vertices of one simplex
+    # over different denominators.
+    square = (((0, 0), (2, 0), (0, 3)), ((2, 3), (0, 3), (2, 0)))
+    mixed = (
+        ((Fraction(1, 2), 0), (Fraction(1, 3), 1), (1, Fraction(2, 7))),
+        ((Fraction(-1, 5), Fraction(1, 5)), (Fraction(3, 5), 0), (0, Fraction(4, 5))),
+        ((1, 1), (2, 1), (1, 2)),
+    )
+    rng = random.Random("mesh:hand-built")
+    scattered = tuple(
+        tuple(tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(3)) for _ in range(4))
+        for _ in range(20)
+    )
+    for simplices in (square, mixed, scattered):
+        mesh = SimplexMesh(simplices=simplices)
+        assert_mesh_matches_the_reference(mesh)
+        assert all(type(x) is Fraction for x in (mesh.volume, *mesh.barycenter))
+    assert SimplexMesh(simplices=square).barycenter == (1, Fraction(3, 2))
+
+
+def test_zero_volume_meshes_have_no_barycenter_on_either_route():
+    for flat in ((((0, 0), (1, 1), (2, 2)),), (((0.0, 0.0), (1.0, 1.0), (2.0, 2.0)),), ()):
+        mesh = SimplexMesh(simplices=flat)
+        assert mesh.volume == 0
+        with pytest.raises(InputError, match="zero-volume"):
+            mesh.barycenter
+        with pytest.raises(InputError, match="zero-volume"):
+            mesh_moments(flat)
+
+
+def test_exact_meshes_build_fractions_only_for_their_outputs(monkeypatch):
+    # Fractions are built per lcm and per output value, none per simplex:
+    # the lifted (P^1)^4 part is a 5-cube of 5! simplices.  Fraction
+    # arithmetic builds its results through __new__ too, so the sums over
+    # each lcm and the final divisions count.
+    n = 4
+    fan = Fan(
+        [tuple(sign * int(i == axis) for i in range(n)) for axis in range(n) for sign in (1, -1)],
+        [tuple(2 * axis + side for axis, side in enumerate(sides)) for sides in itertools.product((0, 1), repeat=n)],
+    )
+    polytope = polytope_from_support(fan, [Fraction(1, 2), Fraction(1, 3)] * n)
+    simplices = triangulate(lifted_config(polytope, (1, 0, 0, -1)).polytope).simplices
+    assert len(simplices) == 120
+    built = []
+    real = Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__", lambda cls, *a, **k: built.append(a) or real(cls, *a, **k))
+    monkeypatch.setattr(linalg, "det", None)
+    mesh = SimplexMesh(simplices=simplices)
+    mesh.volume, mesh.barycenter
+    lcms = {d for _, d in mesh._dets}
+    assert len(built) <= (2 * n + 5) * len(lcms) + 4 * (n + 1) < len(simplices)
 
 def test_exp_integral_unit_interval():
     value = simplex_mass(((0,), (1,)), (1,))
