@@ -21,7 +21,6 @@ import math
 import os
 import sys
 import time
-from enum import Enum
 from fractions import Fraction
 
 from . import __version__
@@ -79,8 +78,6 @@ def jsonable(value):
         return int(value)
     if isinstance(value, float):
         return format(float(value), ".17g")
-    if isinstance(value, Enum):
-        return value.name
     if isinstance(value, dict):
         return {str(k): jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):

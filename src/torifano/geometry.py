@@ -46,7 +46,7 @@ import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property, reduce
-from math import factorial, gcd, isfinite, lcm, prod
+from math import factorial, frexp, gcd, isfinite, lcm, prod
 from operator import and_
 
 from . import linalg
@@ -425,7 +425,9 @@ def _polytope(dim, halfspaces, candidates, tight, tol, inverses=None):
     transpose.  The rows tight at every vertex are the implicit equalities,
     which cut out the affine hull, so its rank is dim minus the rank of
     their normals (Schrijver, Theory of Linear and Integer Programming,
-    section 8.2), and -1 without vertices.  Facets of a full-dimensional polytope are its
+    section 8.2), and -1 without vertices.  The normals are ranked as
+    integer rows, floats by their exact binary value, the values on which
+    double description decides tightness too.  Facets of a full-dimensional polytope are its
     inclusion-maximal proper faces, and each is the tight set of some
     halfspace, so a halfspace supports a facet exactly when its tight set is
     proper and lies in no larger proper tight set (Kaibel-Pfetsch, Comput.
@@ -441,8 +443,10 @@ def _polytope(dim, halfspaces, candidates, tight, tol, inverses=None):
         merged[v] = merged.get(v, 0) | mask
     masks = list(merged.values())
     everywhere = reduce(and_, masks, -1)
-    equalities = [d for j, (d, _) in enumerate(halfspaces) if everywhere >> j & 1]
-    hull_rank = dim - linalg.rank(equalities, tol) if masks else -1
+    equalities = [
+        _over_lcm([Fraction(x) for x in d])[1] for j, (d, _) in enumerate(halfspaces) if everywhere >> j & 1
+    ]
+    hull_rank = dim - linalg.rank(equalities) if masks else -1
     tight_sets = tuple(
         tuple(i for i, mask in enumerate(masks) if mask >> j & 1) for j in range(len(halfspaces))
     )
@@ -544,7 +548,8 @@ def polytope_from_halfspaces(halfspaces):
     merged vertex is tight on every row that one of its parts was tight on.
     A ray with t = 0 is reported as unbounded.  Without vertices the system
     is empty, as one exact LP certifies (Farkas), or its normals do not span
-    and it has lines.  The regime is dimension <= 6 and at most 32
+    and it has lines, along a primitive integer kernel vector of the
+    integer rows' normal parts.  The regime is dimension <= 6 and at most 32
     halfspaces.
     """
     hs = [(_vec(d), _coerce(c)) for d, c in halfspaces]
@@ -563,11 +568,11 @@ def polytope_from_halfspaces(halfspaces):
     bounded = sorted((tuple(Fraction(x, r[n]) for x in r[:n]), z >> 1) for r, z in rays if r[n] > 0)
     if not bounded:
         # Farkas: empty iff some y >= 0 has sum y_j d_j = 0, sum y_j c_j = -1.
-        normals = [d for d, _ in hs]
-        certificate, _ = linalg.farkas([*zip(*normals), [c for _, c in hs]], [0] * n + [-1])
+        certificate, _ = linalg.farkas([*zip(*(d for d, _ in hs)), [c for _, c in hs]], [0] * n + [-1])
         if certificate is not None:
             raise EmptyPolytopeError("halfspace system is infeasible", certificate=certificate)
-        raise UnboundedPolytopeError("feasible but has no vertex", direction=linalg.kernel_vector(normals, tol))
+        lineality = linalg.kernel_vector([r[:n] for r in rows])
+        raise UnboundedPolytopeError("feasible but has no vertex", direction=lineality)
     direction = min((r[:n] for r, _ in rays if r[n] == 0), default=None)
     if direction is not None:
         raise UnboundedPolytopeError(f"unbounded along {list(direction)}", direction=direction)
@@ -712,11 +717,15 @@ class SimplexMesh:
         """Volume-weighted centroid."""
         n = self.dim
         if self._cleared is None:
-            total = sum(self.factors)
+            # Over a power of two near the largest factor, which is exact, no
+            # weight times a centroid overflows where the barycenter would not.
+            unit = Fraction(2) ** (frexp(max(self.factors))[1] - 1)
+            weights = [w / unit for w in self.factors]
+            total = sum(weights)
             if total == 0:
                 raise InputError("zero-volume mesh has no barycenter")
             moment = [0] * n
-            for simplex, w in zip(self.simplices, self.factors):
+            for simplex, w in zip(self.simplices, weights):
                 moment = [m + w * (sum(v[i] for v in simplex) / (n + 1)) for i, m in enumerate(moment)]
             return tuple(m / total for m in moment)
         total = self.volume * factorial(n)

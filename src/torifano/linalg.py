@@ -1,113 +1,100 @@
-"""Dense linear algebra on small matrices, generic over the scalar type.
+"""Dense linear algebra on small matrices (at most seven columns), given as sequences of rows.
 
-Everything operates on plain Python sequences so a single code path serves
-both ``fractions.Fraction`` (exact, ``tol == 0``) and ``float`` (tolerance
-based) inputs.  Matrices are sequences of row sequences.  One echelon
-routine, Gaussian elimination with partial pivoting, reduces the rows;
-``det``, ``rank`` and ``kernel_vector`` read its result; the package takes
-``det`` only of float meshes' simplices.  Integer matrices have two
-fraction-free routines, ``integer_inverse`` and ``integer_det``, and the
-exact routes use them: fan cones, tangent cones and exact simplices.
-Sizes stay below eight in this package, so asymptotics are irrelevant;
-clarity and exactness are not.
+Exact matrices are integer rows.  One fraction-free Gauss-Jordan pass,
+:func:`_reduce`, is behind ``rank``, ``kernel_vector`` and
+``integer_inverse``; the column-wise Bareiss ``integer_det`` is cheaper
+where only a determinant is wanted.  ``det`` serves float meshes only.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 
 def dot(u, v):
     return sum(a * b for a, b in zip(u, v))
 
 
-def _lift_rows(matrix):
-    # Plain ints would hit true division below; keep them exact.
-    return [[Fraction(x) if isinstance(x, int) else x for x in row] for row in matrix]
-
-
-def _pivot_row(rows, col, start, tol):
-    """Index of the row with the largest pivot magnitude, or None."""
-    best, best_mag = None, tol
-    for r in range(start, len(rows)):
-        mag = abs(rows[r][col])
-        if mag > best_mag:
-            best, best_mag = r, mag
-    return best
-
-
-def _echelon(rows, ncols, tol):
-    """Reduce ``rows`` in place to row echelon form over the first ``ncols`` columns.
-
-    Row operations act on whole rows, so columns past ``ncols`` (a right-hand
-    side) are carried along.  A column whose candidate pivots are all at most
-    ``tol`` in magnitude is skipped.  Returns the pivot columns, pivot i
-    sitting in row i, and the sign of the row permutation.
-    """
-    pivots, sign = [], 1
-    for col in range(ncols):
-        r = len(pivots)
-        if r == len(rows):
-            break
-        piv = _pivot_row(rows, col, r, tol)
+def det(matrix):
+    """Determinant of float rows, Fractions at exact vertices, by elimination with partial pivoting."""
+    if not matrix:
+        return 1
+    rows = [list(row) for row in matrix]
+    zero = rows[0][0] - rows[0][0]  # nan when the corner is not finite
+    sign, acc = 1, zero + 1
+    for col in range(len(rows)):
+        piv, mag = None, 0
+        for r in range(col, len(rows)):
+            if abs(rows[r][col]) > mag:
+                piv, mag = r, abs(rows[r][col])
         if piv is None:
-            continue
-        if piv != r:
-            rows[r], rows[piv] = rows[piv], rows[r]
+            return zero
+        if piv != col:
+            rows[col], rows[piv] = rows[piv], rows[col]
             sign = -sign
-        pivot = rows[r][col]
-        for k in range(r + 1, len(rows)):
+        pivot = rows[col][col]
+        for k in range(col + 1, len(rows)):
             factor = rows[k][col] / pivot
             if factor:
-                rows[k] = [a - factor * b for a, b in zip(rows[k], rows[r])]
-        pivots.append(col)
-    return pivots, sign
-
-
-def det(matrix):
-    """Determinant by fraction-preserving Gaussian elimination."""
-    n = len(matrix)
-    if n == 0:
-        return Fraction(1)
-    rows = _lift_rows(matrix)
-    zero = rows[0][0] - rows[0][0]  # of the scalar type in play
-    pivots, sign = _echelon(rows, n, 0)
-    if len(pivots) < n:
-        return zero
-    acc = zero + 1
-    for i in range(n):
-        acc = acc * rows[i][i]
+                rows[k] = [a - factor * b for a, b in zip(rows[k], rows[col])]
+        acc = acc * pivot
     return sign * acc
 
 
-def rank(matrix, tol=0):
-    rows = _lift_rows(matrix)
-    return len(_echelon(rows, len(rows[0]) if rows else 0, tol)[0])
+def _reduce(rows, size):
+    """``(basis, kept)``: a fraction-free Gauss-Jordan pass over integer rows of ``size`` columns.
 
-
-def kernel_vector(matrix, tol=0):
-    """Some nonzero vector in the kernel, or None when the kernel is trivial.
-
-    Row-reduces to echelon form, picks the first free column, and
-    back-substitutes.  The scalar type of the input is preserved.
+    Each row, with the unit vector of its kept position appended, is
+    reduced by the kept rows.  If a nonzero is left in its first ``size``
+    columns, the first is its pivot, and the row clears that column in
+    the kept rows; every division by the previous pivot is exact, since
+    the entries are minors (Bareiss, Math. Comp. 1968).  ``kept`` lists
+    ``(p, row)``: zeros in the other pivot columns, one common pivot, +-det
+    of the kept rows B at the pivot columns, and the appended part W has
+    E = W B for the first part E.  ``basis`` indexes B; at most ``size``.
     """
-    rows = _lift_rows(matrix)
+    basis, kept, pivot = [], [], 1
+    for j, row in enumerate(rows):
+        v = [*row, *(int(k == len(kept)) for k in range(size))]
+        w = [pivot * x for x in v]
+        for p, e in kept:
+            if v[p]:
+                w = [a - v[p] * b for a, b in zip(w, e)]
+        p = next((col for col in range(size) if w[col]), None)
+        if p is None:
+            continue
+        kept = [(q, [(w[p] * a - e[p] * b) // pivot for a, b in zip(e, w)]) for q, e in kept] + [(p, w)]
+        basis.append(j)
+        pivot = w[p]
+        if len(kept) == size:
+            break
+    return basis, kept
+
+
+def rank(rows):
+    """Rank of integer rows."""
+    return len(_reduce(rows, len(rows[0]) if rows else 0)[0])
+
+
+def kernel_vector(rows):
+    """A primitive integer kernel vector of integer rows, or None when the kernel is trivial.
+
+    At the first column f without a pivot it is the pivot, at each pivot
+    column p minus kept row p's entry in f, and 0 elsewhere, signed to be
+    positive at f.
+    """
     if not rows:
         return None
-    ncols = len(rows[0])
-    zero = rows[0][0] - rows[0][0]
-    pivots, _ = _echelon(rows, ncols, tol)
-    free = [c for c in range(ncols) if c not in pivots]
-    if not free:
+    size = len(rows[0])
+    _, kept = _reduce(rows, size)
+    pivots = dict(kept)
+    free = next((col for col in range(size) if col not in pivots), None)
+    if free is None:
         return None
-    vec = [zero] * ncols
-    vec[free[0]] = zero + 1
-    for row_idx in range(len(pivots) - 1, -1, -1):
-        col = pivots[row_idx]
-        acc = sum(rows[row_idx][j] * vec[j] for j in range(col + 1, ncols))
-        vec[col] = -acc / rows[row_idx][col]
-    return tuple(vec)
+    pivot = kept[0][1][kept[0][0]] if kept else 1
+    vec = [pivot if col == free else -pivots[col][free] if col in pivots else 0 for col in range(size)]
+    return _primitive(vec if pivot > 0 else [-x for x in vec])
 
 
 def _primitive(v):
@@ -118,30 +105,17 @@ def _primitive(v):
 def integer_inverse(rows):
     """``(basis, inverse, scale)``: the first integer rows B that span, B^-1 = inverse / scale.
 
-    A fraction-free Gauss-Jordan pass over [row | unit] keeps each row
-    independent of those kept before, as primitive reduced rows (E | W)
-    with E = W B.  Once they span, E has one nonzero e_p per row, in column
-    p, and row p of B^-1 is W / e_p.  The scale is positive, and 1 exactly
+    Once the kept rows span, row p of B^-1 is W / D for the kept row with
+    pivot D in column p; one gcd gives the least positive scale, 1 exactly
     when B^-1 is integral.  None when the rows do not span.
     """
     size = len(rows[0])
-    basis, reduced = [], []
-    for j, row in enumerate(rows):
-        v = [*row, *(int(k == len(basis)) for k in range(size))]
-        for p, e in reduced:
-            v = [e[p] * x - v[p] * y for x, y in zip(v, e)]
-        pivot = next((col for col in range(size) if v[col]), None)
-        if pivot is not None:
-            v = _primitive(v)
-            reduced = [(p, _primitive([v[pivot] * y - e[pivot] * x for x, y in zip(v, e)])) for p, e in reduced]
-            reduced.append((pivot, v))
-            basis.append(j)
-        if len(basis) == size:
-            break
-    else:
+    basis, kept = _reduce(rows, size)
+    if len(basis) < size:
         return None
-    scale = lcm(*(e[p] for p, e in reduced))
-    return basis, [tuple(x * (scale // e[p]) for x in e[size:]) for p, e in sorted(reduced)], scale
+    pivot = kept[0][1][kept[0][0]]
+    g = gcd(pivot, *(x for _, e in kept for x in e[size:])) * (1 if pivot > 0 else -1)
+    return basis, [tuple(x // g for x in e[size:]) for _, e in sorted(kept)], pivot // g
 
 
 def integer_det(rows):

@@ -128,17 +128,23 @@ def weighted_moments(mesh, vfield, order=2):
     pairs = list(itertools.combinations_with_replacement(range(k), order))
     rows = np.array([tuple(range(k)) + pair for pair in pairs])
     dd = _dd_rows((expo[:, rows] - shift).reshape(-1, k + order)).reshape(count, len(pairs), k + order)
-    mass = float(weights @ dd[:, 0, k - 1])
-    if mass <= 0:
+    # The weights and the mass are taken over the power of two of the
+    # largest weight, which is exact, so that a weight times an offset
+    # (squared) overflows only where the moment would.
+    power = math.frexp(weights.max())[1]
+    weights = np.ldexp(weights, -power)
+    total = float(weights @ dd[:, 0, k - 1])
+    if total <= 0:
         raise ArithmeticError("nonpositive weighted mass")
-    if not mass < math.inf:
+    if not (math.isfinite(total) and math.frexp(total)[1] + power <= 1024):
         raise OverflowError("weighted mass overflows")
+    mass = math.ldexp(total, power)
     if order == 0:
         return WeightedMoments(shift, mass)
     centre = np.array([float(x) for x in mesh.barycenter])
     y = points - centre
     first = dd[:, [pairs.index((i,) * order) for i in range(k)], k]
-    mean = np.einsum("s,si,sia->a", weights, first, y) / mass
+    mean = np.einsum("s,si,sia->a", weights, first, y) / total
     bary = tuple(float(x) for x in centre + mean)
     if not np.isfinite(bary).all():
         raise OverflowError("weighted barycenter overflows")
@@ -148,7 +154,7 @@ def weighted_moments(mesh, vfield, order=2):
     hess = np.zeros((count, k, k))
     hess[:, i, j] = hess[:, j, i] = dd[:, :, k + 1] * np.where(i == j, 2.0, 1.0)
     y = y - mean
-    cov = np.einsum("s,sij,sia,sjb->ab", weights, hess, y, y) / mass
+    cov = np.einsum("s,sij,sia,sjb->ab", weights, hess, y, y) / total
     if not np.isfinite(cov).all():
         raise OverflowError("weighted covariance overflows")
     return WeightedMoments(shift, mass, bary, (cov + cov.T) / 2.0)

@@ -14,9 +14,9 @@ tests check it against, and no command runs:
   mesh with the relative disagreement of the two weighted-mass routes.
 - :func:`volume_factor` and :func:`mesh_moments`, the unweighted moments of
   a mesh summed simplex by simplex in the scalar type of its coordinates,
-  with one ``linalg.det`` per simplex: the route ``SimplexMesh`` keeps for
-  float meshes, against which its integer route for exact meshes is
-  checked.
+  with one Fraction reference determinant per simplex, the arithmetic of
+  the ``linalg.det`` that ``SimplexMesh`` keeps for float meshes, against
+  which its integer route for exact meshes is checked.
 """
 
 from __future__ import annotations
@@ -30,7 +30,9 @@ from math import factorial
 import numpy as np
 
 from torifano.errors import InputError
-from torifano import linalg, moments
+from torifano import moments
+
+import reference_linalg
 
 # Exponent spread per cell; cells wider than this are bisected before the
 # polynomial rule is trusted.  At spread 1 the degree-9 rule is already
@@ -195,7 +197,7 @@ def moment_report(mesh, vfield=None):
 def volume_factor(simplex):
     """|det| of the edge matrix, i.e. dim! times the simplex volume."""
     edges = [[a - b for a, b in zip(p, simplex[0])] for p in simplex[1:]]
-    return abs(linalg.det(edges))
+    return abs(reference_linalg.det(edges))
 
 
 def mesh_moments(simplices):

@@ -485,6 +485,18 @@ def test_validate_flags_zero_normal_row(tmp_path, capsys):
     ]
 
 
+def test_validate_ranks_float_equalities_on_their_binary_values(tmp_path, capsys):
+    # (0.5, 0.25) and its negation are exactly parallel in binary: the two
+    # rows are the line x/2 + y/4 = -1, which -2 <= x <= 0 cuts to a segment.
+    line = [[[0.5, 0.25], 1.0], [[-0.5, -0.25], -1.0]]
+    doc = {"name": "segment", "dimension": 2, "halfspaces": [line + [[[1.0, 0.0], 2.0], [[-1.0, 0.0], 0.0]]]}
+    code, report, _ = run_cli(capsys, "validate", "--input", write_doc(tmp_path, doc))
+    assert code == 0
+    assert report["results"]["parts"] == [
+        {"nvertices": 2, "redundant_halfspaces": [2, 3], "degenerate": True}
+    ]
+
+
 def test_out_flag_mirrors_stdout(tmp_path, capsys):
     out = tmp_path / "report.json"
     code, _, _ = run_cli(

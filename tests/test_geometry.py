@@ -31,7 +31,7 @@ from torifano.moments import barycenter, volume
 from torifano.problems import builtin_example
 from torifano.stability import Decomposition, coupled_ke_verdict, sum_barycenter
 
-from test_linalg import _solve_reference
+import reference_linalg as ref
 
 P2 = Fan(((1, 0), (0, 1), (-1, -1)), ((0, 1), (1, 2), (2, 0)))
 P1XP1 = Fan(((1, 0), (0, 1), (-1, 0), (0, -1)), ((0, 1), (1, 2), (2, 3), (3, 0)))
@@ -98,7 +98,7 @@ def test_cone_inverses_are_integral_exactly_on_smooth_cones():
         fan = Fan(rays, [rng.sample(range(n + 2), n) for _ in range(3)])
         for cone, inverse in zip(fan.max_cones, fan.cone_inverses):
             matrix = [fan.rays[j] for j in cone]
-            d = linalg.det(matrix)
+            d = ref.det(matrix)
             if d == 0:
                 assert inverse is None
                 kinds.add("singular")
@@ -390,7 +390,7 @@ def _all_subsets_reference(halfspaces, tol):
     n = len(halfspaces[0][0])
     candidates = []
     for subset in itertools.combinations(range(len(halfspaces)), n):
-        v = _solve_reference(
+        v = ref.solve(
             [halfspaces[j][0] for j in subset], [-halfspaces[j][1] for j in subset], tol=tol
         )
         if v is not None and all(linalg.dot(d, v) + c >= -tol for d, c in halfspaces):
@@ -430,7 +430,7 @@ def _affine_rank(points, tol=0):
     points = list(points)
     if not points:
         return -1
-    return linalg.rank([[a - b for a, b in zip(p, points[0])] for p in points[1:]], tol)
+    return ref.rank([[a - b for a, b in zip(p, points[0])] for p in points[1:]], tol)
 
 
 def _box(n, r=1):
@@ -615,6 +615,23 @@ def test_lines_without_vertex_reported_with_lineality():
     with pytest.raises(UnboundedPolytopeError, match="feasible but has no vertex") as err:
         polytope_from_halfspaces(rows)
     assert all(linalg.dot(d, err.value.direction) == 0 for d, _ in rows)
+    assert err.value.direction == (1, 0, 0)
+
+
+def test_lineality_is_a_primitive_integer_kernel_vector():
+    # A prism along (1, 1, 1) in sheared coordinates, with float normals
+    # taken at their exact binary value: the direction is the same.
+    normals = [(1, -1, 0), (-1, 1, 0), (0, 1, -1), (0, -1, 1)]
+    rows = _shear(random.Random(4), [(d, 1) for d in normals])
+    directions = []
+    for scalar in (Fraction, float):
+        with pytest.raises(UnboundedPolytopeError, match="feasible but has no vertex") as err:
+            polytope_from_halfspaces([(tuple(scalar(x) / 4 for x in d), scalar(c)) for d, c in rows])
+        directions.append(err.value.direction)
+    direction = directions[0]
+    assert directions[1] == direction == (1, 2, 1)
+    assert all(type(x) is int for x in direction) and math.gcd(*direction) == 1
+    assert all(linalg.dot(d, direction) == 0 for d, _ in rows)
 
 
 def test_six_cube_at_the_regime_cap():
@@ -824,7 +841,7 @@ def test_one_rank_call_per_polytope_build(monkeypatch):
     cube = polytope_from_halfspaces(_shear(random.Random(3), _padded(random.Random(3), _box(3), 4)))
     hexagon = polytope_from_support(HEXAGON, ONES6)
     polytope_from_support(P1XP1, (1, 0, 1, 0))
-    assert calls == [[], [], [(0, 1), (0, -1)]]
+    assert calls == [[], [], [[0, 1], [0, -1]]]
     assert not hasattr(linalg, "affine_rank")
     triangulate(cube)
     triangulate(hexagon)

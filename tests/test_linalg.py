@@ -1,11 +1,13 @@
 """The elimination routines of linalg against plain Fraction references.
 
-The reference functions below are the separate loops that ``det``, ``rank``
-and ``kernel_vector`` ran before they shared one echelon routine, and the
-solve loop they shared it with.  The arithmetic is unchanged, so exact
-results must be equal and float results bitwise equal, signed zeros
-included.  The fraction-free ``integer_inverse`` is checked against the
-Fraction solve and rank loops, and ``integer_det`` against the det loop.
+The references are the separate Gaussian elimination loops of
+``reference_linalg``.  The float ``det`` runs the same arithmetic as the
+det loop, so its results must be bitwise equal, signed zeros included.
+The integer routines are one fraction-free pass, checked on integer rows
+and on Fraction and float rows cleared to integers, floats by their exact
+binary value: ``rank`` must equal the Fraction rank, ``kernel_vector`` be
+a positive multiple of the Fraction kernel vector, ``integer_inverse``
+match the Fraction solve and rank loops, and ``integer_det`` the det loop.
 """
 
 import math
@@ -15,127 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_linalg as ref
 from torifano import linalg
-
-
-def _lift(x):
-    return Fraction(x) if isinstance(x, int) else x
-
-
-def _lift_rows(matrix):
-    return [[_lift(x) for x in row] for row in matrix]
-
-
-def _pivot_row(rows, col, start, tol):
-    best, best_mag = None, tol
-    for r in range(start, len(rows)):
-        mag = abs(rows[r][col])
-        if mag > best_mag:
-            best, best_mag = r, mag
-    return best
-
-
-def _solve_reference(matrix, rhs, tol=0):
-    n = len(matrix)
-    rows = [[_lift(x) for x in row] + [_lift(b)] for row, b in zip(matrix, rhs)]
-    for col in range(n):
-        piv = _pivot_row(rows, col, col, tol)
-        if piv is None:
-            return None
-        rows[col], rows[piv] = rows[piv], rows[col]
-        pivot = rows[col][col]
-        for r in range(col + 1, n):
-            factor = rows[r][col] / pivot
-            if factor:
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
-    sol = [None] * n
-    for col in range(n - 1, -1, -1):
-        acc = rows[col][n] - sum(rows[col][j] * sol[j] for j in range(col + 1, n))
-        sol[col] = acc / rows[col][col]
-    return tuple(sol)
-
-
-def _det_reference(matrix):
-    n = len(matrix)
-    if n == 0:
-        return Fraction(1)
-    rows = _lift_rows(matrix)
-    sign = 1
-    result = rows[0][0] - rows[0][0]
-    one = result + 1
-    acc = one
-    for col in range(n):
-        piv = _pivot_row(rows, col, col, 0)
-        if piv is None:
-            return result
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            sign = -sign
-        pivot = rows[col][col]
-        acc = acc * pivot
-        for r in range(col + 1, n):
-            factor = rows[r][col] / pivot
-            if factor:
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
-    return sign * acc
-
-
-def _rank_reference(matrix, tol=0):
-    rows = _lift_rows(matrix)
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    r = 0
-    for col in range(ncols):
-        piv = _pivot_row(rows, col, r, tol)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pivot = rows[r][col]
-        for k in range(r + 1, len(rows)):
-            factor = rows[k][col] / pivot
-            if factor:
-                rows[k] = [a - factor * b for a, b in zip(rows[k], rows[r])]
-        r += 1
-        if r == len(rows):
-            break
-    return r
-
-
-def _kernel_vector_reference(matrix, tol=0):
-    rows = _lift_rows(matrix)
-    if not rows:
-        return None
-    ncols = len(rows[0])
-    zero = rows[0][0] - rows[0][0]
-    one = zero + 1
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        piv = _pivot_row(rows, col, r, tol)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pivot = rows[r][col]
-        for k in range(r + 1, len(rows)):
-            factor = rows[k][col] / pivot
-            if factor:
-                rows[k] = [a - factor * b for a, b in zip(rows[k], rows[r])]
-        pivots.append((r, col))
-        r += 1
-        if r == len(rows):
-            break
-    pivot_cols = {col for _, col in pivots}
-    free = [c for c in range(ncols) if c not in pivot_cols]
-    if not free:
-        return None
-    f = free[0]
-    vec = [zero] * ncols
-    vec[f] = one
-    for row_idx, col in reversed(pivots):
-        acc = sum(rows[row_idx][j] * vec[j] for j in range(col + 1, ncols))
-        vec[col] = -acc / rows[row_idx][col]
-    return tuple(vec)
 
 
 def assert_same(got, want):
@@ -175,29 +58,44 @@ def matrices(draw, kind, square=False):
     return [rows[i] for i in draw(st.permutations(range(nrows)))]
 
 
-def _tol(data, kind):
-    return data.draw(st.sampled_from([0, 1e-9])) if kind == "float" else 0
+def _exact(matrix):
+    """Rows as Fractions, floats by their exact binary value."""
+    return [[Fraction(x) for x in row] for row in matrix]
 
 
-KINDS = sorted(SCALARS)
+def _integer_rows(matrix):
+    """Each row times the lcm of its denominators."""
+    rows = []
+    for row in _exact(matrix):
+        scale = math.lcm(*(x.denominator for x in row))
+        rows.append([int(x * scale) for x in row])
+    return rows
 
 
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind", sorted(SCALARS))
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_rank_and_kernel_vector_match_the_separate_loops(kind, data):
     matrix = data.draw(matrices(kind))
-    tol = _tol(data, kind)
-    assert_same(linalg.rank(matrix, tol), _rank_reference(matrix, tol))
-    assert_same(linalg.kernel_vector(matrix, tol), _kernel_vector_reference(matrix, tol))
+    rows = _integer_rows(matrix)
+    assert_same(linalg.rank(rows), ref.rank(_exact(matrix)))
+    got, want = linalg.kernel_vector(rows), ref.kernel_vector(_exact(matrix))
+    if want is None:
+        assert got is None
+        return
+    # The reference vector is 1 at the first free column: got is got[f] times it.
+    f = want.index(1)
+    assert got[f] > 0 and tuple(got[f] * x for x in want) == got
+    assert all(type(x) is int for x in got) and math.gcd(*got) == 1
 
 
-@pytest.mark.parametrize("kind", KINDS)
+# Exact determinants are integer_det's, checked below; det serves float meshes.
+@pytest.mark.parametrize("kind", ["float"])
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_det_matches_the_separate_loop(kind, data):
     matrix = data.draw(matrices(kind, square=True))
-    assert_same(linalg.det(matrix), _det_reference(matrix))
+    assert_same(linalg.det(matrix), ref.det(matrix))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -205,7 +103,7 @@ def test_det_matches_the_separate_loop(kind, data):
 def test_integer_det_matches_the_fraction_reference(data):
     matrix = data.draw(matrices("int", square=True))
     got = linalg.integer_det(matrix)
-    assert type(got) is int and got == _det_reference(matrix)
+    assert type(got) is int and got == ref.det(matrix)
 
 
 @pytest.mark.parametrize("square", [True, False], ids=["square", "any-shape"])
@@ -216,7 +114,7 @@ def test_integer_inverse_matches_the_fraction_reference(square, data):
     size = len(matrix[0])
     basis = []
     for j, row in enumerate(matrix):
-        if len(basis) < size and _rank_reference([matrix[i] for i in basis] + [row]) > len(basis):
+        if len(basis) < size and ref.rank([matrix[i] for i in basis] + [row]) > len(basis):
             basis.append(j)
     found = linalg.integer_inverse(matrix)
     if len(basis) < size:
@@ -233,17 +131,18 @@ def test_integer_inverse_matches_the_fraction_reference(square, data):
     ]
     # ... column by column the Fraction solution of B x = e_k ...
     for k, column in enumerate(zip(*inverse)):
-        want = _solve_reference(b, [int(i == k) for i in range(size)])
+        want = ref.solve(b, [int(i == k) for i in range(size)])
         assert tuple(Fraction(x, scale) for x in column) == want
     # ... and integral exactly when det B is +-1.
-    assert (scale == 1) == (abs(_det_reference(b)) == 1)
+    assert (scale == 1) == (abs(ref.det(b)) == 1)
 
 
 def test_empty_and_zero_matrices():
-    assert_same(linalg.det([]), _det_reference([]))
+    assert linalg.det([]) == 1
     assert linalg.rank([]) == 0 and linalg.kernel_vector([]) is None
     assert_same(linalg.det([[0.0, 0.0], [0.0, -0.0]]), 0.0)
-    assert_same(linalg.kernel_vector([[-0.0, 0.0]]), _kernel_vector_reference([[-0.0, 0.0]]))
+    assert linalg.rank([[0, 0]]) == 0 and linalg.kernel_vector([[0, 0]]) == (1, 0)
+    assert linalg.kernel_vector([[0, -2, 4]]) == (1, 0, 0) and linalg.kernel_vector([[3, -2]]) == (2, 3)
     assert linalg.integer_inverse([[0, 1], [0, 2]]) is None
     assert linalg.integer_inverse([[1, 2, 3]]) is None
     assert linalg.integer_det([]) == 1 and linalg.integer_det([[0, 1], [0, 2]]) == 0

@@ -4,10 +4,12 @@ Each rule maps a problem to an equivalent one and says how the answer moves,
 so it checks the pipeline without a frozen number.  Examples are drawn by
 hypothesis with a fixed seed.  The rules run on the plane fans of the
 registry, on raw halfspace documents (pE-4fold-c, dimension 4), on a
-fan document of (P^1)^3 and on a raw system at the size cap.
+fan document of (P^1)^3, on a raw system at the size cap, and on seeded
+integer matrices for linalg's rank and kernel vector.
 """
 
 import itertools
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -274,6 +276,40 @@ def _unimodular(rng, n):
     return u
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_rank_and_kernel_vector_under_row_orders_and_lattice_changes(seed):
+    # Reordering integer rows M keeps their row space, so the rank and the
+    # kernel vector.  M U has the same rank for U unimodular, and M U x = 0
+    # exactly when M (U x) = 0, so U maps the kernel vector of M U into the
+    # kernel of M, primitive still, and onto +-the kernel vector of M when
+    # the kernel is a line.
+    rng = random.Random(seed)
+    nullities = set()
+    for _ in range(150):
+        n = rng.randint(2, 6)
+        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(1, 6))]
+        for _ in range(rng.randint(0, 2)):
+            a, b = rng.choice(rows), rng.choice(rows)
+            rows.append([x - 2 * y for x, y in zip(a, b)])
+        rank, vector = linalg.rank(rows), linalg.kernel_vector(rows)
+        shuffled = rng.sample(rows, len(rows))
+        assert linalg.rank(shuffled) == rank and linalg.kernel_vector(shuffled) == vector
+        u = _unimodular(rng, n)
+        moved = [[linalg.dot(row, column) for column in zip(*u)] for row in rows]
+        assert linalg.rank(moved) == rank
+        image = linalg.kernel_vector(moved)
+        nullities.add(n - rank)
+        if vector is None:
+            assert image is None
+            continue
+        back = tuple(linalg.dot(row, image) for row in u)
+        for v, m in ((vector, rows), (image, moved), (back, rows)):
+            assert math.gcd(*v) == 1 and all(linalg.dot(row, v) == 0 for row in m)
+        if n - rank == 1:
+            assert back in (vector, tuple(-x for x in vector))
+    assert {0, 1, 2} <= nullities
+
+
 CROSS_3 = ProblemDocument(
     name="cross-3",
     dimension=3,
@@ -291,7 +327,7 @@ def test_cone_sums_equal_the_triangulation_under_lattice_changes(seed, doc):
     # barycenter back, and on the image cone sums equal the triangulation.
     n = doc.dimension
     u = _unimodular(random.Random(f"{doc.name}:{seed}"), n)
-    assert abs(linalg.det(u)) == 1
+    assert abs(linalg.integer_det(u)) == 1
 
     def move(d):
         return tuple(linalg.dot(row, d) for row in u)

@@ -31,6 +31,7 @@ from torifano.moments import (
     weighted_moments,
 )
 
+import reference_linalg as ref
 from reference_moments import divided_difference_exp, exp_moments_simplex, mesh_moments, moment_report
 
 P2 = Fan(((1, 0), (0, 1), (-1, -1)), ((0, 1), (1, 2), (2, 0)))
@@ -166,7 +167,7 @@ def _random_simplex(rng, n):
     """A simplex of n + 1 random integer normals with sum_j a_j d_j = 0, a_j > 0, around 0."""
     while True:
         normals = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
-        if linalg.det(normals) != 0:
+        if ref.det(normals) != 0:
             break
     weights = [rng.randint(1, 3) for _ in normals]
     last = [-sum(a * d[i] for a, d in zip(weights, normals)) for i in range(n)]
@@ -411,15 +412,33 @@ def test_overflow_guard():
 @pytest.mark.parametrize(
     "simplex, what",
     [
-        (((-1e308,), (1e308,)), "mass"),  # the length overflows
-        (((1e307,), (1e308,)), "barycenter"),  # length times offset overflows
-        (((0.0,), (1e110,)), "covariance"),  # length times offset squared overflows
+        (((-1e308,), (1e308,)), "mass"),  # the length, 2e308, overflows
+        (((1e307,), (1e308,)), "covariance"),  # the variance, 6.75e614, overflows
     ],
 )
 def test_moments_that_overflow_raise(simplex, what):
     # A nan would pass silently into soliton-check reports and break Newton's eigvalsh.
     with pytest.raises(OverflowError, match=what):
         weighted_moments(SimplexMesh(simplices=(simplex,)), (0.0,))
+
+
+@pytest.mark.parametrize(
+    "simplex, order, want",
+    [
+        (((1e307,), (1e308,)), 1, 5.5e307),  # length times offset overflows
+        (((0.0,), (1e110,)), 2, 1e220 / 12),  # length times offset squared overflows
+    ],
+    ids=["barycenter", "covariance"],
+)
+def test_moments_whose_products_overflow_are_computed(simplex, order, want):
+    # The weights are taken over a power of two, so only the moment itself
+    # has to be a float; at V = 0 the interval's mean and variance are exact.
+    mesh = SimplexMesh(simplices=(simplex,))
+    found = weighted_moments(mesh, (0.0,), order)
+    got = found.barycenter[0] if order == 1 else found.covariance[0][0]
+    assert got == pytest.approx(want, rel=1e-15)
+    assert found.scaled_mass == simplex[1][0] - simplex[0][0]
+    assert mesh.barycenter == pytest.approx(((simplex[0][0] + simplex[1][0]) / 2,), rel=1e-15)
 
 
 def test_dd_vs_quadrature_random_simplices():

@@ -47,6 +47,22 @@ def test_package_modules_use_every_import():
     assert SOURCES and found == []
 
 
+def test_exact_elimination_in_linalg_runs_in_integers():
+    # One fraction-free pass decides ranks, kernels and inverses; only the
+    # Farkas simplex, which works over Q, builds Fractions, and no exact
+    # routine takes a tolerance.
+    tree = ast.parse(Path(torifano.__file__).with_name("linalg.py").read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    builds = {
+        name for name, node in functions.items()
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call) and isinstance(call.func, ast.Name) and call.func.id == "Fraction"
+    }
+    assert builds == {"farkas"}
+    for name in ("rank", "kernel_vector", "integer_inverse", "integer_det"):
+        assert [arg.arg for arg in functions[name].args.args] == ["rows"], name
+
+
 def _module_level_imports(tree):
     """Import nodes that run when the module is imported: everything
     outside function bodies (class bodies run at import too)."""
