@@ -8,7 +8,8 @@ input, 3 non-convergence of a requested solve or a numerical failure (an
 ``ArithmeticError``, overflow included).  Floats are serialized as strings
 with 17 significant digits and rationals as "p/q", in full however many
 digits they have, so identical inputs byte-reproduce the report apart from
-wall time.
+wall time; a float result that is not finite is a numerical failure, so no
+report carries "nan" or "inf".
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def jsonable(value):
-    """Deterministic JSON-ready form: Fractions as "p/q", floats as %.17g."""
+    """Deterministic JSON-ready form: Fractions as "p/q", finite floats as %.17g."""
     if isinstance(value, bool):
         return value
     if isinstance(value, Fraction):
@@ -77,6 +78,9 @@ def jsonable(value):
     if isinstance(value, int):
         return int(value)
     if isinstance(value, float):
+        # A result that left the float range fails the command (exit 3).
+        if not math.isfinite(value):
+            raise OverflowError(f"a float result is {value}")
         return format(float(value), ".17g")
     if isinstance(value, dict):
         return {str(k): jsonable(v) for k, v in value.items()}

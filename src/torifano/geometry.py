@@ -8,10 +8,12 @@ same code paths with a small absolute tolerance.  :func:`tolerance` makes
 that choice once per polytope, from its own data, and the polytope carries
 it.
 
-A fan inverts each maximal cone's ray matrix once, in ``Fan.cone_inverses``,
+A fan knows each maximal cone's ray matrix inverse, ``Fan.cone_inverses``,
 as integer rows over one scale: smoothness is read off the scale, and a
 cone's vertex is one integer product with the rows, over the lcm of the
-support's denominators.
+support's denominators.  It eliminates one seed cone per connected part
+of its dual graph and reaches every other cone across a wall, by the
+rank-one step :func:`linalg.exchange`.
 
 Each polytope's derived data is computed in one place, from one incidence
 record per vertex: an int bitmask of the halfspaces tight there.  Each
@@ -22,8 +24,9 @@ where a tolerance decides tightness; by double description from raw
 halfspaces, a vertex's record is its ray's exact zero set.  The polytope's
 tight sets, redundancy flags and dimension are read off the records.  An
 exact polytope reads its vertices' tangent cones, ``Polytope.cones``, off
-its tight facet rows, a fan part reusing the fan's cone inverses, and
-splits a non-simple vertex's cone by the pulling recursion that also
+its tight facet rows, a fan part reusing the fan's cone inverses; a
+simple vertex's cone is weighed from its inverse, with no determinant, and
+a non-simple vertex's cone is split by the pulling recursion that also
 triangulates; its exact volume and barycenter,
 ``Polytope.cone_sums``, are Lawrence-Brion sums over those cones.  The
 triangulation itself, ``Polytope.mesh``, is computed on first use for the
@@ -129,16 +132,70 @@ class Fan:
         return len(self.rays)
 
     @cached_property
+    def walls(self):
+        """Each wall, dim - 1 rays of a maximal cone, mapped to the indices of the maximal cones that hold it."""
+        walls = {}
+        for ci, cone in enumerate(self.max_cones):
+            for k in range(self.dim):
+                walls.setdefault(cone[:k] + cone[k + 1 :], []).append(ci)
+        return walls
+
+    @cached_property
     def cone_inverses(self):
         """Each maximal cone's ray matrix inverse as ``(rows, scale)``, or None when singular.
 
         The inverse is the integer rows over the least positive scale, which
-        is 1 exactly when the cone is smooth.
+        is 1 exactly when the cone is smooth: the rows of :attr:`cone_columns`.
         """
-        return tuple(
-            found[1:] if (found := linalg.integer_inverse([self.rays[j] for j in cone])) else None
-            for cone in self.max_cones
-        )
+        return tuple(found and (list(zip(*found[0])), found[1]) for found in self.cone_columns)
+
+    @cached_property
+    def cone_columns(self):
+        """Each maximal cone's ray matrix inverse as ``(columns, scale, det)``, or None when singular.
+
+        This is the :func:`linalg.inverse_columns` triple: column k is the
+        integer column X_k of ray ``cone[k]`` over the least positive scale
+        s, and det is |det| of the ray matrix.  Cones are neighbours when
+        they share a wall.  One seed cone per connected part of this dual
+        graph is eliminated, and every other cone sigma' = sigma - a + b is
+        reached across a wall and takes its inverse from sigma's by the
+        rank-one step :func:`linalg.exchange`, with <d_b, X_a> / s the
+        coefficient of d_a in d_b: on a smooth complete fan, -1 in the
+        wall relation (Cox, Little and Schenck, Toric Varieties, section
+        6.1).  A singular cone is None, and nothing is reached through it:
+        a cone reached only through singular ones is a seed of its own.
+        """
+        cones = self.max_cones
+        found, reached = [None] * len(cones), set()
+        for seed in range(len(cones)):
+            if seed in reached:
+                continue
+            reached.add(seed)
+            found[seed] = linalg.inverse_columns([self.rays[j] for j in cones[seed]])
+            queue = [seed] if found[seed] else []
+            for ci in queue:
+                cone = cones[ci]
+                for k in range(len(cone)):
+                    for cj in self.walls[cone[:k] + cone[k + 1 :]]:
+                        if cj not in reached:
+                            reached.add(cj)
+                            found[cj] = self._cross(found[ci], cone, k, cones[cj])
+                            if found[cj]:
+                                queue.append(cj)
+        return tuple(found)
+
+    def _cross(self, inverse, cone, k, other):
+        """The inverse of ``other``, which has every ray of ``cone`` but ``cone[k]``, from ``cone``'s."""
+        b = next((j for j in other if j not in cone), None)
+        if b is None:  # the same cone listed twice
+            return inverse
+        step = linalg.exchange(inverse, k, self.rays[b])
+        if step is None:
+            return None
+        # Column k now belongs to b, and moves to b's place in the sorted cone.
+        columns = step[0][:k] + step[0][k + 1 :]
+        columns.insert(other.index(b), step[0][k])
+        return columns, *step[1:]
 
 
 @dataclass(frozen=True)
@@ -179,17 +236,13 @@ def validate_fan(fan):
 
     # A complete simplicial fan is characterized by every wall (codimension-1
     # cone) lying in exactly two maximal cones.
-    wall_count = {}
-    for cone in fan.max_cones:
-        for wall in itertools.combinations(cone, fan.dim - 1):
-            wall_count[wall] = wall_count.get(wall, 0) + 1
     complete = bool(fan.max_cones)
     if not complete:
         witnesses.append(("complete", {"max_cones": 0}))
-    for wall, count in sorted(wall_count.items()):
-        if count != 2:
+    for wall, cones in sorted(fan.walls.items()):
+        if len(cones) != 2:
             complete = False
-            witnesses.append(("complete", {"wall": wall, "incidence": count}))
+            witnesses.append(("complete", {"wall": wall, "incidence": len(cones)}))
 
     fano = False
     if smooth and complete:
@@ -299,8 +352,8 @@ class Polytope:
     ``mesh`` is the :func:`triangulate` mesh of any other polytope,
     ``cones`` its vertices' tangent cones and ``cone_sums`` its exact volume
     and barycenter, each kept once computed.  ``inverses`` maps a tuple of
-    integer rows to the integer rows of its inverse, over any scale, where
-    the route that built the polytope has them already.
+    integer rows to the :func:`linalg.inverse_columns` triple of their
+    matrix, where the route that built the polytope has it already.
     """
 
     dim: int
@@ -330,10 +383,12 @@ class Polytope:
         their boundaries; redundant rows add nothing to it.  Generators are
         primitive integer vectors and the weight is the |det| of their
         matrix.  A vertex on exactly dim distinct facet normals has one
-        piece, the columns of their inverse, taken from ``inverses`` or
-        from :func:`linalg.integer_inverse`; any other vertex's cone
-        is split by :func:`_pulling` over its :func:`_extreme_rays`, whose
-        facets are the rows' zero sets.  Exact polytopes only.
+        piece, :func:`_simple_piece` of their inverse, taken from
+        ``inverses`` or from :func:`linalg.inverse_columns`; any other
+        vertex's cone is split by :func:`_pulling` over its
+        :func:`_extreme_rays`, whose facets are the rows' zero sets, and
+        each piece's weight is an :func:`linalg.integer_det`.  Exact
+        polytopes only.
         """
         if self.degenerate or self.tol:
             raise InputError("tangent cones need an exact full-dimensional polytope")
@@ -356,12 +411,22 @@ def _piece(generators):
     return abs(linalg.integer_det(generators)), generators
 
 
+def _simple_piece(columns, scale, absdet):
+    """The one piece of the cone where n integer rows B are >= 0, from B^-1 = X / scale.
+
+    Its generators are the columns X_k over g_k, the gcd of each, and its
+    weight |det| (X / g) = scale^n / (|det B| prod g_k), with no elimination.
+    """
+    divisors = [gcd(*column) for column in columns]
+    generators = tuple(column if g == 1 else tuple(x // g for x in column) for column, g in zip(columns, divisors))
+    return scale ** len(columns) // (absdet * prod(divisors)), generators
+
+
 def _split_cone(rows, inverses):
     """The cone where every integer row is >= 0, as simplicial pieces."""
     size = len(rows[0])
     if len(rows) == size:
-        inverse = inverses.get(rows) or linalg.integer_inverse(rows)[1]
-        return (_piece(zip(*inverse)),)
+        return (_simple_piece(*(inverses.get(rows) or linalg.inverse_columns(rows))),)
     rays = _extreme_rays(rows)
     facets = [frozenset(i for i, (_, zeros) in enumerate(rays) if zeros >> j & 1) for j in range(len(rows))]
     points = [r for r, _ in rays]
@@ -409,7 +474,8 @@ def _cone_sums(polytope):
         sums = [0] * n
         for c, height, big, p, gens, slopes in terms:
             c *= q // (p * p)
-            s = [sum(w[k] * (p // e) for w, e in zip(gens, slopes)) for k in range(n)]
+            quotients = [p // e for e in slopes]
+            s = [dot(axis, quotients) for axis in zip(*gens)]
             sums = [m + c * ((n + 1) * x * p + height * y) for m, x, y in zip(sums, big, s)]
         moment = [m + Fraction(x, q * denominator ** (n + 1)) for m, x in zip(moment, sums)]
     return mass / factorial(n), tuple(m / ((n + 1) * mass) for m in moment)
@@ -479,9 +545,9 @@ def polytope_from_support(fan, c, cones=None):
     raises InputError.  Empty interior comes back as a degenerate polytope
     rather than an error.  ``cones`` is the :func:`_cone_vertices` result of
     ``c`` when the caller has solved the cones already.  The polytope keeps
-    the fan's cone inverses, so the tangent cone of a vertex tight on
-    exactly one maximal cone's rays is the columns of that cone's inverse,
-    and no fan cone is inverted twice.
+    the fan's cone inverses by columns, so the tangent cone of a vertex
+    tight on exactly one maximal cone's rays is read off that cone's
+    inverse, and no fan cone is inverted again.
     """
     c = _support(fan, c)
     tol = tolerance(c)
@@ -492,8 +558,8 @@ def polytope_from_support(fan, c, cones=None):
             f"support is not convex: the vertex of cone {list(fan.max_cones[ci])} violates ray {j}"
         )
     inverses = {
-        tuple(fan.rays[j] for j in cone): inverse[0]
-        for cone, inverse in zip(fan.max_cones, fan.cone_inverses)
+        tuple(fan.rays[j] for j in cone): inverse
+        for cone, inverse in zip(fan.max_cones, fan.cone_columns)
         if inverse
     }
     return _polytope(fan.dim, tuple(zip(fan.rays, c)), vertices, tight, tol, inverses)
@@ -657,7 +723,8 @@ class SimplexMesh:
     volume and the barycenter sum those ints over each d and build one
     Fraction per d and output value, so a mesh whose vertices have many
     denominators never forms their lcm.  A float mesh takes each factor as
-    the :func:`linalg.det` of its edge rows.
+    the :func:`linalg.det` of its edge rows, and its volume or barycenter
+    raises OverflowError where it is not finite.
     """
 
     simplices: tuple
@@ -706,7 +773,10 @@ class SimplexMesh:
     def volume(self):
         n = self.dim
         if self._cleared is None:
-            return sum(self.factors, Fraction(0)) / factorial(n)
+            volume = sum(self.factors, Fraction(0)) / factorial(n)
+            if not isfinite(volume):
+                raise OverflowError("float volume overflows")
+            return volume
         masses = {}
         for det, d in self._dets:
             masses[d] = masses.get(d, 0) + det
@@ -727,7 +797,10 @@ class SimplexMesh:
             moment = [0] * n
             for simplex, w in zip(self.simplices, weights):
                 moment = [m + w * (sum(v[i] for v in simplex) / (n + 1)) for i, m in enumerate(moment)]
-            return tuple(m / total for m in moment)
+            barycenter = tuple(m / total for m in moment)
+            if not all(map(isfinite, barycenter)):
+                raise OverflowError("float barycenter overflows")
+            return barycenter
         total = self.volume * factorial(n)
         if total == 0:
             raise InputError("zero-volume mesh has no barycenter")

@@ -1,19 +1,23 @@
 """Dense linear algebra on small matrices (at most seven columns), given as sequences of rows.
 
 Exact matrices are integer rows.  One fraction-free Gauss-Jordan pass,
-:func:`_reduce`, is behind ``rank``, ``kernel_vector`` and
-``integer_inverse``; the column-wise Bareiss ``integer_det`` is cheaper
-where only a determinant is wanted.  ``det`` serves float meshes only.
+:func:`_reduce`, is behind ``rank``, ``kernel_vector``, ``integer_inverse``
+and ``inverse_columns``, which also reads |det B| off its common pivot;
+:func:`exchange` updates a known inverse when one row of B is replaced, by
+a rank-one step with no elimination; the column-wise Bareiss
+``integer_det`` is cheaper where only a determinant is wanted.  ``det``
+serves float meshes only.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 
 def dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def det(matrix):
@@ -109,13 +113,63 @@ def integer_inverse(rows):
     pivot D in column p; one gcd gives the least positive scale, 1 exactly
     when B^-1 is integral.  None when the rows do not span.
     """
+    found = _inverse(rows)
+    return found and found[:3]
+
+
+def inverse_columns(rows):
+    """``(columns, scale, det)`` of a square integer matrix B, or None when it is singular.
+
+    Column k of B^-1 is the integer column ``columns[k]`` over the scale
+    of :func:`integer_inverse`, and det is |det B|, the kept rows' common
+    pivot, so no determinant is eliminated for it.  :func:`exchange` takes
+    and returns the same triple.
+    """
+    found = _inverse(rows)
+    return found and (list(zip(*found[1])), *found[2:])
+
+
+def _inverse(rows):
+    """:func:`integer_inverse`'s triple and |det B| as a fourth entry."""
     size = len(rows[0])
     basis, kept = _reduce(rows, size)
     if len(basis) < size:
         return None
     pivot = kept[0][1][kept[0][0]]
     g = gcd(pivot, *(x for _, e in kept for x in e[size:])) * (1 if pivot > 0 else -1)
-    return basis, [tuple(x // g for x in e[size:]) for _, e in sorted(kept)], pivot // g
+    return basis, [tuple(x // g for x in e[size:]) for _, e in sorted(kept)], pivot // g, abs(pivot)
+
+
+def exchange(inverse, k, row):
+    """The inverse of B once its row k is replaced by ``row``, or None when that is singular.
+
+    ``inverse`` is the :func:`inverse_columns` triple ``(columns, scale,
+    det)``: column i of B^-1 is the integer column X_i over the positive
+    scale s, and det is |det B|.  With t = <row, X_k>, the new matrix has
+    determinant det B t / s, and its inverse the columns t X_i - <row, X_i>
+    X_k for i != k and s X_k over s t, the rank-one update of Sherman and
+    Morrison (Ann. Math. Statist. 1950) in integers.  Every column is taken
+    times the sign of t, so the scale s |t| is positive, and one gcd, none
+    when s |t| is 1, brings it to the least positive scale, as
+    :func:`integer_inverse` gives it.
+    """
+    columns, scale, absdet = inverse
+    pivot = columns[k]
+    t = dot(row, pivot)
+    if not t:
+        return None
+    sign, t = (1, t) if t > 0 else (-1, -t)
+    new = []
+    for i, column in enumerate(columns):
+        if i == k:
+            new.append(tuple(sign * scale * y for y in pivot))
+        else:
+            c = sign * dot(row, column)
+            new.append(tuple(t * x - c * y for x, y in zip(column, pivot)))
+    g = gcd(scale * t, *(x for column in new for x in column)) if scale * t > 1 else 1
+    if g > 1:
+        new = [tuple(x // g for x in column) for column in new]
+    return new, scale * t // g, absdet * t // scale
 
 
 def integer_det(rows):

@@ -702,8 +702,31 @@ def test_lift_on_a_five_dimensional_cube_fan(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert [part["identity_holds"] for part in report["results"]["parts"]] == [True, True]
     assert [len(mesh.simplices) for mesh in meshes] == [720, 720]
-    # One det per simplex, and one per vertex cone of each part's 32 vertices.
-    assert len(dets) == 2 * (720 + 32)
+    # One det per lifted simplex; each part's 32 vertex cones take their
+    # weights from the fan's inverses, with no det.
+    assert len(dets) == 2 * 720
+
+
+def _sheared(doc):
+    """``doc`` with every ray d mapped to U d, U the unimodular shear x_i += x_{i+1}."""
+    n = doc["dimension"]
+    rays = [[int(x) + (int(ray[i + 1]) if i + 1 < n else 0) for i, x in enumerate(ray)] for ray in doc["rays"]]
+    return dict(doc, name=doc["name"] + "-sheared", rays=rays)
+
+
+_FAN_EXAMPLES = ("p2", "p1xp1", "blowup-p2-1pt", "hexagon-dP6-t:1/7", "p1-fubini")
+
+
+@pytest.mark.parametrize("command", ["barycenter", "ke-verdict", "df"])
+def test_fan_documents_take_no_integer_det(tmp_path, capsys, monkeypatch, command):
+    # Every vertex cone of these parts is a fan cone's: its generators are
+    # the columns of the fan's inverse, and its weight comes from them.
+    docs = [document_to_dict(builtin_example(name)) for name in _FAN_EXAMPLES]
+    docs += [_cube_fan_document(n) for n in (3, 5)] + [_sheared(_cube_fan_document(4))]
+    monkeypatch.setattr(linalg, "integer_det", lambda rows: pytest.fail("integer_det"))
+    for doc in docs:
+        code, _, err = run_cli(capsys, command, "--input", write_doc(tmp_path, doc))
+        assert code == 0, (doc["name"], err)
 
 
 ROUTE_COMMANDS = ("barycenter", "ke-verdict", "df", "lift", "soliton-check", "soliton-solve")
@@ -782,6 +805,47 @@ def test_malformed_documents_exit_two_without_traceback(tmp_path, doc):
     assert "Traceback" not in r.stderr
     lines = r.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("torifano: invalid input:"), r.stderr
+
+
+def _square(centre, half):
+    """The raw rows of the square of half-side ``half`` about ``centre``."""
+    return [[[1, 0], half - centre[0]], [[-1, 0], half + centre[0]], [[0, 1], half - centre[1]], [[0, -1], half + centre[1]]]
+
+
+def _finite_strings(node):
+    """Every string in a report, with a "nan" or "inf" one failing the assertion."""
+    if isinstance(node, dict):
+        for v in node.values():
+            _finite_strings(v)
+    elif isinstance(node, list):
+        for v in node:
+            _finite_strings(v)
+    else:
+        assert node not in ("nan", "inf", "-inf"), node
+
+
+# Float parts whose volume, barycenter, barycenter sum or DF value leaves the
+# float range: the first two once reported "nan" with exit 0.
+_FLOAT_OVERFLOWS = {
+    "wide-interval": dict(_INTERVAL, halfspaces=[[[[1], 1e308], [[-1], 1e308]]]),
+    "wide-square": {"name": "squares", "dimension": 2, "halfspaces": [_square((0, 0), 1e200), _square((0, 0), 1.0)]},
+    "far-interval": dict(_INTERVAL, halfspaces=[[[[-1], 1e308], [[1], 4.0]]]),
+    "far-pair": dict(_INTERVAL, halfspaces=[[[[-1], 1e308], [[1], -1e307]]] * 2, vector_fields=[[0.0], [0.0]]),
+}
+
+
+@pytest.mark.parametrize("command", ["barycenter", "ke-verdict", "df", "soliton-check", "soliton-solve"])
+@pytest.mark.parametrize("name", _FLOAT_OVERFLOWS)
+def test_float_overflow_exits_three_or_reports_finite_values(tmp_path, capsys, name, command):
+    doc = _FLOAT_OVERFLOWS[name]
+    code, report, err = run_cli(capsys, command, "--input", write_doc(tmp_path, doc))
+    if name.startswith("wide") and command in ("barycenter", "ke-verdict", "df"):
+        assert code == 3 and report is None
+        assert err.startswith("torifano: numerical failure: float ") and "overflows" in err, err
+    elif code == 0:
+        _finite_strings(report)
+    else:
+        assert code in (2, 3) and report is None, err
 
 
 @pytest.mark.parametrize("command", ["validate", "ke-verdict"])
@@ -873,14 +937,17 @@ def test_fan_documents_solve_each_row_once(capsys, monkeypatch, command):
 
 @pytest.mark.parametrize("command", ["validate", "ke-verdict"])
 def test_fan_documents_invert_each_cone_once(capsys, monkeypatch, command):
-    # One inverse per maximal cone per Fan, shared by the smoothness and
-    # Fano checks and every row; building the polytopes inverts nothing.
-    fans, inverses, built = [], [], []
-    real_inverse, real_init, real_build = linalg.integer_inverse, geometry.Fan.__post_init__, geometry.polytope_from_support
+    # One Fan per document, whose cone inverses serve the smoothness and Fano
+    # checks and every row: one elimination per connected part of its dual
+    # graph (the hexagon's is connected) and one wall crossing into each
+    # other cone; building the polytopes and summing their cones invert
+    # nothing.
+    fans, inverses, crossings, built = [], [], [], []
+    real_init, real_build = geometry.Fan.__post_init__, geometry.polytope_from_support
 
-    def counted_inverse(rows):
-        inverses.append(rows)
-        return real_inverse(rows)
+    def counted(name, calls):
+        real = getattr(linalg, name)
+        monkeypatch.setattr(linalg, name, lambda *args: calls.append(args) or real(*args))
 
     def counted_init(fan):
         fans.append(fan)
@@ -892,13 +959,16 @@ def test_fan_documents_invert_each_cone_once(capsys, monkeypatch, command):
         built.append(len(inverses) - before)
         return polytope
 
-    monkeypatch.setattr(linalg, "integer_inverse", counted_inverse)
+    counted("integer_inverse", inverses)
+    counted("inverse_columns", inverses)
+    counted("exchange", crossings)
     monkeypatch.setattr(geometry.Fan, "__post_init__", counted_init)
     monkeypatch.setattr(stability, "polytope_from_support", build)
     code, _, _ = run_cli(capsys, command, "--example", "hexagon-dP6-t")
     assert code == 0
     assert len(fans) == 1
-    assert len(inverses) == len(fans[0].max_cones) == 6
+    assert len(inverses) == 1
+    assert len(crossings) == len(fans[0].max_cones) - 1 == 5
     assert built == ([0, 0] if command == "ke-verdict" else [])
 
 
@@ -1022,7 +1092,7 @@ def test_numpy_probe_sees_a_float_command():
 _FUZZ_SCALARS = st.one_of(
     st.integers(-4, 4),
     st.sampled_from(["1/2", "-7/3", "0", "1/10"]),
-    st.sampled_from([0.5, -1e-300, 1e-12, 1e308]),
+    st.sampled_from([0.5, -1e-300, 1e-12, 1e308, -1e308, 1.7976931348623157e308, 1e200, -1e154, 5e-324]),
     st.sampled_from([10**30, -(10**300), f"1/{10**2200 + 1}", f"-1/{10**2200 + 3}"]),
 )
 
@@ -1086,3 +1156,5 @@ def test_console_fuzz_exits_with_a_documented_code(tmp_path_factory, command, do
     r = run_cli_process(*args)
     assert r.returncode in (0, 1, 2, 3), r.stderr
     assert "Traceback" not in r.stderr, r.stderr
+    if r.returncode == 0:
+        _finite_strings(json.loads(r.stdout))

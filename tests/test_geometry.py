@@ -28,7 +28,7 @@ from torifano.geometry import (
     validate_fan,
 )
 from torifano.moments import barycenter, volume
-from torifano.problems import builtin_example
+from torifano.problems import builtin_example, registry_names
 from torifano.stability import Decomposition, coupled_ke_verdict, sum_barycenter
 
 import reference_linalg as ref
@@ -115,6 +115,25 @@ def test_cone_inverses_are_integral_exactly_on_smooth_cones():
     assert kinds == {"singular", "smooth", "not smooth"}
 
 
+def test_simple_cone_weights_come_from_the_inverse():
+    # Seeded simple cones {y : B y >= 0} with |det B| > 1, n <= 6: the
+    # generators are the primitive columns of B^-1, and the weight
+    # scale^n / (|det B| prod g_k) is the integer det of those generators.
+    rng = random.Random("simple-cone-weights")
+    checked = set()
+    while len(checked) < 300:
+        n = rng.randint(1, 6)
+        rows = tuple(tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(n))
+        if abs(ref.det(rows)) < 2:
+            continue
+        columns = [ref.solve(rows, [int(i == k) for i in range(n)]) for k in range(n)]
+        want = tuple(geometry._primitive(geometry._over_lcm(column)[1]) for column in columns)
+        pieces = geometry._split_cone(rows, {})
+        assert pieces == ((abs(linalg.integer_det(want)), want),)
+        assert pieces == (geometry._piece(want),)
+        checked.add(rows)
+
+
 def _cone_vertices_reference(fan, c, tol):
     """``geometry._cone_vertices`` as it ran in Fractions: v = -D^-1 c with D^-1 over Q.
 
@@ -151,6 +170,92 @@ NONSMOOTH = (
     Fan(((1, 0), (1, 2), (-1, -1), (0, -1)), ((0, 1), (1, 2), (2, 3), (3, 0))),
     Fan(((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -2, -3)), ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))),
 )
+
+
+def _per_cone_inverses(fan):
+    """``Fan.cone_inverses`` by one elimination per maximal cone: the reference for wall crossing."""
+    return tuple(
+        found[1:] if (found := linalg.integer_inverse([fan.rays[j] for j in cone])) else None
+        for cone in fan.max_cones
+    )
+
+
+def _cube(n):
+    """(P^1)^n: rays +-e_i, one cone per choice of signs."""
+    rays = [tuple(sign * int(i == axis) for i in range(n)) for axis in range(n) for sign in (1, -1)]
+    return Fan(rays, [tuple(2 * axis + side for axis, side in enumerate(sides)) for sides in itertools.product((0, 1), repeat=n)])
+
+
+def _sheared(fan, rng):
+    """The image of ``fan`` under a seeded product of eight shears, a GL(n, Z) map."""
+    n = fan.dim
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(8 if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        u[i] = [a + rng.choice((1, -1)) * b for a, b in zip(u[i], u[j])]
+    return Fan([tuple(linalg.dot(row, ray) for row in u) for ray in fan.rays], fan.max_cones)
+
+
+def _wall_crossing_fans():
+    """Built-in, cube, sheared, non-smooth and oddly connected fans, by name."""
+    fans = {}
+    for name in registry_names():
+        doc = builtin_example(name)
+        if doc.halfspaces is None:
+            fans[name] = Fan(doc.rays, doc.max_cones)
+    rng = random.Random("wall-crossing")
+    for n in range(1, 7):
+        fans[f"cube{n}"] = _cube(n)
+        for k in range(2):
+            fans[f"cube{n}-sheared{k}"] = _sheared(_cube(n), rng)
+    fans["hexagon"], fans["det2"], fans["det3"] = HEXAGON, *NONSMOOTH
+    fans["det3-sheared"] = _sheared(NONSMOOTH[1], rng)
+    # The cone (1, 3) is singular and the only way from (0, 1) to (2, 3).
+    rays = ((1, 0), (0, 1), (-1, 0), (0, -1))
+    fans["singular-between"] = Fan(rays, ((0, 1), (1, 3), (2, 3)))
+    fans["singular-first"] = Fan(rays, ((1, 3), (0, 1), (2, 3)))
+    # No wall in common, and one wall (ray 0) in three cones.
+    fans["no-common-wall"] = Fan([(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 0, 0), (0, -1, 0), (0, 0, -1)], ((0, 1, 2), (3, 4, 5)))
+    fans["three-cone-wall"] = Fan(((1, 0), (0, 1), (-1, 1), (0, -1), (1, 2)), ((0, 1), (0, 2), (0, 3), (2, 4)))
+    return fans
+
+
+# Eliminations per fan where it is not 1: a singular seed is one that finds
+# no inverse and reaches nothing.
+_SEEDS = {"singular-between": 2, "singular-first": 3, "no-common-wall": 2}
+
+
+@pytest.mark.parametrize("name", _wall_crossing_fans())
+def test_wall_crossing_equals_the_per_cone_inverses(monkeypatch, name):
+    # The same rows, scales, types and None entries as one elimination per
+    # cone, from one elimination per connected part of the dual graph that a
+    # nonsingular cone starts.
+    fan = _wall_crossing_fans()[name]
+    seeds = []
+    real = linalg.inverse_columns
+    monkeypatch.setattr(linalg, "inverse_columns", lambda rows: seeds.append(rows) or real(rows))
+    got, want = fan.cone_inverses, _per_cone_inverses(fan)
+    assert got == want
+    for g, w in zip(got, want):
+        assert type(g) is type(w)
+        if w is not None:
+            assert type(g[0]) is list and all(type(row) is tuple for row in g[0])
+            assert all(type(x) is int for row in g[0] for x in row) and type(g[1]) is int
+    assert len(seeds) == _SEEDS.get(name, 1)
+    for cone, found in zip(fan.max_cones, fan.cone_columns):
+        if found is not None:
+            assert found[2] == abs(linalg.integer_det([fan.rays[j] for j in cone]))
+    if name.startswith("singular"):
+        assert sum(found is None for found in got) == 1
+
+
+def test_wall_crossing_through_a_non_smooth_cone():
+    # From a det-2 cone into a det-1 and a det-3 one, and on, with the
+    # scale reduced at each step.
+    rays = ((1, 0), (1, 2), (-1, 1), (-1, -2), (2, -1))
+    fan = Fan(rays, ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4)))
+    assert fan.cone_inverses == _per_cone_inverses(fan)
+    assert [found[2] for found in fan.cone_columns] == [2, 3, 3, 5, 1]
 
 
 @pytest.mark.parametrize("kind", ["exact", "nonsmooth", "float", "mixed"])

@@ -8,6 +8,9 @@ and on Fraction and float rows cleared to integers, floats by their exact
 binary value: ``rank`` must equal the Fraction rank, ``kernel_vector`` be
 a positive multiple of the Fraction kernel vector, ``integer_inverse``
 match the Fraction solve and rank loops, and ``integer_det`` the det loop.
+``inverse_columns`` is ``integer_inverse`` by columns with |det| from its
+pivot, and ``exchange``, the rank-one row exchange, must give exactly what
+``inverse_columns`` gives on the exchanged matrix.
 """
 
 import math
@@ -135,6 +138,45 @@ def test_integer_inverse_matches_the_fraction_reference(square, data):
         assert tuple(Fraction(x, scale) for x in column) == want
     # ... and integral exactly when det B is +-1.
     assert (scale == 1) == (abs(ref.det(b)) == 1)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_inverse_columns_are_the_inverse_by_columns_with_its_det(data):
+    matrix = data.draw(matrices("int", square=True))
+    found, want = linalg.inverse_columns(matrix), linalg.integer_inverse(matrix)
+    if want is None:
+        assert found is None and ref.det(matrix) == 0
+        return
+    columns, scale, det = found
+    assert (columns, scale) == (list(zip(*want[1])), want[2])
+    assert type(det) is int and det == abs(ref.det(matrix)) > 0
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_exchange_equals_the_inverse_of_the_exchanged_matrix(data):
+    # Same columns, scale and |det| as eliminating B' afresh, or None exactly
+    # when B' is singular, from any nonsingular B.
+    matrix = data.draw(matrices("int", square=True))
+    inverse = linalg.inverse_columns(matrix)
+    if inverse is None:
+        return
+    n = len(matrix)
+    k = data.draw(st.integers(0, n - 1))
+    row = tuple(data.draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n)))
+    exchanged = [row if i == k else r for i, r in enumerate(matrix)]
+    assert linalg.exchange(inverse, k, row) == linalg.inverse_columns(exchanged)
+
+
+def test_dot_keeps_the_summation_order():
+    # sum(map(mul, ...)) adds the products left to right from 0, as the
+    # generator did, so floats round alike; ints and Fractions stay exact.
+    u, v = (1e16, 1.0, -1e16, 1.0), (1.0, 1.0, 1.0, 1.0)
+    assert_same(linalg.dot(u, v), ((0 + 1e16) + 1.0 - 1e16) + 1.0)
+    assert_same(linalg.dot((Fraction(1, 3), 2), (3, Fraction(1, 2))), Fraction(2))
+    assert_same(linalg.dot((2, 3), (4, 5, 6)), 23)
+    assert_same(linalg.dot((), ()), 0)
 
 
 def test_empty_and_zero_matrices():
