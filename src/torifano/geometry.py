@@ -65,13 +65,17 @@ MAX_RAW_HALFSPACES = 32
 
 
 def _coerce(x):
-    if isinstance(x, float):
-        return x
-    return Fraction(x)
+    """Floats and Fractions as they are, everything else (bool too) as a Fraction."""
+    return x if isinstance(x, (float, Fraction)) else Fraction(x)
 
 
 def _vec(xs):
     return tuple(_coerce(x) for x in xs)
+
+
+def _exact(xs):
+    """Floats in ``xs`` as Fractions of their exact binary value, ints and Fractions as they are."""
+    return [Fraction(x) if isinstance(x, float) else x for x in xs]
 
 
 def _over_lcm(xs):
@@ -502,16 +506,18 @@ def _polytope(dim, halfspaces, candidates, tight, tol, inverses=None):
     nothing, so it is redundant even where it is tight at every vertex.
     ``inverses`` are the route's known inverses, kept for ``Polytope.cones``.
     """
-    merged = {}
+    merged, masks = {}, []
     for v, mask in zip(candidates, tight):
         if tol:
             v = next((w for w in merged if all(abs(a - b) <= tol for a, b in zip(v, w))), v)
-        merged[v] = merged.get(v, 0) | mask
-    masks = list(merged.values())
+        # One hash of v: a tuple of Fractions hashes at a modular inverse each.
+        k = merged.setdefault(v, len(masks))
+        if k < len(masks):
+            masks[k] |= mask
+        else:
+            masks.append(mask)
     everywhere = reduce(and_, masks, -1)
-    equalities = [
-        _over_lcm([Fraction(x) for x in d])[1] for j, (d, _) in enumerate(halfspaces) if everywhere >> j & 1
-    ]
+    equalities = [_over_lcm(_exact(d))[1] for j, (d, _) in enumerate(halfspaces) if everywhere >> j & 1]
     hull_rank = dim - linalg.rank(equalities) if masks else -1
     tight_sets = tuple(
         tuple(i for i, mask in enumerate(masks) if mask >> j & 1) for j in range(len(halfspaces))
@@ -613,10 +619,10 @@ def polytope_from_halfspaces(halfspaces):
     within the tolerance, the :func:`tolerance` of these rows alone, and a
     merged vertex is tight on every row that one of its parts was tight on.
     A ray with t = 0 is reported as unbounded.  Without vertices the system
-    is empty, as one exact LP certifies (Farkas), or its normals do not span
-    and it has lines, along a primitive integer kernel vector of the
-    integer rows' normal parts.  The regime is dimension <= 6 and at most 32
-    halfspaces.
+    is empty, as one LP on the integer rows a_j certifies (Farkas), or its
+    normals do not span and it has lines, along a primitive integer kernel
+    vector of the integer rows' normal parts.  The regime is dimension <= 6
+    and at most 32 halfspaces.
     """
     hs = [(_vec(d), _coerce(c)) for d, c in halfspaces]
     if not hs:
@@ -628,14 +634,17 @@ def polytope_from_halfspaces(halfspaces):
         raise InputError(f"raw halfspace regime is dim <= {MAX_RAW_DIM}, m <= {MAX_RAW_HALFSPACES}")
     tol = tolerance([x for d, c in hs for x in (*d, c)])
 
-    rows = [tuple(_over_lcm([Fraction(x) for x in (*d, c)])[1]) for d, c in hs]
+    scaled = [_over_lcm(_exact((*d, c))) for d, c in hs]
+    rows = [tuple(row) for _, row in scaled]
     rays = _extreme_rays([(0,) * n + (1,), *rows]) or ()
     # Bit 0 of a zero set is the row t >= 0, tight at no vertex.
     bounded = sorted((tuple(Fraction(x, r[n]) for x in r[:n]), z >> 1) for r, z in rays if r[n] > 0)
     if not bounded:
-        # Farkas: empty iff some y >= 0 has sum y_j d_j = 0, sum y_j c_j = -1.
-        certificate, _ = linalg.farkas([*zip(*(d for d, _ in hs)), [c for _, c in hs]], [0] * n + [-1])
-        if certificate is not None:
+        # Farkas: empty iff some y >= 0 has sum y_j d_j = 0, sum y_j c_j = -1,
+        # which is s_j y_j for the y that the integer rows s_j (d_j, c_j) give.
+        y, _, denominator = linalg.farkas(list(zip(*rows)), [0] * n + [-1])
+        if y is not None:
+            certificate = tuple(Fraction(s * x, denominator) for (s, _), x in zip(scaled, y))
             raise EmptyPolytopeError("halfspace system is infeasible", certificate=certificate)
         lineality = linalg.kernel_vector([r[:n] for r in rows])
         raise UnboundedPolytopeError("feasible but has no vertex", direction=lineality)
@@ -794,10 +803,17 @@ class SimplexMesh:
             total = sum(weights)
             if total == 0:
                 raise InputError("zero-volume mesh has no barycenter")
+            # Coordinates from 2^1000 up are divided by 2^24 first, exactly
+            # but for subnormals, so that no centroid's coordinate sum
+            # overflows; every other mesh keeps every bit.
+            simplices, scale = self.simplices, 1
+            if max(abs(x) for simplex in simplices for v in simplex for x in v) >= 2.0**1000:
+                scale = 2.0**24
+                simplices = [[[x / scale for x in v] for v in simplex] for simplex in simplices]
             moment = [0] * n
-            for simplex, w in zip(self.simplices, weights):
+            for simplex, w in zip(simplices, weights):
                 moment = [m + w * (sum(v[i] for v in simplex) / (n + 1)) for i, m in enumerate(moment)]
-            barycenter = tuple(m / total for m in moment)
+            barycenter = tuple(m / total * scale for m in moment)
             if not all(map(isfinite, barycenter)):
                 raise OverflowError("float barycenter overflows")
             return barycenter

@@ -5,13 +5,14 @@ Exact matrices are integer rows.  One fraction-free Gauss-Jordan pass,
 and ``inverse_columns``, which also reads |det B| off its common pivot;
 :func:`exchange` updates a known inverse when one row of B is replaced, by
 a rank-one step with no elimination; the column-wise Bareiss
-``integer_det`` is cheaper where only a determinant is wanted.  ``det``
-serves float meshes only.
+``integer_det`` is cheaper where only a determinant is wanted; the phase-1
+simplex :func:`farkas` keeps its tableau in integers over one common
+denominator too.  ``det`` serves float meshes only, and nothing here builds
+a Fraction.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 from operator import mul
 
@@ -195,37 +196,55 @@ def integer_det(rows):
 
 
 def farkas(matrix, rhs):
-    """Exact y >= 0 with ``matrix y = rhs``, or a Farkas ray refuting one.
+    """Integer y >= 0 with ``matrix y = rhs``, or a Farkas ray refuting one.
 
-    Phase 1 of the simplex method over Fractions, from one artificial
-    variable per row, pivoting by Bland's smallest-index rule, which cannot
-    cycle (Bland, Math. Oper. Res. 1977).  Returns ``(y, None)``, or
-    ``(None, u)`` with ``u^T matrix >= 0`` and ``u^T rhs < 0``.  Floats
-    enter by their exact binary value.  It serves only the emptiness
-    certificate of a raw halfspace system without vertices.
+    Phase 1 of the simplex method on integer rows and an integer rhs, from
+    one artificial variable per row, pivoting by Bland's smallest-index
+    rule, which cannot cycle (Bland, Math. Oper. Res. 1977).  The tableau
+    and its reduced-cost row are integers over one common denominator D,
+    the last pivot, which is the determinant of the basis, so it stays
+    positive and reduced costs keep their signs: a pivot p at (r, e) keeps
+    row r and replaces every other row, with entry h in column e, by
+    (p a - h b) // D, an exact division (Edmonds, J. Res. NBS 1967), and D
+    becomes p.  Ratios are compared by integer cross-products.  Returns
+    ``(y, None, D)``, or ``(None, u, D)`` with ``u^T matrix >= 0`` and
+    ``u^T rhs < 0``, y and u integer tuples over D.  It serves only the
+    emptiness certificate of a raw halfspace system without vertices.
     """
     p, q = len(matrix), len(matrix[0])
     signs = [-1 if b < 0 else 1 for b in rhs]
     rows = [
-        [s * Fraction(x) for x in row] + [Fraction(int(i == k)) for k in range(p)] + [s * Fraction(b)]
+        [s * x for x in row] + [int(i == k) for k in range(p)] + [s * b]
         for i, (row, b, s) in enumerate(zip(matrix, rhs, signs))
     ]
     # Reduced costs of the sum of artificials: the last entry is minus its
-    # value, and entry q + i is 1 minus the dual of row i.
+    # value, and entry q + i is D minus D times the dual of row i.
     reduced = [-sum(col) for col in zip(*rows)]
-    reduced[q : q + p] = [Fraction(0)] * p
+    reduced[q : q + p] = [0] * p
     basis = list(range(q, q + p))
+    denominator = 1
     while (enter := next((j for j in range(q + p) if reduced[j] < 0), None)) is not None:
-        ratios = [(row[-1] / row[enter], basis[i], i) for i, row in enumerate(rows) if row[enter] > 0]
-        leave = min(ratios)[2]
-        pivot = rows[leave] = [x / rows[leave][enter] for x in rows[leave]]
+        leave = None
         for i, row in enumerate(rows):
-            if i != leave and row[enter]:
-                rows[i] = [a - row[enter] * b for a, b in zip(row, pivot)]
-        reduced = [a - reduced[enter] * b for a, b in zip(reduced, pivot)]
-        basis[leave] = enter
+            entry = row[enter]
+            if entry > 0:
+                if leave is None:
+                    leave, top, bottom = i, row[-1], entry
+                    continue
+                # The least rhs / entry, then the least basis index.
+                side = row[-1] * bottom - top * entry
+                if side < 0 or side == 0 and basis[i] < basis[leave]:
+                    leave, top, bottom = i, row[-1], entry
+        pivot = rows[leave]
+        value = pivot[enter]
+        for i, row in enumerate(rows):
+            if i != leave:
+                h = row[enter]
+                rows[i] = [(value * a - h * b) // denominator for a, b in zip(row, pivot)]
+        h = reduced[enter]
+        reduced = [(value * a - h * b) // denominator for a, b in zip(reduced, pivot)]
+        basis[leave], denominator = enter, value
     if reduced[-1] == 0:
-        value = {j: row[-1] for j, row in zip(basis, rows)}
-        return tuple(value.get(j, Fraction(0)) for j in range(q)), None
-    return None, tuple(-s * (1 - reduced[q + i]) for i, s in enumerate(signs))
-
+        level = {j: row[-1] for j, row in zip(basis, rows)}
+        return tuple(level.get(j, 0) for j in range(q)), None, denominator
+    return None, tuple(-s * (denominator - reduced[q + i]) for i, s in enumerate(signs)), denominator

@@ -118,9 +118,8 @@ def _parse_halfspaces(raw, dim, form, notes):
             "halfspaces: expected [normal, offset] pairs, "
             "or one list of pairs per decomposition part"
         )
-    sign = 1
-    if form == "leq":
-        sign = -1
+    negate = form == "leq"
+    if negate:
         notes.append("halfspaces converted from leq form (normals negated) at ingestion")
     elif form != "geq":
         raise InputError(f"halfspace_form: expected 'geq' or 'leq', got {form!r}")
@@ -131,8 +130,8 @@ def _parse_halfspaces(raw, dim, form, notes):
             where = f"halfspaces[{i}][{j}]"
             if len(normal) != dim:
                 raise InputError(f"{where}: normal has length {len(normal)}, expected {dim}")
-            d = tuple(sign * parse_scalar(x, where) for x in normal)
-            rows.append((d, parse_scalar(offset, where)))
+            d = tuple(parse_scalar(x, where) for x in normal)
+            rows.append((tuple(-x for x in d) if negate else d, parse_scalar(offset, where)))
         out.append(tuple(rows))
     return tuple(out)
 

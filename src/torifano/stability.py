@@ -213,7 +213,10 @@ class SolitonResidual:
     def norm(self):
         import numpy as np
 
-        return float(np.linalg.norm(self.total))
+        # A residual whose square overflows has norm inf, which the report
+        # refuses with exit 3; numpy's warning must not precede that line.
+        with np.errstate(over="ignore"):
+            return float(np.linalg.norm(self.total))
 
 
 def soliton_residual(decomposition, vfields):

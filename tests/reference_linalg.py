@@ -5,9 +5,10 @@ and kernel_vector ran before they shared one routine.  They take ints,
 ``Fraction``s and floats alike: ints are lifted to Fractions, so exact
 input stays exact, and floats are eliminated with partial pivoting;
 solve and rank take a ``tol`` below which a float pivot counts as zero.
-The tests check the package's integer routines and its float ``det``
-against them, and use them wherever a test needs an independent rank or
-determinant.
+``farkas`` is the Fraction simplex the emptiness certificate ran before
+its tableau was kept in integers.  The tests check the package's integer
+routines and its float ``det`` against them, and use them wherever a test
+needs an independent rank or determinant.
 """
 
 from fractions import Fraction
@@ -133,3 +134,37 @@ def kernel_vector(matrix):
         acc = sum(rows[row_idx][j] * vec[j] for j in range(col + 1, ncols))
         vec[col] = -acc / rows[row_idx][col]
     return tuple(vec)
+
+
+def farkas(matrix, rhs):
+    """Exact y >= 0 with ``matrix y = rhs``, or a Farkas ray refuting one.
+
+    Phase 1 of the simplex method over Fractions, from one artificial
+    variable per row, pivoting by Bland's smallest-index rule.  Returns
+    ``(y, None)``, or ``(None, u)`` with ``u^T matrix >= 0`` and
+    ``u^T rhs < 0``.  Floats enter by their exact binary value.
+    """
+    p, q = len(matrix), len(matrix[0])
+    signs = [-1 if b < 0 else 1 for b in rhs]
+    rows = [
+        [s * Fraction(x) for x in row] + [Fraction(int(i == k)) for k in range(p)] + [s * Fraction(b)]
+        for i, (row, b, s) in enumerate(zip(matrix, rhs, signs))
+    ]
+    # Reduced costs of the sum of artificials: the last entry is minus its
+    # value, and entry q + i is 1 minus the dual of row i.
+    reduced = [-sum(col) for col in zip(*rows)]
+    reduced[q : q + p] = [Fraction(0)] * p
+    basis = list(range(q, q + p))
+    while (enter := next((j for j in range(q + p) if reduced[j] < 0), None)) is not None:
+        ratios = [(row[-1] / row[enter], basis[i], i) for i, row in enumerate(rows) if row[enter] > 0]
+        leave = min(ratios)[2]
+        pivot = rows[leave] = [x / rows[leave][enter] for x in rows[leave]]
+        for i, row in enumerate(rows):
+            if i != leave and row[enter]:
+                rows[i] = [a - row[enter] * b for a, b in zip(row, pivot)]
+        reduced = [a - reduced[enter] * b for a, b in zip(reduced, pivot)]
+        basis[leave] = enter
+    if reduced[-1] == 0:
+        value = {j: row[-1] for j, row in zip(basis, rows)}
+        return tuple(value.get(j, Fraction(0)) for j in range(q)), None
+    return None, tuple(-s * (1 - reduced[q + i]) for i, s in enumerate(signs))

@@ -846,6 +846,26 @@ def test_float_overflow_exits_three_or_reports_finite_values(tmp_path, capsys, n
         _finite_strings(report)
     else:
         assert code in (2, 3) and report is None, err
+    if code == 3:
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("torifano: "), err
+
+
+def test_overflowing_soliton_norm_prints_one_line(tmp_path):
+    # numpy's norm of [1e308, ...] overflows in its dot; no warning may
+    # precede the one line of exit 3.
+    r = run_cli_process("soliton-check", "--input", write_doc(tmp_path, _FLOAT_OVERFLOWS["far-pair"]))
+    assert r.returncode == 3 and r.stdout == ""
+    lines = r.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("torifano: numerical failure:"), r.stderr
+
+
+def test_a_representable_float_barycenter_near_the_top_of_the_range_is_reported(tmp_path, capsys):
+    # The coordinates sum past the float range, the barycenter does not.
+    doc = dict(_INTERVAL, halfspaces=[[[[1], -1e307], [[-1], 1.7e308]]])
+    code, report, err = run_cli(capsys, "barycenter", "--input", write_doc(tmp_path, doc))
+    assert code == 0, err
+    assert float(report["results"]["parts"][0]["barycenter"][0]) == 1e307 / 2 + 1.7e308 / 2
 
 
 @pytest.mark.parametrize("command", ["validate", "ke-verdict"])

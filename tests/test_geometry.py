@@ -363,6 +363,8 @@ def _assert_farkas_certificate(rows, y):
     n = len(rows[0][0])
     assert all(sum(yj * d[i] for yj, (d, _) in zip(y, rows)) == 0 for i in range(n))
     assert sum(yj * c for yj, (_, c) in zip(y, rows)) < 0
+    # The integer tableau pivots as the Fraction simplex does.
+    assert y == ref.farkas([*zip(*(d for d, _ in rows)), [c for _, c in rows]], [0] * n + [-1])[0]
 
 
 def test_empty_system_certificate():

@@ -10,10 +10,13 @@ a positive multiple of the Fraction kernel vector, ``integer_inverse``
 match the Fraction solve and rank loops, and ``integer_det`` the det loop.
 ``inverse_columns`` is ``integer_inverse`` by columns with |det| from its
 pivot, and ``exchange``, the rank-one row exchange, must give exactly what
-``inverse_columns`` gives on the exchanged matrix.
+``inverse_columns`` gives on the exchanged matrix.  The integer ``farkas``
+must give the Fraction simplex's y and u on every halfspace system, and
+the raw route its certificate.
 """
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -22,6 +25,8 @@ from hypothesis import strategies as st
 
 import reference_linalg as ref
 from torifano import linalg
+from torifano.errors import EmptyPolytopeError
+from torifano.geometry import polytope_from_halfspaces
 
 
 def assert_same(got, want):
@@ -188,3 +193,56 @@ def test_empty_and_zero_matrices():
     assert linalg.integer_inverse([[0, 1], [0, 2]]) is None
     assert linalg.integer_inverse([[1, 2, 3]]) is None
     assert linalg.integer_det([]) == 1 and linalg.integer_det([[0, 1], [0, 2]]) == 0
+
+
+def _scalar(rng, wild):
+    """An int, a Fraction with its own denominator, a dyadic float, or in a wild system any float."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return rng.randint(-5, 5)
+    if kind == 1:
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+    return rng.uniform(-4, 4) if wild and rng.random() < 0.3 else rng.randint(-8, 8) / 4
+
+
+def _halfspace_system(rng):
+    """1-10 rows <d, x> >= -c in dimension 1-6: about half with x = 0
+    feasible, and the rest, given two rows or more, with an exact last row
+    that a nonnegative combination of the others turns into 0 >= r > 0."""
+    n, m = rng.randint(1, 6), rng.randint(1, 10)
+    wild = rng.random() < 0.1
+    rows = [([_scalar(rng, wild) for _ in range(n)], _scalar(rng, wild)) for _ in range(m)]
+    if rng.random() < 0.5:
+        return [(d, abs(c)) for d, c in rows]
+    if m > 1:
+        y = [rng.randint(0, 3) for _ in range(m - 1)]
+        d = [-sum(w * Fraction(r[0][i]) for w, r in zip(y, rows)) for i in range(n)]
+        c = -sum(w * Fraction(r[1]) for w, r in zip(y, rows)) - Fraction(rng.randint(1, 3), rng.randint(1, 3))
+        rows[-1] = (d, c)
+    return rows
+
+
+def test_farkas_matches_the_fraction_simplex():
+    # The route's integer rows are row j times s_j > 0, the same columns
+    # scaled, so the pivots, u and y = s y' are the Fraction simplex's.
+    rng = random.Random(0)
+    outcomes = {True: 0, False: 0}
+    for _ in range(2000):
+        rows = _halfspace_system(rng)
+        n = len(rows[0][0])
+        rhs = [0] * n + [-1]
+        want_y, want_u = ref.farkas([*zip(*(d for d, _ in rows)), [c for _, c in rows]], rhs)
+        ints = _integer_rows([(*d, c) for d, c in rows])
+        y, u, denominator = linalg.farkas(list(zip(*ints)), rhs)
+        assert denominator > 0
+        outcomes[want_y is not None] += 1
+        if want_y is None:
+            assert y is None and tuple(Fraction(x, denominator) for x in u) == want_u
+            continue
+        assert u is None
+        scales = [math.lcm(*(x.denominator for x in row)) for row in _exact([(*d, c) for d, c in rows])]
+        assert tuple(Fraction(s * x, denominator) for s, x in zip(scales, y)) == want_y
+        with pytest.raises(EmptyPolytopeError) as err:
+            polytope_from_halfspaces(rows)
+        assert err.value.certificate == want_y
+    assert min(outcomes.values()) >= 800, outcomes

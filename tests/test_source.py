@@ -48,9 +48,9 @@ def test_package_modules_use_every_import():
 
 
 def test_exact_elimination_in_linalg_runs_in_integers():
-    # One fraction-free pass decides ranks, kernels and inverses; only the
-    # Farkas simplex, which works over Q, builds Fractions, and no exact
-    # routine takes a tolerance.
+    # One fraction-free pass decides ranks, kernels and inverses, the Farkas
+    # simplex keeps its tableau in integers, no function builds a Fraction,
+    # and no exact routine takes a tolerance.
     tree = ast.parse(Path(torifano.__file__).with_name("linalg.py").read_text(encoding="utf-8"))
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
     builds = {
@@ -58,7 +58,8 @@ def test_exact_elimination_in_linalg_runs_in_integers():
         for call in ast.walk(node)
         if isinstance(call, ast.Call) and isinstance(call.func, ast.Name) and call.func.id == "Fraction"
     }
-    assert builds == {"farkas"}
+    assert builds == set()
+    assert not any(isinstance(node, ast.ImportFrom) and node.module == "fractions" for node in tree.body)
     for name in ("rank", "kernel_vector", "integer_inverse", "integer_det"):
         assert [arg.arg for arg in functions[name].args.args] == ["rows"], name
 
