@@ -27,7 +27,7 @@ from fractions import Fraction
 from . import __version__
 from .errors import InputError, UnknownExampleError
 from .geometry import Fan, polytope_from_halfspaces, validate_fan
-from .moments import volume, weighted_barycenter
+from .moments import barycenter, volume, weighted_barycenter
 from .problems import (
     builtin_example,
     document_to_dict,
@@ -175,10 +175,10 @@ def _cmd_barycenter(doc, args):
     for i, polytope in enumerate(dec.polytopes):
         entry = {
             "volume": volume(polytope),
-            "barycenter": list(dec.barycenters[i]),
+            "barycenter": list(barycenter(polytope)),
         }
         if vfields is not None:
-            entry["weighted_barycenter"] = list(weighted_barycenter(polytope.mesh, vfields[i]))
+            entry["weighted_barycenter"] = list(weighted_barycenter(polytope, vfields[i]))
         parts.append(entry)
     results = {
         "parts": parts,

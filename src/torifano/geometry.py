@@ -8,8 +8,8 @@ same code paths with a small absolute tolerance.  :func:`tolerance` makes
 that choice once per polytope, from its own data, and the polytope carries
 it.
 
-A fan knows each maximal cone's ray matrix inverse, ``Fan.cone_inverses``,
-as integer rows over one scale: smoothness is read off the scale, and a
+A fan knows each maximal cone's ray matrix inverse, ``Fan.cone_columns``,
+as integer columns over one scale: smoothness is read off the scale, and a
 cone's vertex is one integer product with the rows, over the lcm of the
 support's denominators.  It eliminates one seed cone per connected part
 of its dual graph and reaches every other cone across a wall, by the
@@ -31,11 +31,11 @@ triangulates; its exact volume and barycenter,
 ``Polytope.cone_sums``, are Lawrence-Brion sums over those cones.  The
 triangulation itself, ``Polytope.mesh``, is computed on first use for the
 weighted pass and for float polytopes, and the lift check triangulates its
-lifted polytope.  An exact mesh's volume factors are Bareiss determinants
-of integer edge rows, and its volume and barycenter are summed in
-integers, so the exact route builds Fractions only for the values it
-returns.  Double description, the cone data and exact meshes run in
-integers, so nothing needs numpy.
+lifted polytope for an exact volume independent of the cone sums.  An
+exact mesh's volume factors are Bareiss determinants of integer edge rows,
+and its volume is summed in integers, so it builds Fractions only for the
+value it returns.  Double description, the cone data and exact meshes run
+in integers, so nothing needs numpy.
 
 Conventions: a ray is a primitive integer column vector; a support vector
 ``c`` over a fan with rays ``d_j`` cuts out ``P = {x : <d_j, x> >= -c_j}``.
@@ -145,29 +145,20 @@ class Fan:
         return walls
 
     @cached_property
-    def cone_inverses(self):
-        """Each maximal cone's ray matrix inverse as ``(rows, scale)``, or None when singular.
-
-        The inverse is the integer rows over the least positive scale, which
-        is 1 exactly when the cone is smooth: the rows of :attr:`cone_columns`.
-        """
-        return tuple(found and (list(zip(*found[0])), found[1]) for found in self.cone_columns)
-
-    @cached_property
     def cone_columns(self):
         """Each maximal cone's ray matrix inverse as ``(columns, scale, det)``, or None when singular.
 
         This is the :func:`linalg.inverse_columns` triple: column k is the
-        integer column X_k of ray ``cone[k]`` over the least positive scale
-        s, and det is |det| of the ray matrix.  Cones are neighbours when
-        they share a wall.  One seed cone per connected part of this dual
-        graph is eliminated, and every other cone sigma' = sigma - a + b is
-        reached across a wall and takes its inverse from sigma's by the
-        rank-one step :func:`linalg.exchange`, with <d_b, X_a> / s the
-        coefficient of d_a in d_b: on a smooth complete fan, -1 in the
-        wall relation (Cox, Little and Schenck, Toric Varieties, section
-        6.1).  A singular cone is None, and nothing is reached through it:
-        a cone reached only through singular ones is a seed of its own.
+        integer column X_k of ray ``cone[k]`` over the least positive scale s,
+        which is 1 exactly when the cone is smooth, and det is |det| of the ray
+        matrix.  Cones are neighbours when they share a wall.  One seed cone
+        per connected part of this dual graph is eliminated, and every other
+        cone sigma' = sigma - a + b is reached across a wall and takes its
+        inverse from sigma's by the rank-one step :func:`linalg.exchange`, with
+        <d_b, X_a> / s the coefficient of d_a in d_b: on a smooth complete fan,
+        -1 in the wall relation (Cox, Little and Schenck, Toric Varieties,
+        section 6.1).  A singular cone is None, and nothing is reached through
+        it: a cone reached only through singular ones is a seed of its own.
         """
         cones = self.max_cones
         found, reached = [None] * len(cones), set()
@@ -231,7 +222,7 @@ def validate_fan(fan):
 
     witnesses = []
     smooth = True
-    for cone, inverse in zip(fan.max_cones, fan.cone_inverses):
+    for cone, inverse in zip(fan.max_cones, fan.cone_columns):
         # An integer matrix has det +-1 exactly when its inverse is integral.
         if inverse is None or inverse[1] != 1:
             smooth = False
@@ -273,30 +264,30 @@ class AmplenessReport:
 def _cone_vertices(fan, c, tol):
     """The vertex of each maximal cone, its tight-set mask, and the class of ``c``.
 
-    A cone's vertex v is where its rays' halfspaces are tight, v = -D^-1 c
-    over the cone, and its slack row holds <d_j, v> + c_j for every ray j,
-    the cone's own included.  Exact ``c`` is scaled by the lcm u of its
-    denominators to integers C; a cone whose inverse is R / s then has the
-    integer vertex -R C and slack row <d_j, -R C> + s C_j over the positive
-    denominator s u, so every sign is read off ints and only the vertices
-    become Fractions, at the end.  Float ``c`` runs the same lines with
-    u = 1.  A ray outside the cone with slack below -tol breaks convexity,
-    and the vertices and masks found up to there come back; a slack within
-    tol is the nef boundary.  The same row gives the cone's mask, an int
-    with bit j set where ray j is tight: where the exact slack is 0, or the
-    float slack over its denominator is within tol in magnitude, the one
-    place where a tolerance decides that a halfspace is tight.  A float
-    vertex or slack that overflowed is an input error, since it would
-    compare false against both bounds.
+    A cone's vertex v is where its rays' halfspaces are tight, v = -D^-1 c over
+    the cone, and its slack row holds <d_j, v> + c_j for every ray j, the
+    cone's own included.  Exact ``c`` is scaled by the lcm u of its
+    denominators to integers C; a cone whose inverse is R / s, R the rows of
+    its ``Fan.cone_columns``, then has the integer vertex -R C and slack row
+    <d_j, -R C> + s C_j over the positive denominator s u, so every sign is
+    read off ints and only the vertices become Fractions, at the end.  Float
+    ``c`` runs the same lines with u = 1.  A ray outside the cone with slack
+    below -tol breaks convexity, and the vertices and masks found up to there
+    come back; a slack within tol is the nef boundary.  The same row gives the
+    cone's mask, an int with bit j set where ray j is tight: where the exact
+    slack is 0, or the float slack over its denominator is within tol in
+    magnitude, the one place where a tolerance decides that a halfspace is
+    tight.  A float vertex or slack that overflowed is an input error, since it
+    would compare false against both bounds.
     """
     unit, ints = (1, c) if tol else _over_lcm(c)
     found, nef_witness, amp = [], None, None
-    for ci, (cone, inverse) in enumerate(zip(fan.max_cones, fan.cone_inverses)):
+    for ci, (cone, inverse) in enumerate(zip(fan.max_cones, fan.cone_columns)):
         if inverse is None:
             raise InputError(f"cone {cone} is not simplicial of full rank")
-        rows, scale = inverse
+        columns, scale, _ = inverse
         offsets = [ints[j] for j in cone]
-        v = [-dot(row, offsets) for row in rows]
+        v = [-dot(row, offsets) for row in zip(*columns)]
         row = [dot(ray, v) + scale * cj for ray, cj in zip(fan.rays, ints)]
         scale *= unit
         # Ints and Fractions cannot overflow; only float entries are checked.
@@ -588,8 +579,8 @@ def _extreme_rays(rows):
     found = linalg.integer_inverse(rows)
     if found is None:
         return None
-    basis, inverse, _ = found
-    cone = [(_primitive(column), sum(1 << i for i in basis if i != j)) for column, j in zip(zip(*inverse), basis)]
+    basis, columns, _ = found
+    cone = [(_primitive(column), sum(1 << i for i in basis if i != j)) for column, j in zip(columns, basis)]
     for j, row in enumerate(rows):
         if j in basis:
             continue
@@ -721,19 +712,19 @@ def minkowski_sum(fan, parts):
 class SimplexMesh:
     """Disjoint simplices covering a polytope, as coordinate tuples.
 
-    The volume factor of each simplex (dim! times its volume), the volume
-    and the barycenter, all exact on rational meshes, and the floats that
-    the weighted moment pass turns into arrays are computed on first use
-    and kept here.  An exact mesh, one whose coordinates have
-    :func:`tolerance` 0, works in integers: each distinct vertex is cleared
-    of its denominators once, a simplex whose vertices' denominators have
-    the lcm d is taken over d, and its factor is the Bareiss
+    The volume and the floats that the weighted moment pass turns into
+    arrays are computed on first use and kept here.  An exact mesh, one
+    whose coordinates have :func:`tolerance` 0, works in integers: each
+    distinct vertex is cleared of its denominators once, a simplex whose
+    vertices' denominators have the lcm d is taken over d, and its volume
+    factor (dim! times its volume) is the Bareiss
     :func:`linalg.integer_det` of its integer edge rows over d^n.  The
-    volume and the barycenter sum those ints over each d and build one
-    Fraction per d and output value, so a mesh whose vertices have many
-    denominators never forms their lcm.  A float mesh takes each factor as
-    the :func:`linalg.det` of its edge rows, and its volume or barycenter
-    raises OverflowError where it is not finite.
+    exact volume sums those ints over each d and builds one Fraction per
+    d, so a mesh whose vertices have many denominators never forms their
+    lcm; an exact polytope's barycenter is its cone sums'.  A float mesh
+    also keeps each simplex's factor, the :func:`linalg.det` of its edge
+    rows, and its barycenter; its volume or barycenter raises
+    OverflowError where it is not finite.
     """
 
     simplices: tuple
@@ -755,27 +746,20 @@ class SimplexMesh:
             return None
         return {key: _over_lcm(v) for key, v in points.items()}
 
-    def _integer_simplices(self):
-        """Each simplex of an exact mesh as ``(d, rows)``: its vertices times d, in ints."""
-        cleared = self._cleared
-        for simplex in self.simplices:
-            found = [cleared[id(v)] for v in simplex]
-            d = lcm(*(scale for scale, _ in found))
-            yield d, [ints if scale == d else [x * (d // scale) for x in ints] for scale, ints in found]
-
     @cached_property
     def _dets(self):
-        """Per simplex of an exact mesh, ``(det, d)``: its factor is det / d^n."""
-        return [
-            (abs(linalg.integer_det([[a - b for a, b in zip(p, rows[0])] for p in rows[1:]])), d)
-            for d, rows in self._integer_simplices()
-        ]
+        """Per simplex of an exact mesh, ``(det, d)``: its vertices over d in ints, its factor det / d^n."""
+        dets = []
+        for simplex in self.simplices:
+            found = [self._cleared[id(v)] for v in simplex]
+            d = lcm(*(scale for scale, _ in found))
+            rows = [ints if scale == d else [x * (d // scale) for x in ints] for scale, ints in found]
+            dets.append((abs(linalg.integer_det([[a - b for a, b in zip(p, rows[0])] for p in rows[1:]])), d))
+        return dets
 
     @cached_property
     def factors(self):
-        """Each simplex's volume times dim!, the |det| of its edge rows."""
-        if self._cleared is not None:
-            return tuple(Fraction(det, d**self.dim) for det, d in self._dets)
+        """Each simplex's volume times dim!, the |det| of its edge rows, for float meshes."""
         return tuple(abs(linalg.det([[a - b for a, b in zip(p, s[0])] for p in s[1:]])) for s in self.simplices)
 
     @cached_property
@@ -793,42 +777,29 @@ class SimplexMesh:
 
     @cached_property
     def barycenter(self):
-        """Volume-weighted centroid."""
+        """Volume-weighted centroid of a float mesh."""
         n = self.dim
-        if self._cleared is None:
-            # Over a power of two near the largest factor, which is exact, no
-            # weight times a centroid overflows where the barycenter would not.
-            unit = Fraction(2) ** (frexp(max(self.factors))[1] - 1)
-            weights = [w / unit for w in self.factors]
-            total = sum(weights)
-            if total == 0:
-                raise InputError("zero-volume mesh has no barycenter")
-            # Coordinates from 2^1000 up are divided by 2^24 first, exactly
-            # but for subnormals, so that no centroid's coordinate sum
-            # overflows; every other mesh keeps every bit.
-            simplices, scale = self.simplices, 1
-            if max(abs(x) for simplex in simplices for v in simplex for x in v) >= 2.0**1000:
-                scale = 2.0**24
-                simplices = [[[x / scale for x in v] for v in simplex] for simplex in simplices]
-            moment = [0] * n
-            for simplex, w in zip(simplices, weights):
-                moment = [m + w * (sum(v[i] for v in simplex) / (n + 1)) for i, m in enumerate(moment)]
-            barycenter = tuple(m / total * scale for m in moment)
-            if not all(map(isfinite, barycenter)):
-                raise OverflowError("float barycenter overflows")
-            return barycenter
-        total = self.volume * factorial(n)
-        if total == 0:
+        if not any(self.factors):
             raise InputError("zero-volume mesh has no barycenter")
-        # A simplex over d with factor det / d^n has the moment det / d^n
-        # times its centroid, the sum of its integer vertices over (n+1) d.
-        groups = {}
-        for (det, d), (_, rows) in zip(self._dets, self._integer_simplices()):
-            groups[d] = [m + det * sum(column) for m, column in zip(groups.get(d, [0] * n), zip(*rows))]
-        moment = [Fraction(0)] * n
-        for d, sums in groups.items():
-            moment = [m + Fraction(x, d ** (n + 1)) for m, x in zip(moment, sums)]
-        return tuple(m / ((n + 1) * total) for m in moment)
+        # Over a power of two near the largest factor, which is exact, no
+        # weight times a centroid overflows where the barycenter would not.
+        unit = Fraction(2) ** (frexp(max(self.factors))[1] - 1)
+        weights = [w / unit for w in self.factors]
+        total = sum(weights)
+        # Coordinates from 2^1000 up are divided by 2^24 first, exactly
+        # but for subnormals, so that no centroid's coordinate sum
+        # overflows; every other mesh keeps every bit.
+        simplices, scale = self.simplices, 1
+        if max(abs(x) for simplex in simplices for v in simplex for x in v) >= 2.0**1000:
+            scale = 2.0**24
+            simplices = [[[x / scale for x in v] for v in simplex] for simplex in simplices]
+        moment = [0] * n
+        for simplex, w in zip(simplices, weights):
+            moment = [m + w * (sum(v[i] for v in simplex) / (n + 1)) for i, m in enumerate(moment)]
+        barycenter = tuple(m / total * scale for m in moment)
+        if not all(map(isfinite, barycenter)):
+            raise OverflowError("float barycenter overflows")
+        return barycenter
 
     @cached_property
     def floats(self):

@@ -108,7 +108,7 @@ def _primitive(v):
 
 
 def integer_inverse(rows):
-    """``(basis, inverse, scale)``: the first integer rows B that span, B^-1 = inverse / scale.
+    """``(basis, columns, scale)``: the first integer rows B that span, B^-1 = columns / scale by columns.
 
     Once the kept rows span, row p of B^-1 is W / D for the kept row with
     pivot D in column p; one gcd gives the least positive scale, 1 exactly
@@ -127,7 +127,7 @@ def inverse_columns(rows):
     and returns the same triple.
     """
     found = _inverse(rows)
-    return found and (list(zip(*found[1])), *found[2:])
+    return found and found[1:]
 
 
 def _inverse(rows):
@@ -138,7 +138,8 @@ def _inverse(rows):
         return None
     pivot = kept[0][1][kept[0][0]]
     g = gcd(pivot, *(x for _, e in kept for x in e[size:])) * (1 if pivot > 0 else -1)
-    return basis, [tuple(x // g for x in e[size:]) for _, e in sorted(kept)], pivot // g, abs(pivot)
+    rows = [[x // g for x in e[size:]] for _, e in sorted(kept)]
+    return basis, list(zip(*rows)), pivot // g, abs(pivot)
 
 
 def exchange(inverse, k, row):

@@ -1,4 +1,4 @@
-"""Exact moments by vertex-cone sums, and exponentially weighted moments of meshes.
+"""Exact moments by vertex-cone sums, and exponentially weighted moments of polytopes.
 
 :func:`volume` and :func:`barycenter` are the unweighted entry points.  An
 exact polytope's are ``Polytope.cone_sums``, Lawrence-Brion sums over its
@@ -7,16 +7,17 @@ once per polytope; float polytopes read the volume and barycenter that
 their mesh holds.  The weighted
 functionals Vol_V(P) = integral of e^{<V,p>}, its normalized first moment
 A_P(V) and the covariance all come from one numpy pass over the simplices
-of a mesh, usually ``Polytope.mesh``, :func:`weighted_moments`, which is
-the weighted entry point; its result carries the mass, the log mass, A_P(V)
-and the covariance.  On a simplex with vertex exponents a_i = <V, v_i> the
+of ``Polytope.mesh``, :func:`weighted_moments`, which is the weighted entry
+point; its result carries the mass, the log mass, A_P(V) and the
+covariance.  On a simplex with vertex exponents a_i = <V, v_i> the
 integral of e^{<V,p>} is dim! vol [a] exp, the divided difference of exp
 over the a_i; its derivatives [a, a_i] and [a, a_i, a_j] (doubled when
 i = j) give the first and second moments (Baldoni, Berline, De Loera,
-Koppe and Vergne, Math. Comp. 2011).  Second moments are taken about
-A_P(V) itself, so the covariance is a sum of squares and loses no digits to
-cancellation.  This pass is the one weighted route; the tests hold a
-quadrature route that cross-checks it.
+Koppe and Vergne, Math. Comp. 2011).  First moments are taken about
+:func:`barycenter`, so the exact one where the polytope is exact, and
+second moments about A_P(V) itself, so the covariance is a sum of squares
+and loses no digits to cancellation.  This pass is the one weighted route;
+the tests hold a quadrature route that cross-checks it.
 """
 
 from __future__ import annotations
@@ -84,7 +85,7 @@ def _dd_rows(nodes):
 
 @dataclass(frozen=True)
 class WeightedMoments:
-    """Moments of the measure e^{<V,p>} dp on a mesh.
+    """Moments of the measure e^{<V,p>} dp on a polytope.
 
     The mass Vol_V(P) is e^shift * scaled_mass, with shift the largest
     vertex exponent; ``log_mass`` stays finite where the mass would overflow
@@ -107,19 +108,19 @@ class WeightedMoments:
         return self.shift + math.log(self.scaled_mass)
 
 
-def weighted_moments(mesh, vfield, order=2):
+def weighted_moments(polytope, vfield, order=2):
     """Mass, and up to ``order`` 2 the barycenter and covariance, of e^{<V,p>}.
 
-    One batch of divided differences covers every simplex: for each vertex
-    pair i <= j the nodes (a, a_i, a_j) give [a], [a, a_i] and [a, a_i, a_j]
-    at once.  Nodes are shifted by the largest vertex exponent, so all are
+    One batch of divided differences covers every simplex of the polytope's
+    mesh: for each vertex pair i <= j the nodes (a, a_i, a_j) give [a],
+    [a, a_i] and [a, a_i, a_j] at once.  Nodes are shifted by the largest vertex exponent, so all are
     <= 0 and no field whose exponents are finite overflows.  First moments
-    are taken about the exact barycenter and second moments about A_P(V),
-    so the covariance needs no subtraction of the squared mean.
+    are taken about :func:`barycenter` and second moments about A_P(V), so
+    the covariance needs no subtraction of the squared mean.
     """
     import numpy as np
 
-    points, weights = map(np.array, mesh.floats)
+    points, weights = map(np.array, polytope.mesh.floats)
     expo = points @ np.array([float(x) for x in vfield])
     if not np.isfinite(expo).all():
         raise OverflowError("vertex exponents outside the float range")
@@ -141,7 +142,7 @@ def weighted_moments(mesh, vfield, order=2):
     mass = math.ldexp(total, power)
     if order == 0:
         return WeightedMoments(shift, mass)
-    centre = np.array([float(x) for x in mesh.barycenter])
+    centre = np.array([float(x) for x in barycenter(polytope)])
     y = points - centre
     first = dd[:, [pairs.index((i,) * order) for i in range(k)], k]
     mean = np.einsum("s,si,sia->a", weights, first, y) / total
@@ -160,6 +161,6 @@ def weighted_moments(mesh, vfield, order=2):
     return WeightedMoments(shift, mass, bary, (cov + cov.T) / 2.0)
 
 
-def weighted_barycenter(mesh, vfield):
+def weighted_barycenter(polytope, vfield):
     """A_P(V): the e^{<V,p>}-weighted barycenter."""
-    return weighted_moments(mesh, vfield, order=1).barycenter
+    return weighted_moments(polytope, vfield, order=1).barycenter

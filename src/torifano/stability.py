@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from . import moments
 from .errors import DegenerateLiftError, InputError
@@ -74,14 +73,6 @@ class Decomposition:
     @property
     def dim(self):
         return self.polytopes[0].dim
-
-    @property
-    def meshes(self):
-        return tuple(p.mesh for p in self.polytopes)
-
-    @cached_property
-    def barycenters(self):
-        return tuple(moments.barycenter(p) for p in self.polytopes)
 
     @property
     def exact(self):
@@ -164,7 +155,7 @@ def validate_decomposition(fan, matrix):
 def sum_barycenter(decomposition):
     """Sum of the part barycenters; exact on rational input."""
     total = None
-    for b in decomposition.barycenters:
+    for b in map(moments.barycenter, decomposition.polytopes):
         total = b if total is None else tuple(x + y for x, y in zip(total, b))
     return total
 
@@ -225,8 +216,8 @@ def soliton_residual(decomposition, vfields):
     if len(vfields) != decomposition.k:
         raise InputError("need one vector field per part")
     per = tuple(
-        moments.weighted_barycenter(mesh, v)
-        for mesh, v in zip(decomposition.meshes, vfields)
+        moments.weighted_barycenter(p, v)
+        for p, v in zip(decomposition.polytopes, vfields)
     )
     total = tuple(sum(a[i] for a in per) for i in range(decomposition.dim))
     return SolitonResidual(total=total, per_polytope=per)
@@ -256,11 +247,11 @@ def solve_soliton(decomposition, tol=1e-11, max_iter=50, start=None):
     import numpy as np
 
     n = decomposition.dim
-    meshes = decomposition.meshes
+    polytopes = decomposition.polytopes
     v = np.zeros(n) if start is None else np.array([float(x) for x in start])
 
     def moments_at(vv, order=2):
-        return [moments.weighted_moments(mesh, tuple(vv), order) for mesh in meshes]
+        return [moments.weighted_moments(p, tuple(vv), order) for p in polytopes]
 
     def objective(passes):
         return sum(p.log_mass for p in passes)

@@ -1,4 +1,4 @@
-"""Test-side reference routes to the exponential moments of a mesh.
+"""Test-side reference routes to the exponential moments of a polytope.
 
 The package computes every weighted moment by one divided-difference pass,
 :func:`torifano.moments.weighted_moments`.  This module holds the routes the
@@ -11,12 +11,15 @@ tests check it against, and no command runs:
 - :func:`divided_difference_exp`, the one-row view of the batched kernel
   ``moments._dd_rows``.
 - :func:`moment_report`, which bundles the exact and weighted moments of a
-  mesh with the relative disagreement of the two weighted-mass routes.
+  polytope with the relative disagreement of the two weighted-mass routes.
 - :func:`volume_factor` and :func:`mesh_moments`, the unweighted moments of
   a mesh summed simplex by simplex in the scalar type of its coordinates,
   with one Fraction reference determinant per simplex, the arithmetic of
   the ``linalg.det`` that ``SimplexMesh`` keeps for float meshes, against
-  which its integer route for exact meshes is checked.
+  which its integer volume for exact meshes and the cone sums of exact
+  polytopes are checked.
+- :func:`simplex_polytope`, the polytope of a simplex given by its
+  vertices, on which the weighted pass runs over that one simplex.
 """
 
 from __future__ import annotations
@@ -31,6 +34,8 @@ import numpy as np
 
 from torifano.errors import InputError
 from torifano import moments
+from torifano.geometry import polytope_from_halfspaces
+from torifano.linalg import dot
 
 import reference_linalg
 
@@ -172,20 +177,20 @@ class MomentReport:
     err_estimate: float
 
 
-def moment_report(mesh, vfield=None):
-    """Bundle exact and weighted moments of one mesh.
+def moment_report(polytope, vfield=None):
+    """Bundle exact and weighted moments of one polytope.
 
     ``err_estimate`` is the relative disagreement of the two independent
     weighted-mass routes (divided differences vs quadrature).
     """
     if vfield is None:
-        vfield = tuple(0.0 for _ in range(mesh.dim))
+        vfield = tuple(0.0 for _ in range(polytope.dim))
     vfield = tuple(float(x) for x in vfield)
-    wm = moments.weighted_moments(mesh, vfield)
-    quad_mass = sum(exp_moments_simplex(s, vfield, wm.shift)[0] for s in mesh.simplices)
+    wm = moments.weighted_moments(polytope, vfield)
+    quad_mass = sum(exp_moments_simplex(s, vfield, wm.shift)[0] for s in polytope.mesh.simplices)
     return MomentReport(
-        volume=mesh.volume,
-        barycenter=mesh.barycenter,
+        volume=moments.volume(polytope),
+        barycenter=moments.barycenter(polytope),
         vfield=vfield,
         weighted_volume=wm.mass,
         weighted_barycenter=wm.barycenter,
@@ -200,14 +205,16 @@ def volume_factor(simplex):
     return abs(reference_linalg.det(edges))
 
 
-def mesh_moments(simplices):
+def mesh_moments(simplices, factors=None):
     """``(factors, volume, barycenter)`` of the simplices, one det per simplex.
 
     Each centroid is divided by ``Fraction(n + 1)``, so a mesh with int
     coordinates stays exact and a float one rounds as ``x / (n + 1)`` does.
+    ``factors`` given take the place of the dets, for meshes too large for
+    one Fraction elimination per simplex.
     """
     n = len(simplices[0]) - 1 if simplices else 0
-    factors = tuple(map(volume_factor, simplices))
+    factors = tuple(map(volume_factor, simplices)) if factors is None else tuple(factors)
     total = sum(factors)
     if total == 0:
         raise InputError("zero-volume mesh has no barycenter")
@@ -215,3 +222,25 @@ def mesh_moments(simplices):
     for simplex, w in zip(simplices, factors):
         moment = [m + w * (sum(v[i] for v in simplex) / Fraction(n + 1)) for i, m in enumerate(moment)]
     return factors, sum(factors, Fraction(0)) / factorial(n), tuple(m / total for m in moment)
+
+
+def simplex_polytope(vertices):
+    """The exact polytope of the full-dimensional simplex with these vertices.
+
+    Each facet row is the normal, by cofactors in Fractions, of the
+    hyperplane through all vertices but one, facing that one.  Float
+    coordinates enter by their exact binary value, so the polytope's
+    vertices are the given points as Fractions, and its mesh is the one
+    simplex.
+    """
+    points = [tuple(map(Fraction, v)) for v in vertices]
+    n = len(points) - 1
+    rows = []
+    for i, apex in enumerate(points):
+        base = points[:i] + points[i + 1 :]
+        edges = [[a - b for a, b in zip(p, base[0])] for p in base[1:]]
+        normal = [(-1) ** k * reference_linalg.det([e[:k] + e[k + 1 :] for e in edges]) for k in range(n)]
+        if dot(normal, apex) < dot(normal, base[0]):
+            normal = [-x for x in normal]
+        rows.append((tuple(normal), -dot(normal, base[0])))
+    return polytope_from_halfspaces(rows)

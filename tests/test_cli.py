@@ -603,32 +603,40 @@ def test_document_echo_matches_input(tmp_path, capsys):
     assert echoed.vector_fields == direct.vector_fields
 
 
-@pytest.mark.parametrize("command", ["barycenter", "df"])
-def test_exact_commands_compute_each_part_barycenter_once(capsys, monkeypatch, command):
-    calls = []
-    real = moments.barycenter
-    monkeypatch.setattr(moments, "barycenter", lambda mesh: calls.append(mesh) or real(mesh))
-    code, report, _ = run_cli(capsys, command, "--example", "hexagon-dP6-t")
-    assert code == 0
-    assert len(calls) == 2
-    assert report["results"]["sum_barycenter"] == ["148/66303", "148/66303"]
-
-
-def test_barycenter_sums_each_part_once(capsys, monkeypatch):
-    # The volume and the barycenter of a part both read its one cone-sum pass.
-    summed = []
+def _count_centres(monkeypatch):
+    """Lists that collect each mesh whose barycenter is taken and each polytope whose cones are summed."""
+    centred, summed = [], []
+    real_barycenter = geometry.SimplexMesh.barycenter.func
+    counted = cached_property(lambda mesh: centred.append(mesh) or real_barycenter(mesh))
+    counted.__set_name__(geometry.SimplexMesh, "barycenter")
+    monkeypatch.setattr(geometry.SimplexMesh, "barycenter", counted)
     real_sums = geometry._cone_sums
     monkeypatch.setattr(geometry, "_cone_sums", lambda p: summed.append(p) or real_sums(p))
-    code, report, _ = run_cli(capsys, "barycenter", "--example", "hexagon-dP6-t")
-    assert code == 0
-    assert len(summed) == len(report["results"]["parts"]) == 2
+    return centred, summed
+
+
+@pytest.mark.parametrize("command", ["barycenter", "df", "soliton-check", "soliton-solve"])
+def test_exact_commands_compute_each_part_barycenter_once(tmp_path, capsys, monkeypatch, command):
+    # A part's volume, its barycenter and the centre of every weighted pass
+    # on it read its one cone-sum pass, and no mesh barycenter is taken.
+    centred, summed = _count_centres(monkeypatch)
+    doc = document_to_dict(builtin_example("hexagon-dP6-t"))
+    doc["vector_fields"] = [["1/10", "0"], ["0", "-1/3"]]
+    code, report, err = run_cli(capsys, command, "--input", write_doc(tmp_path, doc))
+    assert code == 0, err
+    assert centred == []
+    assert len(summed) == len(set(map(id, summed))) == 2
+    if command == "barycenter":
+        assert all("weighted_barycenter" in part for part in report["results"]["parts"])
+    if command in ("barycenter", "df"):
+        assert report["results"]["sum_barycenter"] == ["148/66303", "148/66303"]
 
 
 def test_lift_triangulates_only_the_lifted_polytopes(capsys, monkeypatch):
     # The parts' exact moments are vertex-cone sums, so the lift check
     # triangulates one lifted polytope per part and no mesh barycenter is
     # taken; each part is summed once, however often its moments are read.
-    triangulated, centred, summed = [], [], []
+    triangulated = []
     real_triangulate = geometry.triangulate
 
     def counted_triangulate(p, *a):
@@ -638,12 +646,7 @@ def test_lift_triangulates_only_the_lifted_polytopes(capsys, monkeypatch):
     # Polytope.mesh calls geometry's binding, the lift stability's own.
     monkeypatch.setattr(geometry, "triangulate", counted_triangulate)
     monkeypatch.setattr(stability, "triangulate", counted_triangulate)
-    real_barycenter = geometry.SimplexMesh.barycenter.func
-    counted = cached_property(lambda mesh: centred.append(mesh) or real_barycenter(mesh))
-    counted.__set_name__(geometry.SimplexMesh, "barycenter")
-    monkeypatch.setattr(geometry.SimplexMesh, "barycenter", counted)
-    real_sums = geometry._cone_sums
-    monkeypatch.setattr(geometry, "_cone_sums", lambda p: summed.append(p) or real_sums(p))
+    centred, summed = _count_centres(monkeypatch)
     code, report, _ = run_cli(capsys, "lift", "--example", "hexagon-dP6-t")
     assert code == 0
     assert [p.dim for p in triangulated] == [3, 3]
@@ -658,7 +661,7 @@ EXACT_EXAMPLES = (
 
 
 @pytest.mark.parametrize("example", EXACT_EXAMPLES)
-@pytest.mark.parametrize("command", ["barycenter", "ke-verdict", "df"])
+@pytest.mark.parametrize("command", ["validate", "barycenter", "ke-verdict", "df"])
 def test_exact_commands_never_triangulate(capsys, monkeypatch, command, example):
     # Exact part moments are vertex-cone sums; Polytope.mesh calls
     # geometry's binding of triangulate, the lift stability's own.

@@ -32,6 +32,7 @@ from torifano.problems import builtin_example, registry_names
 from torifano.stability import Decomposition, coupled_ke_verdict, sum_barycenter
 
 import reference_linalg as ref
+from reference_moments import mesh_moments
 
 P2 = Fan(((1, 0), (0, 1), (-1, -1)), ((0, 1), (1, 2), (2, 0)))
 P1XP1 = Fan(((1, 0), (0, 1), (-1, 0), (0, -1)), ((0, 1), (1, 2), (2, 3), (3, 0)))
@@ -96,14 +97,15 @@ def test_cone_inverses_are_integral_exactly_on_smooth_cones():
         n = rng.randint(1, 4)
         rays = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(n + 2)]
         fan = Fan(rays, [rng.sample(range(n + 2), n) for _ in range(3)])
-        for cone, inverse in zip(fan.max_cones, fan.cone_inverses):
+        for cone, inverse in zip(fan.max_cones, fan.cone_columns):
             matrix = [fan.rays[j] for j in cone]
             d = ref.det(matrix)
             if d == 0:
                 assert inverse is None
                 kinds.add("singular")
                 continue
-            rows, scale = inverse
+            columns, scale, _ = inverse
+            rows = list(zip(*columns))
             assert all(type(x) is int for row in rows for x in row)
             integral = scale == 1
             assert integral == (abs(d) == 1)
@@ -142,8 +144,8 @@ def _cone_vertices_reference(fan, c, tol):
     """
     vertices, masks, nef_witness = [], [], None
     for ci, cone in enumerate(fan.max_cones):
-        _, inverse, scale = linalg.integer_inverse([fan.rays[j] for j in cone])
-        inverse = inverse if scale == 1 else [tuple(Fraction(x, scale) for x in row) for row in inverse]
+        _, columns, scale = linalg.integer_inverse([fan.rays[j] for j in cone])
+        inverse = [tuple(x if scale == 1 else Fraction(x, scale) for x in row) for row in zip(*columns)]
         offsets = [c[j] for j in cone]
         v = tuple(-linalg.dot(row, offsets) for row in inverse)
         row = [linalg.dot(ray, v) + cj for ray, cj in zip(fan.rays, c)]
@@ -173,11 +175,8 @@ NONSMOOTH = (
 
 
 def _per_cone_inverses(fan):
-    """``Fan.cone_inverses`` by one elimination per maximal cone: the reference for wall crossing."""
-    return tuple(
-        found[1:] if (found := linalg.integer_inverse([fan.rays[j] for j in cone])) else None
-        for cone in fan.max_cones
-    )
+    """``Fan.cone_columns`` by one elimination per maximal cone: the reference for wall crossing."""
+    return tuple(linalg.inverse_columns([fan.rays[j] for j in cone]) for cone in fan.max_cones)
 
 
 def _cube(n):
@@ -227,22 +226,24 @@ _SEEDS = {"singular-between": 2, "singular-first": 3, "no-common-wall": 2}
 
 @pytest.mark.parametrize("name", _wall_crossing_fans())
 def test_wall_crossing_equals_the_per_cone_inverses(monkeypatch, name):
-    # The same rows, scales, types and None entries as one elimination per
-    # cone, from one elimination per connected part of the dual graph that a
-    # nonsingular cone starts.
+    # The same columns, scales, |det|s, types and None entries as one
+    # elimination per cone, from one elimination per connected part of the
+    # dual graph that a nonsingular cone starts.
     fan = _wall_crossing_fans()[name]
     seeds = []
     real = linalg.inverse_columns
     monkeypatch.setattr(linalg, "inverse_columns", lambda rows: seeds.append(rows) or real(rows))
-    got, want = fan.cone_inverses, _per_cone_inverses(fan)
+    got = fan.cone_columns
+    assert len(seeds) == _SEEDS.get(name, 1)
+    monkeypatch.setattr(linalg, "inverse_columns", real)
+    want = _per_cone_inverses(fan)
     assert got == want
     for g, w in zip(got, want):
         assert type(g) is type(w)
         if w is not None:
-            assert type(g[0]) is list and all(type(row) is tuple for row in g[0])
-            assert all(type(x) is int for row in g[0] for x in row) and type(g[1]) is int
-    assert len(seeds) == _SEEDS.get(name, 1)
-    for cone, found in zip(fan.max_cones, fan.cone_columns):
+            assert type(g[0]) is list and all(type(column) is tuple for column in g[0])
+            assert all(type(x) is int for column in g[0] for x in column) and type(g[1]) is int
+    for cone, found in zip(fan.max_cones, got):
         if found is not None:
             assert found[2] == abs(linalg.integer_det([fan.rays[j] for j in cone]))
     if name.startswith("singular"):
@@ -254,7 +255,7 @@ def test_wall_crossing_through_a_non_smooth_cone():
     # scale reduced at each step.
     rays = ((1, 0), (1, 2), (-1, 1), (-1, -2), (2, -1))
     fan = Fan(rays, ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4)))
-    assert fan.cone_inverses == _per_cone_inverses(fan)
+    assert fan.cone_columns == _per_cone_inverses(fan)
     assert [found[2] for found in fan.cone_columns] == [2, 3, 3, 5, 1]
 
 
@@ -313,7 +314,7 @@ def test_hexagon_vertices_triangulation_volume():
     mesh = triangulate(p)
     assert len(mesh.simplices) == 4
     assert mesh.volume == volume(p) == 3
-    assert mesh.barycenter == barycenter(p) == (0, 0)
+    assert mesh_moments(mesh.simplices)[2] == barycenter(p) == (0, 0)
 
 
 def test_cube_triangulates_into_six_tetrahedra():
@@ -444,7 +445,7 @@ def test_triangulation_apex_choices_agree_exactly():
     hi = triangulate(_mirror(p))
     assert _cells(lo.simplices) != _cells(hi.simplices, -1)
     assert lo.volume == hi.volume
-    assert lo.barycenter == tuple(-x for x in hi.barycenter)
+    assert mesh_moments(lo.simplices)[2] == tuple(-x for x in mesh_moments(hi.simplices)[2])
 
 
 @st.composite
@@ -480,7 +481,8 @@ def test_translate_equivariance_of_moments(c, shift):
     moved = translate(p, shift)
     moved_mesh = triangulate(moved)
     assert volume(moved) == moved_mesh.volume == mesh.volume == volume(p)
-    assert barycenter(moved) == moved_mesh.barycenter == tuple(b + s for b, s in zip(barycenter(p), shift))
+    want = tuple(b + s for b, s in zip(barycenter(p), shift))
+    assert barycenter(moved) == mesh_moments(moved_mesh.simplices)[2] == want
 
 
 # ---------------------------------------------------------------------------

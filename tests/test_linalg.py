@@ -8,9 +8,9 @@ and on Fraction and float rows cleared to integers, floats by their exact
 binary value: ``rank`` must equal the Fraction rank, ``kernel_vector`` be
 a positive multiple of the Fraction kernel vector, ``integer_inverse``
 match the Fraction solve and rank loops, and ``integer_det`` the det loop.
-``inverse_columns`` is ``integer_inverse`` by columns with |det| from its
-pivot, and ``exchange``, the rank-one row exchange, must give exactly what
-``inverse_columns`` gives on the exchanged matrix.  The integer ``farkas``
+``inverse_columns`` is ``integer_inverse``'s columns and scale with |det|
+from its pivot, and ``exchange``, the rank-one row exchange, must give
+exactly what ``inverse_columns`` gives on the exchanged matrix.  The integer ``farkas``
 must give the Fraction simplex's y and u on every halfspace system, and
 the raw route its certificate.
 """
@@ -128,17 +128,18 @@ def test_integer_inverse_matches_the_fraction_reference(square, data):
     if len(basis) < size:
         assert found is None
         return
-    kept, inverse, scale = found
+    kept, columns, scale = found
     assert kept == basis
     b = [matrix[i] for i in basis]
     assert type(scale) is int and scale > 0
-    assert all(type(x) is int for row in inverse for x in row)
-    # inverse / scale times B is the identity ...
-    assert [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in inverse] == [
+    assert type(columns) is list and all(type(column) is tuple for column in columns)
+    assert all(type(x) is int for column in columns for x in column)
+    # columns / scale times B is the identity ...
+    assert [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in zip(*columns)] == [
         [scale * (i == k) for k in range(size)] for i in range(size)
     ]
     # ... column by column the Fraction solution of B x = e_k ...
-    for k, column in enumerate(zip(*inverse)):
+    for k, column in enumerate(columns):
         want = ref.solve(b, [int(i == k) for i in range(size)])
         assert tuple(Fraction(x, scale) for x in column) == want
     # ... and integral exactly when det B is +-1.
@@ -154,7 +155,7 @@ def test_inverse_columns_are_the_inverse_by_columns_with_its_det(data):
         assert found is None and ref.det(matrix) == 0
         return
     columns, scale, det = found
-    assert (columns, scale) == (list(zip(*want[1])), want[2])
+    assert (columns, scale) == want[1:]
     assert type(det) is int and det == abs(ref.det(matrix)) > 0
 
 

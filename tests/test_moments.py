@@ -32,7 +32,7 @@ from torifano.moments import (
 )
 
 import reference_linalg as ref
-from reference_moments import divided_difference_exp, exp_moments_simplex, mesh_moments, moment_report
+from reference_moments import divided_difference_exp, exp_moments_simplex, mesh_moments, moment_report, simplex_polytope
 
 P2 = Fan(((1, 0), (0, 1), (-1, -1)), ((0, 1), (1, 2), (2, 0)))
 
@@ -55,13 +55,14 @@ def pe_polytope(c):
     return polytope_from_halfspaces(halfspaces)
 
 
-def interval_mesh(a, b):
-    return SimplexMesh(simplices=(((a,), (b,)),))
+def interval(a, b):
+    """[a, b] from its two halfspaces; float endpoints are its vertices bit for bit."""
+    return polytope_from_halfspaces([((1,), -a), ((-1,), b)])
 
 
 def simplex_mass(simplex, vfield):
     """Integral of e^{<V,p>} over one simplex."""
-    return weighted_moments(SimplexMesh(simplices=(simplex,)), vfield, order=0).mass
+    return weighted_moments(simplex_polytope(simplex), vfield, order=0).mass
 
 
 def closed_form_mean(a, b, v):
@@ -74,9 +75,9 @@ def closed_form_mean(a, b, v):
 
 def test_p2_volume_and_barycenter():
     p = polytope_from_support(P2, (Fraction(1),) * 3)
-    mesh = triangulate(p)
-    assert volume(p) == mesh.volume == Fraction(9, 2)
-    assert barycenter(p) == mesh.barycenter == (0, 0)
+    _, vol, bary = mesh_moments(triangulate(p).simplices)
+    assert volume(p) == vol == Fraction(9, 2)
+    assert barycenter(p) == bary == (0, 0)
 
 
 def test_blowup_quad_barycenter():
@@ -89,9 +90,9 @@ def test_blowup_quad_barycenter():
         ((1, 1), Fraction(1)),
     )
     p = polytope_from_halfspaces(halfspaces)
-    mesh = triangulate(p)
-    assert volume(p) == mesh.volume == 4
-    assert barycenter(p) == mesh.barycenter == (Fraction(1, 12), Fraction(1, 12))
+    _, vol, bary = mesh_moments(triangulate(p).simplices)
+    assert volume(p) == vol == 4
+    assert barycenter(p) == bary == (Fraction(1, 12), Fraction(1, 12))
 
 
 def test_bundle_moments_match_closed_forms():
@@ -99,8 +100,7 @@ def test_bundle_moments_match_closed_forms():
         p = pe_polytope(c)
         vol = volume(p)
         bary = barycenter(p)
-        mesh = triangulate(p)
-        assert (mesh.volume, mesh.barycenter) == (vol, bary)
+        assert mesh_moments(triangulate(p).simplices)[1:] == (vol, bary)
         assert vol == (56 * c - 3) / 144
         assert vol * bary[3] == (5 * c - 2) / 720
         assert bary[:3] == (0, 0, 0)
@@ -108,7 +108,7 @@ def test_bundle_moments_match_closed_forms():
 
 def test_bundle_fourth_coordinate_at_half():
     p = pe_polytope(Fraction(1, 2))
-    assert barycenter(p)[3] == triangulate(p).barycenter[3] == Fraction(1, 250)
+    assert barycenter(p)[3] == mesh_moments(triangulate(p).simplices)[2][3] == Fraction(1, 250)
 
 
 # ---------------------------------------------------------------------------
@@ -116,14 +116,15 @@ def test_bundle_fourth_coordinate_at_half():
 
 
 def assert_mesh_matches_the_reference(mesh):
-    """Volume, barycenter, factors and float factors equal the reference's, in values and types.
+    """The volume and float factors, and a float mesh's barycenter and factors, equal the reference's.
 
-    The volume and the barycenter are read first, so they do not lean on
-    the factors.  Float meshes match bit for bit.
+    Values and types match, floats bit for bit.  The volume and the
+    barycenter are read first, so they do not lean on the factors.
     """
-    got = (mesh.volume, *mesh.barycenter, *mesh.factors)
     factors, vol, bary = mesh_moments(mesh.simplices)
-    want = (vol, *bary, *factors)
+    got, want = (mesh.volume,), (vol,)
+    if mesh._cleared is None:
+        got, want = (*got, *mesh.barycenter, *mesh.factors), (*want, *bary, *factors)
     assert got == want
     assert [type(x) for x in got] == [type(x) for x in want]
     assert [x.hex() for x in got if type(x) is float] == [x.hex() for x in want if type(x) is float]
@@ -131,14 +132,15 @@ def assert_mesh_matches_the_reference(mesh):
 
 
 def assert_cone_sums_match_the_mesh(polytope):
-    """Exact Vol and b by cone sums equal those of the triangulation, as Fractions.
+    """Exact Vol and b by cone sums equal the one-det-per-simplex sums over the triangulation, as Fractions.
 
-    The integer mesh matches the one-det-per-simplex reference.
+    The integer mesh volume matches the reference too.
     """
     mesh = triangulate(polytope)
     assert_mesh_matches_the_reference(mesh)
-    assert volume(polytope) == mesh.volume
-    assert barycenter(polytope) == mesh.barycenter
+    _, vol, bary = mesh_moments(mesh.simplices)
+    assert volume(polytope) == mesh.volume == vol
+    assert barycenter(polytope) == bary
     assert all(type(x) is Fraction for x in (volume(polytope), *barycenter(polytope)))
 
 
@@ -248,9 +250,9 @@ def test_degenerate_polytopes_have_no_exact_moments():
 
 
 def test_integer_meshes_equal_the_reference_on_hand_built_meshes():
-    # Int coordinates give a Fraction barycenter; mixed denominators put
-    # the simplices over different lcms, and the vertices of one simplex
-    # over different denominators.
+    # Int coordinates give a Fraction volume; mixed denominators put the
+    # simplices over different lcms, and the vertices of one simplex over
+    # different denominators.
     square = (((0, 0), (2, 0), (0, 3)), ((2, 3), (0, 3), (2, 0)))
     mixed = (
         ((Fraction(1, 2), 0), (Fraction(1, 3), 1), (1, Fraction(2, 7))),
@@ -265,8 +267,8 @@ def test_integer_meshes_equal_the_reference_on_hand_built_meshes():
     for simplices in (square, mixed, scattered):
         mesh = SimplexMesh(simplices=simplices)
         assert_mesh_matches_the_reference(mesh)
-        assert all(type(x) is Fraction for x in (mesh.volume, *mesh.barycenter))
-    assert SimplexMesh(simplices=square).barycenter == (1, Fraction(3, 2))
+        assert type(mesh.volume) is Fraction
+    assert mesh_moments(square)[1:] == (6, (1, Fraction(3, 2)))
 
 
 def test_zero_volume_meshes_have_no_barycenter_on_either_route():
@@ -280,10 +282,10 @@ def test_zero_volume_meshes_have_no_barycenter_on_either_route():
 
 
 def test_exact_meshes_build_fractions_only_for_their_outputs(monkeypatch):
-    # Fractions are built per lcm and per output value, none per simplex:
+    # Fractions are built per lcm and for the volume, none per simplex:
     # the lifted (P^1)^4 part is a 5-cube of 5! simplices.  Fraction
     # arithmetic builds its results through __new__ too, so the sums over
-    # each lcm and the final divisions count.
+    # each lcm and the final division count.
     n = 4
     fan = Fan(
         [tuple(sign * int(i == axis) for i in range(n)) for axis in range(n) for sign in (1, -1)],
@@ -297,9 +299,9 @@ def test_exact_meshes_build_fractions_only_for_their_outputs(monkeypatch):
     monkeypatch.setattr(Fraction, "__new__", lambda cls, *a, **k: built.append(a) or real(cls, *a, **k))
     monkeypatch.setattr(linalg, "det", None)
     mesh = SimplexMesh(simplices=simplices)
-    mesh.volume, mesh.barycenter
+    mesh.volume
     lcms = {d for _, d in mesh._dets}
-    assert len(built) <= (2 * n + 5) * len(lcms) + 4 * (n + 1) < len(simplices)
+    assert len(built) <= 2 * len(lcms) + 2 < len(simplices)
 
 def test_exp_integral_unit_interval():
     value = simplex_mass(((0,), (1,)), (1,))
@@ -318,29 +320,29 @@ def test_exp_integral_zero_field_is_volume():
 
 
 def test_weighted_volume_interval_closed_forms():
-    mesh = interval_mesh(-1, 1)
-    assert abs(weighted_moments(mesh, (1,), order=0).mass - 2 * math.sinh(1)) < 1e-14
-    assert abs(weighted_moments(mesh, (0,), order=0).mass - 2) < 1e-15
-    shifted = interval_mesh(0, 2)
-    ratio = weighted_moments(shifted, (1,), order=0).mass / weighted_moments(mesh, (1,), order=0).mass
+    centred = interval(-1, 1)
+    assert abs(weighted_moments(centred, (1,), order=0).mass - 2 * math.sinh(1)) < 1e-14
+    assert abs(weighted_moments(centred, (0,), order=0).mass - 2) < 1e-15
+    shifted = interval(0, 2)
+    ratio = weighted_moments(shifted, (1,), order=0).mass / weighted_moments(centred, (1,), order=0).mass
     assert abs(ratio - math.e) < 1e-13
 
 
 def test_weighted_barycenter_interval_closed_forms():
     assert abs(
-        weighted_barycenter(interval_mesh(0, 1), (1,))[0] - 1 / (math.e - 1)
+        weighted_barycenter(interval(0, 1), (1,))[0] - 1 / (math.e - 1)
     ) < 1e-14
     want = 1 / math.tanh(1) - 1
-    assert abs(weighted_barycenter(interval_mesh(-1, 1), (1,))[0] - want) < 1e-14
+    assert abs(weighted_barycenter(interval(-1, 1), (1,))[0] - want) < 1e-14
 
 
 def test_weighted_barycenter_zero_field_is_exact_barycenter():
-    mesh = triangulate(polytope_from_support(P2, (Fraction(1),) * 3))
-    assert weighted_barycenter(mesh, (Fraction(0), Fraction(0))) == (0, 0)
+    p = polytope_from_support(P2, (Fraction(1),) * 3)
+    assert weighted_barycenter(p, (Fraction(0), Fraction(0))) == (0, 0)
 
 
 def test_covariance_frozen_values():
-    assert abs(weighted_moments(interval_mesh(-1, 1), (0,)).covariance[0][0] - 1 / 3) < 1e-12
+    assert abs(weighted_moments(interval(-1, 1), (0,)).covariance[0][0] - 1 / 3) < 1e-12
     square = polytope_from_halfspaces(
         (
             ((1, 0), Fraction(1)),
@@ -349,7 +351,7 @@ def test_covariance_frozen_values():
             ((0, -1), Fraction(1)),
         ),
     )
-    cov = weighted_moments(triangulate(square), (0, 0)).covariance
+    cov = weighted_moments(square, (0, 0)).covariance
     assert abs(cov[0][0] - 1 / 3) < 1e-12
     assert abs(cov[1][1] - 1 / 3) < 1e-12
     assert abs(cov[0][1]) < 1e-12
@@ -360,8 +362,8 @@ def test_hexagon_covariance_positive_definite_vs_quadrature():
         ((1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)),
         ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)),
     )
-    mesh = triangulate(polytope_from_support(fan, (Fraction(1),) * 6))
-    cov = np.array(weighted_moments(mesh, (2, 0)).covariance)
+    p = polytope_from_support(fan, (Fraction(1),) * 6)
+    cov = np.array(weighted_moments(p, (2, 0)).covariance)
     eigs = np.linalg.eigvalsh(cov)
     assert eigs.min() > 0
     # Independent route: raw moment accumulation over the mesh cells.
@@ -369,7 +371,7 @@ def test_hexagon_covariance_positive_definite_vs_quadrature():
     m2 = np.zeros((2, 2))
     m1 = np.zeros(2)
     m0 = 0.0
-    for simplex in mesh.simplices:
+    for simplex in p.mesh.simplices:
         z0, z1, z2 = exp_moments_simplex(
             [[float(x) for x in v] for v in simplex], [2.0, 0.0], rtol=1e-13
         )
@@ -419,7 +421,7 @@ def test_overflow_guard():
 def test_moments_that_overflow_raise(simplex, what):
     # A nan would pass silently into soliton-check reports and break Newton's eigvalsh.
     with pytest.raises(OverflowError, match=what):
-        weighted_moments(SimplexMesh(simplices=(simplex,)), (0.0,))
+        weighted_moments(interval(*(x for x, in simplex)), (0.0,))
 
 
 @pytest.mark.parametrize(
@@ -433,12 +435,13 @@ def test_moments_that_overflow_raise(simplex, what):
 def test_moments_whose_products_overflow_are_computed(simplex, order, want):
     # The weights are taken over a power of two, so only the moment itself
     # has to be a float; at V = 0 the interval's mean and variance are exact.
-    mesh = SimplexMesh(simplices=(simplex,))
-    found = weighted_moments(mesh, (0.0,), order)
+    p = interval(*(x for x, in simplex))
+    assert p.mesh.simplices == (simplex,)
+    found = weighted_moments(p, (0.0,), order)
     got = found.barycenter[0] if order == 1 else found.covariance[0][0]
     assert got == pytest.approx(want, rel=1e-15)
     assert found.scaled_mass == simplex[1][0] - simplex[0][0]
-    assert mesh.barycenter == pytest.approx(((simplex[0][0] + simplex[1][0]) / 2,), rel=1e-15)
+    assert barycenter(p) == pytest.approx(((simplex[0][0] + simplex[1][0]) / 2,), rel=1e-15)
 
 
 def test_dd_vs_quadrature_random_simplices():
@@ -457,9 +460,9 @@ def test_dd_vs_quadrature_random_simplices():
 
 
 def test_finite_difference_jacobian_matches_covariance():
-    mesh = triangulate(polytope_from_support(P2, (Fraction(1),) * 3))
+    p = polytope_from_support(P2, (Fraction(1),) * 3)
     v = (0.4, -0.7)
-    cov = np.array(weighted_moments(mesh, v).covariance)
+    cov = np.array(weighted_moments(p, v).covariance)
     step = 1e-5
     jac = np.zeros((2, 2))
     for j in range(2):
@@ -467,17 +470,16 @@ def test_finite_difference_jacobian_matches_covariance():
         vm = list(v)
         vp[j] += step
         vm[j] -= step
-        ap = np.array(weighted_barycenter(mesh, tuple(vp)))
-        am = np.array(weighted_barycenter(mesh, tuple(vm)))
+        ap = np.array(weighted_barycenter(p, tuple(vp)))
+        am = np.array(weighted_barycenter(p, tuple(vm)))
         jac[:, j] = (ap - am) / (2 * step)
     assert np.max(np.abs(jac - cov)) < 1e-6
 
 
 def test_weighted_barycenter_interior():
-    mesh = triangulate(polytope_from_support(P2, (Fraction(1),) * 3))
     p = polytope_from_support(P2, (Fraction(1),) * 3)
     for v in ((0.0, 0.0), (3.0, -2.0), (-8.0, 1.0)):
-        a = weighted_barycenter(mesh, v)
+        a = weighted_barycenter(p, v)
         for (d, c), red in zip(p.halfspaces, p.redundant):
             if not red:
                 assert sum(float(di) * ai for di, ai in zip(d, a)) > -float(c)
@@ -486,17 +488,18 @@ def test_weighted_barycenter_interior():
 def test_mesh_independence_of_moments():
     # Lexmin pulling on the mirror image -P is lexmax pulling on P, negated.
     p = pe_polytope(Fraction(1, 2))
-    lo = triangulate(p)
-    hi = triangulate(polytope_from_halfspaces([(tuple(-x for x in d), c) for d, c in p.halfspaces]))
-    assert lo.volume == hi.volume
-    assert lo.barycenter == tuple(-x for x in hi.barycenter)
-    wlo = weighted_moments(lo, (0.3, -0.2, 0.1, 1.0), order=0).mass
-    whi = weighted_moments(hi, (-0.3, 0.2, -0.1, -1.0), order=0).mass
+    mirror = polytope_from_halfspaces([(tuple(-x for x in d), c) for d, c in p.halfspaces])
+    _, vlo, blo = mesh_moments(p.mesh.simplices)
+    _, vhi, bhi = mesh_moments(mirror.mesh.simplices)
+    assert p.mesh.volume == vlo == vhi == mirror.mesh.volume
+    assert blo == tuple(-x for x in bhi)
+    wlo = weighted_moments(p, (0.3, -0.2, 0.1, 1.0), order=0).mass
+    whi = weighted_moments(mirror, (-0.3, 0.2, -0.1, -1.0), order=0).mass
     assert abs(wlo - whi) / abs(wlo) < 1e-12
 
 
 def test_moment_report_cross_validates():
-    report = moment_report(polytope_from_support(P2, (Fraction(1),) * 3).mesh, (1.0, 0.5))
+    report = moment_report(polytope_from_support(P2, (Fraction(1),) * 3), (1.0, 0.5))
     assert report.err_estimate < 1e-11
     assert report.volume == Fraction(9, 2)
 
@@ -509,10 +512,10 @@ def test_moment_report_cross_validates():
     )
 )
 def test_weighted_barycenter_translation_equivariance(shift):
-    mesh = triangulate(polytope_from_support(P2, (Fraction(1),) * 3))
-    moved = triangulate(translate(polytope_from_support(P2, (Fraction(1),) * 3), shift))
+    p = polytope_from_support(P2, (Fraction(1),) * 3)
+    moved = translate(p, shift)
     v = (0.8, -1.3)
-    base = weighted_barycenter(mesh, v)
+    base = weighted_barycenter(p, v)
     out = weighted_barycenter(moved, v)
     for got, want, s in zip(out, base, shift):
         assert abs(got - (want + float(s))) < 1e-10
@@ -600,8 +603,7 @@ def test_p2_large_field_matches_closed_form(field):
 
     mean_u = moment(2) / moment(1)
     var_x = moment(3) / moment(1) - mean_u**2
-    mesh = triangulate(polytope_from_support(P2, (Fraction(1),) * 3))
-    wm = weighted_moments(mesh, (field, 0))
+    wm = weighted_moments(polytope_from_support(P2, (Fraction(1),) * 3), (field, 0))
     assert wm.barycenter == pytest.approx((2 - mean_u, (mean_u - 2) / 2), rel=1e-13)
     want = [[var_x, -var_x / 2], [-var_x / 2, moment(3) / moment(1) / 12 + var_x / 4]]
     assert np.max(np.abs(wm.covariance - want)) < 1e-9 * var_x
@@ -615,26 +617,25 @@ def test_covariance_keeps_its_digits_far_from_the_barycenter(field):
     # Var x = 2 / t^2 up to a relative e^{-3t}.  The measure sits about 3
     # away from the barycenter, so taking the second moment there and
     # subtracting the squared mean would cancel most digits.
-    mesh = polytope_from_support(P2, (Fraction(1),) * 3).mesh
-    cov = weighted_moments(mesh, (field, 0)).covariance
+    cov = weighted_moments(polytope_from_support(P2, (Fraction(1),) * 3), (field, 0)).covariance
     assert cov[0][0] == pytest.approx(2 / field**2, rel=1e-12, abs=0)
 
 
 def test_covariance_is_jacobian_and_matches_quadrature_in_four_dimensions():
-    mesh = triangulate(pe_polytope(Fraction(3, 5)))
+    p = pe_polytope(Fraction(3, 5))
     for v in ((0.3, -0.2, 0.1, 1.0), (-1.5, 0.8, 2.0, -3.0)):
-        wm = weighted_moments(mesh, v)
+        wm = weighted_moments(p, v)
         step = 1e-5
         jac = np.zeros((4, 4))
         for j in range(4):
             vp, vm = list(v), list(v)
             vp[j] += step
             vm[j] -= step
-            jac[:, j] = (np.array(weighted_barycenter(mesh, vp)) - np.array(weighted_barycenter(mesh, vm))) / (2 * step)
+            jac[:, j] = (np.array(weighted_barycenter(p, vp)) - np.array(weighted_barycenter(p, vm))) / (2 * step)
         assert np.max(np.abs(jac - wm.covariance)) < 1e-7
         m0, m1, m2 = 0.0, np.zeros(4), np.zeros((4, 4))
-        for simplex in mesh.simplices:
-            z0, z1, z2 = exp_moments_simplex([[float(x) for x in p] for p in simplex], v, wm.shift, rtol=1e-13)
+        for simplex in p.mesh.simplices:
+            z0, z1, z2 = exp_moments_simplex([[float(x) for x in q] for q in simplex], v, wm.shift, rtol=1e-13)
             m0, m1, m2 = m0 + z0, m1 + z1, m2 + z2
         quad = m2 / m0 - np.outer(m1 / m0, m1 / m0)
         assert np.max(np.abs(quad - wm.covariance)) < 1e-9 * np.max(np.abs(wm.covariance))
@@ -662,19 +663,19 @@ def test_weighted_moments_follow_unimodular_maps(seed):
         [(tuple(int(x) for x in m_inv.T @ np.array(d)), c) for d, c in p.halfspaces]
     )
     v = np.array([rng.uniform(-2, 2) for _ in range(4)])
-    base = weighted_moments(triangulate(p), v)
-    moved = weighted_moments(triangulate(image), m_inv.T @ v)
+    base = weighted_moments(p, v)
+    moved = weighted_moments(image, m_inv.T @ v)
     assert np.allclose(moved.barycenter, m @ base.barycenter, rtol=0, atol=1e-12)
     assert np.allclose(moved.covariance, m @ base.covariance @ m.T, rtol=0, atol=1e-11)
     assert moved.log_mass == pytest.approx(base.log_mass, rel=1e-13)
 
 
 def test_mass_only_pass_agrees_with_full_pass():
-    mesh = triangulate(pe_polytope(Fraction(1, 2)))
+    p = pe_polytope(Fraction(1, 2))
     v = (0.7, -0.4, 1.2, 2.5)
-    full = weighted_moments(mesh, v)
-    assert weighted_moments(mesh, v, order=0).log_mass == pytest.approx(full.log_mass, rel=1e-15)
-    assert weighted_moments(mesh, v, order=1).barycenter == pytest.approx(full.barycenter, rel=1e-14)
-    assert np.array_equal(weighted_moments(mesh, v).covariance, full.covariance)
-    mass_only = weighted_moments(mesh, v, order=0)
+    full = weighted_moments(p, v)
+    assert weighted_moments(p, v, order=0).log_mass == pytest.approx(full.log_mass, rel=1e-15)
+    assert weighted_moments(p, v, order=1).barycenter == pytest.approx(full.barycenter, rel=1e-14)
+    assert np.array_equal(weighted_moments(p, v).covariance, full.covariance)
+    mass_only = weighted_moments(p, v, order=0)
     assert mass_only.log_mass == pytest.approx(math.log(mass_only.mass), rel=1e-14)

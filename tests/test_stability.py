@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from torifano import moments
+from torifano import geometry, moments
 from torifano.errors import DegenerateLiftError, InputError
 from torifano.geometry import (
     Fan,
@@ -162,10 +162,10 @@ def test_blowup_soliton_matches_diagonal_bisection():
     # By symmetry the soliton field lies on the diagonal, so its scale
     # solves a one-variable equation we can bracket and bisect.
     dec = Decomposition.from_fan(BLOWUP, ((1, 1, 1, 1),))
-    mesh = dec.meshes[0]
+    part = dec.polytopes[0]
 
     def g(a):
-        ax, ay = weighted_barycenter(mesh, (a, a))
+        ax, ay = weighted_barycenter(part, (a, a))
         return ax + ay
 
     lo, hi = -1.0, 0.0
@@ -382,19 +382,20 @@ def test_validate_decomposition_reports_failures():
 def test_soliton_hessian_is_positive_definite():
     dec = Decomposition.from_fan(BLOWUP, ((1, 1, 1, 1),))
     for v in ((0.0, 0.0), (-0.5, -0.5), (1.0, -2.0)):
-        hess = sum(weighted_moments(mesh, v).covariance for mesh in dec.meshes)
+        hess = sum(weighted_moments(p, v).covariance for p in dec.polytopes)
         assert np.linalg.eigvalsh(np.array(hess, dtype=float)).min() > 0
 
 
 def test_part_barycenters_computed_once(monkeypatch):
+    # Each part keeps its one cone-sum pass, however often it is read.
     calls = []
-    real = moments.barycenter
-    monkeypatch.setattr(moments, "barycenter", lambda mesh: calls.append(mesh) or real(mesh))
+    real = geometry._cone_sums
+    monkeypatch.setattr(geometry, "_cone_sums", lambda p: calls.append(p) or real(p))
     dec = Decomposition.from_fan(HEXAGON, hexagon_rows(Fraction(1, 10)))
     report = df_invariant(dec, destabilizer(dec))
     assert coupled_ke_verdict(dec).sum_barycenter == report.sum_barycenter == sum_barycenter(dec)
-    assert len(calls) == dec.k
-    assert sum_barycenter(dec) == tuple(sum(b[i] for b in dec.barycenters) for i in range(2))
+    assert calls == list(dec.polytopes)
+    assert sum_barycenter(dec) == tuple(sum(moments.barycenter(p)[i] for p in dec.polytopes) for i in range(2))
 
 
 def test_newton_converges_on_the_blowup_from_an_offset_start():
