@@ -615,6 +615,15 @@ def _count_centres(monkeypatch):
     return centred, summed
 
 
+def test_barycenter_sums_each_part_once(capsys, monkeypatch):
+    # The volume and the barycenter of a part both read its one cone-sum pass.
+    centred, summed = _count_centres(monkeypatch)
+    code, report, _ = run_cli(capsys, "barycenter", "--example", "hexagon-dP6-t")
+    assert code == 0
+    assert centred == []
+    assert len(summed) == len(report["results"]["parts"]) == 2
+
+
 @pytest.mark.parametrize("command", ["barycenter", "df", "soliton-check", "soliton-solve"])
 def test_exact_commands_compute_each_part_barycenter_once(tmp_path, capsys, monkeypatch, command):
     # A part's volume, its barycenter and the centre of every weighted pass
