@@ -46,17 +46,6 @@ from .stability import (
     validate_decomposition,
 )
 
-COMMANDS = (
-    "validate",
-    "barycenter",
-    "ke-verdict",
-    "soliton-check",
-    "soliton-solve",
-    "df",
-    "lift",
-    "ma-solve",
-)
-
 DEFAULT_TOL = 1e-10
 
 
@@ -310,6 +299,7 @@ _HANDLERS = {
     "lift": _cmd_lift,
     "ma-solve": _cmd_ma_solve,
 }
+COMMANDS = tuple(_HANDLERS)
 
 
 def _parse_grid(text):

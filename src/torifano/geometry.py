@@ -148,17 +148,18 @@ class Fan:
     def cone_columns(self):
         """Each maximal cone's ray matrix inverse as ``(columns, scale, det)``, or None when singular.
 
-        This is the :func:`linalg.inverse_columns` triple: column k is the
-        integer column X_k of ray ``cone[k]`` over the least positive scale s,
-        which is 1 exactly when the cone is smooth, and det is |det| of the ray
-        matrix.  Cones are neighbours when they share a wall.  One seed cone
-        per connected part of this dual graph is eliminated, and every other
-        cone sigma' = sigma - a + b is reached across a wall and takes its
-        inverse from sigma's by the rank-one step :func:`linalg.exchange`, with
-        <d_b, X_a> / s the coefficient of d_a in d_b: on a smooth complete fan,
-        -1 in the wall relation (Cox, Little and Schenck, Toric Varieties,
-        section 6.1).  A singular cone is None, and nothing is reached through
-        it: a cone reached only through singular ones is a seed of its own.
+        This is the inverse that :func:`linalg.integer_inverse` gives: column
+        k is the integer column X_k of ray ``cone[k]`` over the least
+        positive scale s, which is 1 exactly when the cone is smooth, and det
+        is |det| of the ray matrix.  Cones are neighbours when they share a
+        wall.  One seed cone per connected part of this dual graph is
+        eliminated, and every other cone sigma' = sigma - a + b is reached
+        across a wall and takes its inverse from sigma's by the rank-one step
+        :func:`linalg.exchange`, with <d_b, X_a> / s the coefficient of d_a in
+        d_b: on a smooth complete fan, -1 in the wall relation (Cox, Little
+        and Schenck, Toric Varieties, section 6.1).  A singular cone is None,
+        and nothing is reached through it: a cone reached only through
+        singular ones is a seed of its own.
         """
         cones = self.max_cones
         found, reached = [None] * len(cones), set()
@@ -166,7 +167,7 @@ class Fan:
             if seed in reached:
                 continue
             reached.add(seed)
-            found[seed] = linalg.inverse_columns([self.rays[j] for j in cones[seed]])
+            found[seed] = linalg.integer_inverse([self.rays[j] for j in cones[seed]])[1]
             queue = [seed] if found[seed] else []
             for ci in queue:
                 cone = cones[ci]
@@ -347,8 +348,9 @@ class Polytope:
     ``mesh`` is the :func:`triangulate` mesh of any other polytope,
     ``cones`` its vertices' tangent cones and ``cone_sums`` its exact volume
     and barycenter, each kept once computed.  ``inverses`` maps a tuple of
-    integer rows to the :func:`linalg.inverse_columns` triple of their
-    matrix, where the route that built the polytope has it already.
+    integer rows to the ``(columns, scale, det)`` inverse of their matrix
+    that :func:`linalg.integer_inverse` gives, where the route that built
+    the polytope has it already.
     """
 
     dim: int
@@ -379,7 +381,7 @@ class Polytope:
         primitive integer vectors and the weight is the |det| of their
         matrix.  A vertex on exactly dim distinct facet normals has one
         piece, :func:`_simple_piece` of their inverse, taken from
-        ``inverses`` or from :func:`linalg.inverse_columns`; any other
+        ``inverses`` or from :func:`linalg.integer_inverse`; any other
         vertex's cone is split by :func:`_pulling` over its
         :func:`_extreme_rays`, whose facets are the rows' zero sets, and
         each piece's weight is an :func:`linalg.integer_det`.  Exact
@@ -421,7 +423,7 @@ def _split_cone(rows, inverses):
     """The cone where every integer row is >= 0, as simplicial pieces."""
     size = len(rows[0])
     if len(rows) == size:
-        return (_simple_piece(*(inverses.get(rows) or linalg.inverse_columns(rows))),)
+        return (_simple_piece(*(inverses.get(rows) or linalg.integer_inverse(rows)[1])),)
     rays = _extreme_rays(rows)
     facets = [frozenset(i for i, (_, zeros) in enumerate(rays) if zeros >> j & 1) for j in range(len(rows))]
     points = [r for r, _ in rays]
@@ -576,11 +578,10 @@ def _extreme_rays(rows):
     over all rows; None when the rows do not span.
     """
     size = len(rows[0])
-    found = linalg.integer_inverse(rows)
-    if found is None:
+    basis, inverse = linalg.integer_inverse(rows)
+    if inverse is None:
         return None
-    basis, columns, _ = found
-    cone = [(_primitive(column), sum(1 << i for i in basis if i != j)) for column, j in zip(columns, basis)]
+    cone = [(_primitive(column), sum(1 << i for i in basis if i != j)) for column, j in zip(inverse[0], basis)]
     for j, row in enumerate(rows):
         if j in basis:
             continue
@@ -721,10 +722,10 @@ class SimplexMesh:
     :func:`linalg.integer_det` of its integer edge rows over d^n.  The
     exact volume sums those ints over each d and builds one Fraction per
     d, so a mesh whose vertices have many denominators never forms their
-    lcm; an exact polytope's barycenter is its cone sums'.  A float mesh
-    also keeps each simplex's factor, the :func:`linalg.det` of its edge
-    rows, and its barycenter; its volume or barycenter raises
-    OverflowError where it is not finite.
+    lcm; its factors, as Fractions, and its exact barycenter are built only
+    when read, and an exact polytope's barycenter is its cone sums'.  A
+    float mesh's factor is the :func:`linalg.det` of its edge rows; its
+    volume or barycenter raises OverflowError where it is not finite.
     """
 
     simplices: tuple
@@ -759,8 +760,10 @@ class SimplexMesh:
 
     @cached_property
     def factors(self):
-        """Each simplex's volume times dim!, the |det| of its edge rows, for float meshes."""
-        return tuple(abs(linalg.det([[a - b for a, b in zip(p, s[0])] for p in s[1:]])) for s in self.simplices)
+        """Each simplex's volume times dim!, the |det| of its edge rows: Fractions on an exact mesh."""
+        if self._cleared is None:
+            return tuple(abs(linalg.det([[a - b for a, b in zip(p, s[0])] for p in s[1:]])) for s in self.simplices)
+        return tuple(Fraction(det, d**self.dim) for det, d in self._dets)
 
     @cached_property
     def volume(self):
@@ -777,27 +780,30 @@ class SimplexMesh:
 
     @cached_property
     def barycenter(self):
-        """Volume-weighted centroid of a float mesh."""
+        """Volume-weighted centroid, exact on an exact mesh."""
         n = self.dim
-        if not any(self.factors):
+        factors, simplices, scale = self.factors, self.simplices, 1
+        if not any(factors):
             raise InputError("zero-volume mesh has no barycenter")
-        # Over a power of two near the largest factor, which is exact, no
-        # weight times a centroid overflows where the barycenter would not.
-        unit = Fraction(2) ** (frexp(max(self.factors))[1] - 1)
-        weights = [w / unit for w in self.factors]
-        total = sum(weights)
-        # Coordinates from 2^1000 up are divided by 2^24 first, exactly
-        # but for subnormals, so that no centroid's coordinate sum
-        # overflows; every other mesh keeps every bit.
-        simplices, scale = self.simplices, 1
-        if max(abs(x) for simplex in simplices for v in simplex for x in v) >= 2.0**1000:
-            scale = 2.0**24
-            simplices = [[[x / scale for x in v] for v in simplex] for simplex in simplices]
+        exact = self._cleared is not None
+        if not exact:
+            # Over a power of two near the largest factor, which is exact, no
+            # weight times a centroid overflows where the barycenter would not.
+            unit = Fraction(2) ** (frexp(max(factors))[1] - 1)
+            factors = [w / unit for w in factors]
+            # Coordinates from 2^1000 up are divided by 2^24 first, exactly
+            # but for subnormals, so that no centroid's coordinate sum
+            # overflows; every other mesh keeps every bit.
+            if max(abs(x) for simplex in simplices for v in simplex for x in v) >= 2.0**1000:
+                scale = 2.0**24
+                simplices = [[[x / scale for x in v] for v in simplex] for simplex in simplices]
+        # A float over Fraction(n + 1) is the float over float(n + 1).
         moment = [0] * n
-        for simplex, w in zip(simplices, weights):
-            moment = [m + w * (sum(v[i] for v in simplex) / (n + 1)) for i, m in enumerate(moment)]
+        for simplex, w in zip(simplices, factors):
+            moment = [m + w * (sum(v[i] for v in simplex) / Fraction(n + 1)) for i, m in enumerate(moment)]
+        total = sum(factors)
         barycenter = tuple(m / total * scale for m in moment)
-        if not all(map(isfinite, barycenter)):
+        if not exact and not all(map(isfinite, barycenter)):
             raise OverflowError("float barycenter overflows")
         return barycenter
 

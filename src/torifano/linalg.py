@@ -1,14 +1,14 @@
 """Dense linear algebra on small matrices (at most seven columns), given as sequences of rows.
 
 Exact matrices are integer rows.  One fraction-free Gauss-Jordan pass,
-:func:`_reduce`, is behind ``rank``, ``kernel_vector``, ``integer_inverse``
-and ``inverse_columns``, which also reads |det B| off its common pivot;
-:func:`exchange` updates a known inverse when one row of B is replaced, by
-a rank-one step with no elimination; the column-wise Bareiss
-``integer_det`` is cheaper where only a determinant is wanted; the phase-1
-simplex :func:`farkas` keeps its tableau in integers over one common
-denominator too.  ``det`` serves float meshes only, and nothing here builds
-a Fraction.
+:func:`_reduce`, is behind ``rank``, ``kernel_vector`` and
+``integer_inverse``, the one exact inverse, which also reads |det B| off
+its common pivot; :func:`exchange` updates that inverse when one row of B
+is replaced, by a rank-one step with no elimination; the column-wise
+Bareiss ``integer_det`` is cheaper where only a determinant is wanted; the
+phase-1 simplex :func:`farkas` keeps its tableau in integers over one
+common denominator too.  ``det`` serves float meshes only, and nothing
+here builds a Fraction.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ def dot(u, v):
 
 
 def det(matrix):
-    """Determinant of float rows, Fractions at exact vertices, by elimination with partial pivoting."""
+    """Determinant of float rows, by elimination with partial pivoting: a float mesh's volume factor."""
     if not matrix:
         return 1
     rows = [list(row) for row in matrix]
@@ -108,44 +108,30 @@ def _primitive(v):
 
 
 def integer_inverse(rows):
-    """``(basis, columns, scale)``: the first integer rows B that span, B^-1 = columns / scale by columns.
+    """``(basis, inverse)``: the first integer rows B that span, and B^-1 as ``(columns, scale, det)``.
 
     Once the kept rows span, row p of B^-1 is W / D for the kept row with
-    pivot D in column p; one gcd gives the least positive scale, 1 exactly
-    when B^-1 is integral.  None when the rows do not span.
-    """
-    found = _inverse(rows)
-    return found and found[:3]
-
-
-def inverse_columns(rows):
-    """``(columns, scale, det)`` of a square integer matrix B, or None when it is singular.
-
-    Column k of B^-1 is the integer column ``columns[k]`` over the scale
-    of :func:`integer_inverse`, and det is |det B|, the kept rows' common
+    pivot D in column p, so column k of B^-1 is the integer column
+    ``columns[k]`` over the scale; one gcd gives the least positive scale,
+    1 exactly when B^-1 is integral.  det is |det B|, the kept rows' common
     pivot, so no determinant is eliminated for it.  :func:`exchange` takes
-    and returns the same triple.
+    and returns the same triple.  ``inverse`` is None when the rows do not
+    span, and ``basis`` then indexes the rows kept.
     """
-    found = _inverse(rows)
-    return found and found[1:]
-
-
-def _inverse(rows):
-    """:func:`integer_inverse`'s triple and |det B| as a fourth entry."""
     size = len(rows[0])
     basis, kept = _reduce(rows, size)
     if len(basis) < size:
-        return None
+        return basis, None
     pivot = kept[0][1][kept[0][0]]
     g = gcd(pivot, *(x for _, e in kept for x in e[size:])) * (1 if pivot > 0 else -1)
     rows = [[x // g for x in e[size:]] for _, e in sorted(kept)]
-    return basis, list(zip(*rows)), pivot // g, abs(pivot)
+    return basis, (list(zip(*rows)), pivot // g, abs(pivot))
 
 
 def exchange(inverse, k, row):
     """The inverse of B once its row k is replaced by ``row``, or None when that is singular.
 
-    ``inverse`` is the :func:`inverse_columns` triple ``(columns, scale,
+    ``inverse`` is the :func:`integer_inverse` triple ``(columns, scale,
     det)``: column i of B^-1 is the integer column X_i over the positive
     scale s, and det is |det B|.  With t = <row, X_k>, the new matrix has
     determinant det B t / s, and its inverse the columns t X_i - <row, X_i>

@@ -221,11 +221,6 @@ def initial_state(intervals, vfields=None, R=8.0, spacing=0.004, t=0.0):
     )
 
 
-def at_stage(state, t):
-    """Warm start: same potentials, new path parameter."""
-    return replace(state, t=float(t))
-
-
 def ma_step_1d(state):
     """One transport sweep at fixed t: the map whose fixed point the path solves for.
 
@@ -305,15 +300,6 @@ class _Anderson:
             gamma = np.linalg.lstsq(gram, fit, rcond=GRAM_RCOND)[0] / scale
             new -= gamma @ self.dmix[:m]
         return new
-
-
-def w_diagnostics(state):
-    return {
-        "w_min": state.w_min,
-        "x_w": state.x_w,
-        "growth_eps": state.growth_eps,
-        "mass": state.mass,
-    }
 
 
 def obstruction_residual(state):
@@ -414,7 +400,8 @@ def solve_continuity_1d(
     mixer = _Anderson(2 * state.f.size)
     snapshots = []
     for t in t_schedule:
-        state = at_stage(state, t)
+        # Warm start: the same potentials at the next path parameter.
+        state = replace(state, t=t)
         mixer.restart()
         x = np.concatenate((state.f, state.slopes))
         history = []
@@ -443,15 +430,9 @@ def solve_continuity_1d(
         snapshots.append(_snapshot(state, it, include_arrays))
         if obstructed:
             break
-    diagnostics = w_diagnostics(state)
-    diagnostics.update(
-        {
-            "t": t,
-            "update_norm": state.update_norm,
-            "obstruction_residual": obstruction_residual(state),
-            "barycenter_residual": residual_exact,
-        }
-    )
+    diagnostics = _snapshot(state, it, False)
+    del diagnostics["iterations"]
+    diagnostics.update(obstruction_residual=obstruction_residual(state), barycenter_residual=residual_exact)
     if obstructed:
         # The exact theory ties obstruction to a nonzero barycenter
         # residual; the detection thresholds above are numerical judgment

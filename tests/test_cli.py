@@ -992,7 +992,6 @@ def test_fan_documents_invert_each_cone_once(capsys, monkeypatch, command):
         return polytope
 
     counted("integer_inverse", inverses)
-    counted("inverse_columns", inverses)
     counted("exchange", crossings)
     monkeypatch.setattr(geometry.Fan, "__post_init__", counted_init)
     monkeypatch.setattr(stability, "polytope_from_support", build)

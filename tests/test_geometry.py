@@ -144,7 +144,7 @@ def _cone_vertices_reference(fan, c, tol):
     """
     vertices, masks, nef_witness = [], [], None
     for ci, cone in enumerate(fan.max_cones):
-        _, columns, scale = linalg.integer_inverse([fan.rays[j] for j in cone])
+        columns, scale, _ = linalg.integer_inverse([fan.rays[j] for j in cone])[1]
         inverse = [tuple(x if scale == 1 else Fraction(x, scale) for x in row) for row in zip(*columns)]
         offsets = [c[j] for j in cone]
         v = tuple(-linalg.dot(row, offsets) for row in inverse)
@@ -176,7 +176,7 @@ NONSMOOTH = (
 
 def _per_cone_inverses(fan):
     """``Fan.cone_columns`` by one elimination per maximal cone: the reference for wall crossing."""
-    return tuple(linalg.inverse_columns([fan.rays[j] for j in cone]) for cone in fan.max_cones)
+    return tuple(linalg.integer_inverse([fan.rays[j] for j in cone])[1] for cone in fan.max_cones)
 
 
 def _cube(n):
@@ -231,11 +231,11 @@ def test_wall_crossing_equals_the_per_cone_inverses(monkeypatch, name):
     # dual graph that a nonsingular cone starts.
     fan = _wall_crossing_fans()[name]
     seeds = []
-    real = linalg.inverse_columns
-    monkeypatch.setattr(linalg, "inverse_columns", lambda rows: seeds.append(rows) or real(rows))
+    real = linalg.integer_inverse
+    monkeypatch.setattr(linalg, "integer_inverse", lambda rows: seeds.append(rows) or real(rows))
     got = fan.cone_columns
     assert len(seeds) == _SEEDS.get(name, 1)
-    monkeypatch.setattr(linalg, "inverse_columns", real)
+    monkeypatch.setattr(linalg, "integer_inverse", real)
     want = _per_cone_inverses(fan)
     assert got == want
     for g, w in zip(got, want):

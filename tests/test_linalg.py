@@ -7,12 +7,11 @@ The integer routines are one fraction-free pass, checked on integer rows
 and on Fraction and float rows cleared to integers, floats by their exact
 binary value: ``rank`` must equal the Fraction rank, ``kernel_vector`` be
 a positive multiple of the Fraction kernel vector, ``integer_inverse``
-match the Fraction solve and rank loops, and ``integer_det`` the det loop.
-``inverse_columns`` is ``integer_inverse``'s columns and scale with |det|
-from its pivot, and ``exchange``, the rank-one row exchange, must give
-exactly what ``inverse_columns`` gives on the exchanged matrix.  The integer ``farkas``
-must give the Fraction simplex's y and u on every halfspace system, and
-the raw route its certificate.
+match the Fraction solve and rank loops, its det the det loop, and
+``integer_det`` the det loop too.  ``exchange``, the rank-one row exchange,
+must give exactly the inverse that ``integer_inverse`` gives on the
+exchanged matrix.  The integer ``farkas`` must give the Fraction simplex's
+y and u on every halfspace system, and the raw route its certificate.
 """
 
 import math
@@ -124,14 +123,16 @@ def test_integer_inverse_matches_the_fraction_reference(square, data):
     for j, row in enumerate(matrix):
         if len(basis) < size and ref.rank([matrix[i] for i in basis] + [row]) > len(basis):
             basis.append(j)
-    found = linalg.integer_inverse(matrix)
-    if len(basis) < size:
-        assert found is None
-        return
-    kept, columns, scale = found
+    kept, inverse = linalg.integer_inverse(matrix)
     assert kept == basis
+    if len(basis) < size:
+        assert inverse is None
+        return
+    columns, scale, det = inverse
     b = [matrix[i] for i in basis]
     assert type(scale) is int and scale > 0
+    # det is |det B| of the basis rows, read off the common pivot.
+    assert type(det) is int and det == abs(ref.det(b)) > 0
     assert type(columns) is list and all(type(column) is tuple for column in columns)
     assert all(type(x) is int for column in columns for x in column)
     # columns / scale times B is the identity ...
@@ -146,33 +147,20 @@ def test_integer_inverse_matches_the_fraction_reference(square, data):
     assert (scale == 1) == (abs(ref.det(b)) == 1)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(data=st.data())
-def test_inverse_columns_are_the_inverse_by_columns_with_its_det(data):
-    matrix = data.draw(matrices("int", square=True))
-    found, want = linalg.inverse_columns(matrix), linalg.integer_inverse(matrix)
-    if want is None:
-        assert found is None and ref.det(matrix) == 0
-        return
-    columns, scale, det = found
-    assert (columns, scale) == want[1:]
-    assert type(det) is int and det == abs(ref.det(matrix)) > 0
-
-
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_exchange_equals_the_inverse_of_the_exchanged_matrix(data):
     # Same columns, scale and |det| as eliminating B' afresh, or None exactly
     # when B' is singular, from any nonsingular B.
     matrix = data.draw(matrices("int", square=True))
-    inverse = linalg.inverse_columns(matrix)
+    inverse = linalg.integer_inverse(matrix)[1]
     if inverse is None:
         return
     n = len(matrix)
     k = data.draw(st.integers(0, n - 1))
     row = tuple(data.draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n)))
     exchanged = [row if i == k else r for i, r in enumerate(matrix)]
-    assert linalg.exchange(inverse, k, row) == linalg.inverse_columns(exchanged)
+    assert linalg.exchange(inverse, k, row) == linalg.integer_inverse(exchanged)[1]
 
 
 def test_dot_keeps_the_summation_order():
@@ -191,8 +179,9 @@ def test_empty_and_zero_matrices():
     assert_same(linalg.det([[0.0, 0.0], [0.0, -0.0]]), 0.0)
     assert linalg.rank([[0, 0]]) == 0 and linalg.kernel_vector([[0, 0]]) == (1, 0)
     assert linalg.kernel_vector([[0, -2, 4]]) == (1, 0, 0) and linalg.kernel_vector([[3, -2]]) == (2, 3)
-    assert linalg.integer_inverse([[0, 1], [0, 2]]) is None
-    assert linalg.integer_inverse([[1, 2, 3]]) is None
+    assert linalg.integer_inverse([[0, 1], [0, 2]]) == ([0], None)
+    assert linalg.integer_inverse([[1, 2, 3]]) == ([0], None)
+    assert linalg.integer_inverse([[0, 0], [0, 0]]) == ([], None)
     assert linalg.integer_det([]) == 1 and linalg.integer_det([[0, 1], [0, 2]]) == 0
 
 

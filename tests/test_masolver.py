@@ -13,7 +13,6 @@ from torifano import masolver
 from torifano.errors import ConfigurationError, DomainMismatchError, InputError
 from torifano.masolver import (
     DEFAULT_T_SCHEDULE,
-    at_stage,
     initial_state,
     interval_weighted_mean,
     legendre_dual,
@@ -21,7 +20,6 @@ from torifano.masolver import (
     make_grid,
     obstruction_residual,
     solve_continuity_1d,
-    w_diagnostics,
 )
 
 PAIR = ((-0.75, 0.25), (-0.25, 0.75))
@@ -170,7 +168,7 @@ def test_per_step_transport_identity_on_wide_grid():
 
     for t in (0.0, 0.5):
         state = initial_state(PAIR, vfields=(0.3, -0.2), R=21.0, spacing=0.02)
-        state = at_stage(state, t)
+        state = replace(state, t=t)
         for _ in range(5):
             state = ma_step_1d(state)
             for (a, b), v, slope in zip(state.intervals, state.vfields, state.slopes):
@@ -187,7 +185,7 @@ def test_stage_zero_is_a_one_step_fixed_point():
 
 
 def test_sweeps_preserve_convexity_and_slope_range():
-    state = at_stage(initial_state(PAIR, vfields=(0.5, -0.5)), 0.75)
+    state = replace(initial_state(PAIR, vfields=(0.5, -0.5)), t=0.75)
     zero_idx = len(state.xs) // 2
     for _ in range(30):
         state = ma_step_1d(state)
@@ -268,14 +266,20 @@ def test_legendre_sup_identity_for_converged_potential():
 
 def test_w_diagnostics_reference_and_converged():
     state = initial_state([(-1.0, 1.0)])
-    diag = w_diagnostics(state)
-    assert diag["x_w"] == 0.0
-    assert diag["w_min"] == 0.0
-    assert diag["growth_eps"] > 0
-    assert diag["mass"] == pytest.approx(math.pi, abs=1e-3)
+    assert state.x_w == 0.0
+    assert state.w_min == 0.0
+    assert state.growth_eps > 0
+    assert state.mass == pytest.approx(math.pi, abs=1e-3)
 
+    # The final diagnostics are the last stage's snapshot without its
+    # sweep count, and the two residuals.
     result = solve_continuity_1d([(-1.0, 1.0)])
-    diag = w_diagnostics(result.state)
+    diag = result.diagnostics
+    last = dict(result.snapshots[-1])
+    del last["iterations"]
+    assert diag == {**last, "obstruction_residual": diag["obstruction_residual"], "barycenter_residual": 0.0}
+    assert diag["obstruction_residual"] == obstruction_residual(result.state)
+    assert diag["t"] == 1.0 and diag["mass"] == result.state.mass
     assert diag["w_min"] == pytest.approx(math.log(4.0), abs=1e-4)
     assert abs(diag["x_w"]) <= result.state.spacing
     assert diag["growth_eps"] > 0
@@ -457,7 +461,7 @@ TRIPLE = ((-1.0, 0.5), (-0.5, 0.5), (-0.5, 1.0))
     ],
 )
 def test_stacked_sweep_matches_per_part_sweep(intervals, vfields, t, relaxation):
-    state = at_stage(initial_state(intervals, vfields, R=6.0, spacing=0.02), t)
+    state = replace(initial_state(intervals, vfields, R=6.0, spacing=0.02), t=t)
     ref = _ref_diagnose(
         state.t, state.xs, state.spacing, state.intervals, state.vfields,
         tuple(state.f), tuple(state.slopes), tuple(state.h_ref), tuple(state.h_slopes),
@@ -571,7 +575,7 @@ def _picard_continuity(intervals, vfields, tol, R=8.0, max_iter=2500, relaxation
     state = initial_state(intervals, vfields, R=R)
     residual = sum(_picard_mean(a, b, v) for (a, b), v in zip(intervals, vfields))
     for t in DEFAULT_T_SCHEDULE:
-        state = at_stage(state, t)
+        state = replace(state, t=t)
         history = []
         for _ in range(max_iter):
             state = _relaxed_step(state, relaxation)

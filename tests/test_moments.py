@@ -116,15 +116,14 @@ def test_bundle_fourth_coordinate_at_half():
 
 
 def assert_mesh_matches_the_reference(mesh):
-    """The volume and float factors, and a float mesh's barycenter and factors, equal the reference's.
+    """The volume, barycenter, factors and float factors equal the reference's, exact meshes too.
 
     Values and types match, floats bit for bit.  The volume and the
     barycenter are read first, so they do not lean on the factors.
     """
     factors, vol, bary = mesh_moments(mesh.simplices)
-    got, want = (mesh.volume,), (vol,)
-    if mesh._cleared is None:
-        got, want = (*got, *mesh.barycenter, *mesh.factors), (*want, *bary, *factors)
+    got = (mesh.volume, *mesh.barycenter, *mesh.factors)
+    want = (vol, *bary, *factors)
     assert got == want
     assert [type(x) for x in got] == [type(x) for x in want]
     assert [x.hex() for x in got if type(x) is float] == [x.hex() for x in want if type(x) is float]
@@ -267,7 +266,9 @@ def test_integer_meshes_equal_the_reference_on_hand_built_meshes():
     for simplices in (square, mixed, scattered):
         mesh = SimplexMesh(simplices=simplices)
         assert_mesh_matches_the_reference(mesh)
-        assert type(mesh.volume) is Fraction
+        assert all(type(x) is Fraction for x in (mesh.volume, *mesh.barycenter, *mesh.factors))
+    mesh = SimplexMesh(simplices=square)
+    assert (mesh.volume, mesh.barycenter, mesh.factors) == (6, (1, Fraction(3, 2)), (6, 6))
     assert mesh_moments(square)[1:] == (6, (1, Fraction(3, 2)))
 
 
