@@ -8,7 +8,8 @@ and on Fraction and float rows cleared to integers, floats by their exact
 binary value: ``rank`` must equal the Fraction rank, ``kernel_vector`` be
 a positive multiple of the Fraction kernel vector, ``integer_inverse``
 match the Fraction solve and rank loops, its det the det loop, and
-``integer_det`` the det loop too.  ``exchange``, the rank-one row exchange,
+``integer_det`` the det loop too; on a square matrix the inverse is the
+whole matrix's, with |det| from ``integer_det``.  ``exchange``, the rank-one row exchange,
 must give exactly the inverse that ``integer_inverse`` gives on the
 exchanged matrix.  The integer ``farkas`` must give the Fraction simplex's
 y and u on every halfspace system, and the raw route its certificate.
@@ -145,6 +146,25 @@ def test_integer_inverse_matches_the_fraction_reference(square, data):
         assert tuple(Fraction(x, scale) for x in column) == want
     # ... and integral exactly when det B is +-1.
     assert (scale == 1) == (abs(ref.det(b)) == 1)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_inverse_columns_are_the_inverse_by_columns_with_its_det(data):
+    # On a square matrix the inverse record is the inverse of the whole
+    # matrix, column by column, with |det| agreeing with integer_det; it is
+    # None, with a short basis, exactly when the matrix is singular.
+    matrix = data.draw(matrices("int", square=True))
+    n = len(matrix)
+    kept, inverse = linalg.integer_inverse(matrix)
+    if inverse is None:
+        assert len(kept) < n and linalg.integer_det(matrix) == 0
+        return
+    assert kept == list(range(n))
+    columns, scale, det = inverse
+    assert type(det) is int and det == abs(linalg.integer_det(matrix)) > 0
+    for k, column in enumerate(columns):
+        assert tuple(Fraction(x, scale) for x in column) == ref.solve(matrix, [int(i == k) for i in range(n)])
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
