@@ -11,7 +11,8 @@ coupled Monge-Ampère continuity path.
 
 The public names below are loaded on first access (PEP 562), so that
 ``import torifano`` is cheap and numpy is imported only by the float
-routes that need it.
+routes that need it.  A cold exact command loads neither numpy nor the
+standard dataclass module: every record derives from ``_record.Record``.
 """
 
 from importlib import import_module as _import_module

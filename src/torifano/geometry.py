@@ -46,13 +46,13 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property, reduce
 from math import factorial, frexp, gcd, isfinite, lcm, prod
 from operator import and_
 
 from . import linalg
+from ._record import Record
 from .linalg import _primitive, dot
 from .errors import EmptyPolytopeError, InputError, UnboundedPolytopeError
 
@@ -98,8 +98,7 @@ def tolerance(scalars):
 # fans
 
 
-@dataclass(frozen=True)
-class Fan:
+class Fan(Record):
     """A simplicial fan given by primitive rays and maximal cones.
 
     ``max_cones`` lists index tuples into ``rays``; each maximal cone of a
@@ -194,8 +193,7 @@ class Fan:
         return columns, *step[1:]
 
 
-@dataclass(frozen=True)
-class FanReport:
+class FanReport(Record):
     smooth: bool
     complete: bool
     fano: bool
@@ -256,8 +254,7 @@ class Ampleness(enum.Enum):
     NOT_CONVEX = "NotConvex"
 
 
-@dataclass(frozen=True)
-class AmplenessReport:
+class AmplenessReport(Record):
     kind: Ampleness
     witness: tuple = None  # (cone index, ray index) where convexity fails/ties
 
@@ -333,8 +330,7 @@ def ampleness_class(fan, c):
 # polytopes
 
 
-@dataclass(frozen=True)
-class Polytope:
+class Polytope(Record, hidden=("inverses",)):
     """Bounded intersection of halfspaces with enumerated vertices.
 
     ``halfspaces[j]`` is a ``(normal, offset)`` pair for
@@ -360,7 +356,7 @@ class Polytope:
     redundant: tuple
     tol: float
     degenerate: bool = False
-    inverses: dict = field(default=None, compare=False, repr=False)
+    inverses: dict = None
 
     @property
     def nvertices(self):
@@ -665,8 +661,7 @@ def translate(polytope, t):
         raise InputError("translation has wrong dimension")
     if all(x == 0 for x in t):
         return polytope
-    return replace(
-        polytope,
+    return polytope.replace(
         halfspaces=tuple((d, c + dot(d, t)) for d, c in polytope.halfspaces),
         vertices=tuple(tuple(a + b for a, b in zip(v, t)) for v in polytope.vertices),
         tol=max(polytope.tol, tolerance(t)),
@@ -709,8 +704,7 @@ def minkowski_sum(fan, parts):
 # triangulation
 
 
-@dataclass(frozen=True)
-class SimplexMesh:
+class SimplexMesh(Record):
     """Disjoint simplices covering a polytope, as coordinate tuples.
 
     The volume and the floats that the weighted moment pass turns into
@@ -797,11 +791,13 @@ class SimplexMesh:
             if max(abs(x) for simplex in simplices for v in simplex for x in v) >= 2.0**1000:
                 scale = 2.0**24
                 simplices = [[[x / scale for x in v] for v in simplex] for simplex in simplices]
-        # A float over Fraction(n + 1) is the float over float(n + 1).
-        moment = [0] * n
+        # A float over Fraction(n + 1) is the float over float(n + 1).  A
+        # Fraction start keeps float sums plain left to right: from Python
+        # 3.12 on, sum() compensates a float sum, which moves the last bits.
+        moment, start = [0] * n, Fraction(0)
         for simplex, w in zip(simplices, factors):
-            moment = [m + w * (sum(v[i] for v in simplex) / Fraction(n + 1)) for i, m in enumerate(moment)]
-        total = sum(factors)
+            moment = [m + w * (sum((v[i] for v in simplex), start) / Fraction(n + 1)) for i, m in enumerate(moment)]
+        total = sum(factors, start)
         barycenter = tuple(m / total * scale for m in moment)
         if not exact and not all(map(isfinite, barycenter)):
             raise OverflowError("float barycenter overflows")

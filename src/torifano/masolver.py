@@ -26,11 +26,11 @@ updates stall, which is reported as an obstruction rather than an error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
+from ._record import Record
 from .errors import ConfigurationError, DomainMismatchError, InputError
 
 DEFAULT_T_SCHEDULE = (0.0, 0.25, 0.5, 0.75, 0.9, 1.0)
@@ -129,8 +129,7 @@ def _tails(state):
     return float(state.rho[0]) / decay_l, float(state.rho[-1]) / decay_r
 
 
-@dataclass(frozen=True)
-class MAState:
+class MAState(Record):
     """One point on the continuity path.
 
     ``f``, ``slopes``, ``h_ref`` and ``h_slopes`` are (k, N) arrays, one row
@@ -245,10 +244,10 @@ def ma_step_1d(state):
     cand_f = _cumtrapz(cand_slopes, dx)
     cand_f -= cand_f[:, zero_idx, None]
     if t > 0.0:
-        candidate = replace(state, f=cand_f, slopes=cand_slopes)
+        candidate = state.replace(f=cand_f, slopes=cand_slopes)
         cand_f = cand_f + math.log(candidate.mass) / (t * len(cand_f))
     update_norm = float(np.max(np.abs(cand_f - state.f)))
-    return replace(state, f=cand_f, slopes=cand_slopes, update_norm=update_norm)
+    return state.replace(f=cand_f, slopes=cand_slopes, update_norm=update_norm)
 
 
 class _Anderson:
@@ -313,8 +312,7 @@ def obstruction_residual(state):
     return float(np.trapezoid(slope_sum * density, dx=state.spacing))
 
 
-@dataclass(frozen=True)
-class DualPotential:
+class DualPotential(Record):
     p: np.ndarray
     u: np.ndarray
 
@@ -339,8 +337,7 @@ def legendre_dual(xs, fvals, p_grid):
     return DualPotential(p=p_grid, u=u)
 
 
-@dataclass(frozen=True)
-class ContinuityResult:
+class ContinuityResult(Record):
     status: str  # "Converged" | "Obstructed"
     state: MAState
     diagnostics: dict
@@ -401,7 +398,7 @@ def solve_continuity_1d(
     snapshots = []
     for t in t_schedule:
         # Warm start: the same potentials at the next path parameter.
-        state = replace(state, t=t)
+        state = state.replace(t=t)
         mixer.restart()
         x = np.concatenate((state.f, state.slopes))
         history = []
@@ -411,7 +408,7 @@ def solve_continuity_1d(
             residual = np.concatenate((swept.f, swept.slopes)) - x
             new = mixer.step(x.ravel(), residual.ravel()).reshape(x.shape)
             update_norm = float(np.max(np.abs(new[:k] - x[:k])))
-            state = replace(state, f=new[:k], slopes=new[k:], update_norm=update_norm)
+            state = state.replace(f=new[:k], slopes=new[k:], update_norm=update_norm)
             x = new
             history.append(state.update_norm)
             if abs(state.x_w) > R / 2.0:

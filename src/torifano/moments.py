@@ -24,7 +24,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+
+from ._record import Record
 
 # Taylor terms beyond the node count; after scaling every node lies within
 # 1/2 of the expansion point, so the truncation is below 1e-18 relative.
@@ -83,8 +84,7 @@ def _dd_rows(nodes):
 # the weighted moment pass
 
 
-@dataclass(frozen=True)
-class WeightedMoments:
+class WeightedMoments(Record):
     """Moments of the measure e^{<V,p>} dp on a polytope.
 
     The mass Vol_V(P) is e^shift * scaled_mass, with shift the largest

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
+from ._record import Record
 from .errors import InputError, UnknownExampleError
 from .geometry import tolerance
 
@@ -69,8 +69,7 @@ def _int_vector(value, length, where):
     return value
 
 
-@dataclass(frozen=True)
-class ProblemDocument:
+class ProblemDocument(Record):
     name: str
     dimension: int
     rays: tuple | None = None
@@ -78,8 +77,12 @@ class ProblemDocument:
     decomposition: tuple | None = None
     halfspaces: tuple | None = None
     vector_fields: tuple | None = None
-    options: dict = field(default_factory=dict)
+    options: dict = None  # None builds a fresh {}
     notes: tuple = ()
+
+    def __post_init__(self):
+        if self.options is None:
+            object.__setattr__(self, "options", {})
 
     @property
     def k(self):

@@ -11,10 +11,10 @@ common soliton field is the minimizer of the strictly convex log-mass sum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import moments
+from ._record import Record
 from .errors import DegenerateLiftError, InputError
 from .geometry import (
     Ampleness,
@@ -79,8 +79,7 @@ class Decomposition:
         return all(p.tol == 0 for p in self.polytopes)
 
 
-@dataclass(frozen=True)
-class DecompositionReport:
+class DecompositionReport(Record):
     k: int
     row_ampleness: tuple
     column_sums: tuple
@@ -168,8 +167,7 @@ def destabilizer(decomposition):
     return tuple(-x for x in s)
 
 
-@dataclass(frozen=True)
-class KEVerdict:
+class KEVerdict(Record):
     exists: bool
     sum_barycenter: tuple
     destabilizer: tuple
@@ -195,8 +193,7 @@ def coupled_ke_verdict(decomposition, tol=KE_FLOAT_TOL):
     )
 
 
-@dataclass(frozen=True)
-class SolitonResidual:
+class SolitonResidual(Record):
     total: tuple
     per_polytope: tuple
 
@@ -223,8 +220,7 @@ def soliton_residual(decomposition, vfields):
     return SolitonResidual(total=total, per_polytope=per)
 
 
-@dataclass(frozen=True)
-class SolitonSolution:
+class SolitonSolution(Record):
     vfield: tuple
     residual_norm: float
     iterations: int
@@ -302,8 +298,7 @@ def solve_soliton(decomposition, tol=1e-11, max_iter=50, start=None):
     return solution(iterations, float(np.linalg.norm(sum(np.array(p.barycenter) for p in current))))
 
 
-@dataclass(frozen=True)
-class DFReport:
+class DFReport(Record):
     value: object
     vfield: tuple
     sum_barycenter: tuple
@@ -319,8 +314,7 @@ def df_invariant(decomposition, vfield):
     return DFReport(value=value, vfield=v, sum_barycenter=s)
 
 
-@dataclass(frozen=True)
-class LiftedConfig:
+class LiftedConfig(Record):
     polytope: object
     cap: object
     vfield: tuple

@@ -2,7 +2,6 @@
 
 import math
 import tracemalloc
-from dataclasses import replace
 from decimal import Decimal, localcontext
 from types import SimpleNamespace
 
@@ -55,7 +54,7 @@ def test_exact_solution_is_near_fixed_point():
     state = initial_state([(-1.0, 1.0)], t=1.0)
     exact_f = fs_exact(state.xs)
     exact_slope = np.tanh(state.xs / 2.0)
-    state = replace(state, f=exact_f[None, :], slopes=exact_slope[None, :])
+    state = state.replace(f=exact_f[None, :], slopes=exact_slope[None, :])
     stepped = ma_step_1d(state)
     assert stepped.update_norm < 1e-5
 
@@ -168,7 +167,7 @@ def test_per_step_transport_identity_on_wide_grid():
 
     for t in (0.0, 0.5):
         state = initial_state(PAIR, vfields=(0.3, -0.2), R=21.0, spacing=0.02)
-        state = replace(state, t=t)
+        state = state.replace(t=t)
         for _ in range(5):
             state = ma_step_1d(state)
             for (a, b), v, slope in zip(state.intervals, state.vfields, state.slopes):
@@ -185,7 +184,7 @@ def test_stage_zero_is_a_one_step_fixed_point():
 
 
 def test_sweeps_preserve_convexity_and_slope_range():
-    state = replace(initial_state(PAIR, vfields=(0.5, -0.5)), t=0.75)
+    state = initial_state(PAIR, vfields=(0.5, -0.5)).replace(t=0.75)
     zero_idx = len(state.xs) // 2
     for _ in range(30):
         state = ma_step_1d(state)
@@ -434,7 +433,7 @@ def _relaxed_step(state, relaxation):
     swept = ma_step_1d(state)
     new_f = (1 - relaxation) * state.f + relaxation * swept.f
     new_slopes = (1 - relaxation) * state.slopes + relaxation * swept.slopes
-    return replace(swept, f=new_f, slopes=new_slopes, update_norm=float(np.max(np.abs(new_f - state.f))))
+    return swept.replace(f=new_f, slopes=new_slopes, update_norm=float(np.max(np.abs(new_f - state.f))))
 
 
 def _assert_same_bits(stacked, ref):
@@ -461,7 +460,7 @@ TRIPLE = ((-1.0, 0.5), (-0.5, 0.5), (-0.5, 1.0))
     ],
 )
 def test_stacked_sweep_matches_per_part_sweep(intervals, vfields, t, relaxation):
-    state = replace(initial_state(intervals, vfields, R=6.0, spacing=0.02), t=t)
+    state = initial_state(intervals, vfields, R=6.0, spacing=0.02).replace(t=t)
     ref = _ref_diagnose(
         state.t, state.xs, state.spacing, state.intervals, state.vfields,
         tuple(state.f), tuple(state.slopes), tuple(state.h_ref), tuple(state.h_slopes),
@@ -575,7 +574,7 @@ def _picard_continuity(intervals, vfields, tol, R=8.0, max_iter=2500, relaxation
     state = initial_state(intervals, vfields, R=R)
     residual = sum(_picard_mean(a, b, v) for (a, b), v in zip(intervals, vfields))
     for t in DEFAULT_T_SCHEDULE:
-        state = replace(state, t=t)
+        state = state.replace(t=t)
         history = []
         for _ in range(max_iter):
             state = _relaxed_step(state, relaxation)

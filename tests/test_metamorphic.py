@@ -11,7 +11,6 @@ integer matrices for linalg's rank and kernel vector.
 import itertools
 import math
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -63,7 +62,7 @@ def decompositions(draw, docs=st.sampled_from(FAN_SPECS).map(builtin_example)):
         tuple(Fraction(w, sum(weights)) * c + sum(a * b for a, b in zip(d, t)) for c, d in zip(first, doc.rays))
         for w, t in zip(weights, shifts)
     )
-    return replace(doc, decomposition=pieces + tuple(rest))
+    return doc.replace(decomposition=pieces + tuple(rest))
 
 
 P1_CUBED = ProblemDocument(
@@ -87,7 +86,7 @@ def raw_documents(draw):
         tuple((d, c + sign * sum(a * b for a, b in zip(d, shift))) for d, c in part)
         for part, sign in zip(doc.halfspaces, (1, -1))
     )
-    return replace(doc, halfspaces=parts)
+    return doc.replace(halfspaces=parts)
 
 
 higher = st.one_of(raw_documents(), decompositions(st.just(P1_CUBED)))
@@ -96,11 +95,10 @@ higher = st.one_of(raw_documents(), decompositions(st.just(P1_CUBED)))
 def _permute_rows(doc, draw):
     """The same problem with its halfspace rows (a fan's rays) reordered."""
     if doc.halfspaces is not None:
-        return replace(doc, halfspaces=tuple(tuple(draw(st.permutations(part))) for part in doc.halfspaces))
+        return doc.replace(halfspaces=tuple(tuple(draw(st.permutations(part))) for part in doc.halfspaces))
     perm = draw(st.permutations(range(len(doc.rays))))
     new_index = {old: new for new, old in enumerate(perm)}
-    return replace(
-        doc,
+    return doc.replace(
         rays=tuple(doc.rays[old] for old in perm),
         max_cones=tuple(tuple(new_index[i] for i in cone) for cone in doc.max_cones),
         decomposition=tuple(tuple(row[old] for old in perm) for row in doc.decomposition),
@@ -116,9 +114,9 @@ def _rows_keep_the_reports(doc, draw):
 def _parts_permute_the_part_entries(doc, draw):
     perm = draw(st.permutations(range(doc.k)))
     if doc.halfspaces is not None:
-        moved = replace(doc, halfspaces=tuple(doc.halfspaces[i] for i in perm))
+        moved = doc.replace(halfspaces=tuple(doc.halfspaces[i] for i in perm))
     else:
-        moved = replace(doc, decomposition=tuple(doc.decomposition[i] for i in perm))
+        moved = doc.replace(decomposition=tuple(doc.decomposition[i] for i in perm))
     before, after = _outcome("barycenter", doc), _outcome("barycenter", moved)
     assert after["results"]["parts"] == [before["results"]["parts"][i] for i in perm]
     assert after["results"]["sum_barycenter"] == before["results"]["sum_barycenter"]
@@ -174,7 +172,7 @@ def test_lattice_change_maps_the_soliton_field(spec, steps):
     for row, sign in steps:
         u[row] += sign * u[1 - row]
     doc = builtin_example(spec)
-    moved = replace(doc, rays=tuple(tuple(int(x) for x in u @ d) for d in doc.rays))
+    moved = doc.replace(rays=tuple(tuple(int(x) for x in u @ d) for d in doc.rays))
     v = solve_soliton(cli._decomposition(doc))
     w = solve_soliton(cli._decomposition(moved))
     assert v.converged and w.converged
@@ -196,9 +194,9 @@ def test_lattice_change_maps_the_barycenters_in_higher_dimension(doc, data):
         return tuple(int(x) for x in u @ np.array(d))
 
     if doc.halfspaces is not None:
-        moved = replace(doc, halfspaces=tuple(tuple((move(d), c) for d, c in part) for part in doc.halfspaces))
+        moved = doc.replace(halfspaces=tuple(tuple((move(d), c) for d, c in part) for part in doc.halfspaces))
     else:
-        moved = replace(doc, rays=tuple(move(d) for d in doc.rays))
+        moved = doc.replace(rays=tuple(move(d) for d in doc.rays))
     before, after = cli._decomposition(doc), cli._decomposition(moved)
 
     def back(b):
@@ -338,9 +336,9 @@ def test_cone_sums_equal_the_triangulation_under_lattice_changes(seed, doc):
         return tuple(linalg.dot(row, d) for row in u)
 
     if doc.halfspaces is not None:
-        moved = replace(doc, halfspaces=tuple(tuple((move(d), c) for d, c in part) for part in doc.halfspaces))
+        moved = doc.replace(halfspaces=tuple(tuple((move(d), c) for d, c in part) for part in doc.halfspaces))
     else:
-        moved = replace(doc, rays=tuple(move(d) for d in doc.rays))
+        moved = doc.replace(rays=tuple(move(d) for d in doc.rays))
     for before, after in zip(cli._decomposition(doc).polytopes, cli._decomposition(moved).polytopes):
         mesh = triangulate(after)
         assert moments.volume(after) == mesh.volume == moments.volume(before)

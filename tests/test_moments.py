@@ -1,6 +1,5 @@
 """Exact moments and the two weighted-integration routes."""
 
-import dataclasses
 import decimal
 import itertools
 import math
@@ -160,7 +159,7 @@ def test_cone_sums_equal_the_triangulation_on_the_builtins(spec):
             assert_mesh_matches_the_reference(triangulate(lifted_config(polytope, v).polytope))
         # A fan part's cones reuse its fan's inverses and equal those of its facet rows alone.
         assert (polytope.inverses is not None) == (doc.halfspaces is None)
-        assert polytope.cones == dataclasses.replace(polytope, inverses=None).cones
+        assert polytope.cones == polytope.replace(inverses=None).cones
         assert_cone_sums_match_the_mesh(polytope)
 
 

@@ -96,6 +96,41 @@ def test_only_the_float_solvers_import_numpy_at_module_level():
     assert SOURCES and found == []
 
 
+def test_no_package_module_imports_dataclasses():
+    # Records derive from torifano._record.Record: importing dataclasses
+    # would load inspect and ast into every command.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and any(name.partition(".")[0] == "dataclasses" for name in _imported_modules(node))
+    ]
+    assert SOURCES and found == []
+
+
+# A cold ``python -m torifano validate --example p2``, then the heavy
+# modules it left loaded.  -S keeps site's .pth hooks out of the count.
+_COLD_VALIDATE = """
+import contextlib, io, json, runpy, sys
+sys.argv, code = ["torifano", "validate", "--example", "p2"], None
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        runpy.run_module("torifano", run_name="__main__", alter_sys=True)
+    except SystemExit as exc:
+        code = exc.code
+print(json.dumps([code, sorted({"dataclasses", "inspect", "numpy"} & set(sys.modules))]))
+"""
+
+
+def test_a_cold_exact_command_loads_no_dataclasses_inspect_or_numpy():
+    package_root = str(Path(torifano.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (package_root, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-S", "-c", _COLD_VALIDATE], capture_output=True, text=True, env=env,
+                          timeout=120, check=True)
+    assert json.loads(proc.stdout) == [0, []]
+
+
 def test_geometry_never_imports_numpy():
     # Vertex enumeration (integers) and triangulation need no numpy, so no
     # command on any document loads it through them; the weighted moment
