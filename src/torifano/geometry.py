@@ -1,41 +1,27 @@
 """Fans, support vectors, polytopes, their tangent cones, and triangulation.
 
-The combinatorial layer works over ``fractions.Fraction`` whenever the input
-data is rational, so smoothness, completeness, ampleness, vertex positions,
-volumes and barycenters are exact.  Float offsets are accepted for the few
-workflows that genuinely need irrational parameters; those go through the
-same code paths with a small absolute tolerance.  :func:`tolerance` makes
-that choice once per polytope, from its own data, and the polytope carries
-it.
+Every polytope is exact: its vertices are ints and Fractions, a float in
+its data entering by its exact binary value, so vertex positions, volumes
+and barycenters are those of rational data.  Float data, for the few
+workflows that need irrational parameters, takes the same code paths,
+and a small absolute tolerance decides only what a report shows:
+tightness and the nef test, ampleness, vertex merging and redundancy.
+:func:`tolerance` makes that choice once per polytope, from its own
+data, and the polytope carries it.  A float polytope's exact values are
+rounded to floats once each, by :func:`_rounded`.
 
 A fan knows each maximal cone's ray matrix inverse, ``Fan.cone_columns``,
-as integer columns over one scale: smoothness is read off the scale, and a
-cone's vertex is one integer product with the rows, over the lcm of the
-support's denominators.  It eliminates one seed cone per connected part
-of its dual graph and reaches every other cone across a wall, by the
-rank-one step :func:`linalg.exchange`.
-
-Each polytope's derived data is computed in one place, from one incidence
-record per vertex: an int bitmask of the halfspaces tight there.  Each
-vertex route hands over the record it has.  Per maximal cone from support
-numbers, the record is read off the cone's integer slack row beside the
-nef test, where a float row is compared with the tolerance, the one place
-where a tolerance decides tightness; by double description from raw
-halfspaces, a vertex's record is its ray's exact zero set.  The polytope's
-tight sets, redundancy flags and dimension are read off the records.  An
-exact polytope reads its vertices' tangent cones, ``Polytope.cones``, off
-its tight facet rows, a fan part reusing the fan's cone inverses; a
-simple vertex's cone is weighed from its inverse, with no determinant, and
-a non-simple vertex's cone is split by the pulling recursion that also
-triangulates; its exact volume and barycenter,
-``Polytope.cone_sums``, are Lawrence-Brion sums over those cones.  The
-triangulation itself, ``Polytope.mesh``, is computed on first use for the
-weighted pass and for float polytopes, and the lift check triangulates its
-lifted polytope for an exact volume independent of the cone sums.  An
-exact mesh's volume factors are Bareiss determinants of integer edge rows,
-and its volume is summed in integers, so it builds Fractions only for the
-value it returns.  Double description, the cone data and exact meshes run
-in integers, so nothing needs numpy.
+as integer columns over one scale, found by wall crossing
+(:func:`linalg.exchange`) from one seed cone per connected part of its
+dual graph.  Each polytope's derived data is read off one incidence
+record per vertex, an int bitmask of the halfspaces tight there: the fan
+route reads it off a cone's integer slack row, the one place where a
+tolerance decides tightness, and double description off a ray's exact
+zero set.  ``Polytope.cones`` are the vertices' tangent cones and
+``Polytope.cone_sums`` the exact volume and barycenter summed over them
+(Lawrence-Brion); the triangulation ``Polytope.mesh`` serves the weighted
+pass and the lift check.  Double description, the cone data and meshes
+run in integers, so nothing needs numpy.
 
 Conventions: a ray is a primitive integer column vector; a support vector
 ``c`` over a fan with rays ``d_j`` cuts out ``P = {x : <d_j, x> >= -c_j}``.
@@ -48,7 +34,7 @@ import enum
 import itertools
 from fractions import Fraction
 from functools import cached_property, reduce
-from math import factorial, frexp, gcd, isfinite, lcm, prod
+from math import factorial, gcd, lcm, prod
 from operator import and_
 
 from . import linalg
@@ -82,6 +68,22 @@ def _over_lcm(xs):
     """``(scale, ints)``: rationals ``xs`` as ints over the lcm of their denominators."""
     scale = lcm(*(x.denominator for x in xs))
     return scale, [x.numerator * (scale // x.denominator) for x in xs]
+
+
+# The least magnitude that rounds to an infinite float, half an ulp above the largest.
+_FLOAT_EDGE = 2**1024 - 2**970
+
+
+def _rounded(x, what, d=1):
+    """The float nearest ``x / d``, an int over an int d > 0, or an int or Fraction x alone.
+
+    Int true division rounds correctly, as ``float`` of a Fraction does; a
+    result past the float range raises OverflowError naming ``what``.
+    """
+    try:
+        return x / d if d > 1 else float(x)
+    except OverflowError:
+        raise OverflowError(f"float {what} overflows") from None
 
 
 def tolerance(scalars):
@@ -264,21 +266,22 @@ def _cone_vertices(fan, c, tol):
 
     A cone's vertex v is where its rays' halfspaces are tight, v = -D^-1 c over
     the cone, and its slack row holds <d_j, v> + c_j for every ray j, the
-    cone's own included.  Exact ``c`` is scaled by the lcm u of its
-    denominators to integers C; a cone whose inverse is R / s, R the rows of
-    its ``Fan.cone_columns``, then has the integer vertex -R C and slack row
-    <d_j, -R C> + s C_j over the positive denominator s u, so every sign is
-    read off ints and only the vertices become Fractions, at the end.  Float
-    ``c`` runs the same lines with u = 1.  A ray outside the cone with slack
-    below -tol breaks convexity, and the vertices and masks found up to there
-    come back; a slack within tol is the nef boundary.  The same row gives the
-    cone's mask, an int with bit j set where ray j is tight: where the exact
-    slack is 0, or the float slack over its denominator is within tol in
-    magnitude, the one place where a tolerance decides that a halfspace is
-    tight.  A float vertex or slack that overflowed is an input error, since it
-    would compare false against both bounds.
+    cone's own included.  ``c`` is scaled by the lcm u of its denominators to
+    integers C, floats by their exact binary value; a cone whose inverse is
+    R / s, R the rows of its ``Fan.cone_columns``, then has the integer
+    vertex -R C and slack row <d_j, -R C> + s C_j over s u, so every sign
+    is read off ints and only the vertices become Fractions, at the end.
+    The tolerance p / q compares in ints too: the row holds q times the
+    slacks, each within tol where at most p s u in magnitude.  A ray
+    outside the cone with slack below -tol breaks convexity, and the
+    vertices and masks found up to there come back; a slack within tol is
+    the nef boundary.  The cone's mask has bit j set where ray j's slack is
+    within tol of 0, the one place where a tolerance decides tightness.  A
+    float support's vertex that rounds past the float range is an input
+    error, since its polytope is rounded.
     """
-    unit, ints = (1, c) if tol else _over_lcm(c)
+    unit, ints = _over_lcm(_exact(c))
+    p, q = tol.as_integer_ratio()
     found, nef_witness, amp = [], None, None
     for ci, (cone, inverse) in enumerate(zip(fan.max_cones, fan.cone_columns)):
         if inverse is None:
@@ -286,14 +289,12 @@ def _cone_vertices(fan, c, tol):
         columns, scale, _ = inverse
         offsets = [ints[j] for j in cone]
         v = [-dot(row, offsets) for row in zip(*columns)]
-        row = [dot(ray, v) + scale * cj for ray, cj in zip(fan.rays, ints)]
+        row = [q * (dot(ray, v) + scale * cj) for ray, cj in zip(fan.rays, ints)]
         scale *= unit
-        # Ints and Fractions cannot overflow; only float entries are checked.
-        if tol and not all(isfinite(x) for x in (*v, *row) if isinstance(x, float)):
+        if tol and any(abs(x) >= _FLOAT_EDGE * scale for x in v):
             raise InputError(f"the vertex of cone {list(cone)} overflows the float range")
-        tight = (abs(x / scale) <= tol for x in row) if tol else (not x for x in row)
-        found.append((v, sum(1 << j for j, t in enumerate(tight) if t), scale))
-        bound = tol * scale
+        bound = p * scale
+        found.append((v, sum(1 << j for j, x in enumerate(row) if abs(x) <= bound), scale))
         witness = next((j for j, slack in enumerate(row) if j not in cone and slack < -bound), None)
         if witness is not None:
             amp = AmplenessReport(Ampleness.NOT_CONVEX, (ci, witness))
@@ -302,8 +303,7 @@ def _cone_vertices(fan, c, tol):
             nef_witness = next(((ci, j) for j, slack in enumerate(row) if j not in cone and slack <= bound), None)
     if amp is None:
         amp = AmplenessReport(Ampleness.AMPLE if nef_witness is None else Ampleness.NEF_ONLY, nef_witness)
-    build = (lambda x, d: x / d) if tol else Fraction
-    vertices = [tuple(build(x, d) for x in v) for v, _, d in found]
+    vertices = [tuple(Fraction(x, d) for x in v) for v, _, d in found]
     return vertices, [mask for _, mask, _ in found], amp
 
 
@@ -330,23 +330,25 @@ def ampleness_class(fan, c):
 # polytopes
 
 
-class Polytope(Record, hidden=("inverses",)):
+class Polytope(Record, hidden=("inverses", "binary")):
     """Bounded intersection of halfspaces with enumerated vertices.
 
     ``halfspaces[j]`` is a ``(normal, offset)`` pair for
     ``<normal, x> >= -offset``; ``tight_sets[j]`` lists the vertex indices on
     its boundary and ``redundant[j]`` flags halfspaces whose tight set spans
-    less than a facet.  ``tol`` is the :func:`tolerance` of the halfspace
-    data, 0 when it is exact: tight sets, vertex merging, the triangulation
-    and every verdict on the polytope compare within it, and ``tol == 0`` is
-    what "exact" means downstream.  ``degenerate`` marks empty or
-    lower-dimensional intersections, which carry no mesh and no cones;
-    ``mesh`` is the :func:`triangulate` mesh of any other polytope,
+    less than a facet.  Vertices are exact.  ``tol`` is the
+    :func:`tolerance` of the halfspace data, 0 when it is exact: tight sets,
+    vertex merging and every verdict on the polytope compare within it, and
+    ``tol == 0`` is what "exact" means downstream.  ``degenerate`` marks
+    empty or lower-dimensional intersections, which carry no mesh and no
+    cones; ``mesh`` is the :func:`triangulate` mesh of any other polytope,
     ``cones`` its vertices' tangent cones and ``cone_sums`` its exact volume
-    and barycenter, each kept once computed.  ``inverses`` maps a tuple of
-    integer rows to the ``(columns, scale, det)`` inverse of their matrix
-    that :func:`linalg.integer_inverse` gives, where the route that built
-    the polytope has it already.
+    and barycenter, each kept once computed, and ``binary``'s mesh and
+    cone sums where that is set: the polytope of the same exact vertices
+    with tol 0, where the tolerance merged or tightened some.  ``inverses``
+    maps a tuple of integer rows to the ``(columns, scale, det)`` inverse of
+    their matrix that :func:`linalg.integer_inverse` gives, where the route
+    that built the polytope has it already.
     """
 
     dim: int
@@ -357,6 +359,7 @@ class Polytope(Record, hidden=("inverses",)):
     tol: float
     degenerate: bool = False
     inverses: dict = None
+    binary: object = None
 
     @property
     def nvertices(self):
@@ -364,8 +367,8 @@ class Polytope(Record, hidden=("inverses",)):
 
     @cached_property
     def mesh(self):
-        """The :func:`triangulate` mesh, computed on first use."""
-        return triangulate(self)
+        """The :func:`triangulate` mesh, ``binary``'s where it is set, computed on first use."""
+        return self.binary.mesh if self.binary else triangulate(self)
 
     @cached_property
     def cones(self):
@@ -380,23 +383,23 @@ class Polytope(Record, hidden=("inverses",)):
         ``inverses`` or from :func:`linalg.integer_inverse`; any other
         vertex's cone is split by :func:`_pulling` over its
         :func:`_extreme_rays`, whose facets are the rows' zero sets, and
-        each piece's weight is an :func:`linalg.integer_det`.  Exact
-        polytopes only.
+        each piece's weight is an :func:`linalg.integer_det`.  Float
+        normals enter by their exact binary value.
         """
-        if self.degenerate or self.tol:
-            raise InputError("tangent cones need an exact full-dimensional polytope")
+        if self.degenerate:
+            raise InputError("tangent cones need a full-dimensional polytope")
         tight = [{} for _ in self.vertices]
         for (d, _), members, redundant in zip(self.halfspaces, self.tight_sets, self.redundant):
             if not redundant:
-                row = _primitive(_over_lcm(d)[1])
+                row = _primitive(_over_lcm(_exact(d))[1])
                 for i in members:
                     tight[i][row] = None
         return tuple(_split_cone(tuple(rows), self.inverses or {}) for rows in tight)
 
     @cached_property
     def cone_sums(self):
-        """``(Vol(P), b(P))``, exact, by :func:`_cone_sums` over ``cones``."""
-        return _cone_sums(self)
+        """``(Vol(P), b(P))``, exact, by :func:`_cone_sums` over ``cones``, ``binary``'s where it is set."""
+        return self.binary.cone_sums if self.binary else _cone_sums(self)
 
 
 def _piece(generators):
@@ -474,17 +477,17 @@ def _cone_sums(polytope):
     return mass / factorial(n), tuple(m / ((n + 1) * mass) for m in moment)
 
 
-def _polytope(dim, halfspaces, candidates, tight, tol, inverses=None):
+def _polytope(dim, halfspaces, candidates, tight, tol, inverses=None, exact=None):
     """The polytope of valid ``halfspaces`` whose vertices are ``candidates``.
 
     ``tight[i]`` is the incidence record of candidate i, an int bitmask of
-    the halfspaces tight there, as the vertex route found it.  Candidates
-    within tol of an earlier kept one merge into it with the union of their
-    masks, and everything else is read off the masks.  Tight sets are their
-    transpose.  The rows tight at every vertex are the implicit equalities,
-    which cut out the affine hull, so its rank is dim minus the rank of
-    their normals (Schrijver, Theory of Linear and Integer Programming,
-    section 8.2), and -1 without vertices.  The normals are ranked as
+    the halfspaces tight there, as the vertex route found it.  Equal
+    candidates merge with the union of their masks, and on a float polytope
+    so does a new one whose rounded floats lie within tol of a kept one's.
+    Tight sets are the masks' transpose.  The rows tight at every vertex
+    are the implicit equalities, which cut out the affine hull, so its rank
+    is dim minus the rank of their normals (Schrijver, Theory of Linear and
+    Integer Programming, section 8.2), and -1 without vertices.  The normals are ranked as
     integer rows, floats by their exact binary value, the values on which
     double description decides tightness too.  Facets of a full-dimensional polytope are its
     inclusion-maximal proper faces, and each is the tight set of some
@@ -494,13 +497,22 @@ def _polytope(dim, halfspaces, candidates, tight, tol, inverses=None):
     its vertices, and a lower one none.  A row with a zero normal cuts
     nothing, so it is redundant even where it is tight at every vertex.
     ``inverses`` are the route's known inverses, kept for ``Polytope.cones``.
+    ``exact`` are the candidates' exact masks where ``tight`` are not; with
+    them, or where distinct candidates merged, ``binary`` is the polytope
+    of the candidates with their exact masks and tol 0.
     """
-    merged, masks = {}, []
+    keys, masks, rounded, split = {}, [], [], False
     for v, mask in zip(candidates, tight):
-        if tol:
-            v = next((w for w in merged if all(abs(a - b) <= tol for a, b in zip(v, w))), v)
         # One hash of v: a tuple of Fractions hashes at a modular inverse each.
-        k = merged.setdefault(v, len(masks))
+        k = keys.setdefault(v, len(masks))
+        if tol and k == len(masks):
+            point = tuple(_rounded(x, "vertex") for x in v)
+            k = next((i for w, i in rounded if all(abs(a - b) <= tol for a, b in zip(point, w))), k)
+            if k < len(masks):
+                del keys[v]
+                split = True
+            else:
+                rounded.append((point, k))
         if k < len(masks):
             masks[k] |= mask
         else:
@@ -522,12 +534,13 @@ def _polytope(dim, halfspaces, candidates, tight, tol, inverses=None):
     return Polytope(
         dim=dim,
         halfspaces=halfspaces,
-        vertices=tuple(merged),
+        vertices=tuple(keys),
         tight_sets=tight_sets,
         redundant=redundant,
         tol=tol,
         degenerate=hull_rank < dim,
         inverses=inverses,
+        binary=_polytope(dim, halfspaces, candidates, exact or tight, 0, inverses) if split or exact else None,
     )
 
 
@@ -542,11 +555,19 @@ def polytope_from_support(fan, c, cones=None):
     ``c`` when the caller has solved the cones already.  The polytope keeps
     the fan's cone inverses by columns, so the tangent cone of a vertex
     tight on exactly one maximal cone's rays is read off that cone's
-    inverse, and no fan cone is inverted again.
+    inverse, and no fan cone is inverted again.  An Ample support's masks
+    are exact: its cone rays have slack 0, the others more than tol.  A
+    float support NefOnly within tol may leave a ray that is tight within
+    tol slack at its binary value, or violate it, so its cones are solved
+    again with tol 0, for the exact masks of ``Polytope.binary`` and for
+    convexity at that value.
     """
     c = _support(fan, c)
     tol = tolerance(c)
     vertices, tight, amp = cones or _cone_vertices(fan, c, tol)
+    exact = None
+    if tol and amp.kind is Ampleness.NEF_ONLY:
+        _, exact, amp = _cone_vertices(fan, c, 0)
     if amp.kind is Ampleness.NOT_CONVEX:
         ci, j = amp.witness
         raise InputError(
@@ -557,7 +578,7 @@ def polytope_from_support(fan, c, cones=None):
         for cone, inverse in zip(fan.max_cones, fan.cone_columns)
         if inverse
     }
-    return _polytope(fan.dim, tuple(zip(fan.rays, c)), vertices, tight, tol, inverses)
+    return _polytope(fan.dim, tuple(zip(fan.rays, c)), vertices, tight, tol, inverses, exact)
 
 
 def _extreme_rays(rows):
@@ -603,9 +624,9 @@ def polytope_from_halfspaces(halfspaces):
     cone C = {(x, t) : s_j (<d_j, x> + c_j t) >= 0, t >= 0}.  The extreme
     rays y of C with t > 0 are the vertices, sorted, so that the polytope
     does not depend on row order, and each one's zero set is its exact
-    incidence record.  Float rows round the vertices, which then merge
-    within the tolerance, the :func:`tolerance` of these rows alone, and a
-    merged vertex is tight on every row that one of its parts was tight on.
+    incidence record.  On float rows they merge within the tolerance, the
+    :func:`tolerance` of these rows alone, and a merged vertex is tight on
+    every row that one of its parts was tight on.
     A ray with t = 0 is reported as unbounded.  Without vertices the system
     is empty, as one LP on the integer rows a_j certifies (Farkas), or its
     normals do not span and it has lines, along a primitive integer kernel
@@ -640,8 +661,7 @@ def polytope_from_halfspaces(halfspaces):
     if direction is not None:
         raise UnboundedPolytopeError(f"unbounded along {list(direction)}", direction=direction)
 
-    vertices = [tuple(map(float, v)) if tol else v for v, _ in bounded]
-    return _polytope(n, tuple(hs), vertices, [z for _, z in bounded], tol)
+    return _polytope(n, tuple(hs), [v for v, _ in bounded], [z for _, z in bounded], tol)
 
 
 def support_function(polytope, u):
@@ -655,16 +675,18 @@ def support_function(polytope, u):
 
 
 def translate(polytope, t):
-    """Translate a polytope; offsets shift by <d_j, t>."""
+    """Translate a polytope; offsets shift by <d_j, t>, vertices exactly by t's exact value."""
     t = _vec(t)
     if len(t) != polytope.dim:
         raise InputError("translation has wrong dimension")
     if all(x == 0 for x in t):
         return polytope
+    shift = _exact(t)
     return polytope.replace(
         halfspaces=tuple((d, c + dot(d, t)) for d, c in polytope.halfspaces),
-        vertices=tuple(tuple(a + b for a, b in zip(v, t)) for v in polytope.vertices),
+        vertices=tuple(tuple(a + b for a, b in zip(v, shift)) for v in polytope.vertices),
         tol=max(polytope.tol, tolerance(t)),
+        binary=polytope.binary and translate(polytope.binary, t),
     )
 
 
@@ -707,19 +729,14 @@ def minkowski_sum(fan, parts):
 class SimplexMesh(Record):
     """Disjoint simplices covering a polytope, as coordinate tuples.
 
-    The volume and the floats that the weighted moment pass turns into
-    arrays are computed on first use and kept here.  An exact mesh, one
-    whose coordinates have :func:`tolerance` 0, works in integers: each
+    One exact code path, floats at their binary value, in integers: each
     distinct vertex is cleared of its denominators once, a simplex whose
     vertices' denominators have the lcm d is taken over d, and its volume
-    factor (dim! times its volume) is the Bareiss
-    :func:`linalg.integer_det` of its integer edge rows over d^n.  The
-    exact volume sums those ints over each d and builds one Fraction per
-    d, so a mesh whose vertices have many denominators never forms their
-    lcm; its factors, as Fractions, and its exact barycenter are built only
-    when read, and an exact polytope's barycenter is its cone sums'.  A
-    float mesh's factor is the :func:`linalg.det` of its edge rows; its
-    volume or barycenter raises OverflowError where it is not finite.
+    factor (dim! times its volume) is the Bareiss :func:`linalg.integer_det`
+    of its integer edge rows over d^n.  The volume sums those ints over each
+    d, with one Fraction per d; the factors and barycenter are Fractions
+    built only when read, and ``floats``, for the weighted pass, rounds
+    once.  Each is computed on first use and kept.
     """
 
     simplices: tuple
@@ -729,24 +746,16 @@ class SimplexMesh(Record):
         return len(self.simplices[0]) - 1 if self.simplices else 0
 
     @cached_property
-    def _cleared(self):
-        """Each distinct vertex of an exact mesh as ``(denominator, ints)``, or None.
-
-        Vertices are keyed by identity, since a triangulation shares its
-        vertex tuples among its simplices, which keep them alive.  None
-        for a float mesh.
-        """
-        points = {id(v): v for simplex in self.simplices for v in simplex}
-        if tolerance(x for v in points.values() for x in v):
-            return None
-        return {key: _over_lcm(v) for key, v in points.items()}
-
-    @cached_property
     def _dets(self):
-        """Per simplex of an exact mesh, ``(det, d)``: its vertices over d in ints, its factor det / d^n."""
-        dets = []
+        """Per simplex, ``(det, d)``: its vertices over d in ints, its factor det / d^n.
+
+        Vertices are cleared once each, keyed by identity, since a
+        triangulation shares its vertex tuples among its simplices, which
+        keep them alive.
+        """
+        cleared, dets = {}, []
         for simplex in self.simplices:
-            found = [self._cleared[id(v)] for v in simplex]
+            found = [cleared.get(id(v)) or cleared.setdefault(id(v), _over_lcm(_exact(v))) for v in simplex]
             d = lcm(*(scale for scale, _ in found))
             rows = [ints if scale == d else [x * (d // scale) for x in ints] for scale, ints in found]
             dets.append((abs(linalg.integer_det([[a - b for a, b in zip(p, rows[0])] for p in rows[1:]])), d))
@@ -754,19 +763,12 @@ class SimplexMesh(Record):
 
     @cached_property
     def factors(self):
-        """Each simplex's volume times dim!, the |det| of its edge rows: Fractions on an exact mesh."""
-        if self._cleared is None:
-            return tuple(abs(linalg.det([[a - b for a, b in zip(p, s[0])] for p in s[1:]])) for s in self.simplices)
+        """Each simplex's volume times dim!, the |det| of its edge rows, as a Fraction."""
         return tuple(Fraction(det, d**self.dim) for det, d in self._dets)
 
     @cached_property
     def volume(self):
         n = self.dim
-        if self._cleared is None:
-            volume = sum(self.factors, Fraction(0)) / factorial(n)
-            if not isfinite(volume):
-                raise OverflowError("float volume overflows")
-            return volume
         masses = {}
         for det, d in self._dets:
             masses[d] = masses.get(d, 0) + det
@@ -774,43 +776,26 @@ class SimplexMesh(Record):
 
     @cached_property
     def barycenter(self):
-        """Volume-weighted centroid, exact on an exact mesh."""
+        """Volume-weighted centroid, as Fractions."""
         n = self.dim
-        factors, simplices, scale = self.factors, self.simplices, 1
+        factors = self.factors
         if not any(factors):
             raise InputError("zero-volume mesh has no barycenter")
-        exact = self._cleared is not None
-        if not exact:
-            # Over a power of two near the largest factor, which is exact, no
-            # weight times a centroid overflows where the barycenter would not.
-            unit = Fraction(2) ** (frexp(max(factors))[1] - 1)
-            factors = [w / unit for w in factors]
-            # Coordinates from 2^1000 up are divided by 2^24 first, exactly
-            # but for subnormals, so that no centroid's coordinate sum
-            # overflows; every other mesh keeps every bit.
-            if max(abs(x) for simplex in simplices for v in simplex for x in v) >= 2.0**1000:
-                scale = 2.0**24
-                simplices = [[[x / scale for x in v] for v in simplex] for simplex in simplices]
-        # A float over Fraction(n + 1) is the float over float(n + 1).  A
-        # Fraction start keeps float sums plain left to right: from Python
-        # 3.12 on, sum() compensates a float sum, which moves the last bits.
-        moment, start = [0] * n, Fraction(0)
-        for simplex, w in zip(simplices, factors):
-            moment = [m + w * (sum((v[i] for v in simplex), start) / Fraction(n + 1)) for i, m in enumerate(moment)]
-        total = sum(factors, start)
-        barycenter = tuple(m / total * scale for m in moment)
-        if not exact and not all(map(isfinite, barycenter)):
-            raise OverflowError("float barycenter overflows")
-        return barycenter
+        moment = [0] * n
+        for simplex, w in zip(self.simplices, factors):
+            moment = [m + w * sum(Fraction(v[i]) for v in simplex) / (n + 1) for i, m in enumerate(moment)]
+        total = sum(factors)
+        return tuple(m / total for m in moment)
 
     @cached_property
     def floats(self):
-        """Float vertices, nested as (simplex, vertex, axis), and float factors."""
-        points = tuple(tuple(tuple(map(float, v)) for v in s) for s in self.simplices)
-        if self._cleared is None:
-            return points, tuple(map(float, self.factors))
-        # Int true division rounds correctly, as float() of the Fraction does.
-        return points, tuple(det / d**self.dim for det, d in self._dets)
+        """Float vertices, nested as (simplex, vertex, axis), each distinct one rounded once, and float factors."""
+        seen = {}
+        points = tuple(
+            tuple(seen.get(id(v)) or seen.setdefault(id(v), tuple(_rounded(x, "vertex") for x in v)) for v in s)
+            for s in self.simplices
+        )
+        return points, tuple(_rounded(det, "simplex mass", d**self.dim) for det, d in self._dets)
 
 
 def _pulling(points, facets, dim):
@@ -858,7 +843,6 @@ def triangulate(polytope):
     facets = (frozenset(tight) for tight, red in zip(polytope.tight_sets, polytope.redundant) if not red)
     simplices = tuple(tuple(verts[i] for i in idx) for idx in _pulling(verts, facets, polytope.dim))
     mesh = SimplexMesh(simplices=simplices)
-    sizes = mesh.factors if mesh._cleared is None else (det for det, _ in mesh._dets)
-    if any(w <= polytope.tol for w in sizes):
+    if not all(det for det, _ in mesh._dets):
         raise ArithmeticError("degenerate simplex in triangulation")
     return mesh

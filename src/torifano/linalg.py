@@ -1,14 +1,14 @@
 """Dense linear algebra on small matrices (at most seven columns), given as sequences of rows.
 
-Exact matrices are integer rows.  One fraction-free Gauss-Jordan pass,
+Matrices are integer rows, floats entering by their exact binary value,
+and nothing here builds a Fraction.  One fraction-free Gauss-Jordan pass,
 :func:`_reduce`, is behind ``rank``, ``kernel_vector`` and
 ``integer_inverse``, the one exact inverse, which also reads |det B| off
 its common pivot; :func:`exchange` updates that inverse when one row of B
 is replaced, by a rank-one step with no elimination; the column-wise
 Bareiss ``integer_det`` is cheaper where only a determinant is wanted; the
 phase-1 simplex :func:`farkas` keeps its tableau in integers over one
-common denominator too.  ``det`` serves float meshes only, and nothing
-here builds a Fraction.
+common denominator too.
 """
 
 from __future__ import annotations
@@ -19,32 +19,6 @@ from operator import mul
 
 def dot(u, v):
     return sum(map(mul, u, v))
-
-
-def det(matrix):
-    """Determinant of float rows, by elimination with partial pivoting: a float mesh's volume factor."""
-    if not matrix:
-        return 1
-    rows = [list(row) for row in matrix]
-    zero = rows[0][0] - rows[0][0]  # nan when the corner is not finite
-    sign, acc = 1, zero + 1
-    for col in range(len(rows)):
-        piv, mag = None, 0
-        for r in range(col, len(rows)):
-            if abs(rows[r][col]) > mag:
-                piv, mag = r, abs(rows[r][col])
-        if piv is None:
-            return zero
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            sign = -sign
-        pivot = rows[col][col]
-        for k in range(col + 1, len(rows)):
-            factor = rows[k][col] / pivot
-            if factor:
-                rows[k] = [a - factor * b for a, b in zip(rows[k], rows[col])]
-        acc = acc * pivot
-    return sign * acc
 
 
 def _reduce(rows, size):

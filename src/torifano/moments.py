@@ -1,20 +1,20 @@
 """Exact moments by vertex-cone sums, and exponentially weighted moments of polytopes.
 
-:func:`volume` and :func:`barycenter` are the unweighted entry points.  An
-exact polytope's are ``Polytope.cone_sums``, Lawrence-Brion sums over its
+:func:`volume` and :func:`barycenter` are the unweighted entry points.
+Every polytope's are ``Polytope.cone_sums``, Lawrence-Brion sums over its
 vertices' tangent cones with no triangulation of the polytope, computed
-once per polytope; float polytopes read the volume and barycenter that
-their mesh holds.  The weighted
+once per polytope: exact on rational data, and on float data exact for
+the binary value of its floats, then rounded once.  The weighted
 functionals Vol_V(P) = integral of e^{<V,p>}, its normalized first moment
 A_P(V) and the covariance all come from one numpy pass over the simplices
-of ``Polytope.mesh``, :func:`weighted_moments`, which is the weighted entry
-point; its result carries the mass, the log mass, A_P(V) and the
-covariance.  On a simplex with vertex exponents a_i = <V, v_i> the
-integral of e^{<V,p>} is dim! vol [a] exp, the divided difference of exp
-over the a_i; its derivatives [a, a_i] and [a, a_i, a_j] (doubled when
-i = j) give the first and second moments (Baldoni, Berline, De Loera,
-Koppe and Vergne, Math. Comp. 2011).  First moments are taken about
-:func:`barycenter`, so the exact one where the polytope is exact, and
+of ``Polytope.mesh``, an exact mesh rounded once to floats:
+:func:`weighted_moments`, the weighted entry point; its result carries
+the mass, the log mass, A_P(V) and the covariance.  On a simplex with
+vertex exponents a_i = <V, v_i> the integral of e^{<V,p>} is dim! vol [a]
+exp, the divided difference of exp over the a_i; its derivatives
+[a, a_i] and [a, a_i, a_j] (doubled when i = j) give the first and second
+moments (Baldoni, Berline, De Loera, Koppe and Vergne, Math. Comp. 2011).
+First moments are taken about :func:`barycenter`, the cone-sum one, and
 second moments about A_P(V) itself, so the covariance is a sum of squares
 and loses no digits to cancellation.  This pass is the one weighted route;
 the tests hold a quadrature route that cross-checks it.
@@ -26,6 +26,7 @@ import itertools
 import math
 
 from ._record import Record
+from .geometry import _rounded
 
 # Taylor terms beyond the node count; after scaling every node lies within
 # 1/2 of the expansion point, so the truncation is below 1e-18 relative.
@@ -33,13 +34,14 @@ _TAYLOR_EXTRA = 16
 
 
 def volume(polytope):
-    """Total volume: exact by vertex-cone sums, from the mesh for float polytopes."""
-    return polytope.mesh.volume if polytope.tol else polytope.cone_sums[0]
+    """Total volume by vertex-cone sums: exact, or rounded once on a float polytope."""
+    return _rounded(polytope.cone_sums[0], "volume") if polytope.tol else polytope.cone_sums[0]
 
 
 def barycenter(polytope):
-    """Volume-weighted centroid: exact by vertex-cone sums, from the mesh for float polytopes."""
-    return polytope.mesh.barycenter if polytope.tol else polytope.cone_sums[1]
+    """Volume-weighted centroid by vertex-cone sums: exact, or rounded once on a float polytope."""
+    b = polytope.cone_sums[1]
+    return tuple(_rounded(x, "barycenter") for x in b) if polytope.tol else b
 
 
 # ---------------------------------------------------------------------------

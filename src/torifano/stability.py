@@ -164,7 +164,7 @@ def destabilizer(decomposition):
     s = sum_barycenter(decomposition)
     if all(x == 0 for x in s):
         return None
-    return tuple(-x for x in s)
+    return tuple(0 - x for x in s)  # a float 0.0 stays 0.0, where -x is -0.0
 
 
 class KEVerdict(Record):
@@ -187,7 +187,7 @@ def coupled_ke_verdict(decomposition, tol=KE_FLOAT_TOL):
         exists = all(x == 0 for x in s)
     else:
         exists = max(abs(float(x)) for x in s) < tol
-    dest = None if exists else tuple(-x for x in s)
+    dest = None if exists else tuple(0 - x for x in s)
     return KEVerdict(
         exists=exists, sum_barycenter=s, destabilizer=dest, exact=exact, tol=tol
     )

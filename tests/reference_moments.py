@@ -14,10 +14,9 @@ tests check it against, and no command runs:
   polytope with the relative disagreement of the two weighted-mass routes.
 - :func:`volume_factor` and :func:`mesh_moments`, the unweighted moments of
   a mesh summed simplex by simplex in the scalar type of its coordinates,
-  with one Fraction reference determinant per simplex, the arithmetic of
-  the ``linalg.det`` that ``SimplexMesh`` keeps for float meshes, against
-  which its integer volume for exact meshes and the cone sums of exact
-  polytopes are checked.
+  with one Fraction reference determinant per simplex, against which the
+  integer volumes of ``SimplexMesh`` and the cone sums of polytopes, exact
+  or at the binary value of their floats, are checked.
 - :func:`simplex_polytope`, the polytope of a simplex given by its
   vertices, on which the weighted pass runs over that one simplex.
 """

@@ -139,9 +139,10 @@ def test_simple_cone_weights_come_from_the_inverse():
 def _cone_vertices_reference(fan, c, tol):
     """``geometry._cone_vertices`` as it ran in Fractions: v = -D^-1 c with D^-1 over Q.
 
-    A cone's mask has bit j set where the Fraction or float slack of ray j is
-    within tol of 0.
+    Floats in ``c`` enter by their exact binary value.  A cone's mask has bit
+    j set where the exact slack of ray j is within tol of 0.
     """
+    c = [Fraction(x) for x in c]
     vertices, masks, nef_witness = [], [], None
     for ci, cone in enumerate(fan.max_cones):
         columns, scale, _ = linalg.integer_inverse([fan.rays[j] for j in cone])[1]
@@ -871,6 +872,12 @@ def test_float_vertices_split_within_tol_merge_like_their_exact_twin():
     assert sorted(twin) == list(range(4))
     assert [tuple(sorted(twin[i] for i in t)) for t in floats.tight_sets] == list(exact.tight_sets)
     assert exact.tight_sets[2] == (exact.vertices.index((Fraction(1, 10), Fraction(1, 5))),)
+    # The moments are those of the five binary vertices, rounded once: the
+    # merged four would give the volume 0.019999999999999993.
+    binary = polytope_from_halfspaces([(d, Fraction(c)) for d, c in rows])
+    assert floats.binary.nvertices == binary.nvertices == 5
+    assert floats.cone_sums == binary.cone_sums
+    assert (volume(floats), barycenter(floats)) == (0.020000000000000004, (0.05, 0.1))
 
 
 def _triangulate_reference(polytope, apex):
@@ -999,11 +1006,45 @@ def test_float_support_is_classified_within_its_tolerance():
     assert [p.tol for p in polys] == [geometry.DEFAULT_FLOAT_TOL, 0]
 
 
+def test_float_support_nef_within_tol_is_measured_or_refused_at_its_binary_value():
+    # In binary 0.1 + 0.2 > 0.3, so the vertex of cone 0 is 3e-17 inside
+    # ray 2's halfspace: within tol the row is NefOnly with 5 vertices, and
+    # its moments are those of the 6 vertices of its binary value.  With
+    # 0.30000000000000004 that vertex is 3e-17 outside instead: NefOnly
+    # within tol, not convex at the binary value, and refused.
+    row = (0.1, 0.3, 0.2, 1.0, 1.0, 1.0)
+    polytope = polytope_from_support(HEXAGON, row)
+    binary = polytope_from_support(HEXAGON, [Fraction(x) for x in row])
+    assert (polytope.nvertices, polytope.binary.nvertices, binary.nvertices) == (5, 6, 6)
+    assert polytope.cone_sums == binary.cone_sums
+    assert volume(polytope) == float(volume(binary))
+    beyond = (0.1, 0.30000000000000004, 0.2, 1.0, 1.0, 1.0)
+    assert ampleness_class(HEXAGON, beyond) == geometry.AmplenessReport(Ampleness.NEF_ONLY, (0, 2))
+    assert ampleness_class(HEXAGON, [Fraction(x) for x in beyond]).kind is Ampleness.NOT_CONVEX
+    with pytest.raises(InputError, match=r"not convex: the vertex of cone \[0, 1\] violates ray 2"):
+        polytope_from_support(HEXAGON, beyond)
+
+
 def test_float_minkowski_sum_adds_within_tolerance():
     parts = [(0.1, 0.3, 0.2, 0.4, 0.4, 0.4), (0.9, 0.7, 0.8, 0.6, 0.6, 0.6)]
     total, poly = minkowski_sum(HEXAGON, parts)
     assert total == (1.0,) * 6
     assert poly.nvertices == 6
+
+
+def test_float_translation_keeps_vertices_exact():
+    # Vertices move by the binary value of t, so the moments of the moved
+    # polytope are its exact ones, rounded once.
+    p = polytope_from_support(P2, (1, 1, 1))
+    moved = translate(p, (0.1, 0))
+    assert moved.vertices == tuple((x + Fraction(0.1), y) for x, y in p.vertices)
+    assert moved.cone_sums == (p.cone_sums[0], (Fraction(0.1), Fraction(0)))
+    assert barycenter(moved) == (0.1, 0.0) and volume(moved) == 4.5
+    # A merged float polytope moves its binary twin along.
+    rows = [((1, 0), 0.0), ((0, 1), 0.0), ((-1, -1), 0.3), ((-1, 0), 0.1), ((0, -1), 0.2)]
+    floats = translate(polytope_from_halfspaces(rows), (Fraction(1, 3), 0))
+    assert floats.binary.nvertices == 5
+    assert floats.cone_sums[1][0] == polytope_from_halfspaces(rows).cone_sums[1][0] + Fraction(1, 3)
 
 
 def test_tolerance_is_zero_exactly_on_rational_scalars():

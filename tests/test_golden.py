@@ -1,8 +1,11 @@
 """Stored reports of the exact commands on the built-in examples.
 
 ``validate``, ``barycenter``, ``ke-verdict``, ``df`` and ``lift`` use only
-pure-Python Fraction and float arithmetic, so their reports do not depend
-on the platform and must not change apart from ``wall_time_s``.  Each
+pure-Python integer and Fraction arithmetic, float documents too, which
+are measured on the exact value of their binary input and rounded once.
+So their reports need no numpy, do not depend on the platform or the
+interpreter, and must not change apart from ``wall_time_s``; CI runs this
+module without numpy on the oldest and newest Python it supports.  Each
 stored entry keeps the exit code, the report without ``wall_time_s``, and
 the stderr line of a command that exits non-zero.  Float solver reports
 depend on numpy and BLAS and are not stored.

@@ -1,7 +1,10 @@
 """Exact moments and the two weighted-integration routes."""
 
+import contextlib
 import decimal
+import io
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -19,10 +22,10 @@ from torifano.geometry import (
     translate,
     triangulate,
 )
-from torifano import cli, geometry, linalg, moments
+from torifano import cli, geometry, moments
 from torifano.errors import InputError
 from torifano.stability import lifted_config
-from torifano.problems import builtin_example, registry_names
+from torifano.problems import builtin_example, document_to_dict, registry_names
 from torifano.moments import (
     barycenter,
     volume,
@@ -129,17 +132,19 @@ def assert_mesh_matches_the_reference(mesh):
     assert mesh.floats[1] == tuple(map(float, factors))
 
 
-def assert_cone_sums_match_the_mesh(polytope):
+def assert_cone_sums_match_the_mesh(polytope, rounded=False):
     """Exact Vol and b by cone sums equal the one-det-per-simplex sums over the triangulation, as Fractions.
 
-    The integer mesh volume matches the reference too.
+    The integer mesh volume matches the reference too.  A float polytope
+    reports those Fractions ``rounded`` to floats.
     """
     mesh = triangulate(polytope)
     assert_mesh_matches_the_reference(mesh)
     _, vol, bary = mesh_moments(mesh.simplices)
-    assert volume(polytope) == mesh.volume == vol
-    assert barycenter(polytope) == bary
-    assert all(type(x) is Fraction for x in (volume(polytope), *barycenter(polytope)))
+    assert polytope.cone_sums == (mesh.volume, bary) and mesh.volume == vol
+    kind = float if rounded else Fraction
+    assert (volume(polytope), barycenter(polytope)) == (kind(vol), tuple(map(kind, bary)))
+    assert all(type(x) is kind for x in (volume(polytope), *barycenter(polytope)))
 
 
 @pytest.mark.parametrize("spec", [*registry_names(), "hexagon-dP6-t:1/7", "hexagon-dP6-t:-1/5", "pE-4fold-c:1/3"])
@@ -147,11 +152,9 @@ def test_cone_sums_equal_the_triangulation_on_the_builtins(spec):
     doc = builtin_example(spec)
     for polytope in cli._decomposition(doc).polytopes:
         if not doc.exact:
-            # Float parts read the moments that their mesh holds, one
-            # linalg.det per simplex.
-            assert polytope.mesh._cleared is None
-            assert_mesh_matches_the_reference(polytope.mesh)
-            assert (volume(polytope), barycenter(polytope)) == (polytope.mesh.volume, polytope.mesh.barycenter)
+            # Float parts are exact polytopes of the binary value of their
+            # floats, and report their cone sums rounded once.
+            assert_cone_sums_match_the_mesh(polytope, rounded=True)
             continue
         # Lifted meshes are exact and integer-computed too.
         n = polytope.dim
@@ -234,6 +237,65 @@ def test_cone_sums_of_a_six_cube_fan_match_the_product():
     assert barycenter(polytope) == tuple((c[2 * i + 1] - c[2 * i]) / 2 for i in range(n))
 
 
+def _float_offset(rng, kind):
+    """A positive float offset: a short decimal, which binary rounds, or a dyadic rational, which it keeps."""
+    if kind == "decimal":
+        return float(f"{rng.randint(0, 2)}.{rng.randint(1, 99):02d}")
+    return rng.randint(1, 160) / 2 ** rng.randint(0, 6)
+
+
+def _float_raw_part(rng, n, kind):
+    """A box around 0 cut by two integer rows that keep 0 inside, with float offsets."""
+    rows = [(tuple(sign * int(i == axis) for i in range(n)), _float_offset(rng, kind)) for axis in range(n) for sign in (1, -1)]
+    for _ in range(2):
+        normal = [rng.randint(-2, 2) for _ in range(n)]
+        normal[rng.randrange(n)] = rng.choice((-1, 1))
+        rows.append((tuple(normal), _float_offset(rng, kind)))
+    return rows
+
+
+def _assert_reported_as_rounded_cone_sums(tmp_path, doc, twins):
+    """Each part's reported volume and barycenter are float() of the cone sums of its exact twin."""
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["barycenter", "--input", str(path)]) == 0
+    parts = json.loads(out.getvalue())["results"]["parts"]
+    assert len(parts) == len(twins)
+    for part, twin in zip(parts, twins):
+        assert twin.tol == 0
+        vol, bary = twin.cone_sums
+        assert float(part["volume"]) == float(vol)
+        assert [float(x) for x in part["barycenter"]] == [float(x) for x in bary]
+
+
+@pytest.mark.parametrize("kind", ["decimal", "dyadic"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_float_moments_are_the_rounded_moments_of_the_binary_input(tmp_path, n, kind):
+    # Float raw parts report Vol and b of the polytope of the exact binary
+    # value of their rows, summed by cones and rounded once.
+    rng = random.Random(f"float-moments:{n}:{kind}")
+    for _ in range(3):
+        parts = [_float_raw_part(rng, n, kind) for _ in range(2)]
+        doc = {"name": "floats", "dimension": n, "halfspaces": [[[list(d), c] for d, c in rows] for rows in parts]}
+        twins = [polytope_from_halfspaces([(d, Fraction(c)) for d, c in rows]) for rows in parts]
+        _assert_reported_as_rounded_cone_sums(tmp_path, doc, twins)
+
+
+def test_float_moments_of_the_builtin_bundle_and_a_float_hexagon_support(tmp_path):
+    # The raw route at the critical bundle parameter, and the fan route on
+    # a float support.
+    bundle = builtin_example("pE-4fold-c:critical")
+    twins = [polytope_from_halfspaces([(d, Fraction(c)) for d, c in rows]) for rows in bundle.halfspaces]
+    _assert_reported_as_rounded_cone_sums(tmp_path, document_to_dict(bundle), twins)
+    hexagon = document_to_dict(builtin_example("hexagon-dP6-t"))
+    rows = [[0.5, 0.6, 0.5, 0.5, 0.5, 0.5], [0.5, 0.4, 0.5, 0.5, 0.5, 0.5]]
+    fan = Fan(hexagon["rays"], hexagon["max_cones"])
+    twins = [polytope_from_support(fan, [Fraction(x) for x in row]) for row in rows]
+    _assert_reported_as_rounded_cone_sums(tmp_path, dict(hexagon, decomposition=rows), twins)
+
+
 def test_degenerate_polytopes_have_no_exact_moments():
     flat = polytope_from_halfspaces([((1, 0), 0), ((-1, 0), 0), ((0, 1), 1), ((0, -1), 1)])
     assert flat.degenerate
@@ -271,6 +333,18 @@ def test_integer_meshes_equal_the_reference_on_hand_built_meshes():
     assert mesh_moments(square)[1:] == (6, (1, Fraction(3, 2)))
 
 
+def test_float_meshes_are_measured_at_their_binary_value():
+    # One exact code path: float coordinates are Fractions of their binary
+    # value, and only ``floats`` rounds.
+    simplices = (((0.0, 0.0), (0.1, 0.0), (0.0, 0.3)), ((0.1, 0.3), (0.0, 0.3), (0.1, 0.0)))
+    mesh = SimplexMesh(simplices=simplices)
+    exact = SimplexMesh(simplices=tuple(tuple(tuple(map(Fraction, v)) for v in s) for s in simplices))
+    assert (mesh.volume, mesh.barycenter, mesh.factors) == (exact.volume, exact.barycenter, exact.factors)
+    assert mesh.volume == Fraction(0.1) * Fraction(0.3)
+    assert all(type(x) is Fraction for x in (mesh.volume, *mesh.barycenter, *mesh.factors))
+    assert mesh.floats == (simplices, tuple(float(f) for f in exact.factors))
+
+
 def test_zero_volume_meshes_have_no_barycenter_on_either_route():
     for flat in ((((0, 0), (1, 1), (2, 2)),), (((0.0, 0.0), (1.0, 1.0), (2.0, 2.0)),), ()):
         mesh = SimplexMesh(simplices=flat)
@@ -297,7 +371,6 @@ def test_exact_meshes_build_fractions_only_for_their_outputs(monkeypatch):
     built = []
     real = Fraction.__new__
     monkeypatch.setattr(Fraction, "__new__", lambda cls, *a, **k: built.append(a) or real(cls, *a, **k))
-    monkeypatch.setattr(linalg, "det", None)
     mesh = SimplexMesh(simplices=simplices)
     mesh.volume
     lcms = {d for _, d in mesh._dets}
