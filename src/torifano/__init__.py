@@ -24,7 +24,6 @@ _EXPORTS = {
     "errors": (
         "ConfigurationError",
         "DegenerateLiftError",
-        "DomainMismatchError",
         "EmptyPolytopeError",
         "InputError",
         "UnboundedPolytopeError",
@@ -36,11 +35,8 @@ _EXPORTS = {
         "Polytope",
         "SimplexMesh",
         "ampleness_class",
-        "minkowski_sum",
         "polytope_from_halfspaces",
         "polytope_from_support",
-        "support_function",
-        "translate",
         "triangulate",
         "validate_fan",
     ),
@@ -49,7 +45,6 @@ _EXPORTS = {
         "ContinuityResult",
         "MAState",
         "initial_state",
-        "legendre_dual",
         "ma_step_1d",
         "obstruction_residual",
         "solve_continuity_1d",

@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from . import __version__
 from .errors import InputError, UnknownExampleError
-from .geometry import Fan, polytope_from_halfspaces, validate_fan
+from .geometry import Fan, _rounded, polytope_from_halfspaces, validate_fan
 from .moments import barycenter, volume, weighted_barycenter
 from .problems import (
     builtin_example,
@@ -110,7 +110,7 @@ def _single_vfield(args, dec):
 
 def _part_interval(polytope):
     xs = sorted(v[0] for v in polytope.vertices)
-    return float(xs[0]), float(xs[-1])
+    return _rounded(xs[0], "vertex"), _rounded(xs[-1], "vertex")
 
 
 # Command handlers return (results, diagnostics, exit_code).

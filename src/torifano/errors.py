@@ -38,10 +38,6 @@ class DegenerateLiftError(InputError):
     """Lifted test configuration whose cap cuts below the graph."""
 
 
-class DomainMismatchError(InputError):
-    """Legendre transform requested outside the slope range of the data."""
-
-
 class UnknownExampleError(LookupError):
     """Name not present in the built-in example registry.
 

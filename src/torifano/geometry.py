@@ -483,10 +483,12 @@ def _polytope(dim, halfspaces, candidates, tight, tol, inverses=None, exact=None
     ``tight[i]`` is the incidence record of candidate i, an int bitmask of
     the halfspaces tight there, as the vertex route found it.  Equal
     candidates merge with the union of their masks, and on a float polytope
-    so does a new one whose rounded floats lie within tol of a kept one's.
-    Tight sets are the masks' transpose.  The rows tight at every vertex
-    are the implicit equalities, which cut out the affine hull, so its rank
-    is dim minus the rank of their normals (Schrijver, Theory of Linear and
+    so does a new one whose rounded floats lie within tol of a kept one's;
+    a vertex that rounds past the float range is an input error, named by
+    its tight rows, as a fan support's is by its cone.  Tight sets are the
+    masks' transpose.  The rows tight at every vertex are the implicit
+    equalities, which cut out the affine hull, so its rank is dim minus
+    the rank of their normals (Schrijver, Theory of Linear and
     Integer Programming, section 8.2), and -1 without vertices.  The normals are ranked as
     integer rows, floats by their exact binary value, the values on which
     double description decides tightness too.  Facets of a full-dimensional polytope are its
@@ -506,7 +508,11 @@ def _polytope(dim, halfspaces, candidates, tight, tol, inverses=None, exact=None
         # One hash of v: a tuple of Fractions hashes at a modular inverse each.
         k = keys.setdefault(v, len(masks))
         if tol and k == len(masks):
-            point = tuple(_rounded(x, "vertex") for x in v)
+            try:
+                point = tuple(_rounded(x, "vertex") for x in v)
+            except OverflowError:
+                rows = [j for j in range(len(halfspaces)) if mask >> j & 1]
+                raise InputError(f"the vertex on rows {rows} overflows the float range") from None
             k = next((i for w, i in rounded if all(abs(a - b) <= tol for a, b in zip(point, w))), k)
             if k < len(masks):
                 del keys[v]
@@ -664,64 +670,6 @@ def polytope_from_halfspaces(halfspaces):
     return _polytope(n, tuple(hs), [v for v, _ in bounded], [z for _, z in bounded], tol)
 
 
-def support_function(polytope, u):
-    """max_{p in P} <u, p>, evaluated on the vertex set."""
-    u = _vec(u)
-    if len(u) != polytope.dim:
-        raise InputError("direction has wrong dimension")
-    if not polytope.vertices:
-        raise InputError("support function of an empty polytope")
-    return max(dot(u, v) for v in polytope.vertices)
-
-
-def translate(polytope, t):
-    """Translate a polytope; offsets shift by <d_j, t>, vertices exactly by t's exact value."""
-    t = _vec(t)
-    if len(t) != polytope.dim:
-        raise InputError("translation has wrong dimension")
-    if all(x == 0 for x in t):
-        return polytope
-    shift = _exact(t)
-    return polytope.replace(
-        halfspaces=tuple((d, c + dot(d, t)) for d, c in polytope.halfspaces),
-        vertices=tuple(tuple(a + b for a, b in zip(v, shift)) for v in polytope.vertices),
-        tol=max(polytope.tol, tolerance(t)),
-        binary=polytope.binary and translate(polytope.binary, t),
-    )
-
-
-def minkowski_sum(fan, parts):
-    """Sum support vectors over one fan and rebuild the polytope.
-
-    All parts must be Ample or NefOnly.  The construction is linear per
-    maximal cone, which is checked, along with support-number additivity
-    on every ray direction, both within the parts' tolerance; a failed check
-    raises ``ArithmeticError``.  Each support vector's cone vertices are
-    solved once and give its class, its vertices and its tight-set masks.
-    """
-    parts = [_support(fan, c) for c in parts]
-    if not parts:
-        raise InputError("need at least one summand")
-    total = tuple(sum(c[j] for c in parts) for j in range(fan.nrays))
-    cones = [_cone_vertices(fan, c, tolerance(c)) for c in (total, *parts)]
-    if any(amp.kind is Ampleness.NOT_CONVEX for _, _, amp in cones[1:]):
-        raise InputError("Minkowski summands must be Ample or NefOnly")
-    tol = tolerance([x for c in parts for x in c])
-
-    for vsum, *pieces in zip(*(vertices for vertices, _, _ in cones)):
-        combined = tuple(sum(p[i] for p in pieces) for i in range(fan.dim))
-        if any(abs(a - b) > tol for a, b in zip(vsum, combined)):
-            raise ArithmeticError("per-cone vertices must add")
-    # A part's support number on d_j is min_v <d_j, v>, which plus c_j is
-    # its smallest slack of ray j, so the support numbers add up to -total_j
-    # when these minima sum to 0.
-    for j, ray in enumerate(fan.rays):
-        slack = sum(min(dot(ray, v) for v in vertices) + c[j] for (vertices, _, _), c in zip(cones[1:], parts))
-        if abs(slack) > tol:
-            raise ArithmeticError("support numbers must add on rays")
-    return total, polytope_from_support(fan, total, cones[0])
-
-
 # ---------------------------------------------------------------------------
 # triangulation
 
@@ -734,9 +682,8 @@ class SimplexMesh(Record):
     vertices' denominators have the lcm d is taken over d, and its volume
     factor (dim! times its volume) is the Bareiss :func:`linalg.integer_det`
     of its integer edge rows over d^n.  The volume sums those ints over each
-    d, with one Fraction per d; the factors and barycenter are Fractions
-    built only when read, and ``floats``, for the weighted pass, rounds
-    once.  Each is computed on first use and kept.
+    d, with one Fraction per d, and ``floats``, for the weighted pass,
+    rounds once.  Each is computed on first use and kept.
     """
 
     simplices: tuple
@@ -762,30 +709,12 @@ class SimplexMesh(Record):
         return dets
 
     @cached_property
-    def factors(self):
-        """Each simplex's volume times dim!, the |det| of its edge rows, as a Fraction."""
-        return tuple(Fraction(det, d**self.dim) for det, d in self._dets)
-
-    @cached_property
     def volume(self):
         n = self.dim
         masses = {}
         for det, d in self._dets:
             masses[d] = masses.get(d, 0) + det
         return sum((Fraction(mass, d**n) for d, mass in masses.items()), Fraction(0)) / factorial(n)
-
-    @cached_property
-    def barycenter(self):
-        """Volume-weighted centroid, as Fractions."""
-        n = self.dim
-        factors = self.factors
-        if not any(factors):
-            raise InputError("zero-volume mesh has no barycenter")
-        moment = [0] * n
-        for simplex, w in zip(self.simplices, factors):
-            moment = [m + w * sum(Fraction(v[i]) for v in simplex) / (n + 1) for i, m in enumerate(moment)]
-        total = sum(factors)
-        return tuple(m / total for m in moment)
 
     @cached_property
     def floats(self):

@@ -31,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from ._record import Record
-from .errors import ConfigurationError, DomainMismatchError, InputError
+from .errors import ConfigurationError, InputError
 
 DEFAULT_T_SCHEDULE = (0.0, 0.25, 0.5, 0.75, 0.9, 1.0)
 MAX_SPACING = 0.05
@@ -310,31 +310,6 @@ def obstruction_residual(state):
     slope_sum = state.slopes.sum(axis=0)
     density = np.exp(-state.f.sum(axis=0))
     return float(np.trapezoid(slope_sum * density, dx=state.spacing))
-
-
-class DualPotential(Record):
-    p: np.ndarray
-    u: np.ndarray
-
-
-def legendre_dual(xs, fvals, p_grid):
-    """Discrete Legendre transform u(p) = max_x (p x - f(x)).
-
-    The transform is only meaningful where the slope range of the data
-    covers the requested momenta; anything outside raises DomainMismatch.
-    """
-    xs = np.asarray(xs, dtype=float)
-    fvals = np.asarray(fvals, dtype=float)
-    p_grid = np.asarray(p_grid, dtype=float)
-    slopes = np.diff(fvals) / np.diff(xs)
-    tol = max(float(np.max(np.diff(xs))), 1e-9)
-    if p_grid.min() < slopes.min() - tol or p_grid.max() > slopes.max() + tol:
-        raise DomainMismatchError(
-            f"momenta [{p_grid.min()}, {p_grid.max()}] outside slope range "
-            f"[{slopes.min()}, {slopes.max()}]"
-        )
-    u = np.max(p_grid[:, None] * xs[None, :] - fvals[None, :], axis=1)
-    return DualPotential(p=p_grid, u=u)
 
 
 class ContinuityResult(Record):

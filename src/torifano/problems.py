@@ -243,10 +243,6 @@ def document_to_dict(doc):
     return out
 
 
-def dumps_document(doc):
-    return json.dumps(document_to_dict(doc), indent=2, sort_keys=True)
-
-
 def load_problem(path):
     try:
         with open(path, "r", encoding="utf-8") as handle:

@@ -20,7 +20,6 @@ from torifano.geometry import (
     ampleness_class,
     polytope_from_halfspaces,
     polytope_from_support,
-    translate,
     triangulate,
 )
 from torifano.masolver import interval_weighted_mean, solve_continuity_1d
@@ -42,6 +41,7 @@ from torifano.stability import (
     validate_decomposition,
 )
 
+from reference_geometry import translate
 from reference_moments import exp_moments_simplex, mesh_moments, simplex_polytope
 
 P2 = Fan(((1, 0), (0, 1), (-1, -1)), ((0, 1), (1, 2), (2, 0)))

@@ -19,11 +19,8 @@ from torifano.geometry import (
     Ampleness,
     Fan,
     ampleness_class,
-    minkowski_sum,
     polytope_from_halfspaces,
     polytope_from_support,
-    support_function,
-    translate,
     triangulate,
     validate_fan,
 )
@@ -32,6 +29,7 @@ from torifano.problems import builtin_example, registry_names
 from torifano.stability import Decomposition, coupled_ke_verdict, sum_barycenter
 
 import reference_linalg as ref
+from reference_geometry import minkowski_sum, support_function, translate
 from reference_moments import mesh_moments
 
 P2 = Fan(((1, 0), (0, 1), (-1, -1)), ((0, 1), (1, 2), (2, 0)))

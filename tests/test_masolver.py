@@ -9,12 +9,12 @@ import numpy as np
 import pytest
 
 from torifano import masolver
-from torifano.errors import ConfigurationError, DomainMismatchError, InputError
+from torifano._record import Record
+from torifano.errors import ConfigurationError, InputError
 from torifano.masolver import (
     DEFAULT_T_SCHEDULE,
     initial_state,
     interval_weighted_mean,
-    legendre_dual,
     ma_step_1d,
     make_grid,
     obstruction_residual,
@@ -221,6 +221,39 @@ def test_reference_gradient_saturates_inside_polytope():
         assert np.all(np.diff(slopes) >= 0)
         _, ends = masolver._ref_values_1d(a, b, np.array([-1e3, 0.0, 1e3]))
         assert ends == pytest.approx([a, (a + b) / 2, b], abs=1e-15)
+
+
+# The discrete Legendre transform, which no command runs: the converged
+# potentials of the continuity path are checked through it.
+
+
+class DomainMismatchError(InputError):
+    """Legendre transform requested outside the slope range of the data."""
+
+
+class DualPotential(Record):
+    p: np.ndarray
+    u: np.ndarray
+
+
+def legendre_dual(xs, fvals, p_grid):
+    """Discrete Legendre transform u(p) = max_x (p x - f(x)).
+
+    The transform is only meaningful where the slope range of the data
+    covers the requested momenta; anything outside raises DomainMismatch.
+    """
+    xs = np.asarray(xs, dtype=float)
+    fvals = np.asarray(fvals, dtype=float)
+    p_grid = np.asarray(p_grid, dtype=float)
+    slopes = np.diff(fvals) / np.diff(xs)
+    tol = max(float(np.max(np.diff(xs))), 1e-9)
+    if p_grid.min() < slopes.min() - tol or p_grid.max() > slopes.max() + tol:
+        raise DomainMismatchError(
+            f"momenta [{p_grid.min()}, {p_grid.max()}] outside slope range "
+            f"[{slopes.min()}, {slopes.max()}]"
+        )
+    u = np.max(p_grid[:, None] * xs[None, :] - fvals[None, :], axis=1)
+    return DualPotential(p=p_grid, u=u)
 
 
 def test_legendre_quadratic_is_self_dual():

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torifano import cli, linalg, moments
-from torifano.geometry import MAX_RAW_DIM, MAX_RAW_HALFSPACES, polytope_from_halfspaces, translate, triangulate
+from torifano.geometry import MAX_RAW_DIM, MAX_RAW_HALFSPACES, polytope_from_halfspaces, triangulate
 from torifano.problems import ProblemDocument, builtin_example
 from torifano.stability import (
     Decomposition,
@@ -28,6 +28,7 @@ from torifano.stability import (
     sum_barycenter,
 )
 
+from reference_geometry import translate
 from reference_moments import mesh_moments
 
 RULES = settings(max_examples=12, deadline=None, derandomize=True)

@@ -7,9 +7,12 @@ import pytest
 from torifano import moments
 from torifano._record import Record
 from torifano.errors import InputError
-from torifano.geometry import Fan, polytope_from_support, translate
+from torifano.geometry import Fan, polytope_from_support
 from torifano.problems import ProblemDocument
 from torifano.stability import KEVerdict
+
+from reference_geometry import translate
+from reference_moments import mesh_moments
 
 P2 = Fan(rays=((1, 0), (0, 1), (-1, -1)), max_cones=((0, 1), (1, 2), (2, 0)))
 ONES = (Fraction(1), Fraction(1), Fraction(1))
@@ -84,10 +87,10 @@ def test_replace_checks_the_fields_again():
 
 def test_replace_carries_no_cached_property():
     p = polytope_from_support(P2, ONES)
-    assert p.cone_sums[1] == (0, 0) and p.mesh.barycenter == (0, 0)
+    assert p.cone_sums[1] == (0, 0) and mesh_moments(p.mesh.simplices)[2] == (0, 0)
     moved = translate(p, (Fraction(1, 3), Fraction(-2)))
     assert moments.barycenter(moved) == (Fraction(1, 3), Fraction(-2))
-    assert moved.mesh is not p.mesh and moved.mesh.barycenter == (Fraction(1, 3), Fraction(-2))
+    assert moved.mesh is not p.mesh and mesh_moments(moved.mesh.simplices)[2] == (Fraction(1, 3), Fraction(-2))
     assert moments.volume(moved) == moments.volume(p)
 
 

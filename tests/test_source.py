@@ -3,6 +3,7 @@
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -163,38 +164,69 @@ def test_lazy_exports_resolve_to_their_modules():
         home = getattr(value, "__module__", None) or value.__name__
         assert home.startswith("torifano."), name
     assert set(torifano.__all__) <= set(dir(torifano))
-    assert len(torifano.__all__) == 56
+    assert len(torifano.__all__) == 51
     namespace = {}
     exec("from torifano import *", namespace)
     assert sorted(n for n in namespace if n != "__builtins__") == torifano.__all__
 
 
-# Runs every command on every built-in the way ``python -m torifano`` does,
-# and prints the source file of every code object executed: module bodies
-# run through ``exec``, which raises the "exec" audit event.
+# Runs every command on every built-in and on the document named by argv[1]
+# the way ``python -m torifano`` does, then validate on an unknown example:
+# the document reaches ``load_problem`` and, through its vector fields, the
+# weighted routes, and the unknown name ``registry_names``.  It prints the
+# source file of every code object executed, since module bodies run through
+# ``exec``, which raises the "exec" audit event, and the exported functions
+# whose code no command called, as the profile hook saw them.
 _EVERY_COMMAND = """
 import contextlib, io, json, runpy, sys
-ran = set()
+ran, called = set(), set()
 sys.addaudithook(lambda event, args: event == "exec" and ran.add(args[0].co_filename))
+import torifano
 from torifano.cli import COMMANDS
 from torifano.problems import registry_names
-for name in registry_names():
-    for command in COMMANDS:
-        sys.argv = ["torifano", command, "--example", name]
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            try:
-                runpy.run_module("torifano", run_name="__main__", alter_sys=True)
-            except SystemExit:
-                pass
-print(json.dumps(sorted(ran)))
+sources = [["--example", name] for name in registry_names()] + [["--input", sys.argv[1]]]
+runs = [["torifano", command, *source] for source in sources for command in COMMANDS]
+runs.append(["torifano", "validate", "--example", "no-such-example"])
+sys.setprofile(lambda frame, event, arg: event == "call" and called.add(frame.f_code))
+for sys.argv in runs:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            runpy.run_module("torifano", run_name="__main__", alter_sys=True)
+        except SystemExit:
+            pass
+sys.setprofile(None)
+functions = {name: getattr(torifano, name) for name in torifano.__all__}
+uncalled = [name for name, f in functions.items() if hasattr(f, "__code__") and f.__code__ not in called]
+print(json.dumps([sorted(ran), uncalled]))
 """
 
+_README = Path(__file__).resolve().parent.parent / "README.md"
 
-def test_every_module_is_loaded_by_some_command():
-    # A module no command loads is a route only tests run; it belongs in tests/.
+
+def _library_section():
+    text = _README.read_text(encoding="utf-8")
+    start = text.index("\n## Library\n")
+    return text[start : text.index("\n## ", start + 1)]
+
+
+def test_every_module_is_loaded_by_some_command(tmp_path):
+    # A module no command loads, or an exported function no command calls,
+    # is a route only tests run; it belongs in tests/.  Every other export,
+    # a class, an enum or a module, is named in README's Library section.
     package_root = str(Path(torifano.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (package_root, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-c", _EVERY_COMMAND], capture_output=True, text=True, env=env,
-                          timeout=120, check=True)
-    ran = {Path(f).resolve() for f in json.loads(proc.stdout)}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"name": "interval-pair", "dimension": 1, "vector_fields": [["2"], ["0"]],
+                                "halfspaces": [[[[1], "3/4"], [[-1], "1/4"]], [[[1], "1/4"], [[-1], "3/4"]]]}))
+    proc = subprocess.run([sys.executable, "-c", _EVERY_COMMAND, str(path)], capture_output=True, text=True,
+                          env=env, timeout=300, check=True)
+    ran, uncalled = json.loads(proc.stdout)
+    ran = {Path(f).resolve() for f in ran}
     assert SOURCES and [path.name for path in SOURCES if path.resolve() not in ran] == []
+    assert uncalled == []
+    library = _library_section()
+    undocumented = [
+        name for name in torifano.__all__
+        if not hasattr(getattr(torifano, name), "__code__") and not re.search(rf"`(torifano\.)?{name}`", library)
+    ]
+    assert undocumented == []

@@ -12,7 +12,6 @@ from torifano.geometry import (
     Fan,
     polytope_from_halfspaces,
     polytope_from_support,
-    translate,
 )
 from torifano.moments import weighted_barycenter, weighted_moments
 from torifano.problems import builtin_example
@@ -27,6 +26,8 @@ from torifano.stability import (
     sum_barycenter,
     validate_decomposition,
 )
+
+from reference_geometry import translate
 
 HEXAGON = Fan(
     ((1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)),
