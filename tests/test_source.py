@@ -200,31 +200,24 @@ uncalled = [name for name, f in functions.items() if hasattr(f, "__code__") and 
 print(json.dumps([sorted(ran), uncalled]))
 """
 
-_README = Path(__file__).resolve().parent.parent / "README.md"
-
-
-def _library_section():
-    text = _README.read_text(encoding="utf-8")
-    start = text.index("\n## Library\n")
-    return text[start : text.index("\n## ", start + 1)]
-
-
 def test_every_module_is_loaded_by_some_command(tmp_path):
     # A module no command loads, or an exported function no command calls,
     # is a route only tests run; it belongs in tests/.  Every other export,
     # a class, an enum or a module, is named in README's Library section.
     package_root = str(Path(torifano.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (package_root, os.environ.get("PYTHONPATH")) if p))
-    path = tmp_path / "doc.json"
-    path.write_text(json.dumps({"name": "interval-pair", "dimension": 1, "vector_fields": [["2"], ["0"]],
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps({"name": "interval-pair", "dimension": 1, "vector_fields": [["2"], ["0"]],
                                 "halfspaces": [[[[1], "3/4"], [[-1], "1/4"]], [[[1], "1/4"], [[-1], "3/4"]]]}))
-    proc = subprocess.run([sys.executable, "-c", _EVERY_COMMAND, str(path)], capture_output=True, text=True,
-                          env=env, timeout=300, check=True)
+    proc = subprocess.run([sys.executable, "-c", _EVERY_COMMAND, str(doc)], capture_output=True, text=True,
+                          env=env, timeout=120, check=True)
     ran, uncalled = json.loads(proc.stdout)
     ran = {Path(f).resolve() for f in ran}
     assert SOURCES and [path.name for path in SOURCES if path.resolve() not in ran] == []
     assert uncalled == []
-    library = _library_section()
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    start = readme.index("\n## Library\n")
+    library = readme[start : readme.index("\n## ", start + 1)]
     undocumented = [
         name for name in torifano.__all__
         if not hasattr(getattr(torifano, name), "__code__") and not re.search(rf"`(torifano\.)?{name}`", library)
