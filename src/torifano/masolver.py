@@ -17,6 +17,11 @@ which converges in a fraction of the sweeps damped Picard iteration needs.
 The state holds the k potentials and their slopes as one (k, N) array each,
 so a sweep is array arithmetic over all parts at once; the grid diagnostics
 derived from them (w, rho, tails, mass, minimizer) are computed on first use.
+The sums of the reference potentials and of their end slopes are formed once
+per path and carried on the state.  A sweep writes its candidate potentials
+and slopes into one (2k, N) array, laid out like the iterate the Anderson
+step mixes, and the mixing updates its history in preallocated scratch
+arrays.
 
 Solutions exist along the whole path exactly when the weighted barycenters
 cancel; otherwise the minimizer of w = sum(t f_i + (1-t) h_i) drifts or the
@@ -113,9 +118,9 @@ def _transport_slope(phi, a, b, v):
     return np.clip(slope, a, b)
 
 
-def _cumtrapz(y, dx):
-    """Cumulative trapezoid rule along the last axis, starting from 0."""
-    out = np.zeros_like(y)
+def _cumtrapz(y, dx, out):
+    """Cumulative trapezoid rule along the last axis, starting from 0, into ``out``."""
+    out[..., 0] = 0.0
     np.cumsum((y[..., 1:] + y[..., :-1]) * (dx / 2.0), axis=-1, out=out[..., 1:])
     return out
 
@@ -123,7 +128,7 @@ def _cumtrapz(y, dx):
 def _tails(state):
     """Masses of rho beyond both grid ends, from the end slopes of w."""
     t, cols = state.t, [0, -1]
-    ends = t * state.slopes[:, cols].sum(axis=0) + (1.0 - t) * state.h_slopes[:, cols].sum(axis=0)
+    ends = t * state.slopes[:, cols].sum(axis=0) + (1.0 - t) * state.h_slope_ends
     decay_l = max(-ends[0], MIN_EDGE_DECAY)
     decay_r = max(ends[1], MIN_EDGE_DECAY)
     return float(state.rho[0]) / decay_l, float(state.rho[-1]) / decay_r
@@ -133,12 +138,14 @@ class MAState(Record):
     """One point on the continuity path.
 
     ``f``, ``slopes``, ``h_ref`` and ``h_slopes`` are (k, N) arrays, one row
-    per part over the grid ``xs``.  The grid diagnostics are computed on
-    first use: w = sum(t f_i + (1-t) h_i) and rho = e^{-w}; ``tails``, the
-    masses of rho beyond both grid ends; ``mass``, the tail-corrected
-    integral of rho; ``w_min``/``x_w``, the minimum of w and where it is;
-    and ``growth_eps``, the largest linear growth rate w admits away from
-    that minimum.
+    per part over the grid ``xs``; ``h_sum`` is the sum of the rows of
+    ``h_ref`` and ``h_slope_ends`` that of the end columns of ``h_slopes``,
+    both formed once by ``initial_state``.  The grid diagnostics are
+    computed on first use: w = sum(t f_i + (1-t) h_i) and rho = e^{-w};
+    ``tails``, the masses of rho beyond both grid ends; ``mass``, the
+    tail-corrected integral of rho; ``w_min``/``x_w``, the minimum of w and
+    where it is; and ``growth_eps``, the largest linear growth rate w admits
+    away from that minimum.
     """
 
     t: float
@@ -150,11 +157,13 @@ class MAState(Record):
     slopes: np.ndarray
     h_ref: np.ndarray
     h_slopes: np.ndarray
+    h_sum: np.ndarray
+    h_slope_ends: np.ndarray
     update_norm: float
 
     @cached_property
     def w(self):
-        return self.t * self.f.sum(axis=0) + (1.0 - self.t) * self.h_ref.sum(axis=0)
+        return self.t * self.f.sum(axis=0) + (1.0 - self.t) * self.h_sum
 
     @cached_property
     def rho(self):
@@ -216,6 +225,7 @@ def initial_state(intervals, vfields=None, R=8.0, spacing=0.004, t=0.0):
     return MAState(
         t=float(t), xs=xs, spacing=float(spacing), intervals=intervals, vfields=vfields,
         f=h_ref.copy(), slopes=h_slopes.copy(), h_ref=h_ref, h_slopes=h_slopes,
+        h_sum=h_ref.sum(axis=0), h_slope_ends=h_slopes[:, [0, -1]].sum(axis=0),
         update_norm=float("inf"),
     )
 
@@ -226,28 +236,29 @@ def ma_step_1d(state):
     Candidate slopes come from inverting the cumulative mass through each
     G_i; candidate potentials are their integrals anchored at x=0, with the
     common constant pinned so the updated density has unit mass (for t>0).
+    Returns a new (2k, N) array: the k candidate potentials, then the k
+    candidate slopes.
     """
     dx, t = state.spacing, state.t
-    zero_idx = len(state.xs) // 2
+    k, n = state.f.shape
 
-    cum = _cumtrapz(state.rho, dx)
+    cum = _cumtrapz(state.rho, dx, np.empty(n))
     tail_l, tail_r = state.tails
     phi = (tail_l + cum) / (tail_l + float(cum[-1]) + tail_r)
-    cand_slopes = np.array([
-        _transport_slope(phi, a, b, v)
-        for (a, b), v in zip(state.intervals, state.vfields)
-    ])
+    swept = np.empty((2 * k, n))
+    cand_f, cand_slopes = swept[:k], swept[k:]
+    for row, (a, b), v in zip(cand_slopes, state.intervals, state.vfields):
+        row[:] = _transport_slope(phi, a, b, v)
     # G is strictly increasing for finite V, so the inverted slopes must
     # inherit the monotonicity of the cumulative mass.
-    if not np.all(np.diff(cand_slopes, axis=-1) >= -1e-12):
+    if not (cand_slopes[:, 1:] - cand_slopes[:, :-1] >= -1e-12).all():
         raise ArithmeticError("transport slope not monotone")
-    cand_f = _cumtrapz(cand_slopes, dx)
-    cand_f -= cand_f[:, zero_idx, None]
+    _cumtrapz(cand_slopes, dx, cand_f)
+    cand_f -= cand_f[:, n // 2, None]
     if t > 0.0:
         candidate = state.replace(f=cand_f, slopes=cand_slopes)
-        cand_f = cand_f + math.log(candidate.mass) / (t * len(cand_f))
-    update_norm = float(np.max(np.abs(cand_f - state.f)))
-    return state.replace(f=cand_f, slopes=cand_slopes, update_norm=update_norm)
+        cand_f += math.log(candidate.mass) / (t * k)
+    return swept
 
 
 class _Anderson:
@@ -267,6 +278,7 @@ class _Anderson:
         self.dr = np.empty((ANDERSON_MEMORY, size))
         self.dmix = np.empty((ANDERSON_MEMORY, size))
         self.gram = np.empty((ANDERSON_MEMORY, ANDERSON_MEMORY))
+        self.scratch = np.empty(size)
         self.restart()
 
     def restart(self):
@@ -274,30 +286,35 @@ class _Anderson:
         self.last = None
 
     def step(self, x, r):
-        """The next iterate from the flat iterate x and its residual r."""
-        m = 0
+        """The next iterate from the flat iterate x and its residual r.
+
+        The next iterate is a fresh array: the history keeps x and r by
+        reference.
+        """
+        m, scratch = 0, self.scratch
         if self.last is not None:
             slot = self.count % ANDERSON_MEMORY
             dr, dmix = self.dr[slot], self.dmix[slot]
             np.subtract(r, self.last[1], out=dr)
             np.subtract(x, self.last[0], out=dmix)
-            dmix += ANDERSON_MIXING * dr
+            dmix += np.multiply(dr, ANDERSON_MIXING, out=scratch)
             self.count += 1
             m = min(self.count, ANDERSON_MEMORY)
             row = self.dr[:m] @ dr
             self.gram[slot, :m] = row
             self.gram[:m, slot] = row
         self.last = (x, r)
-        new = x + ANDERSON_MIXING * r
+        new = np.multiply(r, ANDERSON_MIXING)
+        new += x
         if m:
             # Unit-diagonal scaling, so the rank cut below judges the
             # angles between residual differences, not their sizes.
-            scale = np.sqrt(np.diag(self.gram)[:m])
+            scale = np.sqrt(self.gram.diagonal()[:m])
             scale[scale == 0.0] = 1.0
-            gram = self.gram[:m, :m] / np.outer(scale, scale)
+            gram = self.gram[:m, :m] / (scale[:, None] * scale)
             fit = (self.dr[:m] @ r) / scale
             gamma = np.linalg.lstsq(gram, fit, rcond=GRAM_RCOND)[0] / scale
-            new -= gamma @ self.dmix[:m]
+            new -= np.matmul(gamma, self.dmix[:m], out=scratch)
         return new
 
 
@@ -358,6 +375,8 @@ def solve_continuity_1d(
     t_schedule = tuple(float(t) for t in t_schedule)
     if not t_schedule or t_schedule[-1] != 1.0:
         raise ConfigurationError("t schedule must end at t = 1")
+    if not all(0.0 <= t <= 1.0 for t in t_schedule):
+        raise ConfigurationError("t schedule must lie in [0, 1]")
     if any(t1 >= t2 for t1, t2 in zip(t_schedule, t_schedule[1:])):
         raise ConfigurationError("t schedule must increase")
 
@@ -379,9 +398,13 @@ def solve_continuity_1d(
         history = []
         obstructed = None
         for it in range(1, max_iter + 1):
-            swept = ma_step_1d(state)
-            residual = np.concatenate((swept.f, swept.slopes)) - x
-            new = mixer.step(x.ravel(), residual.ravel()).reshape(x.shape)
+            residual = ma_step_1d(state)
+            residual -= x
+            # Near t = 0 the unit-mass shift log(mass) / (t k) can push the
+            # residual products past the float range: that is a numerical
+            # failure, not inf or nan handed to the least-squares fit.
+            with np.errstate(over="raise", invalid="raise"):
+                new = mixer.step(x.ravel(), residual.ravel()).reshape(x.shape)
             update_norm = float(np.max(np.abs(new[:k] - x[:k])))
             state = state.replace(f=new[:k], slopes=new[k:], update_norm=update_norm)
             x = new

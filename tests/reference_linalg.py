@@ -7,8 +7,8 @@ input stays exact, and floats are eliminated with partial pivoting;
 solve and rank take a ``tol`` below which a float pivot counts as zero.
 ``farkas`` is the Fraction simplex the emptiness certificate ran before
 its tableau was kept in integers.  The tests check the package's integer
-routines and its float ``det`` against them, and use them wherever a test
-needs an independent rank or determinant.
+routines against them, and use them wherever a test needs an independent
+rank or determinant.
 """
 
 from fractions import Fraction

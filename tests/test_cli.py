@@ -1086,6 +1086,22 @@ def test_grid_above_the_node_cap_exits_two(capsys):
     assert "nodes per part" in err
 
 
+@pytest.mark.parametrize("schedule", ["-1,1", "nan,1", "-inf,1", "-1e300,1", "0,2,1"])
+def test_t_schedule_outside_the_unit_interval_exits_two(capsys, schedule):
+    code, report, err = run_cli(capsys, "ma-solve", "--example", "p1-fubini", f"--t-schedule={schedule}")
+    assert code == 2 and report is None
+    assert err == "torifano: invalid input: t schedule must lie in [0, 1]\n"
+
+
+@pytest.mark.parametrize("tiny", ["1e-300", "1e-200"])
+def test_tiny_positive_t_is_a_numerical_failure(tiny):
+    # The unit-mass shift log(mass) / (t k) is near 1/t, so the mixing
+    # products of the residual histories leave the float range.
+    proc = run_cli_process("ma-solve", "--example", "p1-fubini", "--grid", "R=2,h=0.05", f"--t-schedule=0,{tiny},1")
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr.startswith("torifano: numerical failure: ") and proc.stderr.count("\n") == 1, proc.stderr
+
+
 _EMPTY_FAN_DOC = dict(_P2_DOC, max_cones=[])
 # P^2 without its cone [2, 0]: the walls [0] and [2] lie in one cone each.
 _INCOMPLETE_P2_DOC = dict(_P2_DOC, max_cones=[[0, 1], [1, 2]])

@@ -50,13 +50,21 @@ def test_fubini_study_sup_error():
     assert abs(result.diagnostics["obstruction_residual"]) < 1e-6
 
 
+def _swept_state(state):
+    """The state one sweep moves to, with the sup change of its potentials."""
+    swept = ma_step_1d(state)
+    k = len(state.f)
+    assert swept.shape == (2 * k, len(state.xs))
+    update_norm = float(np.max(np.abs(swept[:k] - state.f)))
+    return state.replace(f=swept[:k], slopes=swept[k:], update_norm=update_norm)
+
+
 def test_exact_solution_is_near_fixed_point():
     state = initial_state([(-1.0, 1.0)], t=1.0)
     exact_f = fs_exact(state.xs)
     exact_slope = np.tanh(state.xs / 2.0)
     state = state.replace(f=exact_f[None, :], slopes=exact_slope[None, :])
-    stepped = ma_step_1d(state)
-    assert stepped.update_norm < 1e-5
+    assert _swept_state(state).update_norm < 1e-5
 
 
 def test_mirror_pair_symmetry():
@@ -169,7 +177,7 @@ def test_per_step_transport_identity_on_wide_grid():
         state = initial_state(PAIR, vfields=(0.3, -0.2), R=21.0, spacing=0.02)
         state = state.replace(t=t)
         for _ in range(5):
-            state = ma_step_1d(state)
+            state = _swept_state(state)
             for (a, b), v, slope in zip(state.intervals, state.vfields, state.slopes):
                 vol = gfun(b, a, v)
                 swept = gfun(float(slope[-1]), a, v) - gfun(float(slope[0]), a, v)
@@ -178,8 +186,8 @@ def test_per_step_transport_identity_on_wide_grid():
 
 def test_stage_zero_is_a_one_step_fixed_point():
     state = initial_state([(-1.0, 1.0), (-0.5, 0.5)])
-    first = ma_step_1d(state)
-    second = ma_step_1d(first)
+    first = _swept_state(state)
+    second = _swept_state(first)
     assert second.update_norm == 0.0
 
 
@@ -187,7 +195,7 @@ def test_sweeps_preserve_convexity_and_slope_range():
     state = initial_state(PAIR, vfields=(0.5, -0.5)).replace(t=0.75)
     zero_idx = len(state.xs) // 2
     for _ in range(30):
-        state = ma_step_1d(state)
+        state = _swept_state(state)
         for (a, b), f, slope in zip(state.intervals, state.f, state.slopes):
             assert np.min(np.diff(f, n=2)) >= -1e-10
             assert slope.min() >= a - 1e-12 and slope.max() <= b + 1e-12
@@ -353,6 +361,11 @@ def test_configuration_errors():
         solve_continuity_1d([(-1.0, 1.0)], t_schedule=(0.0, 0.5))
     with pytest.raises(ConfigurationError):
         solve_continuity_1d([(-1.0, 1.0)], t_schedule=(0.5, 0.25, 1.0))
+    for start in (-1.0, -1e300, -math.inf, math.nan):
+        with pytest.raises(ConfigurationError, match=r"\[0, 1\]"):
+            solve_continuity_1d([(-1.0, 1.0)], t_schedule=(start, 1.0))
+    with pytest.raises(ConfigurationError, match=r"\[0, 1\]"):
+        solve_continuity_1d([(-1.0, 1.0)], t_schedule=(0.0, 2.0, 1.0))
     with pytest.raises(InputError):
         initial_state([(1.0, -1.0)])
     with pytest.raises(InputError):
@@ -463,7 +476,7 @@ def _ref_step(state, relaxation):
 
 def _relaxed_step(state, relaxation):
     """The sweep mixed with the current state, as the Picard loop mixed it."""
-    swept = ma_step_1d(state)
+    swept = _swept_state(state)
     new_f = (1 - relaxation) * state.f + relaxation * swept.f
     new_slopes = (1 - relaxation) * state.slopes + relaxation * swept.slopes
     return swept.replace(f=new_f, slopes=new_slopes, update_norm=float(np.max(np.abs(new_f - state.f))))
@@ -477,6 +490,7 @@ def _assert_same_bits(stacked, ref):
 
 
 TRIPLE = ((-1.0, 0.5), (-0.5, 0.5), (-0.5, 1.0))
+P1_PAIR = ((-0.375, 0.625), (-0.625, 0.375))
 
 
 @pytest.mark.parametrize("relaxation", [0.5, 1.0])
@@ -504,6 +518,123 @@ def test_stacked_sweep_matches_per_part_sweep(intervals, vfields, t, relaxation)
         state = _relaxed_step(state, relaxation)
         ref = _ref_step(ref, relaxation)
         _assert_same_bits(state, ref)
+
+
+# ---------------------------------------------------------------------------
+# the whole path against a loop of per-part sweeps and unfused mixing, bit
+# for bit: every stage's snapshot and the final potentials and slopes
+
+
+class _UnfusedAnderson:
+    """The type-II Anderson step with a temporary for every product."""
+
+    def __init__(self, size):
+        self.dr = np.empty((masolver.ANDERSON_MEMORY, size))
+        self.dmix = np.empty((masolver.ANDERSON_MEMORY, size))
+        self.gram = np.empty((masolver.ANDERSON_MEMORY, masolver.ANDERSON_MEMORY))
+        self.count, self.last = 0, None
+
+    def step(self, x, r):
+        memory, mixing = masolver.ANDERSON_MEMORY, masolver.ANDERSON_MIXING
+        m = 0
+        if self.last is not None:
+            slot = self.count % memory
+            dr, dmix = self.dr[slot], self.dmix[slot]
+            np.subtract(r, self.last[1], out=dr)
+            np.subtract(x, self.last[0], out=dmix)
+            dmix += mixing * dr
+            self.count += 1
+            m = min(self.count, memory)
+            row = self.dr[:m] @ dr
+            self.gram[slot, :m] = row
+            self.gram[:m, slot] = row
+        self.last = (x, r)
+        new = x + mixing * r
+        if m:
+            scale = np.sqrt(np.diag(self.gram)[:m])
+            scale[scale == 0.0] = 1.0
+            gram = self.gram[:m, :m] / np.outer(scale, scale)
+            fit = (self.dr[:m] @ r) / scale
+            gamma = np.linalg.lstsq(gram, fit, rcond=masolver.GRAM_RCOND)[0] / scale
+            new -= gamma @ self.dmix[:m]
+        return new
+
+
+def _ref_snapshot(state, iterations, include_arrays):
+    snap = {name: getattr(state, name) for name in ("t", "mass", "update_norm", "w_min", "x_w", "growth_eps")}
+    snap["iterations"] = iterations
+    if include_arrays:
+        snap.update(grid=state.xs.tolist(), f=np.array(state.f).tolist(), rho=state.rho.tolist())
+    return snap
+
+
+def _ref_path(intervals, vfields, R, spacing, tol, include_arrays=False, max_iter=2500):
+    """Snapshots and final state of the continuity path, one part at a time."""
+    start = initial_state(intervals, vfields, R=R, spacing=spacing)
+    k = len(start.intervals)
+    state = _ref_diagnose(
+        0.0, start.xs, spacing, start.intervals, start.vfields,
+        tuple(start.f), tuple(start.slopes), tuple(start.h_ref), tuple(start.h_slopes), math.inf,
+    )
+    mixer = _UnfusedAnderson(2 * start.f.size)
+    snapshots = []
+    for t in DEFAULT_T_SCHEDULE:
+        state = _ref_diagnose(
+            t, state.xs, spacing, state.intervals, state.vfields,
+            state.f, state.slopes, state.h_ref, state.h_slopes, state.update_norm,
+        )
+        mixer.count, mixer.last = 0, None
+        x = np.array(state.f + state.slopes)
+        history, obstructed = [], False
+        for it in range(1, max_iter + 1):
+            swept = _ref_step(state, 1.0)
+            residual = np.array(swept.f + swept.slopes) - x
+            new = mixer.step(x.ravel(), residual.ravel()).reshape(x.shape)
+            update_norm = float(np.max(np.abs(new[:k] - x[:k])))
+            state = _ref_diagnose(
+                t, state.xs, spacing, state.intervals, state.vfields,
+                tuple(new[:k]), tuple(new[k:]), state.h_ref, state.h_slopes, update_norm,
+            )
+            x = new
+            history.append(update_norm)
+            obstructed = abs(state.x_w) > R / 2.0 or (len(history) > 50 and history[-1] > 0.99 * history[-51])
+            if obstructed or update_norm < tol:
+                break
+        else:
+            obstructed = True
+        snapshots.append(_ref_snapshot(state, it, include_arrays))
+        if obstructed:
+            break
+    return snapshots, state
+
+
+def _bits(value):
+    return np.asarray(value, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize(
+    "intervals, vfields, include_arrays, status",
+    [
+        (P1_PAIR, (1.25, -1.25), False, "Converged"),
+        (P1_PAIR, (0.5, 0.5), False, "w-minimizer drifted"),
+        (P1_PAIR, (0.05, 0.05), False, "updates stalled"),
+        (TRIPLE, (1.0, 0.0, -1.0), False, "Converged"),
+        (((-1.0, 1.0),), (0.0,), True, "Converged"),
+    ],
+    ids=["cancelling", "drift", "stall", "three-parts", "arrays"],
+)
+def test_path_matches_per_part_reference_bit_for_bit(intervals, vfields, include_arrays, status):
+    R, spacing, tol = 6.0, 0.04, 1e-9
+    result = solve_continuity_1d(intervals, vfields, R=R, spacing=spacing, tol=tol, include_arrays=include_arrays)
+    assert result.status == status or result.diagnostics["reason"].startswith(status)
+    snapshots, state = _ref_path(intervals, vfields, R, spacing, tol, include_arrays)
+    assert [sorted(snap) for snap in result.snapshots] == [sorted(snap) for snap in snapshots]
+    for got, want in zip(result.snapshots, snapshots):
+        assert {name: _bits(value) for name, value in got.items()} == {
+            name: _bits(value) for name, value in want.items()
+        }
+    assert _bits(result.state.f) == _bits(state.f)
+    assert _bits(result.state.slopes) == _bits(state.slopes)
 
 
 # ---------------------------------------------------------------------------
@@ -622,8 +753,6 @@ def _picard_continuity(intervals, vfields, tol, R=8.0, max_iter=2500, relaxation
             return "Obstructed", state, residual
     return "Converged", state, residual
 
-
-P1_PAIR = ((-0.375, 0.625), (-0.625, 0.375))
 
 
 @pytest.mark.parametrize(
