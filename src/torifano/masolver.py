@@ -26,6 +26,8 @@ arrays.
 Solutions exist along the whole path exactly when the weighted barycenters
 cancel; otherwise the minimizer of w = sum(t f_i + (1-t) h_i) drifts or the
 updates stall, which is reported as an obstruction rather than an error.
+The barycenter witness sums the weighted moment pass over each interval,
+so it is the number soliton-check reports for the same parts and fields.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import geometry, moments
 from ._record import Record
 from .errors import ConfigurationError, InputError
 
@@ -45,9 +48,6 @@ MAX_GRID_NODES = 2**16
 # Decay-rate floor for the tail estimate; a flatter density than this at the
 # window edge means mass is escaping and shows up in the drift detector.
 MIN_EDGE_DECAY = 0.05
-# Below this |field x length| the closed-form mean cancels, and its series
-# is summed instead: the first omitted term is below 1.3e-16 there.
-SERIES_BELOW = 0.25
 # Past sweeps the Anderson step combines; the history restarts at each t.
 ANDERSON_MEMORY = 5
 # Weight of the new residual in each Anderson step.
@@ -66,32 +66,6 @@ def _ref_values_1d(a, b, xs):
     sig[~pos] = np.exp(u[~pos]) / (1.0 + np.exp(u[~pos]))
     slopes = a + (b - a) * sig
     return values, slopes
-
-
-def _mean_fraction(z):
-    """Mean of u on [0, 1] under the density e^{zu}, for z >= 0.
-
-    g(z) = 1/(1 - e^{-z}) - 1/z.  Its two terms cancel for small z, so
-    there the Bernoulli series 1/2 + z/12 - z^3/720 + ... is summed instead.
-    """
-    if z < SERIES_BELOW:
-        z2 = z * z
-        return 0.5 + z * (1 / 12 + z2 * (-1 / 720 + z2 * (1 / 30240 + z2 * (
-            -1 / 1209600 + z2 / 47900160))))
-    return -1.0 / math.expm1(-z) - 1.0 / z
-
-
-def interval_weighted_mean(a, b, v):
-    """Mean of the interval under the density e^{v s}, in closed form.
-
-    a + L g(vL) with L = b - a, evaluated through g(-z) = 1 - g(z) so that
-    no exponential of a large field is ever formed.
-    """
-    length = b - a
-    z = v * length
-    if z >= 0.0:
-        return a + length * _mean_fraction(z)
-    return b - length * _mean_fraction(-z)
 
 
 def _fraction_quantile(phi, z):
@@ -221,6 +195,13 @@ def initial_state(intervals, vfields=None, R=8.0, spacing=0.004, t=0.0):
     if len(vfields) != len(intervals):
         raise InputError("need one field value per interval")
     xs = make_grid(R, spacing)
+    # w sums the reference potentials, each up to max(|a|, |b|) R on the
+    # window, and a potential's slope turns over a width (b - a) R.
+    reach = 0.0
+    for a, b in intervals:
+        reach += max(abs(a), abs(b), b - a) * R
+        if not math.isfinite(reach):
+            raise OverflowError(f"interval [{a}, {b}] takes w past the float range on the window R={R}")
     h_ref, h_slopes = map(np.array, zip(*(_ref_values_1d(a, b, xs) for a, b in intervals)))
     return MAState(
         t=float(t), xs=xs, spacing=float(spacing), intervals=intervals, vfields=vfields,
@@ -244,7 +225,12 @@ def ma_step_1d(state):
 
     cum = _cumtrapz(state.rho, dx, np.empty(n))
     tail_l, tail_r = state.tails
-    phi = (tail_l + cum) / (tail_l + float(cum[-1]) + tail_r)
+    total = tail_l + float(cum[-1]) + tail_r
+    # A warm start from a stage at tiny t carries its unit-mass shift, near
+    # 1/t, into w: e^{-w} can underflow on the whole grid.
+    if not total > 0.0:
+        raise ArithmeticError(f"density e^-w underflows on the whole grid at t={t}")
+    phi = (tail_l + cum) / total
     swept = np.empty((2 * k, n))
     cand_f, cand_slopes = swept[:k], swept[k:]
     for row, (a, b), v in zip(cand_slopes, state.intervals, state.vfields):
@@ -381,10 +367,10 @@ def solve_continuity_1d(
         raise ConfigurationError("t schedule must increase")
 
     state = initial_state(intervals, vfields, R=R, spacing=spacing, t=t_schedule[0])
-    # Exact obstruction witness, independent of the grid: the path can close
-    # only when the weighted interval means cancel.
-    residual_exact = sum(
-        interval_weighted_mean(a, b, v)
+    # Obstruction witness, independent of the grid: the path can close only
+    # when the weighted barycenters cancel.
+    witness = sum(
+        moments.weighted_barycenter(geometry.polytope_from_halfspaces([((1.0,), -a), ((-1.0,), b)]), (v,))[0]
         for (a, b), v in zip(state.intervals, state.vfields)
     )
     k = len(state.intervals)
@@ -427,7 +413,7 @@ def solve_continuity_1d(
             break
     diagnostics = _snapshot(state, it, False)
     del diagnostics["iterations"]
-    diagnostics.update(obstruction_residual=obstruction_residual(state), barycenter_residual=residual_exact)
+    diagnostics.update(obstruction_residual=obstruction_residual(state), barycenter_residual=witness)
     if obstructed:
         # The exact theory ties obstruction to a nonzero barycenter
         # residual; the detection thresholds above are numerical judgment

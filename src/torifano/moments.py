@@ -16,8 +16,11 @@ exp, the divided difference of exp over the a_i; its derivatives
 moments (Baldoni, Berline, De Loera, Koppe and Vergne, Math. Comp. 2011).
 First moments are taken about :func:`barycenter`, the cone-sum one, and
 second moments about A_P(V) itself, so the covariance is a sum of squares
-and loses no digits to cancellation.  This pass is the one weighted route;
-the tests hold a quadrature route that cross-checks it.
+and loses no digits to cancellation.  This pass is the one weighted route:
+Newton, the weighted barycenters of soliton-check and barycenter, and the
+barycenter witness of the 1-D continuity path all read it.  The tests hold
+a quadrature route and the closed-form mean of an interval that
+cross-check it.
 """
 
 from __future__ import annotations
@@ -115,16 +118,20 @@ def weighted_moments(polytope, vfield, order=2):
 
     One batch of divided differences covers every simplex of the polytope's
     mesh: for each vertex pair i <= j the nodes (a, a_i, a_j) give [a],
-    [a, a_i] and [a, a_i, a_j] at once.  Nodes are shifted by the largest vertex exponent, so all are
-    <= 0 and no field whose exponents are finite overflows.  First moments
-    are taken about :func:`barycenter` and second moments about A_P(V), so
-    the covariance needs no subtraction of the squared mean.
+    [a, a_i] and [a, a_i, a_j] at once.  Nodes are shifted by the largest
+    vertex exponent, so all are <= 0; exponents, or a spread of them, past
+    the float range raise OverflowError.  First moments are taken about
+    :func:`barycenter` and second moments about A_P(V), so the covariance
+    needs no subtraction of the squared mean.
     """
     import numpy as np
 
     points, weights = map(np.array, polytope.mesh.floats)
-    expo = points @ np.array([float(x) for x in vfield])
-    if not np.isfinite(expo).all():
+    with np.errstate(over="ignore", invalid="ignore"):
+        expo = points @ np.array([float(x) for x in vfield])
+    # The spread, a Python float, bounds every shifted node below; past the
+    # float range it is inf, with no warning before the one failure.
+    if not (np.isfinite(expo).all() and math.isfinite(float(expo.max()) - float(expo.min()))):
         raise OverflowError("vertex exponents outside the float range")
     shift = float(expo.max())
     count, k = expo.shape

@@ -19,6 +19,9 @@ tests check it against, and no command runs:
   or at the binary value of their floats, are checked.
 - :func:`simplex_polytope`, the polytope of a simplex given by its
   vertices, on which the weighted pass runs over that one simplex.
+- :func:`interval_weighted_mean`, the closed-form weighted mean of an
+  interval, against which the 1-D witness of the continuity path and the
+  bisections for cancelling fields are checked.
 """
 
 from __future__ import annotations
@@ -45,6 +48,9 @@ import reference_linalg
 SPREAD_MAX = 1.0
 _DEGREES = (4, 6, 8, 11, 15, 20)
 _MAX_SPLITS = 64
+# Below this |field x length| the closed-form mean cancels, and its series
+# is summed instead: the first omitted term is below 1.3e-16 there.
+SERIES_BELOW = 0.25
 
 
 def _compositions(total, parts):
@@ -243,3 +249,29 @@ def simplex_polytope(vertices):
             normal = [-x for x in normal]
         rows.append((tuple(normal), -dot(normal, base[0])))
     return polytope_from_halfspaces(rows)
+
+
+def _mean_fraction(z):
+    """Mean of u on [0, 1] under the density e^{zu}, for z >= 0.
+
+    g(z) = 1/(1 - e^{-z}) - 1/z.  Its two terms cancel for small z, so
+    there the Bernoulli series 1/2 + z/12 - z^3/720 + ... is summed instead.
+    """
+    if z < SERIES_BELOW:
+        z2 = z * z
+        return 0.5 + z * (1 / 12 + z2 * (-1 / 720 + z2 * (1 / 30240 + z2 * (
+            -1 / 1209600 + z2 / 47900160))))
+    return -1.0 / math.expm1(-z) - 1.0 / z
+
+
+def interval_weighted_mean(a, b, v):
+    """Mean of the interval [a, b] under the density e^{v s}, in closed form.
+
+    a + L g(vL) with L = b - a, evaluated through g(-z) = 1 - g(z) so that
+    no exponential of a large field is ever formed.
+    """
+    length = b - a
+    z = v * length
+    if z >= 0.0:
+        return a + length * _mean_fraction(z)
+    return b - length * _mean_fraction(-z)

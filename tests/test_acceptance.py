@@ -22,7 +22,7 @@ from torifano.geometry import (
     polytope_from_support,
     triangulate,
 )
-from torifano.masolver import interval_weighted_mean, solve_continuity_1d
+from torifano.masolver import solve_continuity_1d
 from torifano.moments import (
     barycenter,
     volume,
@@ -42,7 +42,7 @@ from torifano.stability import (
 )
 
 from reference_geometry import translate
-from reference_moments import exp_moments_simplex, mesh_moments, simplex_polytope
+from reference_moments import exp_moments_simplex, interval_weighted_mean, mesh_moments, simplex_polytope
 
 P2 = Fan(((1, 0), (0, 1), (-1, -1)), ((0, 1), (1, 2), (2, 0)))
 HEXAGON = Fan(

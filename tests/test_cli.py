@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import torifano
@@ -390,7 +390,7 @@ def test_ma_solve_small_field_residual_matches_soliton_check(tmp_path, capsys):
     residual = float(report["diagnostics"]["barycenter_residual"])
     code, check, _ = run_cli(capsys, "soliton-check", "--input", path)
     assert code == 0
-    assert residual == pytest.approx(float(check["results"]["residual"][0]), abs=1e-15)
+    assert report["diagnostics"]["barycenter_residual"] == check["results"]["residual"][0]
     assert residual == pytest.approx(1e-8 / 12.0, rel=1e-6)
 
 
@@ -600,6 +600,46 @@ def test_document_echo_matches_input(tmp_path, capsys):
     direct = document_from_dict(json.loads(open(path).read()), "echo")
     assert echoed.halfspaces == direct.halfspaces
     assert echoed.vector_fields == direct.vector_fields
+
+
+# x <= 1, -x <= 0, y <= 2, -y <= 0, x + y <= 5/2 in leq form, and its geq twin.
+_LEQ_ROWS = [[[1, 0], "1"], [[-1, 0], "0"], [[0, 1], "2"], [[0, -1], "0"], [[1, 1], "5/2"]]
+_LEQ_DOC = {"name": "cut-box", "dimension": 2, "halfspace_form": "leq", "halfspaces": [_LEQ_ROWS]}
+_GEQ_DOC = {"name": "cut-box", "dimension": 2,
+            "halfspaces": [[[[-x for x in normal], offset] for normal, offset in _LEQ_ROWS]]}
+
+
+@pytest.mark.parametrize("command", ["validate", "barycenter", "ke-verdict", "df", "lift"])
+def test_leq_document_reports_the_results_of_its_geq_twin(tmp_path, capsys, command):
+    code, leq, err = run_cli(capsys, command, "--input", write_doc(tmp_path, _LEQ_DOC, "leq.json"))
+    assert code == 0, err
+    code, geq, err = run_cli(capsys, command, "--input", write_doc(tmp_path, _GEQ_DOC, "geq.json"))
+    assert code == 0, err
+    assert leq["results"] == geq["results"]
+    assert leq["document"]["notes"] == ["halfspaces converted from leq form (normals negated) at ingestion"]
+    assert "notes" not in geq["document"]
+    assert leq["document"]["halfspaces"] == geq["document"]["halfspaces"]
+    if command == "barycenter":
+        assert leq["results"]["parts"] == [{"volume": "15/8", "barycenter": ["43/90", "17/18"]}]
+
+
+def test_unknown_halfspace_form_exits_two(tmp_path, capsys):
+    code, report, err = run_cli(capsys, "validate", "--input", write_doc(tmp_path, dict(_LEQ_DOC, halfspace_form="lt")))
+    assert code == 2 and report is None
+    assert err == "torifano: invalid input: halfspace_form: expected 'geq' or 'leq', got 'lt'\n"
+
+
+@pytest.mark.parametrize("command", ["barycenter", "soliton-check", "ma-solve"])
+def test_document_options_are_echoed_and_change_no_result(tmp_path, capsys, command):
+    options = {"tol": 0.5, "label": "x", "depth": 3, "nested": {"h": 0.25}}
+    code, bare, err = run_cli(capsys, command, "--input", write_doc(tmp_path, PAIR_DOC, "bare.json"))
+    assert code == 0, err
+    code, report, err = run_cli(capsys, command, "--input", write_doc(tmp_path, dict(PAIR_DOC, options=options)))
+    assert code == 0, err
+    assert report["document"]["options"] == {"tol": "0.5", "label": "x", "depth": 3, "nested": {"h": "0.25"}}
+    assert "options" not in bare["document"]
+    assert report["results"] == bare["results"]
+    assert report["options_used"] == bare["options_used"]
 
 
 def _count_cone_sums(monkeypatch):
@@ -838,10 +878,13 @@ _FLOAT_OVERFLOWS = {
     "wide-square": {"name": "squares", "dimension": 2, "halfspaces": [_square((0, 0), 1e200), _square((0, 0), 1.0)]},
     "far-interval": dict(_INTERVAL, halfspaces=[[[[-1], 1e308], [[1], 4.0]]]),
     "far-pair": dict(_INTERVAL, halfspaces=[[[[-1], 1e308], [[1], -1e307]]] * 2, vector_fields=[[0.0], [0.0]]),
+    # Fields whose vertex exponents, or their spread, leave the float range.
+    "field-interval": dict(_INTERVAL, halfspaces=[[[[1], 1.0], [[-1], 1.0]]], vector_fields=[[1e308]]),
+    "field-p2": dict(_P2_DOC, vector_fields=[[1e308, 0.0]]),
 }
 
 
-@pytest.mark.parametrize("command", ["barycenter", "ke-verdict", "df", "soliton-check", "soliton-solve"])
+@pytest.mark.parametrize("command", ["barycenter", "ke-verdict", "df", "soliton-check", "soliton-solve", "ma-solve"])
 @pytest.mark.parametrize("name", _FLOAT_OVERFLOWS)
 def test_float_overflow_exits_three_or_reports_finite_values(tmp_path, capsys, name, command):
     doc = _FLOAT_OVERFLOWS[name]
@@ -1093,11 +1136,16 @@ def test_t_schedule_outside_the_unit_interval_exits_two(capsys, schedule):
     assert err == "torifano: invalid input: t schedule must lie in [0, 1]\n"
 
 
-@pytest.mark.parametrize("tiny", ["1e-300", "1e-200"])
-def test_tiny_positive_t_is_a_numerical_failure(tiny):
-    # The unit-mass shift log(mass) / (t k) is near 1/t, so the mixing
-    # products of the residual histories leave the float range.
-    proc = run_cli_process("ma-solve", "--example", "p1-fubini", "--grid", "R=2,h=0.05", f"--t-schedule=0,{tiny},1")
+@pytest.mark.parametrize(
+    "tiny, grid",
+    [pytest.param(tiny, "R=2,h=0.05", id=tiny) for tiny in ("1e-300", "1e-200", "1e-100", "1e-20", "1e-5", "1e-3")]
+    + [pytest.param(tiny, "R=8,h=0.004", id=f"{tiny}-default-grid") for tiny in ("1e-100", "1e-20", "1e-5", "1e-3")],
+)
+def test_tiny_positive_t_is_a_numerical_failure(tiny, grid):
+    # The unit-mass shift log(mass) / (t k) is near 1/t: either the mixing
+    # products of the residual histories leave the float range, or the next
+    # stage starts from a density e^{-w} that underflows on the whole grid.
+    proc = run_cli_process("ma-solve", "--example", "p1-fubini", "--grid", grid, f"--t-schedule=0,{tiny},1")
     assert proc.returncode == 3 and proc.stdout == ""
     assert proc.stderr.startswith("torifano: numerical failure: ") and proc.stderr.count("\n") == 1, proc.stderr
 
@@ -1248,6 +1296,9 @@ _FUZZ_EXAMPLES = ("p2", "p1xp1", "blowup-p2-1pt", "hexagon-dP6-t:1/7", "pE-4fold
     doc=_fuzz_documents(),
     out=st.sampled_from([None, None, "report.json", ".", "missing/report.json"]),
 )
+@example(command="soliton-check", doc=_FLOAT_OVERFLOWS["field-p2"], out=None)
+@example(command="barycenter", doc=_FLOAT_OVERFLOWS["field-interval"], out=None)
+@example(command="ma-solve", doc=_FLOAT_OVERFLOWS["field-interval"], out=None)
 def test_console_fuzz_exits_with_a_documented_code(tmp_path_factory, command, doc, out):
     where = tmp_path_factory.mktemp("fuzz")
     args = [command, "--input", write_doc(where, doc)]
@@ -1255,6 +1306,13 @@ def test_console_fuzz_exits_with_a_documented_code(tmp_path_factory, command, do
         args += ["--out", str(where / out)]
     r = run_cli_process(*args)
     assert r.returncode in (0, 1, 2, 3), r.stderr
-    assert "Traceback" not in r.stderr, r.stderr
+    assert "Traceback" not in r.stderr and "Warning" not in r.stderr, r.stderr
     if r.returncode == 0:
+        assert r.stderr == ""
         _finite_strings(json.loads(r.stdout))
+    elif r.stdout:
+        # A soliton solve that does not converge reports, with exit 3.
+        assert command == "soliton-solve" and r.returncode == 3 and r.stderr == "", r.stderr
+    else:
+        lines = r.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("torifano: "), r.stderr

@@ -11,15 +11,18 @@ import pytest
 from torifano import masolver
 from torifano._record import Record
 from torifano.errors import ConfigurationError, InputError
+from torifano.geometry import polytope_from_halfspaces
 from torifano.masolver import (
     DEFAULT_T_SCHEDULE,
     initial_state,
-    interval_weighted_mean,
     ma_step_1d,
     make_grid,
     obstruction_residual,
     solve_continuity_1d,
 )
+from torifano.moments import weighted_barycenter
+
+from reference_moments import interval_weighted_mean
 
 PAIR = ((-0.75, 0.25), (-0.25, 0.75))
 MIRROR = ((-1.0, 0.25), (-0.25, 1.0))
@@ -111,14 +114,18 @@ def _decimal_mass(a, p, v):
 
 @pytest.mark.parametrize("v", SMALL_AND_LARGE_FIELDS)
 def test_interval_weighted_mean_matches_decimal_reference(v):
-    # The closed form cancels below |v L| ~ 1 and overflows past e^709; the
-    # reference is the same closed form, carried to 50 digits.
+    # The witness of the path is the weighted pass on the interval; the
+    # closed form the tests bisect with cancels below |v L| ~ 1 and
+    # overflows past e^709.  The reference is that closed form, carried to
+    # 50 digits.
     a, b = -0.375, 0.625
     with localcontext() as ctx:
         ctx.prec = 50
         da, db, dv = Decimal(a), Decimal(b), Decimal(v)
         ea, eb = (dv * da).exp(), (dv * db).exp()
         want = float(((db - 1 / dv) * eb - (da - 1 / dv) * ea) / (eb - ea))
+    interval = polytope_from_halfspaces([((1.0,), -a), ((-1.0,), b)])
+    assert weighted_barycenter(interval, (v,))[0] == pytest.approx(want, abs=1e-15)
     assert interval_weighted_mean(a, b, v) == pytest.approx(want, abs=1e-15)
 
 
@@ -399,6 +406,35 @@ def test_non_monotone_transport_slope_raises(monkeypatch):
     monkeypatch.setattr(masolver, "_transport_slope", lambda phi, a, b, v: -np.asarray(phi))
     with pytest.raises(ArithmeticError, match="transport slope not monotone"):
         ma_step_1d(state)
+
+
+def test_density_underflowing_on_the_whole_grid_raises():
+    # As after a warm start from a stage at tiny t: e^{-w} is 0 at every node.
+    state = initial_state(PAIR, t=1.0)
+    state = state.replace(f=state.f + 1e3)
+    with pytest.raises(ArithmeticError, match="underflows on the whole grid at t=1.0"):
+        ma_step_1d(state)
+
+
+@pytest.mark.parametrize(
+    "intervals, R",
+    [
+        (((-1e308, 1e308),), 8.0),
+        (((-4.0, 1e308),), 8.0),
+        (((-1.0, 1.0),) + ((-1e307, 1e307),) * 2, 8.0),
+        (((-1e308, 1.0),), 2.0),
+    ],
+)
+def test_reference_potentials_past_the_float_range_raise(intervals, R):
+    with pytest.raises(OverflowError, match=r"takes w past the float range on the window R="):
+        initial_state(intervals, R=R, spacing=0.05)
+
+
+def test_reference_potentials_at_the_edge_of_the_float_range_are_built():
+    # The slope of this part turns over a width 1.6e308; two such parts
+    # would take w to 3.2e308.
+    state = initial_state(((-1e307, 1e307),), R=8.0, spacing=0.05)
+    assert np.isfinite(state.h_sum).all()
 
 
 # ---------------------------------------------------------------------------
