@@ -17,12 +17,12 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import json
 import math
 import os
 import sys
 import time
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import __version__
 from .errors import InputError, UnknownExampleError
@@ -58,26 +58,102 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def jsonable(value):
-    """Deterministic JSON-ready form: Fractions as "p/q", finite floats as %.17g."""
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, int):
-        return int(value)
-    if isinstance(value, float):
-        # A result that left the float range fails the command (exit 3).
-        if not math.isfinite(value):
-            raise OverflowError(f"a float result is {value}")
-        return format(float(value), ".17g")
-    if isinstance(value, dict):
-        return {str(k): jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [jsonable(v) for v in value]
-    if value is None or isinstance(value, str):
-        return value
-    raise TypeError(f"cannot serialize {type(value).__name__}")
+def _float_text(value):
+    text = "%.17g" % value
+    # "inf", "-inf" and "nan" end in a letter: a result that left the float
+    # range fails the command (exit 3).
+    if text[-1] in "fn":
+        raise OverflowError(f"a float result is {value}")
+    return f'"{text}"'
+
+
+# Lists whose items all have one of these types are written in one join.
+_SCALAR_TEXT = {str: _quote, int: int.__repr__, Fraction: '"%s"'.__mod__, float: _float_text}
+# A subclass, numpy's float64 say, is written as the first of these it derives from.
+_BASES = (Fraction, int, float, dict, list, tuple, str)
+
+
+def _dumps(value, newline=None):
+    """The JSON text of a report value, in one pass.
+
+    Fractions are written as "p/q" strings and finite floats as %.17g
+    strings, dict keys as their ``str`` in sorted order, tuples as lists.
+    From a ``newline`` of "\\n" the text is indented by two spaces a level;
+    with None it is one line.  Either way it is byte for byte what
+    ``json.dumps(..., sort_keys=True)`` writes for that form, with
+    ``indent=2`` or without.
+    """
+    out = []
+    _write_json(value, newline, out)
+    return "".join(out)
+
+
+def _write_json(value, newline, out):
+    """Append the text of ``value`` to ``out``; ``newline`` opens its line."""
+    kind = type(value)
+    if kind is str:
+        out.append(_quote(value))
+    elif kind is Fraction:
+        out.append('"%s"' % value)
+    elif kind is float:
+        out.append(_float_text(value))
+    elif kind is list or kind is tuple:
+        if not value:
+            out.append("[]")
+            return
+        if newline is None:
+            inner, sep, close = None, ", ", "]"
+            out.append("[")
+        else:
+            inner = newline + "  "
+            sep, close = "," + inner, newline + "]"
+            out.append("[" + inner)
+        item = type(value[0])
+        text = _SCALAR_TEXT.get(item)
+        if text is not None:
+            for v in value:
+                if type(v) is not item:
+                    break
+            else:
+                out.append(sep.join(map(text, value)))
+                out.append(close)
+                return
+        for v in value:
+            _write_json(v, inner, out)
+            out.append(sep)
+        out[-1] = close
+    elif kind is dict:
+        if not value:
+            out.append("{}")
+            return
+        if newline is None:
+            inner, sep, close = None, ", ", "}"
+            out.append("{")
+        else:
+            inner = newline + "  "
+            sep, close = "," + inner, newline + "}"
+            out.append("{" + inner)
+        if not all(type(k) is str for k in value):
+            value = {str(k): v for k, v in value.items()}
+        for k, v in sorted(value.items()):
+            out.append(_quote(k) + ": ")
+            _write_json(v, inner, out)
+            out.append(sep)
+        out[-1] = close
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    else:
+        for base in _BASES:
+            if isinstance(value, base):
+                _write_json(base(value), newline, out)
+                return
+        raise TypeError(f"cannot serialize {kind.__name__}")
 
 
 def _raw_parts(doc):
@@ -274,7 +350,7 @@ def _cmd_ma_solve(doc, args):
     )
     if args.snapshots:
         _write("--snapshots", args.snapshots,
-               "".join(json.dumps(jsonable(snap), sort_keys=True) + "\n" for snap in result.snapshots))
+               "".join(_dumps(snap) + "\n" for snap in result.snapshots))
     stages = [
         {k: v for k, v in snap.items() if k not in ("grid", "f", "rho")}
         for snap in result.snapshots
@@ -422,7 +498,7 @@ def main(argv=None):
         _parse_scalar_options(args)
         with _int_digits_unlimited():
             report, code = run(args.command, doc, args)
-            payload = json.dumps(jsonable(report), indent=2, sort_keys=True) + "\n"
+            payload = _dumps(report, "\n") + "\n"
         if args.out:
             _write("--out", args.out, payload)
     except (UsageError, UnknownExampleError) as exc:

@@ -223,9 +223,15 @@ def ma_step_1d(state):
     dx, t = state.spacing, state.t
     k, n = state.f.shape
 
-    cum = _cumtrapz(state.rho, dx, np.empty(n))
+    # Where 0 lies outside the sum of the intervals, w falls without bound
+    # towards one end of the window, and e^{-w} or its mass can leave the
+    # float range there: that fails the step, with no numpy warning first.
+    with np.errstate(over="ignore"):
+        cum = _cumtrapz(state.rho, dx, np.empty(n))
     tail_l, tail_r = state.tails
     total = tail_l + float(cum[-1]) + tail_r
+    if total == math.inf:
+        raise ArithmeticError(f"density e^-w overflows on the grid at t={t}")
     # A warm start from a stage at tiny t carries its unit-mass shift, near
     # 1/t, into w: e^{-w} can underflow on the whole grid.
     if not total > 0.0:
@@ -311,8 +317,14 @@ def obstruction_residual(state):
     weighted barycenters, which vanishes precisely when the path can close.
     """
     slope_sum = state.slopes.sum(axis=0)
-    density = np.exp(-state.f.sum(axis=0))
-    return float(np.trapezoid(slope_sum * density, dx=state.spacing))
+    # Like e^{-w} in a sweep, e^{-sum f_i} can leave the float range on an
+    # interval far from 0.
+    with np.errstate(over="ignore", invalid="ignore"):
+        density = np.exp(-state.f.sum(axis=0))
+        residual = float(np.trapezoid(slope_sum * density, dx=state.spacing))
+    if not math.isfinite(residual):
+        raise ArithmeticError("obstruction residual leaves the float range")
+    return residual
 
 
 class ContinuityResult(Record):

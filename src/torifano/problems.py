@@ -5,7 +5,9 @@ or raw halfspace lists, one list per decomposition part.  Rationals travel
 as "p/q" strings and stay exact; any float anywhere switches the geometry
 pipeline to float tolerances.  Raw halfspaces may arrive in the dual
 "leq" convention, in which case normals are negated at ingestion and the
-conversion is recorded in the document notes.
+conversion is recorded in the document notes.  Each distinct string or int
+token is parsed once per document: scalars repeat within a document, and
+parsing a "p/q" string costs far more than a dictionary lookup.
 """
 
 from __future__ import annotations
@@ -106,7 +108,7 @@ def _is_halfspace_pair(entry):
     )
 
 
-def _parse_halfspaces(raw, dim, form, notes):
+def _parse_halfspaces(raw, dim, form, notes, scalar):
     if not isinstance(raw, (list, tuple)) or not raw:
         raise InputError("halfspaces: expected a non-empty list")
     if all(_is_halfspace_pair(e) for e in raw):
@@ -133,8 +135,8 @@ def _parse_halfspaces(raw, dim, form, notes):
             where = f"halfspaces[{i}][{j}]"
             if len(normal) != dim:
                 raise InputError(f"{where}: normal has length {len(normal)}, expected {dim}")
-            d = tuple(parse_scalar(x, where) for x in normal)
-            rows.append((tuple(-x for x in d) if negate else d, parse_scalar(offset, where)))
+            d = tuple(scalar(x, where) for x in normal)
+            rows.append((tuple(-x for x in d) if negate else d, scalar(offset, where)))
         out.append(tuple(rows))
     return tuple(out)
 
@@ -161,13 +163,27 @@ def document_from_dict(data, default_name="unnamed"):
     if not has_raw and len(fan_keys) != 3:
         raise InputError("document: exactly one geometry source (rays+max_cones+decomposition or halfspaces)")
 
+    memo = {}
+
+    def scalar(value, where):
+        """``parse_scalar``, run once per distinct string or int token of this
+        document.  Bools (True equals 1) and floats (0.0 equals -0.0) skip
+        the memo; only a token that parsed enters it."""
+        kind = type(value)
+        if kind is not str and kind is not int:
+            return parse_scalar(value, where)
+        parsed = memo.get(value)
+        if parsed is None:
+            parsed = memo[value] = parse_scalar(value, where)
+        return parsed
+
     notes = list(_list(data.get("notes", ()), "notes", "a list of strings"))
     if not all(isinstance(note, str) for note in notes):
         raise InputError("notes: expected a list of strings")
     rays = max_cones = decomposition = halfspaces = None
     if has_raw:
         halfspaces = _parse_halfspaces(
-            data["halfspaces"], dim, data.get("halfspace_form", "geq"), notes
+            data["halfspaces"], dim, data.get("halfspace_form", "geq"), notes, scalar
         )
         k = len(halfspaces)
     else:
@@ -190,7 +206,7 @@ def document_from_dict(data, default_name="unnamed"):
         for i, row in enumerate(matrix):
             row = _list(row, f"decomposition[{i}]", f"{len(rays)} entries", len(rays))
             decomposition.append(
-                tuple(parse_scalar(x, f"decomposition[{i}][{j}]") for j, x in enumerate(row))
+                tuple(scalar(x, f"decomposition[{i}][{j}]") for j, x in enumerate(row))
             )
         decomposition = tuple(decomposition)
         k = len(decomposition)
@@ -200,7 +216,7 @@ def document_from_dict(data, default_name="unnamed"):
         vf = _list(data["vector_fields"], "vector_fields", f"{k} vectors, one per part", k)
         vector_fields = tuple(
             tuple(
-                parse_scalar(x, f"vector_fields[{i}]")
+                scalar(x, f"vector_fields[{i}]")
                 for x in _list(row, f"vector_fields[{i}]", f"a vector of length {dim}", dim)
             )
             for i, row in enumerate(vf)

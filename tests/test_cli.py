@@ -990,6 +990,26 @@ def test_ma_solve_names_an_end_point_past_the_float_range(tmp_path, capsys):
     assert (code, report, err) == (3, None, "torifano: numerical failure: float vertex overflows\n")
 
 
+@pytest.mark.parametrize(
+    "low, message",
+    [("100", "density e^-w overflows on the grid at t=0.0"), ("88", "obstruction residual leaves the float range")],
+)
+def test_ma_solve_on_an_interval_far_from_zero_prints_one_line(tmp_path, capsys, low, message):
+    # 0 lies outside [low, 200]: w falls towards -R, and e^{-w} leaves the
+    # float range on the first sweep (low = 100) or e^{-f} in the closing
+    # residual (low = 88).  No numpy warning may precede the one line.
+    doc = {"name": "far", "dimension": 1, "halfspaces": [[[[1], f"-{low}"], [[-1], "200"]]]}
+    code, report, err = run_cli(capsys, "ma-solve", "--input", write_doc(tmp_path, doc))
+    assert (code, report, err) == (3, None, f"torifano: numerical failure: {message}\n")
+
+
+def test_ma_solve_on_an_interval_with_zero_at_its_end_is_obstructed(tmp_path, capsys):
+    doc = {"name": "unit", "dimension": 1, "halfspaces": [[[[1], "0"], [[-1], "1"]]]}
+    code, report, err = run_cli(capsys, "ma-solve", "--input", write_doc(tmp_path, doc))
+    assert (code, err) == (0, "")
+    assert report["results"]["status"] == "Obstructed"
+
+
 _BLOWUP_DOC = document_to_dict(builtin_example("blowup-p2-1pt"))
 # Valid documents whose decompositions are not ample splittings of c_1.
 _INVALID_DECOMPOSITIONS = {

@@ -30,6 +30,7 @@ from torifano.stability import (
 
 from reference_geometry import translate
 from reference_moments import mesh_moments
+from reference_report import jsonable
 
 RULES = settings(max_examples=12, deadline=None, derandomize=True)
 
@@ -42,7 +43,7 @@ def _outcome(command, doc):
     """The report of ``command`` on ``doc`` without the document echo and the wall time."""
     args = cli.build_parser().parse_args([command])
     report, code = cli.run(command, doc, args)
-    return cli.jsonable({"results": report["results"], "diagnostics": report["diagnostics"], "code": code})
+    return jsonable({"results": report["results"], "diagnostics": report["diagnostics"], "code": code})
 
 
 @st.composite
