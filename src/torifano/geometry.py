@@ -19,9 +19,9 @@ route reads it off a cone's integer slack row, the one place where a
 tolerance decides tightness, and double description off a ray's exact
 zero set.  ``Polytope.cones`` are the vertices' tangent cones and
 ``Polytope.cone_sums`` the exact volume and barycenter summed over them
-(Lawrence-Brion); the triangulation ``Polytope.mesh`` serves the weighted
-pass and the lift check.  Double description, the cone data and meshes
-run in integers, so nothing needs numpy.
+(Lawrence-Brion), the one exact volume route; the triangulation
+``Polytope.mesh`` serves only the weighted pass.  Double description, the
+cone data and meshes run in integers, so nothing needs numpy.
 
 Conventions: a ray is a primitive integer column vector; a support vector
 ``c`` over a fan with rays ``d_j`` cuts out ``P = {x : <d_j, x> >= -c_j}``.
@@ -388,18 +388,28 @@ class Polytope(Record, hidden=("inverses", "binary")):
         """
         if self.degenerate:
             raise InputError("tangent cones need a full-dimensional polytope")
+        return tuple(_split_cone(rows, self.inverses or {}) for rows in self.vertex_rows)
+
+    @cached_property
+    def vertex_rows(self):
+        """Each vertex's facet rows: the :func:`_row` of every non-redundant halfspace tight there, in order."""
         tight = [{} for _ in self.vertices]
         for (d, _), members, redundant in zip(self.halfspaces, self.tight_sets, self.redundant):
             if not redundant:
-                row = _primitive(_over_lcm(_exact(d))[1])
+                row = _row(d)
                 for i in members:
                     tight[i][row] = None
-        return tuple(_split_cone(tuple(rows), self.inverses or {}) for rows in tight)
+        return tuple(map(tuple, tight))
 
     @cached_property
     def cone_sums(self):
         """``(Vol(P), b(P))``, exact, by :func:`_cone_sums` over ``cones``, ``binary``'s where it is set."""
         return self.binary.cone_sums if self.binary else _cone_sums(self)
+
+
+def _row(normal):
+    """A halfspace normal as a primitive integer row, floats by their exact binary value."""
+    return _primitive(_over_lcm(_exact(normal))[1])
 
 
 def _piece(generators):
@@ -681,9 +691,8 @@ class SimplexMesh(Record):
     distinct vertex is cleared of its denominators once, a simplex whose
     vertices' denominators have the lcm d is taken over d, and its volume
     factor (dim! times its volume) is the Bareiss :func:`linalg.integer_det`
-    of its integer edge rows over d^n.  The volume sums those ints over each
-    d, with one Fraction per d, and ``floats``, for the weighted pass,
-    rounds once.  Each is computed on first use and kept.
+    of its integer edge rows over d^n.  ``floats``, for the weighted pass,
+    rounds each once.  Both are computed on first use and kept.
     """
 
     simplices: tuple
@@ -707,14 +716,6 @@ class SimplexMesh(Record):
             rows = [ints if scale == d else [x * (d // scale) for x in ints] for scale, ints in found]
             dets.append((abs(linalg.integer_det([[a - b for a, b in zip(p, rows[0])] for p in rows[1:]])), d))
         return dets
-
-    @cached_property
-    def volume(self):
-        n = self.dim
-        masses = {}
-        for det, d in self._dets:
-            masses[d] = masses.get(d, 0) + det
-        return sum((Fraction(mass, d**n) for d, mass in masses.items()), Fraction(0)) / factorial(n)
 
     @cached_property
     def floats(self):

@@ -12,6 +12,7 @@ common soliton field is the minimizer of the strictly convex log-mass sum.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from . import moments
 from ._record import Record
@@ -20,10 +21,10 @@ from .geometry import (
     Ampleness,
     _cone_vertices,
     _polytope,
+    _row,
     _vec,
     polytope_from_support,
     tolerance,
-    triangulate,
     validate_fan,
 )
 from .linalg import dot
@@ -326,14 +327,48 @@ class LiftedConfig(Record):
         return self.volume_lifted == self.volume_product
 
 
+def _lifted_inverses(polytope, graph):
+    """Inverses of the lifted vertex cones, written down by blocks from the part's.
+
+    A part vertex on exactly n facet rows D, whose inverse X / s the part
+    knows, lifts to two simple vertices.  The bottom one has the rows
+    [[D, 0], [w_x, w_s]], with (w_x, w_s) = ``graph`` the primitive row of
+    s >= -<v,p>, and the inverse with columns (w_s X_k, -<w_x, X_k>) and
+    (0, s) over s w_s, brought to the least scale, and |det| |det D| w_s.
+    The top one has the rows [[D, 0], [0, -1]] and the inverse with columns
+    (X_k, 0) and (0, -s) over s, already least, and |det| |det D|.  Keys
+    are the rows as ``Polytope.vertex_rows`` gives them.  Where the cap
+    meets the graph the two lifts merge, tight on both new rows, and that
+    cone is split as any vertex without a known inverse is.
+    """
+    n = polytope.dim
+    w_x, w_s = graph[:n], graph[n]
+    cap_row = (0,) * n + (-1,)
+    known = polytope.inverses or {}
+    inverses = {}
+    for rows in polytope.vertex_rows:
+        inverse = known.get(rows) if len(rows) == n else None
+        if inverse is None:
+            continue
+        columns, scale, det = inverse
+        lifted = tuple((*r, 0) for r in rows)
+        inverses[lifted + (cap_row,)] = ([(*x, 0) for x in columns] + [(0,) * n + (-scale,)], scale, det)
+        bottom = [(*(w_s * y for y in x), -dot(w_x, x)) for x in columns] + [(0,) * n + (scale,)]
+        g = gcd(scale * w_s, *(y for x in bottom for y in x))
+        inverses[lifted + (graph,)] = ([tuple(y // g for y in x) for x in bottom], scale * w_s // g, det * w_s)
+    return inverses
+
+
 def lifted_config(polytope, vfield, cap=None):
     """Lift P to {(p, s) : p in P, -<v,p> <= s <= cap} and check volumes.
 
-    The prism volume factors exactly as Vol(P) * (cap + <v, b(P)>); both
-    sides are computed independently (the left by triangulating the lifted
-    polytope, the right by the vertex-cone sums of P) and recorded.  The
-    lifted vertices are (p, -<v,p>) and (p, cap) over the vertices p of P,
-    so any dimension works.  Rational data only.
+    The prism volume factors exactly as Vol(P) * (cap + <v, b(P)>).  The
+    identity compares two vertex-cone sums in different dimensions, both
+    recorded: the lifted polytope's on the left, with the cone inverses
+    that :func:`_lifted_inverses` writes down from P's, and P's on the
+    right.  Nothing is triangulated; triangulation serves only the weighted
+    mesh.  The lifted vertices are (p, -<v,p>) and (p, cap) over the
+    vertices p of P, so any dimension works.  Rational data only.
     """
     v = _vec(vfield)
     if polytope.tol or tolerance(v):
@@ -360,15 +395,15 @@ def lifted_config(polytope, vfield, cap=None):
         mask = sum(1 << j for j, t in enumerate(polytope.tight_sets) if i in t)
         points += [(*p, h), (*p, cap)]
         tight += [mask | 1 << k, mask | 1 << k + 1]
-    lifted = _polytope(n + 1, tuple(halfspaces), points, tight, 0)
+    inverses = _lifted_inverses(polytope, _row((*v, 1)))
+    lifted = _polytope(n + 1, tuple(halfspaces), points, tight, 0, inverses)
     if lifted.degenerate:
         raise DegenerateLiftError("lifted polytope is degenerate")
-    vol_lifted = triangulate(lifted).volume
     vol_product = moments.volume(polytope) * (cap + dot(v, moments.barycenter(polytope)))
     return LiftedConfig(
         polytope=lifted,
         cap=cap,
         vfield=v,
-        volume_lifted=vol_lifted,
+        volume_lifted=moments.volume(lifted),
         volume_product=vol_product,
     )

@@ -8,8 +8,14 @@ none of them:
   with it, used as a metamorphic transformation;
 - :func:`minkowski_sum`, the sum of support vectors over one fan rebuilt as
   a polytope, with the per-cone and per-ray additivity it rests on checked,
-  so the property test sum P_i = P_{-K} behind every decomposition can run.
+  so the property test sum P_i = P_{-K} behind every decomposition can run;
+- :func:`mesh_volume`, the exact volume of a triangulation, the independent
+  side against which vertex-cone volumes, the lifted ones included, are
+  checked.
 """
+
+from fractions import Fraction
+from math import factorial
 
 from torifano import geometry
 from torifano.errors import InputError
@@ -74,3 +80,12 @@ def minkowski_sum(fan, parts):
         if abs(slack) > tol:
             raise ArithmeticError("support numbers must add on rays")
     return total, polytope_from_support(fan, total, cones[0])
+
+
+def mesh_volume(mesh):
+    """The exact volume of a ``SimplexMesh``: its integer factors summed over each lcm d, one Fraction per d."""
+    n = mesh.dim
+    masses = {}
+    for det, d in mesh._dets:
+        masses[d] = masses.get(d, 0) + det
+    return sum((Fraction(mass, d**n) for d, mass in masses.items()), Fraction(0)) / factorial(n)

@@ -676,47 +676,30 @@ def test_exact_commands_compute_each_part_barycenter_once(tmp_path, capsys, monk
         assert report["results"]["sum_barycenter"] == ["148/66303", "148/66303"]
 
 
-def test_lift_triangulates_only_the_lifted_polytopes(capsys, monkeypatch):
-    # The parts' exact moments are vertex-cone sums, so the lift check
-    # triangulates one lifted polytope per part and no mesh barycenter is
-    # taken; each part is summed once, however often its moments are read.
-    triangulated = []
-    real_triangulate = geometry.triangulate
-
-    def counted_triangulate(p, *a):
-        triangulated.append(p)
-        return real_triangulate(p, *a)
-
-    # Polytope.mesh calls geometry's binding, the lift stability's own.
-    monkeypatch.setattr(geometry, "triangulate", counted_triangulate)
-    monkeypatch.setattr(stability, "triangulate", counted_triangulate)
-    summed = _count_cone_sums(monkeypatch)
-    code, report, _ = run_cli(capsys, "lift", "--example", "hexagon-dP6-t")
-    assert code == 0
-    assert [p.dim for p in triangulated] == [3, 3]
-    assert not hasattr(geometry.SimplexMesh, "barycenter")
-    assert len(summed) == 2
-    assert [part["identity_holds"] for part in report["results"]["parts"]] == [True, True]
-
-
 EXACT_EXAMPLES = (
     "p2", "p1xp1", "blowup-p2-1pt", "hexagon-dP6-t", "hexagon-dP6-t:1/7", "pE-4fold-c:1/3", "p1-fubini",
 )
 
 
 @pytest.mark.parametrize("example", EXACT_EXAMPLES)
-@pytest.mark.parametrize("command", ["validate", "barycenter", "ke-verdict", "df"])
+@pytest.mark.parametrize("command", ["validate", "barycenter", "ke-verdict", "df", "lift"])
 def test_exact_commands_never_triangulate(capsys, monkeypatch, command, example):
-    # Exact part moments are vertex-cone sums; Polytope.mesh calls
-    # geometry's binding of triangulate, the lift stability's own.
+    # Exact volumes and barycenters, lifted ones too, are vertex-cone sums;
+    # Polytope.mesh, the one caller of triangulate, serves the weighted pass.
     def refuse(polytope):
         raise AssertionError("triangulated")
 
     monkeypatch.setattr(geometry, "triangulate", refuse)
-    monkeypatch.setattr(stability, "triangulate", refuse)
+    summed = _count_cone_sums(monkeypatch)
     code, report, _ = run_cli(capsys, command, "--example", example)
     assert code == 0
     assert (report["results"] | report["diagnostics"])["exact"] is True
+    if command == "lift":
+        # Each part and each lifted polytope is summed once.
+        k, n = len(report["results"]["parts"]), len(report["results"]["vfield"])
+        assert sorted(p.dim for p in summed) == [n] * k + [n + 1] * k
+        assert len(set(map(id, summed))) == 2 * k
+        assert all(part["identity_holds"] for part in report["results"]["parts"])
 
 
 def _cube_fan_document(n):
@@ -738,19 +721,21 @@ def test_ke_verdict_on_a_seven_dimensional_cube_fan(tmp_path, capsys, monkeypatc
 
 
 def test_lift_on_a_five_dimensional_cube_fan(tmp_path, capsys, monkeypatch):
-    # Each lifted part is a prism over a 5-cube: 6! simplices, each factor one
-    # integer det.  A guard on the identity and the counts, not a timing gate.
-    meshes, dets = [], []
-    real_triangulate, real_det = stability.triangulate, linalg.integer_det
-    monkeypatch.setattr(stability, "triangulate", lambda p: meshes.append(real_triangulate(p)) or meshes[-1])
-    monkeypatch.setattr(linalg, "integer_det", lambda rows: dets.append(rows) or real_det(rows))
+    # Each lifted part is a prism over a 5-cube.  Its 64 vertices are simple,
+    # and their cones' inverses are written down from the fan's, so no row
+    # of the lifted polytope is eliminated and nothing is triangulated.  A
+    # guard on the identity and the counts, not a timing gate.
+    eliminated = []
+    real_inverse, real_det = linalg.integer_inverse, linalg.integer_det
+    monkeypatch.setattr(geometry, "triangulate", lambda polytope: pytest.fail("triangulated"))
+    monkeypatch.setattr(linalg, "integer_inverse", lambda rows: eliminated.append(rows) or real_inverse(rows))
+    monkeypatch.setattr(linalg, "integer_det", lambda rows: eliminated.append(rows) or real_det(rows))
+    summed = _count_cone_sums(monkeypatch)
     code, report, _ = run_cli(capsys, "lift", "--input", write_doc(tmp_path, _cube_fan_document(5)))
     assert code == 0
     assert [part["identity_holds"] for part in report["results"]["parts"]] == [True, True]
-    assert [len(mesh.simplices) for mesh in meshes] == [720, 720]
-    # One det per lifted simplex; each part's 32 vertex cones take their
-    # weights from the fan's inverses, with no det.
-    assert len(dets) == 2 * 720
+    assert [p.nvertices for p in summed if p.dim == 6] == [64, 64]
+    assert eliminated and all(len(rows[0]) == 5 for rows in eliminated)
 
 
 def _sheared(doc):
@@ -1154,6 +1139,20 @@ def test_t_schedule_outside_the_unit_interval_exits_two(capsys, schedule):
     code, report, err = run_cli(capsys, "ma-solve", "--example", "p1-fubini", f"--t-schedule={schedule}")
     assert code == 2 and report is None
     assert err == "torifano: invalid input: t schedule must lie in [0, 1]\n"
+
+
+@pytest.mark.parametrize(
+    "option, message",
+    [
+        ("--grid=R=8,x=1", "--grid expects R=<radius>,h=<spacing>, got 'R=8,x=1'"),
+        ("--grid=R=8,h=abc", "--grid: 'abc' is not a number"),
+        ("--t-schedule=0,a,1", "--t-schedule: '0,a,1' is not a comma-separated float list"),
+    ],
+)
+def test_unparsable_ma_solve_options_exit_one(capsys, option, message):
+    code, report, err = run_cli(capsys, "ma-solve", "--example", "p1-fubini", option)
+    assert code == 1 and report is None
+    assert err == f"torifano: {message}\n"
 
 
 @pytest.mark.parametrize(

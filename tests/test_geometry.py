@@ -29,7 +29,7 @@ from torifano.problems import builtin_example, registry_names
 from torifano.stability import Decomposition, coupled_ke_verdict, sum_barycenter
 
 import reference_linalg as ref
-from reference_geometry import minkowski_sum, support_function, translate
+from reference_geometry import mesh_volume, minkowski_sum, support_function, translate
 from reference_moments import mesh_moments
 
 P2 = Fan(((1, 0), (0, 1), (-1, -1)), ((0, 1), (1, 2), (2, 0)))
@@ -312,7 +312,7 @@ def test_hexagon_vertices_triangulation_volume():
     }
     mesh = triangulate(p)
     assert len(mesh.simplices) == 4
-    assert mesh.volume == volume(p) == 3
+    assert mesh_volume(mesh) == volume(p) == 3
     assert mesh_moments(mesh.simplices)[2] == barycenter(p) == (0, 0)
 
 
@@ -327,7 +327,7 @@ def test_cube_triangulates_into_six_tetrahedra():
     assert cube.nvertices == 8
     mesh = triangulate(cube)
     assert len(mesh.simplices) == 6
-    assert mesh.volume == volume(cube) == 8
+    assert mesh_volume(mesh) == volume(cube) == 8
 
 
 def test_redundant_halfspace_flagged():
@@ -443,7 +443,7 @@ def test_triangulation_apex_choices_agree_exactly():
     lo = triangulate(p)
     hi = triangulate(_mirror(p))
     assert _cells(lo.simplices) != _cells(hi.simplices, -1)
-    assert lo.volume == hi.volume
+    assert mesh_volume(lo) == mesh_volume(hi)
     assert mesh_moments(lo.simplices)[2] == tuple(-x for x in mesh_moments(hi.simplices)[2])
 
 
@@ -479,7 +479,7 @@ def test_translate_equivariance_of_moments(c, shift):
     mesh = triangulate(p)
     moved = translate(p, shift)
     moved_mesh = triangulate(moved)
-    assert volume(moved) == moved_mesh.volume == mesh.volume == volume(p)
+    assert volume(moved) == mesh_volume(moved_mesh) == mesh_volume(mesh) == volume(p)
     want = tuple(b + s for b, s in zip(barycenter(p), shift))
     assert barycenter(moved) == mesh_moments(moved_mesh.simplices)[2] == want
 
