@@ -342,13 +342,14 @@ class Polytope(Record, hidden=("inverses", "binary")):
     ``tol == 0`` is what "exact" means downstream.  ``degenerate`` marks
     empty or lower-dimensional intersections, which carry no mesh and no
     cones; ``mesh`` is the :func:`triangulate` mesh of any other polytope,
-    ``cones`` its vertices' tangent cones and ``cone_sums`` its exact volume
-    and barycenter, each kept once computed, and ``binary``'s mesh and
-    cone sums where that is set: the polytope of the same exact vertices
-    with tol 0, where the tolerance merged or tightened some.  ``inverses``
-    maps a tuple of integer rows to the ``(columns, scale, det)`` inverse of
-    their matrix that :func:`linalg.integer_inverse` gives, where the route
-    that built the polytope has it already.
+    ``cones`` its vertices' tangent cones, ``cone_volume`` its exact volume
+    and ``cone_sums`` its exact volume and barycenter, each kept once
+    computed, and ``binary``'s mesh and cone sums where that is set: the
+    polytope of the same exact vertices with tol 0, where the tolerance
+    merged or tightened some.  ``inverses`` maps a tuple of integer rows to
+    the ``(columns, scale, det)`` inverse of their matrix that
+    :func:`linalg.integer_inverse` gives, where the route that built the
+    polytope has it already.
     """
 
     dim: int
@@ -402,9 +403,22 @@ class Polytope(Record, hidden=("inverses", "binary")):
         return tuple(map(tuple, tight))
 
     @cached_property
+    def _volume_sums(self):
+        """Vol(P) and the cone terms of its first moments, by :func:`_cone_sums` over ``cones``."""
+        return _cone_sums(self)
+
+    @property
+    def cone_volume(self):
+        """Vol(P), exact, summed without first moments, ``binary``'s where it is set."""
+        return self.binary.cone_volume if self.binary else self._volume_sums[0]
+
+    @cached_property
     def cone_sums(self):
-        """``(Vol(P), b(P))``, exact, by :func:`_cone_sums` over ``cones``, ``binary``'s where it is set."""
-        return self.binary.cone_sums if self.binary else _cone_sums(self)
+        """``(Vol(P), b(P))``, exact: ``cone_volume`` and :func:`_first_moments` of the same terms."""
+        if self.binary:
+            return self.binary.cone_sums
+        volume, groups = self._volume_sums
+        return volume, _first_moments(self.dim, volume, groups)
 
 
 def _row(normal):
@@ -440,7 +454,7 @@ def _split_cone(rows, inverses):
 
 
 def _cone_sums(polytope):
-    """Vol(P) and b(P) by vertex-cone sums (Lawrence, Math. Comp. 1991; Brion 1988).
+    """Vol(P) by vertex-cone sums (Lawrence, Math. Comp. 1991; Brion 1988), and the terms of b(P).
 
     A simplicial piece of the cone at v, with weight c = |det W| over
     generators w, contributes c <xi,v>^(n+k) / ((n+k)! prod_w -<xi,w>) to
@@ -451,13 +465,12 @@ def _cone_sums(polytope):
     degree below n, so few t fail.  A vertex v = V / D, V integer over the
     lcm D of its denominators, and a piece of weight c there give the ints
     h = <xi, V>, e_w = -<xi, w> and P = prod_w e_w, and the piece adds
-    c h^n / (D^n n! P) to the volume.  Its first moment term is the
-    xi-gradient of c <xi,v>^(n+1) / ((n+1)! P):
-    c h^n ((n+1) V P + h S) / (D^(n+1) (n+1)! P^2), with S = sum_w w P / e_w.
-    The vertices that share a D are summed in ints over D and the lcm of
-    their pieces' P^2, and each such group adds one Fraction per sum, so a
-    polytope whose vertices have many denominators never forms their lcm to
-    a high power.
+    c h^n / (D^n n! P) to the volume.  The vertices that share a D are
+    summed in ints over D and the lcm of their pieces' P, and each such
+    group adds one Fraction, so a polytope whose vertices have many
+    denominators never forms their lcm to a high power.  The groups, one
+    (c h^n, h, V, P, generators, e) per piece, are returned with the volume
+    for :func:`_first_moments`, which a volume alone does not need.
     """
     n = polytope.dim
     cones = polytope.cones
@@ -472,11 +485,25 @@ def _cone_sums(polytope):
         for weight, gens in pieces:
             slopes = [-dot(xi, w) for w in gens]
             terms.append((weight * height**n, height, big, prod(slopes), gens, slopes))
-    # mass is n! Vol(P), and moment (n+1)! times the first moments.
-    mass, moment = Fraction(0), [Fraction(0)] * n
+    # mass is n! Vol(P).
+    mass = Fraction(0)
+    for denominator, terms in groups.items():
+        q = lcm(*(p for _, _, _, p, _, _ in terms))
+        mass += Fraction(sum(c * (q // p) for c, _, _, p, _, _ in terms), q * denominator**n)
+    return mass / factorial(n), groups
+
+
+def _first_moments(n, volume, groups):
+    """b(P) from the volume and the grouped cone terms of :func:`_cone_sums`.
+
+    A piece's first moment term is the xi-gradient of
+    c <xi,v>^(n+1) / ((n+1)! P): c h^n ((n+1) V P + h S) / (D^(n+1) (n+1)! P^2),
+    with S = sum_w w P / e_w, summed in ints over D and the lcm of the
+    group's P^2.
+    """
+    moment = [Fraction(0)] * n
     for denominator, terms in groups.items():
         q = lcm(*(p * p for _, _, _, p, _, _ in terms))
-        mass += Fraction(sum(c * p * (q // (p * p)) for c, _, _, p, _, _ in terms), q * denominator**n)
         sums = [0] * n
         for c, height, big, p, gens, slopes in terms:
             c *= q // (p * p)
@@ -484,7 +511,9 @@ def _cone_sums(polytope):
             s = [dot(axis, quotients) for axis in zip(*gens)]
             sums = [m + c * ((n + 1) * x * p + height * y) for m, x, y in zip(sums, big, s)]
         moment = [m + Fraction(x, q * denominator ** (n + 1)) for m, x in zip(moment, sums)]
-    return mass / factorial(n), tuple(m / ((n + 1) * mass) for m in moment)
+    # (n+1)! Vol(P) b(P) is the moment.
+    mass = volume * factorial(n + 1)
+    return tuple(m / mass for m in moment)
 
 
 def _polytope(dim, halfspaces, candidates, tight, tol, inverses=None, exact=None):

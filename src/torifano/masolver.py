@@ -16,12 +16,26 @@ which converges in a fraction of the sweeps damped Picard iteration needs.
 
 The state holds the k potentials and their slopes as one (k, N) array each,
 so a sweep is array arithmetic over all parts at once; the grid diagnostics
-derived from them (w, rho, tails, mass, minimizer) are computed on first use.
-The sums of the reference potentials and of their end slopes are formed once
-per path and carried on the state.  A sweep writes its candidate potentials
-and slopes into one (2k, N) array, laid out like the iterate the Anderson
-step mixes, and the mixing updates its history in preallocated scratch
-arrays.
+derived from them (w, rho, tails, mass, minimizer) are computed on first use,
+by the helpers the sweep calls for its candidate too, so each quantity has
+one formula.  Once per path: the sums of the reference potentials and of
+their end slopes, carried on the state; the Anderson history; and a
+workspace of scratch rows that the path's states carry.  Once per stage:
+(1-t) times those two sums, kept by the workspace.  Once per sweep: w and
+e^{-w} of the iterate, its cumulative mass, and the candidate slopes and
+potentials, written into one new (2k, N) array laid out like the iterate the
+Anderson step mixes; the candidate's w, e^{-w}, trapezoid pairs and slope
+differences go into the workspace rows, and the tails at both grid ends are
+Python floats.  Where a helper works in place, it applies its formula's
+operations to the same operands in the same order as the formula reads, so
+it rounds as the formula's temporaries would.
+
+Where 0 lies outside the sum of the intervals, w falls without bound
+towards one end of the window.  There e^{-w} can overflow, and its
+cumulative sum can overflow where e^{-w} is still finite, so a sweep first
+reads e^{-w} and sums it inside one errstate(over="ignore") scope: either
+overflow reaches the sweep's check as inf and fails the step with one named
+error instead of a numpy warning.
 
 Solutions exist along the whole path exactly when the weighted barycenters
 cancel; otherwise the minimizer of w = sum(t f_i + (1-t) h_i) drifts or the
@@ -69,16 +83,33 @@ def _ref_values_1d(a, b, xs):
 
 
 def _fraction_quantile(phi, z):
-    """u in [0, 1] with (e^{zu} - 1) / (e^z - 1) = phi, for z >= 0."""
+    """u in [0, 1] with (e^{zu} - 1) / (e^z - 1) = phi, for z >= 0.
+
+    ``phi`` is an array; each form works in place on its first temporary.
+    """
     if z < 1e-8:
         # u = phi + z phi (1 - phi) / 2 + O(z^2); also exact at z = 0.
-        return phi + 0.5 * z * phi * (1.0 - phi)
+        u = np.multiply(phi, 0.5 * z)
+        u *= 1.0 - phi
+        u += phi
+        return u
     if z <= 1.0:
-        return np.log1p(phi * math.expm1(z)) / z
-    # e^{zu} = e^z (phi + (1 - phi) e^{-z}) forms no overflowing exponential;
-    # phi = 0 with e^{-z} below the float range gives u = -inf, clipped to 0.
+        # u = log1p(phi (e^z - 1)) / z
+        u = np.multiply(phi, math.expm1(z))
+        np.log1p(u, out=u)
+        u /= z
+        return u
+    # u = 1 + log(phi + (1 - phi) e^{-z}) / z, from e^{zu} = e^z (phi +
+    # (1 - phi) e^{-z}), forms no overflowing exponential; phi = 0 with
+    # e^{-z} below the float range gives u = -inf, clipped to 0.
+    u = np.subtract(1.0, phi)
+    u *= math.exp(-z)
+    u += phi
     with np.errstate(divide="ignore"):
-        return 1.0 + np.log(phi + (1.0 - phi) * math.exp(-z)) / z
+        np.log(u, out=u)
+    u /= z
+    u += 1.0
+    return u
 
 
 def _transport_slope(phi, a, b, v):
@@ -86,40 +117,114 @@ def _transport_slope(phi, a, b, v):
     length = b - a
     z = v * length
     if z >= 0.0:
-        slope = a + length * _fraction_quantile(phi, z)
+        # p = a + (b - a) u(phi, z)
+        slope = _fraction_quantile(phi, z)
+        slope *= length
+        slope += a
     else:
-        slope = b - length * _fraction_quantile(1.0 - phi, -z)
-    return np.clip(slope, a, b)
+        # p = b - (b - a) u(1 - phi, -z)
+        slope = _fraction_quantile(1.0 - phi, -z)
+        slope *= length
+        np.subtract(b, slope, out=slope)
+    return np.clip(slope, a, b, out=slope)
 
 
-def _cumtrapz(y, dx, out):
-    """Cumulative trapezoid rule along the last axis, starting from 0, into ``out``."""
+def _cumtrapz(y, dx, out, pairs):
+    """Cumulative trapezoid rule along the last axis, starting from 0, into ``out``.
+
+    ``pairs`` takes the summed neighbours, one entry shorter than ``y``.
+    """
     out[..., 0] = 0.0
-    np.cumsum((y[..., 1:] + y[..., :-1]) * (dx / 2.0), axis=-1, out=out[..., 1:])
+    np.add(y[..., 1:], y[..., :-1], out=pairs)
+    pairs *= dx / 2.0
+    np.add.accumulate(pairs, axis=-1, out=out[..., 1:])
     return out
 
 
-def _tails(state):
-    """Masses of rho beyond both grid ends, from the end slopes of w."""
-    t, cols = state.t, [0, -1]
-    ends = t * state.slopes[:, cols].sum(axis=0) + (1.0 - t) * state.h_slope_ends
-    decay_l = max(-ends[0], MIN_EDGE_DECAY)
-    decay_r = max(ends[1], MIN_EDGE_DECAY)
-    return float(state.rho[0]) / decay_l, float(state.rho[-1]) / decay_r
+def _stage_terms(t, h_sum, h_slope_ends):
+    """(1-t) sum h, and (1-t) times both end slopes of sum h."""
+    lo, hi = h_slope_ends.tolist()
+    return (1.0 - t) * h_sum, ((1.0 - t) * lo, (1.0 - t) * hi)
 
 
-class MAState(Record):
+def _w(t, f, h_part, out):
+    """w = t sum f + (1-t) sum h into ``out``; ``h_part`` is (1-t) sum h."""
+    if len(f) == 1:
+        np.multiply(f[0], t, out=out)
+    else:
+        np.add(f[0], f[1], out=out)
+        for row in f[2:]:
+            out += row
+        out *= t
+    out += h_part
+    return out
+
+
+def _rho(w, out):
+    """The density e^{-w} into ``out``."""
+    np.negative(w, out=out)
+    return np.exp(out, out=out)
+
+
+def _tails(t, slopes, h_ends, rho):
+    """Masses of rho beyond both grid ends, from the end slopes of w.
+
+    ``h_ends`` is (1-t) times the end slopes of sum h; the sums run over the
+    parts in order, in Python floats.
+    """
+    lo, hi = slopes[:, 0].tolist(), slopes[:, -1].tolist()
+    decay_l = max(-(t * sum(lo[1:], lo[0]) + h_ends[0]), MIN_EDGE_DECAY)
+    decay_r = max(t * sum(hi[1:], hi[0]) + h_ends[1], MIN_EDGE_DECAY)
+    return float(rho[0]) / decay_l, float(rho[-1]) / decay_r
+
+
+def _mass(tails, rho, dx, pairs):
+    """The tail-corrected trapezoid integral of rho, as numpy.trapezoid sums it."""
+    np.add(rho[1:], rho[:-1], out=pairs)
+    pairs *= dx
+    pairs /= 2.0
+    return float(tails[0] + pairs.sum() + tails[1])
+
+
+class _Workspace:
+    """Rows that every sweep of one continuity path writes into.
+
+    The path builds one and its states carry it.  ``stage`` keeps the
+    terms of w that only t changes; the rest are scratch rows a sweep
+    overwrites: the candidate's w and e^{-w}, the cumulative mass (then the
+    mass fraction), the trapezoid pairs or slope differences of each part,
+    and the update of the potentials.
+    """
+
+    def __init__(self, k, n):
+        self.w = np.empty(n)
+        self.rho = np.empty(n)
+        self.cum = np.empty(n)
+        self.pairs = np.empty((k, n - 1))
+        self.update = np.empty((k, n))
+        self.t = self.h_sum = self.h_slope_ends = self.terms = None
+
+    def stage(self, state):
+        """:func:`_stage_terms` of ``state``, formed again only when t or sum h moves."""
+        if not (state.t == self.t and state.h_sum is self.h_sum and state.h_slope_ends is self.h_slope_ends):
+            self.t, self.h_sum, self.h_slope_ends = state.t, state.h_sum, state.h_slope_ends
+            self.terms = _stage_terms(state.t, state.h_sum, state.h_slope_ends)
+        return self.terms
+
+
+class MAState(Record, hidden=("_work",)):
     """One point on the continuity path.
 
     ``f``, ``slopes``, ``h_ref`` and ``h_slopes`` are (k, N) arrays, one row
     per part over the grid ``xs``; ``h_sum`` is the sum of the rows of
     ``h_ref`` and ``h_slope_ends`` that of the end columns of ``h_slopes``,
-    both formed once by ``initial_state``.  The grid diagnostics are
-    computed on first use: w = sum(t f_i + (1-t) h_i) and rho = e^{-w};
-    ``tails``, the masses of rho beyond both grid ends; ``mass``, the
-    tail-corrected integral of rho; ``w_min``/``x_w``, the minimum of w and
-    where it is; and ``growth_eps``, the largest linear growth rate w admits
-    away from that minimum.
+    both formed once by ``initial_state``.  ``_work`` is the workspace the
+    states of one path share, None on a state made outside a path.  The grid
+    diagnostics are computed on first use: w = sum(t f_i + (1-t) h_i) and
+    rho = e^{-w}; ``tails``, the masses of rho beyond both grid ends;
+    ``mass``, the tail-corrected integral of rho; ``w_min``/``x_w``, the
+    minimum of w and where it is; and ``growth_eps``, the largest linear
+    growth rate w admits away from that minimum.
     """
 
     t: float
@@ -134,21 +239,29 @@ class MAState(Record):
     h_sum: np.ndarray
     h_slope_ends: np.ndarray
     update_norm: float
+    _work: _Workspace = None
+
+    @cached_property
+    def _stage(self):
+        if self._work is not None:
+            return self._work.stage(self)
+        return _stage_terms(self.t, self.h_sum, self.h_slope_ends)
 
     @cached_property
     def w(self):
-        return self.t * self.f.sum(axis=0) + (1.0 - self.t) * self.h_sum
+        return _w(self.t, self.f, self._stage[0], np.empty_like(self.h_sum))
 
     @cached_property
     def rho(self):
-        return np.exp(-self.w)
+        return _rho(self.w, np.empty_like(self.w))
 
-    tails = cached_property(_tails)
+    @cached_property
+    def tails(self):
+        return _tails(self.t, self.slopes, self._stage[1], self.rho)
 
     @cached_property
     def mass(self):
-        tail_l, tail_r = self.tails
-        return float(tail_l + np.trapezoid(self.rho, dx=self.spacing) + tail_r)
+        return _mass(self.tails, self.rho, self.spacing, np.empty(len(self.rho) - 1))
 
     @cached_property
     def w_min(self):
@@ -222,12 +335,12 @@ def ma_step_1d(state):
     """
     dx, t = state.spacing, state.t
     k, n = state.f.shape
+    work = state._work if state._work is not None else _Workspace(k, n)
 
-    # Where 0 lies outside the sum of the intervals, w falls without bound
-    # towards one end of the window, and e^{-w} or its mass can leave the
-    # float range there: that fails the step, with no numpy warning first.
+    # On a path e^{-w} is first read here: it and its cumulative sum can
+    # overflow on an interval far from 0, which the check below names.
     with np.errstate(over="ignore"):
-        cum = _cumtrapz(state.rho, dx, np.empty(n))
+        cum = _cumtrapz(state.rho, dx, work.cum, work.pairs[0])
     tail_l, tail_r = state.tails
     total = tail_l + float(cum[-1]) + tail_r
     if total == math.inf:
@@ -236,20 +349,25 @@ def ma_step_1d(state):
     # 1/t, into w: e^{-w} can underflow on the whole grid.
     if not total > 0.0:
         raise ArithmeticError(f"density e^-w underflows on the whole grid at t={t}")
-    phi = (tail_l + cum) / total
+    phi = np.add(cum, tail_l, out=cum)
+    phi /= total
     swept = np.empty((2 * k, n))
     cand_f, cand_slopes = swept[:k], swept[k:]
     for row, (a, b), v in zip(cand_slopes, state.intervals, state.vfields):
         row[:] = _transport_slope(phi, a, b, v)
     # G is strictly increasing for finite V, so the inverted slopes must
     # inherit the monotonicity of the cumulative mass.
-    if not (cand_slopes[:, 1:] - cand_slopes[:, :-1] >= -1e-12).all():
+    steps = np.subtract(cand_slopes[:, 1:], cand_slopes[:, :-1], out=work.pairs)
+    if not steps.min() >= -1e-12:
         raise ArithmeticError("transport slope not monotone")
-    _cumtrapz(cand_slopes, dx, cand_f)
-    cand_f -= cand_f[:, n // 2, None]
+    _cumtrapz(cand_slopes, dx, cand_f, work.pairs)
+    for row in cand_f:
+        row -= row[n // 2]
     if t > 0.0:
-        candidate = state.replace(f=cand_f, slopes=cand_slopes)
-        cand_f += math.log(candidate.mass) / (t * k)
+        h_part, h_ends = state._stage
+        rho = _rho(_w(t, cand_f, h_part, work.w), work.rho)
+        mass = _mass(_tails(t, cand_slopes, h_ends, rho), rho, dx, work.pairs[0])
+        cand_f += math.log(mass) / (t * k)
     return swept
 
 
@@ -386,11 +504,12 @@ def solve_continuity_1d(
         for (a, b), v in zip(state.intervals, state.vfields)
     )
     k = len(state.intervals)
+    work = _Workspace(k, len(state.xs))
     mixer = _Anderson(2 * state.f.size)
     snapshots = []
     for t in t_schedule:
         # Warm start: the same potentials at the next path parameter.
-        state = state.replace(t=t)
+        state = state.replace(t=t, _work=work)
         mixer.restart()
         x = np.concatenate((state.f, state.slopes))
         history = []
@@ -403,7 +522,8 @@ def solve_continuity_1d(
             # failure, not inf or nan handed to the least-squares fit.
             with np.errstate(over="raise", invalid="raise"):
                 new = mixer.step(x.ravel(), residual.ravel()).reshape(x.shape)
-            update_norm = float(np.max(np.abs(new[:k] - x[:k])))
+            update = np.subtract(new[:k], x[:k], out=work.update)
+            update_norm = float(np.abs(update, out=update).max())
             state = state.replace(f=new[:k], slopes=new[k:], update_norm=update_norm)
             x = new
             history.append(state.update_norm)

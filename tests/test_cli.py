@@ -691,14 +691,19 @@ def test_exact_commands_never_triangulate(capsys, monkeypatch, command, example)
 
     monkeypatch.setattr(geometry, "triangulate", refuse)
     summed = _count_cone_sums(monkeypatch)
+    real_moments = geometry._first_moments
+    moments_of = []
+    monkeypatch.setattr(geometry, "_first_moments", lambda n, *terms: moments_of.append(n) or real_moments(n, *terms))
     code, report, _ = run_cli(capsys, command, "--example", example)
     assert code == 0
     assert (report["results"] | report["diagnostics"])["exact"] is True
     if command == "lift":
-        # Each part and each lifted polytope is summed once.
+        # Each part and each lifted polytope is summed once, and only the
+        # parts' barycenters are read: the lifted ones form no first moments.
         k, n = len(report["results"]["parts"]), len(report["results"]["vfield"])
         assert sorted(p.dim for p in summed) == [n] * k + [n + 1] * k
         assert len(set(map(id, summed))) == 2 * k
+        assert moments_of == [n] * k
         assert all(part["identity_holds"] for part in report["results"]["parts"])
 
 
@@ -1127,11 +1132,19 @@ def test_tol_must_be_finite_and_positive(capsys, tol):
     assert err.startswith("torifano: --tol"), err
 
 
-def test_grid_above_the_node_cap_exits_two(capsys):
-    # h = 2^-5 and R = 1024 give 2 * 32768 + 1 nodes, one pair past the cap.
-    code, report, err = run_cli(capsys, "ma-solve", "--example", "p1-fubini", "--grid", "R=1024,h=0.03125")
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        # h = 2^-5 and R = 1024 give 2 * 32768 + 1 nodes, one pair past the cap.
+        ("R=1024,h=0.03125", "grid R=1024.0, h=0.03125 has more than 65536 nodes per part"),
+        ("R=0.01,h=0.004", "grid radius is below four spacings"),
+    ],
+    ids=["node-cap", "below-four-spacings"],
+)
+def test_grid_outside_the_documented_range_exits_two(capsys, grid, message):
+    code, report, err = run_cli(capsys, "ma-solve", "--example", "p1-fubini", "--grid", grid)
     assert code == 2 and report is None
-    assert "nodes per part" in err
+    assert err == f"torifano: invalid input: {message}\n"
 
 
 @pytest.mark.parametrize("schedule", ["-1,1", "nan,1", "-inf,1", "-1e300,1", "0,2,1"])

@@ -649,21 +649,26 @@ def _bits(value):
 
 
 @pytest.mark.parametrize(
-    "intervals, vfields, include_arrays, status",
+    "intervals, vfields, include_arrays, max_iter, status",
     [
-        (P1_PAIR, (1.25, -1.25), False, "Converged"),
-        (P1_PAIR, (0.5, 0.5), False, "w-minimizer drifted"),
-        (P1_PAIR, (0.05, 0.05), False, "updates stalled"),
-        (TRIPLE, (1.0, 0.0, -1.0), False, "Converged"),
-        (((-1.0, 1.0),), (0.0,), True, "Converged"),
+        (P1_PAIR, (1.25, -1.25), False, 2500, "Converged"),
+        (P1_PAIR, (0.5, 0.5), False, 2500, "w-minimizer drifted"),
+        (P1_PAIR, (0.05, 0.05), False, 2500, "updates stalled"),
+        (TRIPLE, (1.0, 0.0, -1.0), False, 2500, "Converged"),
+        (((-1.0, 1.0),), (0.0,), True, 2500, "Converged"),
+        # Stages t = 0.25 and 0.5 converge on their sixth sweep; t = 0.75
+        # needs a seventh.
+        (P1_PAIR, (1.25, -1.25), False, 6, "no convergence in 6 sweeps at t=0.75"),
     ],
-    ids=["cancelling", "drift", "stall", "three-parts", "arrays"],
+    ids=["cancelling", "drift", "stall", "three-parts", "arrays", "max-iter"],
 )
-def test_path_matches_per_part_reference_bit_for_bit(intervals, vfields, include_arrays, status):
+def test_path_matches_per_part_reference_bit_for_bit(intervals, vfields, include_arrays, max_iter, status):
     R, spacing, tol = 6.0, 0.04, 1e-9
-    result = solve_continuity_1d(intervals, vfields, R=R, spacing=spacing, tol=tol, include_arrays=include_arrays)
+    result = solve_continuity_1d(
+        intervals, vfields, R=R, spacing=spacing, tol=tol, max_iter=max_iter, include_arrays=include_arrays
+    )
     assert result.status == status or result.diagnostics["reason"].startswith(status)
-    snapshots, state = _ref_path(intervals, vfields, R, spacing, tol, include_arrays)
+    snapshots, state = _ref_path(intervals, vfields, R, spacing, tol, include_arrays, max_iter)
     assert [sorted(snap) for snap in result.snapshots] == [sorted(snap) for snap in snapshots]
     for got, want in zip(result.snapshots, snapshots):
         assert {name: _bits(value) for name, value in got.items()} == {
