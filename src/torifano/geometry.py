@@ -403,22 +403,26 @@ class Polytope(Record, hidden=("inverses", "binary")):
         return tuple(map(tuple, tight))
 
     @cached_property
-    def _volume_sums(self):
-        """Vol(P) and the cone terms of its first moments, by :func:`_cone_sums` over ``cones``."""
+    def _cone_terms(self):
+        """:func:`_cone_sums` over ``cones``: Vol(P) and the grouped cone terms of b(P)."""
         return _cone_sums(self)
 
-    @property
+    @cached_property
     def cone_volume(self):
         """Vol(P), exact, summed without first moments, ``binary``'s where it is set."""
-        return self.binary.cone_volume if self.binary else self._volume_sums[0]
+        return self.binary.cone_volume if self.binary else self._cone_terms[0]
 
     @cached_property
     def cone_sums(self):
         """``(Vol(P), b(P))``, exact: ``cone_volume`` and :func:`_first_moments` of the same terms."""
         if self.binary:
             return self.binary.cone_sums
-        volume, groups = self._volume_sums
-        return volume, _first_moments(self.dim, volume, groups)
+        volume = self.cone_volume
+        center = _first_moments(self.dim, volume, self._cone_terms[1])
+        # The terms serve b(P) alone: once it is formed the polytope keeps
+        # only the sums.
+        del self.__dict__["_cone_terms"]
+        return volume, center
 
 
 def _row(normal):

@@ -20,15 +20,16 @@ derived from them (w, rho, tails, mass, minimizer) are computed on first use,
 by the helpers the sweep calls for its candidate too, so each quantity has
 one formula.  Once per path: the sums of the reference potentials and of
 their end slopes, carried on the state; the Anderson history; and a
-workspace of scratch rows that the path's states carry.  Once per stage:
-(1-t) times those two sums, kept by the workspace.  Once per sweep: w and
-e^{-w} of the iterate, its cumulative mass, and the candidate slopes and
-potentials, written into one new (2k, N) array laid out like the iterate the
-Anderson step mixes; the candidate's w, e^{-w}, trapezoid pairs and slope
-differences go into the workspace rows, and the tails at both grid ends are
-Python floats.  Where a helper works in place, it applies its formula's
-operations to the same operands in the same order as the formula reads, so
-it rounds as the formula's temporaries would.
+workspace of scratch rows that the path's states carry, left off the state
+the path returns.  Once per sweep: (1-t) times those two sums, which the
+iterate's w and the candidate's share; w and e^{-w} of the iterate, its
+cumulative mass, and the candidate slopes and potentials, written into one
+new (2k, N) array laid out like the iterate the Anderson step mixes; the
+candidate's w, e^{-w}, trapezoid pairs and slope differences go into the
+workspace rows, and the tails at both grid ends are Python floats.  Where
+a helper works in place, it applies its formula's operations to the same
+operands in the same order as the formula reads, so it rounds as the
+formula's temporaries would.
 
 Where 0 lies outside the sum of the intervals, w falls without bound
 towards one end of the window.  There e^{-w} can overflow, and its
@@ -169,13 +170,24 @@ def _rho(w, out):
 def _tails(t, slopes, h_ends, rho):
     """Masses of rho beyond both grid ends, from the end slopes of w.
 
-    ``h_ends`` is (1-t) times the end slopes of sum h; the sums run over the
-    parts in order, in Python floats.
+    ``h_ends`` is (1-t) times the end slopes of sum h; the sums over the
+    parts are Python floats.
     """
-    lo, hi = slopes[:, 0].tolist(), slopes[:, -1].tolist()
-    decay_l = max(-(t * sum(lo[1:], lo[0]) + h_ends[0]), MIN_EDGE_DECAY)
-    decay_r = max(t * sum(hi[1:], hi[0]) + h_ends[1], MIN_EDGE_DECAY)
+    decay_l = max(-(t * _ordered_sum(slopes[:, 0].tolist()) + h_ends[0]), MIN_EDGE_DECAY)
+    decay_r = max(t * _ordered_sum(slopes[:, -1].tolist()) + h_ends[1], MIN_EDGE_DECAY)
     return float(rho[0]) / decay_l, float(rho[-1]) / decay_r
+
+
+def _ordered_sum(values):
+    """values[0] + values[1] + ..., left to right, as a numpy sum over parts adds.
+
+    Not the built-in sum(), which compensates the rounding of floats from
+    Python 3.12 on and so can differ in the last bit.
+    """
+    total = values[0]
+    for value in values[1:]:
+        total += value
+    return total
 
 
 def _mass(tails, rho, dx, pairs):
@@ -187,13 +199,12 @@ def _mass(tails, rho, dx, pairs):
 
 
 class _Workspace:
-    """Rows that every sweep of one continuity path writes into.
+    """Scratch rows that every sweep of one continuity path overwrites.
 
-    The path builds one and its states carry it.  ``stage`` keeps the
-    terms of w that only t changes; the rest are scratch rows a sweep
-    overwrites: the candidate's w and e^{-w}, the cumulative mass (then the
-    mass fraction), the trapezoid pairs or slope differences of each part,
-    and the update of the potentials.
+    The path builds one and its states carry it: the candidate's w and
+    e^{-w}, the cumulative mass (then the mass fraction), the trapezoid
+    pairs or slope differences of each part, and the update of the
+    potentials.
     """
 
     def __init__(self, k, n):
@@ -202,14 +213,6 @@ class _Workspace:
         self.cum = np.empty(n)
         self.pairs = np.empty((k, n - 1))
         self.update = np.empty((k, n))
-        self.t = self.h_sum = self.h_slope_ends = self.terms = None
-
-    def stage(self, state):
-        """:func:`_stage_terms` of ``state``, formed again only when t or sum h moves."""
-        if not (state.t == self.t and state.h_sum is self.h_sum and state.h_slope_ends is self.h_slope_ends):
-            self.t, self.h_sum, self.h_slope_ends = state.t, state.h_sum, state.h_slope_ends
-            self.terms = _stage_terms(state.t, state.h_sum, state.h_slope_ends)
-        return self.terms
 
 
 class MAState(Record, hidden=("_work",)):
@@ -219,12 +222,13 @@ class MAState(Record, hidden=("_work",)):
     per part over the grid ``xs``; ``h_sum`` is the sum of the rows of
     ``h_ref`` and ``h_slope_ends`` that of the end columns of ``h_slopes``,
     both formed once by ``initial_state``.  ``_work`` is the workspace the
-    states of one path share, None on a state made outside a path.  The grid
-    diagnostics are computed on first use: w = sum(t f_i + (1-t) h_i) and
-    rho = e^{-w}; ``tails``, the masses of rho beyond both grid ends;
-    ``mass``, the tail-corrected integral of rho; ``w_min``/``x_w``, the
-    minimum of w and where it is; and ``growth_eps``, the largest linear
-    growth rate w admits away from that minimum.
+    states of one path share, None on the state the path returns and on
+    one made outside a path.  The grid diagnostics are computed on first
+    use: w = sum(t f_i + (1-t) h_i) and rho = e^{-w}; ``tails``, the masses
+    of rho beyond both grid ends; ``mass``, the tail-corrected integral of
+    rho; ``w_min``/``x_w``, the minimum of w and where it is; and
+    ``growth_eps``, the largest linear growth rate w admits away from that
+    minimum.
     """
 
     t: float
@@ -243,8 +247,6 @@ class MAState(Record, hidden=("_work",)):
 
     @cached_property
     def _stage(self):
-        if self._work is not None:
-            return self._work.stage(self)
         return _stage_terms(self.t, self.h_sum, self.h_slope_ends)
 
     @cached_property
@@ -553,7 +555,9 @@ def solve_continuity_1d(
         diagnostics.update(reason=obstructed, heuristic_detection=True)
     return ContinuityResult(
         status="Obstructed" if obstructed else "Converged",
-        state=state,
+        # The workspace stays inside the path: a sweep of the returned state
+        # builds its own.
+        state=state.replace(_work=None),
         diagnostics=diagnostics,
         snapshots=tuple(snapshots),
     )

@@ -657,6 +657,8 @@ def test_barycenter_sums_each_part_once(capsys, monkeypatch):
     assert code == 0
     assert not hasattr(geometry.SimplexMesh, "barycenter")
     assert len(summed) == len(report["results"]["parts"]) == 2
+    # Once b(P) is formed, a part keeps its sums and drops the cone terms.
+    assert not any("_cone_terms" in vars(part) for part in summed)
 
 
 @pytest.mark.parametrize("command", ["barycenter", "df", "soliton-check", "soliton-solve"])

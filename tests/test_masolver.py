@@ -209,6 +209,29 @@ def test_sweeps_preserve_convexity_and_slope_range():
         assert abs(state.f[0][zero_idx] - state.f[1][zero_idx]) < 1e-12
 
 
+def test_tails_add_the_parts_end_slopes_one_after_another():
+    # As a numpy sum over the parts does: a compensated sum, such as the
+    # built-in sum() of floats from Python 3.12 on, would give w' = 1 here.
+    state = initial_state([(-1.0, 1.0)] * 3, t=1.0)
+    ends = np.array([1e16, 1.0, -1e16])
+    slopes = state.slopes.copy()
+    slopes[:, 0], slopes[:, -1] = -ends, ends
+    state = state.replace(slopes=slopes)
+    assert np.sum(ends) == 0.0
+    rho = state.rho
+    decay = masolver.MIN_EDGE_DECAY
+    assert _bits(state.tails) == _bits((rho[0] / decay, rho[-1] / decay))
+
+
+def test_the_returned_state_keeps_no_workspace_of_the_path():
+    # A sweep of the returned state builds its own scratch rows, so calls on
+    # it share nothing.
+    result = solve_continuity_1d(PAIR, (0.5, -0.5))
+    assert result.state._work is None
+    first, second = ma_step_1d(result.state), ma_step_1d(result.state)
+    assert first is not second and _bits(first) == _bits(second)
+
+
 def test_reference_potential_closed_forms():
     # h = log((e^{ax} + e^{bx}) / 2) = (a + b) x / 2 + log cosh((b - a) x / 2).
     xs = np.array([-40.0, -2.0, -0.3, 0.0, 0.7, 5.0, 40.0])
