@@ -169,14 +169,14 @@ def _decomposition(doc):
 def _parse_scalar_options(args):
     """--vfield and --cap as numbers, parsed like document scalars: before
     the command runs, under the int-to-str digit limit."""
-    if getattr(args, "vfield", None):
+    if getattr(args, "vfield", None) is not None:
         args.vfield = tuple(parse_scalar(tok.strip(), "--vfield") for tok in args.vfield.split(","))
-    if hasattr(args, "cap"):
-        args.cap = parse_scalar(args.cap, "--cap") if args.cap else None
+    if getattr(args, "cap", None) is not None:
+        args.cap = parse_scalar(args.cap, "--cap")
 
 
 def _single_vfield(args, dec):
-    if getattr(args, "vfield", None):
+    if args.vfield is not None:
         return args.vfield
     v = destabilizer(dec)
     if v is None:
@@ -382,10 +382,13 @@ def _parse_grid(text):
     fields = {}
     for token in text.split(","):
         key, _, value = token.partition("=")
-        if key.strip() not in ("R", "h") or not value:
+        key = key.strip()
+        if key not in ("R", "h") or not value:
             raise UsageError(f"--grid expects R=<radius>,h=<spacing>, got {text!r}")
+        if key in fields:
+            raise UsageError(f"--grid gives {key} twice, got {text!r}")
         try:
-            fields[key.strip()] = float(value)
+            fields[key] = float(value)
         except ValueError:
             raise UsageError(f"--grid: {value!r} is not a number") from None
     if set(fields) != {"R", "h"}:

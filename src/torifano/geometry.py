@@ -343,7 +343,8 @@ class Polytope(Record, hidden=("inverses", "binary")):
     empty or lower-dimensional intersections, which carry no mesh and no
     cones; ``mesh`` is the :func:`triangulate` mesh of any other polytope,
     ``cones`` its vertices' tangent cones, ``cone_volume`` its exact volume
-    and ``cone_sums`` its exact volume and barycenter, each kept once
+    alone, for a reader that needs no barycenter, and ``cone_sums`` its
+    exact volume and barycenter, each by its own cone-sum pass and kept once
     computed, and ``binary``'s mesh and cone sums where that is set: the
     polytope of the same exact vertices with tol 0, where the tolerance
     merged or tightened some.  ``inverses`` maps a tuple of integer rows to
@@ -403,26 +404,21 @@ class Polytope(Record, hidden=("inverses", "binary")):
         return tuple(map(tuple, tight))
 
     @cached_property
-    def _cone_terms(self):
-        """:func:`_cone_sums` over ``cones``: Vol(P) and the grouped cone terms of b(P)."""
-        return _cone_sums(self)
-
-    @cached_property
     def cone_volume(self):
-        """Vol(P), exact, summed without first moments, ``binary``'s where it is set."""
-        return self.binary.cone_volume if self.binary else self._cone_terms[0]
+        """Vol(P), exact, by one :func:`_cone_sums` pass, ``binary``'s where it is set.
+
+        Only for a polytope whose barycenter nothing reads (the lifted one):
+        ``cone_sums`` makes a pass of its own.
+        """
+        return self.binary.cone_volume if self.binary else _cone_sums(self)[0]
 
     @cached_property
     def cone_sums(self):
-        """``(Vol(P), b(P))``, exact: ``cone_volume`` and :func:`_first_moments` of the same terms."""
+        """``(Vol(P), b(P))``, exact: one :func:`_cone_sums` pass, then :func:`_first_moments`."""
         if self.binary:
             return self.binary.cone_sums
-        volume = self.cone_volume
-        center = _first_moments(self.dim, volume, self._cone_terms[1])
-        # The terms serve b(P) alone: once it is formed the polytope keeps
-        # only the sums.
-        del self.__dict__["_cone_terms"]
-        return volume, center
+        volume, groups = _cone_sums(self)
+        return volume, _first_moments(self.dim, volume, groups)
 
 
 def _row(normal):

@@ -25,11 +25,13 @@ the path returns.  Once per sweep: (1-t) times those two sums, which the
 iterate's w and the candidate's share; w and e^{-w} of the iterate, its
 cumulative mass, and the candidate slopes and potentials, written into one
 new (2k, N) array laid out like the iterate the Anderson step mixes; the
-candidate's w, e^{-w}, trapezoid pairs and slope differences go into the
-workspace rows, and the tails at both grid ends are Python floats.  Where
-a helper works in place, it applies its formula's operations to the same
-operands in the same order as the formula reads, so it rounds as the
-formula's temporaries would.
+tails at both grid ends are Python floats.  The workspace helpers
+(``_cumtrapz``, ``_mass``, ``_w``, ``_rho``), the sweep's slope differences
+and update, and the transport quantiles work in place, as each measurably
+shortens a path: a grid row is below numpy's temporary-elision threshold.
+An in-place helper applies its formula's operations to the same operands
+in the same order as the formula reads, so it rounds as the formula's
+temporaries would.
 
 Where 0 lies outside the sum of the intervals, w falls without bound
 towards one end of the window.  There e^{-w} can overflow, and its

@@ -1,11 +1,10 @@
 """Exact moments by vertex-cone sums, and exponentially weighted moments of polytopes.
 
 :func:`volume` and :func:`barycenter` are the unweighted entry points.
-They read ``Polytope.cone_volume`` and ``Polytope.cone_sums``,
-Lawrence-Brion sums over its vertices' tangent cones with no
-triangulation of the polytope, computed once per polytope (the first
-moments only when a barycenter is read): exact on rational data, and on
-float data exact for the binary value of its floats, then rounded once.  The weighted
+Both read ``Polytope.cone_sums``, the Lawrence-Brion sums over its
+vertices' tangent cones with no triangulation of the polytope, computed
+once per polytope: exact on rational data, and on float data exact for
+the binary value of its floats, then rounded once.  The weighted
 functionals Vol_V(P) = integral of e^{<V,p>}, its normalized first moment
 A_P(V) and the covariance all come from one numpy pass over the simplices
 of ``Polytope.mesh``, an exact mesh rounded once to floats:
@@ -39,7 +38,8 @@ _TAYLOR_EXTRA = 16
 
 def volume(polytope):
     """Total volume by vertex-cone sums: exact, or rounded once on a float polytope."""
-    return _rounded(polytope.cone_volume, "volume") if polytope.tol else polytope.cone_volume
+    vol = polytope.cone_sums[0]
+    return _rounded(vol, "volume") if polytope.tol else vol
 
 
 def barycenter(polytope):

@@ -111,25 +111,15 @@ def _is_halfspace_pair(entry):
 def _parse_halfspaces(raw, dim, form, notes, scalar):
     if not isinstance(raw, (list, tuple)) or not raw:
         raise InputError("halfspaces: expected a non-empty list")
-    if all(_is_halfspace_pair(e) for e in raw):
-        parts = [raw]
-    elif all(
-        isinstance(p, (list, tuple)) and p and all(_is_halfspace_pair(e) for e in p)
-        for p in raw
-    ):
-        parts = list(raw)
-    else:
-        raise InputError(
-            "halfspaces: expected [normal, offset] pairs, "
-            "or one list of pairs per decomposition part"
-        )
+    if not all(isinstance(p, (list, tuple)) and p and all(_is_halfspace_pair(e) for e in p) for p in raw):
+        raise InputError("halfspaces: expected one non-empty list of [normal, offset] pairs per decomposition part")
     negate = form == "leq"
     if negate:
         notes.append("halfspaces converted from leq form (normals negated) at ingestion")
     elif form != "geq":
         raise InputError(f"halfspace_form: expected 'geq' or 'leq', got {form!r}")
     out = []
-    for i, part in enumerate(parts):
+    for i, part in enumerate(raw):
         rows = []
         for j, (normal, offset) in enumerate(part):
             where = f"halfspaces[{i}][{j}]"
@@ -371,8 +361,6 @@ def registry_names():
 def builtin_example(spec):
     """Look up "name" or "name:param" in the registry."""
     name, _, param = spec.partition(":")
-    if name == "hexagon-dP6":
-        name = "hexagon-dP6-t"
     registry = _registry()
     if name not in registry:
         raise UnknownExampleError(

@@ -12,7 +12,6 @@ common soliton field is the minimizer of the strictly convex log-mass sum.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
 from . import moments
 from ._record import Record
@@ -27,7 +26,7 @@ from .geometry import (
     tolerance,
     validate_fan,
 )
-from .linalg import dot
+from .linalg import dot, exchange
 
 KE_FLOAT_TOL = 1e-10
 
@@ -328,21 +327,19 @@ class LiftedConfig(Record):
 
 
 def _lifted_inverses(polytope, graph):
-    """Inverses of the lifted vertex cones, written down by blocks from the part's.
+    """Inverses of the lifted vertex cones, from the part's.
 
     A part vertex on exactly n facet rows D, whose inverse X / s the part
-    knows, lifts to two simple vertices.  The bottom one has the rows
-    [[D, 0], [w_x, w_s]], with (w_x, w_s) = ``graph`` the primitive row of
-    s >= -<v,p>, and the inverse with columns (w_s X_k, -<w_x, X_k>) and
-    (0, s) over s w_s, brought to the least scale, and |det| |det D| w_s.
-    The top one has the rows [[D, 0], [0, -1]] and the inverse with columns
-    (X_k, 0) and (0, -s) over s, already least, and |det| |det D|.  Keys
-    are the rows as ``Polytope.vertex_rows`` gives them.  Where the cap
-    meets the graph the two lifts merge, tight on both new rows, and that
-    cone is split as any vertex without a known inverse is.
+    knows, lifts to two simple vertices.  The top one has the rows
+    [[D, 0], [0, -1]] and the inverse with columns (X_k, 0) and (0, -s)
+    over s, already least, and |det| |det D|.  The bottom one has the cap
+    row replaced by ``graph``, the primitive row of s >= -<v,p>: across
+    that wall its inverse is one :func:`linalg.exchange` step from the top
+    one.  Keys are the rows as ``Polytope.vertex_rows`` gives them.  Where
+    the cap meets the graph the two lifts merge, tight on both new rows,
+    and that cone is split as any vertex without a known inverse is.
     """
     n = polytope.dim
-    w_x, w_s = graph[:n], graph[n]
     cap_row = (0,) * n + (-1,)
     known = polytope.inverses or {}
     inverses = {}
@@ -352,10 +349,9 @@ def _lifted_inverses(polytope, graph):
             continue
         columns, scale, det = inverse
         lifted = tuple((*r, 0) for r in rows)
-        inverses[lifted + (cap_row,)] = ([(*x, 0) for x in columns] + [(0,) * n + (-scale,)], scale, det)
-        bottom = [(*(w_s * y for y in x), -dot(w_x, x)) for x in columns] + [(0,) * n + (scale,)]
-        g = gcd(scale * w_s, *(y for x in bottom for y in x))
-        inverses[lifted + (graph,)] = ([tuple(y // g for y in x) for x in bottom], scale * w_s // g, det * w_s)
+        top = ([(*x, 0) for x in columns] + [(0,) * n + (-scale,)], scale, det)
+        inverses[lifted + (cap_row,)] = top
+        inverses[lifted + (graph,)] = exchange(top, n, graph)
     return inverses
 
 
@@ -404,6 +400,6 @@ def lifted_config(polytope, vfield, cap=None):
         polytope=lifted,
         cap=cap,
         vfield=v,
-        volume_lifted=moments.volume(lifted),
+        volume_lifted=lifted.cone_volume,
         volume_product=vol_product,
     )

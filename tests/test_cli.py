@@ -129,6 +129,7 @@ def test_usage_errors_exit_one(capsys):
         [],
         ["ke-verdict"],
         ["ke-verdict", "--example", "no-such-example"],
+        ["ke-verdict", "--example", "hexagon-dP6"],
         ["ke-verdict", "--example", "p2", "--input", "x.json"],
         ["frobnicate", "--example", "p2"],
         ["ma-solve", "--example", "p1-fubini", "--grid", "R=6"],
@@ -592,6 +593,17 @@ def test_malformed_option_scalars_are_quoted_short(capsys, digits):
     assert f"({digits + 3} characters)" in err
 
 
+@pytest.mark.parametrize("command, option", [("df", "--vfield"), ("lift", "--vfield"), ("lift", "--cap")])
+@pytest.mark.parametrize("value", ["", " "])
+def test_empty_option_scalars_exit_two(capsys, command, option, value):
+    # A given value is parsed, however empty: it never falls back to the
+    # default.  --vfield strips each entry, --cap does not.
+    code, report, err = run_cli(capsys, command, "--example", "p2", option, value)
+    assert code == 2 and report is None
+    token = value.strip() if option == "--vfield" else value
+    assert err == f"torifano: invalid input: {option}: invalid rational {token!r} (not an integer, decimal or p/q)\n"
+
+
 def test_document_echo_matches_input(tmp_path, capsys):
     path = write_doc(tmp_path, PAIR_DOC)
     code, report, _ = run_cli(capsys, "soliton-check", "--input", path)
@@ -657,8 +669,6 @@ def test_barycenter_sums_each_part_once(capsys, monkeypatch):
     assert code == 0
     assert not hasattr(geometry.SimplexMesh, "barycenter")
     assert len(summed) == len(report["results"]["parts"]) == 2
-    # Once b(P) is formed, a part keeps its sums and drops the cone terms.
-    assert not any("_cone_terms" in vars(part) for part in summed)
 
 
 @pytest.mark.parametrize("command", ["barycenter", "df", "soliton-check", "soliton-solve"])
@@ -831,8 +841,8 @@ _INTERVAL = {"name": "interval", "dimension": 1}
         dict(_P2_DOC, vector_fields=[5]),
         dict(_P2_DOC, notes=5),
         dict(_P2_DOC, decomposition=[[math.nan, 1, 1]]),
-        dict(_INTERVAL, halfspaces=[[[1], math.nan], [[-1], 1]]),
-        dict(_INTERVAL, halfspaces=[[[1], math.inf], [[-1], 1]]),
+        dict(_INTERVAL, halfspaces=[[[[1], math.nan], [[-1], 1]]]),
+        dict(_INTERVAL, halfspaces=[[[[1], math.inf], [[-1], 1]]]),
     ],
     ids=["rays", "cone", "row", "fields", "field", "notes", "nan-support", "nan-offset", "inf-offset"],
 )
@@ -843,6 +853,65 @@ def test_malformed_documents_exit_two_without_traceback(tmp_path, doc):
     assert "Traceback" not in r.stderr
     lines = r.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("torifano: invalid input:"), r.stderr
+
+
+_FLAT_SQUARE = {"name": "flat", "dimension": 2, "halfspaces": [[[[1, 0], 0], [[-1, 0], 0], [[0, 1], 1], [[0, -1], 1]]]}
+
+
+@pytest.mark.parametrize(
+    "command, source, options, message",
+    [
+        ("validate", [1], (), "document: expected a JSON object"),
+        ("validate", "", (), "@path: not valid JSON (Expecting value: line 1 column 1 (char 0))"),
+        ("validate", dict(_P2_DOC, colour="red"), (), "document: unknown field 'colour'"),
+        ("validate", dict(_P2_DOC, dimension=0), (), "dimension: expected a positive integer"),
+        ("validate", dict(_INTERVAL), (),
+         "document: exactly one geometry source (rays+max_cones+decomposition or halfspaces)"),
+        ("validate", dict(_P2_DOC, notes=[1]), (), "notes: expected a list of strings"),
+        ("validate", dict(_P2_DOC, options=[]), (), "options: expected an object"),
+        ("validate", dict(_P2_DOC, rays=5), (), "rays: expected a list of rays"),
+        ("validate", dict(_P2_DOC, rays=[[1, "0"], [0, 1], [-1, -1]]), (), "rays[0][1]: expected an integer"),
+        ("validate", dict(_P2_DOC, max_cones=[[0, 3], [1, 2], [2, 0]]), (), "max_cones[0]: ray index 3 out of range"),
+        ("validate", dict(_P2_DOC, decomposition=[]), (), "decomposition: expected a non-empty matrix"),
+        ("validate", dict(_P2_DOC, decomposition=[[math.nan, 1, 1]]), (),
+         "decomposition[0][0]: expected a finite number, got nan"),
+        ("validate", dict(_P2_DOC, decomposition=[[[1], 1, 1]]), (),
+         "decomposition[0][0]: expected a number or 'p/q' string, got list"),
+        ("validate", dict(_INTERVAL, halfspaces=[[[[1], math.nan], [[-1], 1]]]), (),
+         "halfspaces[0][0]: expected a finite number, got nan"),
+        ("validate", dict(_INTERVAL, halfspaces=[[[[1], math.inf], [[-1], 1]]]), (),
+         "halfspaces[0][0]: expected a finite number, got inf"),
+        ("validate", dict(_INTERVAL, halfspaces=[]), (), "halfspaces: expected a non-empty list"),
+        ("validate", dict(_INTERVAL, halfspaces=[[[1], 1], [[-1], 1]]), (),
+         "halfspaces: expected one non-empty list of [normal, offset] pairs per decomposition part"),
+        ("validate", dict(_INTERVAL, halfspaces=[[[[1, 0], 1], [[-1], 1]]]), (),
+         "halfspaces[0][0]: normal has length 2, expected 1"),
+        ("ke-verdict", dict(_P2_DOC, rays=[], max_cones=[], decomposition=[[]]), (), "fan needs at least one ray"),
+        ("ke-verdict", dict(_P2_DOC, max_cones=[[0], [1, 2], [2, 0]]), (), "maximal cone (0,) must have 2 rays"),
+        ("ke-verdict", dict(_P2_DOC, decomposition=[[1e308, 1e308, 1e308]]), (),
+         "the vertex of cone [1, 2] overflows the float range"),
+        ("ke-verdict", _FLAT_SQUARE, (), "part 0 is degenerate (empty interior)"),
+        ("ke-verdict", None, ("--example", "hexagon-dP6-t:1/2"), "hexagon-dP6-t: parameter 1/2 outside (-1/2, 1/2)"),
+        ("df", None, ("--example", "p2", "--vfield", "1"), "vector field has wrong dimension"),
+        ("lift", None, ("--example", "p2", "--vfield", "1"), "vector field has wrong dimension"),
+    ],
+    ids=[
+        "not-an-object", "not-json", "unknown-field", "bad-dimension", "no-source", "non-string-notes",
+        "non-object-options", "rays-not-a-list", "non-integer-ray", "ray-out-of-range", "empty-decomposition",
+        "nan-scalar", "list-scalar", "nan-offset", "inf-offset", "empty-halfspaces", "flat-halfspaces", "normal-length", "no-ray",
+        "short-cone", "overflowing-vertex", "degenerate-part", "hexagon-parameter", "df-vfield-dimension",
+        "lift-vfield-dimension",
+    ],
+)
+def test_invalid_input_exits_two_in_one_line(tmp_path, capsys, command, source, options, message):
+    # In this process, so that the raise collector sees each guard run.
+    path = str(tmp_path / "doc.json")
+    if source is not None:
+        Path(path).write_text(source if isinstance(source, str) else json.dumps(source))
+        options = ("--input", path)
+    code, report, err = run_cli(capsys, command, *options)
+    assert code == 2 and report is None
+    assert err == f"torifano: invalid input: {message.replace('@path', path)}\n"
 
 
 def _square(centre, half):
@@ -1161,6 +1230,7 @@ def test_t_schedule_outside_the_unit_interval_exits_two(capsys, schedule):
     [
         ("--grid=R=8,x=1", "--grid expects R=<radius>,h=<spacing>, got 'R=8,x=1'"),
         ("--grid=R=8,h=abc", "--grid: 'abc' is not a number"),
+        ("--grid=R=8,h=0.004,R=4", "--grid gives R twice, got 'R=8,h=0.004,R=4'"),
         ("--t-schedule=0,a,1", "--t-schedule: '0,a,1' is not a comma-separated float list"),
     ],
 )

@@ -1,9 +1,9 @@
 """The lifted volume against the exact triangulated volume of the lifted polytope.
 
 ``lifted_config`` sums the lifted polytope's vertex cones, whose inverses
-it writes down by blocks from the part's; these tests triangulate the same
-polytope instead, the independent route, and check every inverse written
-down against an elimination of its rows.  Nothing here needs numpy.
+it takes from the part's; these tests triangulate the same polytope
+instead, the independent route, and check every inverse it takes against
+an elimination of its rows.  Nothing here needs numpy.
 """
 
 import itertools
