@@ -26,7 +26,7 @@ from json.encoder import encode_basestring_ascii as _quote
 
 from . import __version__
 from .errors import InputError, UnknownExampleError
-from .geometry import Fan, _rounded, polytope_from_halfspaces, validate_fan
+from .geometry import Fan, _rounded, polytope_from_halfspaces
 from .moments import barycenter, volume, weighted_barycenter
 from .problems import (
     builtin_example,
@@ -36,6 +36,7 @@ from .problems import (
 )
 from .stability import (
     Decomposition,
+    _validated,
     coupled_ke_verdict,
     destabilizer,
     df_invariant,
@@ -43,7 +44,6 @@ from .stability import (
     soliton_residual,
     solve_soliton,
     sum_barycenter,
-    validate_decomposition,
 )
 
 DEFAULT_TOL = 1e-10
@@ -210,19 +210,9 @@ def _cmd_validate(doc, args):
         diagnostics["note"] = "raw halfspace route: no fan, ampleness and column sums not checked"
         return results, diagnostics, 0
 
-    fan = Fan(doc.rays, doc.max_cones)
-    fan_report = validate_fan(fan)
-    results = {
-        "fan": {
-            "smooth": fan_report.smooth,
-            "complete": fan_report.complete,
-            "fano": fan_report.fano,
-            "witnesses": [list(w) for w in fan_report.witnesses],
-        },
-        "ok": False,
-    }
-    if fan_report.ok:
-        dec_report = validate_decomposition(fan, doc.decomposition)
+    fan_report, dec_report = _validated(Fan(doc.rays, doc.max_cones), doc.decomposition)
+    results = {"fan": vars(fan_report), "ok": False}  # smooth, complete, fano and witnesses
+    if dec_report is not None:
         results["decomposition"] = {
             "k": dec_report.k,
             "row_ampleness": list(dec_report.row_ampleness),

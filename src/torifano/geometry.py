@@ -210,8 +210,22 @@ def validate_fan(fan):
     """Check primitivity, smoothness, completeness and the Fano condition.
 
     Duplicate or non-primitive rays are hard input errors; the three named
-    properties come back as booleans with witnesses for any failure.
+    properties come back as booleans with witnesses for any failure.  Fano
+    is one cone pass, for the all-ones support; a fan document's check
+    (``stability._validated``) skips it where a valid exact decomposition
+    already proves the condition.
     """
+    report = _fan_structure(fan)
+    if not (report.smooth and report.complete):
+        return report
+    amp = ampleness_class(fan, tuple(Fraction(1) for _ in fan.rays))
+    if amp.kind is Ampleness.AMPLE:
+        return report.replace(fano=True)
+    return report.replace(witnesses=(("fano", {"ampleness": amp.kind.value, "witness": amp.witness}),))
+
+
+def _fan_structure(fan):
+    """:func:`validate_fan` up to the Fano condition, which reads False."""
     for i, ray in enumerate(fan.rays):
         if gcd(*(abs(x) for x in ray)) != 1:
             raise InputError(f"ray {i} not primitive: {ray}")
@@ -239,15 +253,7 @@ def validate_fan(fan):
         if len(cones) != 2:
             complete = False
             witnesses.append(("complete", {"wall": wall, "incidence": len(cones)}))
-
-    fano = False
-    if smooth and complete:
-        ones = tuple(Fraction(1) for _ in fan.rays)
-        amp = ampleness_class(fan, ones)
-        fano = amp.kind is Ampleness.AMPLE
-        if not fano:
-            witnesses.append(("fano", {"ampleness": amp.kind.value, "witness": amp.witness}))
-    return FanReport(smooth=smooth, complete=complete, fano=fano, witnesses=tuple(witnesses))
+    return FanReport(smooth=smooth, complete=complete, fano=False, witnesses=tuple(witnesses))
 
 
 class Ampleness(enum.Enum):

@@ -19,6 +19,7 @@ from .errors import DegenerateLiftError, InputError
 from .geometry import (
     Ampleness,
     _cone_vertices,
+    _fan_structure,
     _polytope,
     _row,
     _vec,
@@ -54,14 +55,13 @@ class Decomposition:
     def from_fan(cls, fan, rows):
         """The parts of the support ``rows`` over ``fan``, checked first.
 
-        InputError names the first failure of :func:`validate_fan` or
-        :func:`validate_decomposition`; the parts reuse validation's cone pass.
+        InputError names the first failure of :func:`_validated`; the parts
+        reuse validation's cone pass.
         """
-        fan_report = validate_fan(fan)
+        fan_report, report = _validated(fan, rows)
         if not fan_report.ok:
             witnesses = "; ".join(_fan_witness_message(fan, w) for w in fan_report.witnesses)
             raise InputError(f"fan is not a smooth complete Fano fan: {witnesses}")
-        report = validate_decomposition(fan, rows)
         if not report.ok:
             raise InputError(_failure_message(fan, report.failures[0]))
         return cls(polytope_from_support(fan, r, c) for r, c in zip(report.rows, report.cones))
@@ -149,6 +149,31 @@ def validate_decomposition(fan, matrix):
         rows=rows,
         cones=tuple(cones),
     )
+
+
+def _validated(fan, matrix):
+    """:func:`validate_fan`, then :func:`validate_decomposition` on a fan that passes.
+
+    Both reports, the second None on a failing fan, and the errors of the two
+    calls in turn.  Exact Ample rows whose columns sum to one prove Fano: a
+    cone's slack row is linear in the support, so the all-ones slacks sum the
+    rows' positive ones (Cox-Little-Schenck 6.1).  Other rows, or a row-shape
+    error, make the all-ones pass.
+    """
+    fan_report = _fan_structure(fan)
+    if not (fan_report.smooth and fan_report.complete):
+        return fan_report, None
+    try:
+        report = validate_decomposition(fan, matrix)
+    except Exception:
+        fan_report = validate_fan(fan)
+        if fan_report.ok:  # else the fan's failure comes first
+            raise
+        return fan_report, None
+    if report.ok and tolerance([x for row in report.rows for x in row]) == 0:
+        return fan_report.replace(fano=True), report
+    fan_report = validate_fan(fan)
+    return fan_report, report if fan_report.ok else None
 
 
 def sum_barycenter(decomposition):

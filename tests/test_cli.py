@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -1127,9 +1128,7 @@ def test_validate_reports_invalid_decompositions(tmp_path, capsys, name, failure
     assert report["results"]["decomposition"]["failures"] == failures
 
 
-@pytest.mark.parametrize("command", ["validate", "ke-verdict"])
-def test_fan_documents_solve_each_row_once(capsys, monkeypatch, command):
-    # One cone pass per decomposition row plus one for the Fano check.
+def _count_cone_passes(monkeypatch):
     calls = []
     real = geometry._cone_vertices
 
@@ -1139,18 +1138,69 @@ def test_fan_documents_solve_each_row_once(capsys, monkeypatch, command):
 
     monkeypatch.setattr(geometry, "_cone_vertices", counted)
     monkeypatch.setattr(stability, "_cone_vertices", counted)
+    return calls
+
+
+@pytest.mark.parametrize("command", ["validate", "ke-verdict"])
+def test_fan_documents_solve_each_row_once(capsys, monkeypatch, command):
+    # One cone pass per decomposition row: exact Ample rows whose columns
+    # sum to one prove the Fano condition, so the all-ones support is not
+    # solved.
+    calls = _count_cone_passes(monkeypatch)
     code, _, _ = run_cli(capsys, command, "--example", "hexagon-dP6-t")
     assert code == 0
-    assert len(calls) == 3
+    assert calls == [tuple(map(Fraction, row)) for row in builtin_example("hexagon-dP6-t").decomposition]
+
+
+_HEXAGON_DOC = document_to_dict(builtin_example("hexagon-dP6-t"))
+# Documents whose rows prove nothing about the fan.
+_UNPROVEN_FANS = {
+    **_INVALID_DECOMPOSITIONS,
+    # columns sum to one within the float rows' tolerance, not exactly
+    "hexagon-float-rows": dict(
+        _HEXAGON_DOC, decomposition=[[0.5, 0.6, 0.5, 0.5, 0.5, 0.5], [0.5, 0.4, 0.5, 0.5, 0.5, 0.5]]
+    ),
+    # the Hirzebruch surface F_2, whose anticanonical support is nef only
+    "f2": {
+        "name": "f2",
+        "dimension": 2,
+        "rays": [[1, 0], [0, 1], [-1, 2], [0, -1]],
+        "max_cones": [[0, 1], [1, 2], [2, 3], [0, 3]],
+        "decomposition": [[1, 1, 1, 1]],
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(_UNPROVEN_FANS))
+def test_unproven_fans_solve_the_all_ones_support(tmp_path, capsys, monkeypatch, name):
+    # Rows that are not all exact and Ample with columns summing to one
+    # leave the Fano condition to the all-ones support's own pass, and the
+    # fan block is what validate_fan reports on its own.
+    doc = _UNPROVEN_FANS[name]
+    fan = geometry.Fan(doc["rays"], doc["max_cones"])
+    alone = geometry.validate_fan(fan)
+    calls = _count_cone_passes(monkeypatch)
+    code, report, err = run_cli(capsys, "validate", "--input", write_doc(tmp_path, doc))
+    assert (code, err) == (0, "")
+    assert len(calls) == len(doc["decomposition"]) + 1
+    assert calls[-1] == (1,) * fan.nrays
+    assert report["results"]["fan"] == {
+        "smooth": alone.smooth,
+        "complete": alone.complete,
+        "fano": alone.fano,
+        "witnesses": json.loads(json.dumps([list(w) for w in alone.witnesses])),
+    }
+    assert report["results"]["ok"] is (name == "hexagon-float-rows")
+    assert ("decomposition" in report["results"]) is alone.ok
 
 
 @pytest.mark.parametrize("command", ["validate", "ke-verdict"])
 def test_fan_documents_invert_each_cone_once(capsys, monkeypatch, command):
-    # One Fan per document, whose cone inverses serve the smoothness and Fano
-    # checks and every row: one elimination per connected part of its dual
-    # graph (the hexagon's is connected) and one wall crossing into each
-    # other cone; building the polytopes and summing their cones invert
-    # nothing.
+    # One Fan per document, whose cone inverses serve the smoothness check
+    # and every row, whose passes prove the Fano condition: one elimination
+    # per connected part of its dual graph (the hexagon's is connected) and
+    # one wall crossing into each other cone; building the polytopes and
+    # summing their cones invert nothing.
     fans, inverses, crossings, built = [], [], [], []
     real_init, real_build = geometry.Fan.__post_init__, geometry.polytope_from_support
 

@@ -75,6 +75,25 @@ def test_nonsmooth_cone_reported():
     assert any(tag == "smooth" for tag, _ in report.witnesses)
 
 
+# Guards that document ingest makes unreachable from the command line, which
+# checks the same shapes first.
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Fan(P2.rays, ((0, 1), (1, 3))), "cone index out of range in (1, 3)"),
+        (lambda: Fan(P2.rays, ((-1, 0),)), "cone index out of range in (-1, 0)"),
+        (lambda: polytope_from_support(P2, (1, 1)), "support vector length must match ray count"),
+        (lambda: ampleness_class(P2, (1, 1, 1, 1)), "support vector length must match ray count"),
+        (lambda: polytope_from_halfspaces([]), "need at least one halfspace"),
+        (lambda: polytope_from_halfspaces([((1, 0), 0), ((1,), 1)]), "halfspace normals must share one dimension"),
+    ],
+)
+def test_library_only_guards(build, message):
+    with pytest.raises(InputError) as info:
+        build()
+    assert str(info.value) == message
+
+
 def test_p2_anticanonical_vertices():
     p = polytope_from_support(P2, (Fraction(1), Fraction(1), Fraction(1)))
     assert set(p.vertices) == {(-1, -1), (2, -1), (-1, 2)}

@@ -171,12 +171,16 @@ def test_lazy_exports_resolve_to_their_modules():
 
 
 # Runs every command on every built-in and on the document named by argv[1]
-# the way ``python -m torifano`` does, then validate on an unknown example:
-# the document reaches ``load_problem`` and, through its vector fields, the
-# weighted routes, and the unknown name ``registry_names``.  It prints the
-# source file of every code object executed, since module bodies run through
-# ``exec``, which raises the "exec" audit event, and the exported functions
-# whose code no command called, as the profile hook saw them.
+# the way ``python -m torifano`` does, then validate on the fan document
+# named by argv[2] and on an unknown example: the first document reaches
+# ``load_problem`` and, through its vector fields, the weighted routes; the
+# second, whose decomposition is invalid, the all-ones support's cone pass
+# (``validate_fan`` and ``ampleness_class``), which a valid exact
+# decomposition makes redundant; and the unknown name ``registry_names``.
+# It prints the source file of every code object executed, since module
+# bodies run through ``exec``, which raises the "exec" audit event, and the
+# exported functions whose code no command called, as the profile hook saw
+# them.
 _EVERY_COMMAND = """
 import contextlib, io, json, runpy, sys
 ran, called = set(), set()
@@ -186,6 +190,7 @@ from torifano.cli import COMMANDS
 from torifano.problems import registry_names
 sources = [["--example", name] for name in registry_names()] + [["--input", sys.argv[1]]]
 runs = [["torifano", command, *source] for source in sources for command in COMMANDS]
+runs.append(["torifano", "validate", "--input", sys.argv[2]])
 runs.append(["torifano", "validate", "--example", "no-such-example"])
 sys.setprofile(lambda frame, event, arg: event == "call" and called.add(frame.f_code))
 for sys.argv in runs:
@@ -209,7 +214,11 @@ def test_every_module_is_loaded_by_some_command(tmp_path):
     doc = tmp_path / "doc.json"
     doc.write_text(json.dumps({"name": "interval-pair", "dimension": 1, "vector_fields": [["2"], ["0"]],
                                 "halfspaces": [[[[1], "3/4"], [[-1], "1/4"]], [[[1], "1/4"], [[-1], "3/4"]]]}))
-    proc = subprocess.run([sys.executable, "-c", _EVERY_COMMAND, str(doc)], capture_output=True, text=True,
+    # 2 c_1(P^1): an Ample row whose columns sum to 2
+    invalid = tmp_path / "invalid.json"
+    invalid.write_text(json.dumps({"name": "p1-twice", "dimension": 1, "rays": [[1], [-1]],
+                                   "max_cones": [[0], [1]], "decomposition": [[2, 2]]}))
+    proc = subprocess.run([sys.executable, "-c", _EVERY_COMMAND, str(doc), str(invalid)], capture_output=True, text=True,
                           env=env, timeout=120, check=True)
     ran, uncalled = json.loads(proc.stdout)
     ran = {Path(f).resolve() for f in ran}

@@ -6,12 +6,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from torifano import geometry, moments
+from torifano import geometry, moments, stability
 from torifano.errors import DegenerateLiftError, InputError
 from torifano.geometry import (
     Fan,
     polytope_from_halfspaces,
     polytope_from_support,
+    validate_fan,
 )
 from torifano.moments import weighted_barycenter, weighted_moments
 from torifano.problems import builtin_example
@@ -423,3 +424,61 @@ def test_fan_rejection_names_each_witness(fan, reason):
     with pytest.raises(InputError) as info:
         Decomposition.from_fan(fan, ((1,) * fan.nrays,))
     assert str(info.value) == f"fan is not a smooth complete Fano fan: {reason}"
+
+
+F2 = Fan(((1, 0), (0, 1), (-1, 2), (0, -1)), ((0, 1), (1, 2), (2, 3), (0, 3)))
+F2_REASON = (
+    "fan is not a smooth complete Fano fan: the anticanonical support is nef, not ample: "
+    "the vertex of cone [0, 1] is tight on ray 2"
+)
+
+
+# Guards that document ingest makes unreachable from the command line, which
+# checks the same shapes first.
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Decomposition(()), "decomposition needs at least one polytope"),
+        (
+            lambda: Decomposition((interval(0, 1), polytope_from_support(P2, (1, 1, 1)))),
+            "decomposition parts must share one dimension",
+        ),
+        (lambda: validate_decomposition(P2, ()), "decomposition needs at least one row"),
+        (lambda: validate_decomposition(P2, ((1, 1, 1), (0, 0))), "row 1 length 2 != ray count 3"),
+        (lambda: Decomposition.from_fan(P2, ()), "decomposition needs at least one row"),
+        (lambda: Decomposition.from_fan(BLOWUP, ((1, 1, 1),)), "row 0 length 3 != ray count 4"),
+        (
+            lambda: soliton_residual(Decomposition((interval(-1, 1), interval(-1, 1))), [(0,)]),
+            "need one vector field per part",
+        ),
+        # The fan is checked before the rows, whatever they are.
+        (lambda: Decomposition.from_fan(F2, ((1, 1, 1),)), F2_REASON),
+        (lambda: Decomposition.from_fan(F2, ()), F2_REASON),
+        (lambda: Decomposition.from_fan(F2, ((1.0, 1.0, 1.0, 1e308),)), F2_REASON),
+    ],
+)
+def test_library_only_guards(build, message):
+    with pytest.raises(InputError) as info:
+        build()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "fan, rows",
+    [
+        (P2, ((1, 1, 1),)),
+        (P2, ((Fraction(1, 3),) * 3, (Fraction(2, 3),) * 3)),
+        (P2, ((0.5, 0.5, 0.5), (0.5, 0.5, 0.5))),
+        (P2, ((1, 1, 1), (1, 1, 1))),
+        (BLOWUP, ((Fraction(1, 2),) * 3 + (1,), (Fraction(1, 2),) * 3 + (0,))),
+        (F2, ((1, 1, 1, 1),)),
+        (F2, ((Fraction(1, 2),) * 4, (Fraction(1, 2),) * 4)),
+        (Fan(P2.rays, ((0, 1), (1, 2))), ((1, 1, 1),)),
+    ],
+)
+def test_validated_reports_what_validate_fan_then_validate_decomposition_report(fan, rows):
+    # The shared check skips the all-ones pass only where the rows prove
+    # the Fano condition; its reports are the two functions' own.
+    fan_report, report = stability._validated(fan, rows)
+    assert fan_report == validate_fan(fan)
+    assert report == (validate_decomposition(fan, rows) if fan_report.ok else None)
