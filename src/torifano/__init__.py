@@ -38,7 +38,6 @@ _EXPORTS = {
         "polytope_from_halfspaces",
         "polytope_from_support",
         "triangulate",
-        "validate_fan",
     ),
     "linalg": (),
     "masolver": (

@@ -338,6 +338,8 @@ def _cmd_ma_solve(doc, args):
         tol=args.tol,
         include_arrays=args.snapshots is not None,
     )
+    # The obstruction witness is soliton-check's sum on the same parts.
+    witness = soliton_residual(dec, [(v,) for v in scalars]).total[0]
     if args.snapshots:
         _write("--snapshots", args.snapshots,
                "".join(_dumps(snap) + "\n" for snap in result.snapshots))
@@ -350,8 +352,7 @@ def _cmd_ma_solve(doc, args):
         "f_at_zero": [float(f[len(f) // 2]) for f in result.state.f],
         "stages": stages,
     }
-    diagnostics = dict(result.diagnostics)
-    diagnostics["tol"] = args.tol
+    diagnostics = dict(result.diagnostics, barycenter_residual=witness, tol=args.tol)
     return results, diagnostics, 0
 
 

@@ -216,8 +216,11 @@ def validate_fan(fan):
     already proves the condition.
     """
     report = _fan_structure(fan)
-    if not (report.smooth and report.complete):
-        return report
+    return _with_fano(fan, report) if report.smooth and report.complete else report
+
+
+def _with_fano(fan, report):
+    """The structure ``report`` of a smooth complete ``fan`` with Fano, the all-ones support's ampleness."""
     amp = ampleness_class(fan, tuple(Fraction(1) for _ in fan.rays))
     if amp.kind is Ampleness.AMPLE:
         return report.replace(fano=True)
@@ -801,13 +804,12 @@ def _pulling(points, facets, dim):
 
 
 def triangulate(polytope):
-    """Deterministic boundary-cone triangulation, by :func:`_pulling` over the facets."""
+    """Deterministic boundary-cone triangulation, by :func:`_pulling` over the facets.
+
+    No simplex is degenerate: a face's apex lies off the facets it is coned over."""
     if polytope.degenerate:
         raise InputError("cannot triangulate a degenerate polytope")
     verts = polytope.vertices
     facets = (frozenset(tight) for tight, red in zip(polytope.tight_sets, polytope.redundant) if not red)
     simplices = tuple(tuple(verts[i] for i in idx) for idx in _pulling(verts, facets, polytope.dim))
-    mesh = SimplexMesh(simplices=simplices)
-    if not all(det for det, _ in mesh._dets):
-        raise ArithmeticError("degenerate simplex in triangulation")
-    return mesh
+    return SimplexMesh(simplices=simplices)

@@ -43,8 +43,6 @@ error instead of a numpy warning.
 Solutions exist along the whole path exactly when the weighted barycenters
 cancel; otherwise the minimizer of w = sum(t f_i + (1-t) h_i) drifts or the
 updates stall, which is reported as an obstruction rather than an error.
-The barycenter witness sums the weighted moment pass over each interval,
-so it is the number soliton-check reports for the same parts and fields.
 """
 
 from __future__ import annotations
@@ -54,7 +52,6 @@ from functools import cached_property
 
 import numpy as np
 
-from . import geometry, moments
 from ._record import Record
 from .errors import ConfigurationError, InputError
 
@@ -501,12 +498,6 @@ def solve_continuity_1d(
         raise ConfigurationError("t schedule must increase")
 
     state = initial_state(intervals, vfields, R=R, spacing=spacing, t=t_schedule[0])
-    # Obstruction witness, independent of the grid: the path can close only
-    # when the weighted barycenters cancel.
-    witness = sum(
-        moments.weighted_barycenter(geometry.polytope_from_halfspaces([((1.0,), -a), ((-1.0,), b)]), (v,))[0]
-        for (a, b), v in zip(state.intervals, state.vfields)
-    )
     k = len(state.intervals)
     work = _Workspace(k, len(state.xs))
     mixer = _Anderson(2 * state.f.size)
@@ -549,7 +540,7 @@ def solve_continuity_1d(
             break
     diagnostics = _snapshot(state, it, False)
     del diagnostics["iterations"]
-    diagnostics.update(obstruction_residual=obstruction_residual(state), barycenter_residual=witness)
+    diagnostics["obstruction_residual"] = obstruction_residual(state)
     if obstructed:
         # The exact theory ties obstruction to a nonzero barycenter
         # residual; the detection thresholds above are numerical judgment

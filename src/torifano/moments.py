@@ -17,8 +17,8 @@ moments (Baldoni, Berline, De Loera, Koppe and Vergne, Math. Comp. 2011).
 First moments are taken about :func:`barycenter`, the cone-sum one, and
 second moments about A_P(V) itself, so the covariance is a sum of squares
 and loses no digits to cancellation.  This pass is the one weighted route:
-Newton, the weighted barycenters of soliton-check and barycenter, and the
-barycenter witness of the 1-D continuity path all read it.  The tests hold
+Newton, the weighted barycenters of soliton-check and barycenter, and
+ma-solve's barycenter witness all read it.  The tests hold
 a quadrature route and the closed-form mean of an interval that
 cross-check it.
 """
@@ -145,30 +145,34 @@ def weighted_moments(polytope, vfield, order=2):
     power = math.frexp(weights.max())[1]
     weights = np.ldexp(weights, -power)
     total = float(weights @ dd[:, 0, k - 1])
+    # The mass is positive: a sum of 0 is one that underflowed.
     if total <= 0:
-        raise ArithmeticError("nonpositive weighted mass")
+        raise ArithmeticError("weighted mass underflows")
     if not (math.isfinite(total) and math.frexp(total)[1] + power <= 1024):
         raise OverflowError("weighted mass overflows")
     mass = math.ldexp(total, power)
     if order == 0:
         return WeightedMoments(shift, mass)
     centre = np.array([float(x) for x in barycenter(polytope)])
-    y = points - centre
-    first = dd[:, [pairs.index((i,) * order) for i in range(k)], k]
-    mean = np.einsum("s,si,sia->a", weights, first, y) / total
-    bary = tuple(float(x) for x in centre + mean)
-    if not np.isfinite(bary).all():
-        raise OverflowError("weighted barycenter overflows")
-    if order == 1:
-        return WeightedMoments(shift, mass, bary)
-    i, j = np.array(pairs).T
-    hess = np.zeros((count, k, k))
-    hess[:, i, j] = hess[:, j, i] = dd[:, :, k + 1] * np.where(i == j, 2.0, 1.0)
-    y = y - mean
-    cov = np.einsum("s,sij,sia,sjb->ab", weights, hess, y, y) / total
-    if not np.isfinite(cov).all():
-        raise OverflowError("weighted covariance overflows")
-    return WeightedMoments(shift, mass, bary, (cov + cov.T) / 2.0)
+    # Offsets across a polytope wider than the float range overflow: the
+    # finiteness checks name that, with no numpy warning before.
+    with np.errstate(over="ignore"):
+        y = points - centre
+        first = dd[:, [pairs.index((i,) * order) for i in range(k)], k]
+        mean = np.einsum("s,si,sia->a", weights, first, y) / total
+        bary = tuple(float(x) for x in centre + mean)
+        if not np.isfinite(bary).all():
+            raise OverflowError("weighted barycenter overflows")
+        if order == 1:
+            return WeightedMoments(shift, mass, bary)
+        i, j = np.array(pairs).T
+        hess = np.zeros((count, k, k))
+        hess[:, i, j] = hess[:, j, i] = dd[:, :, k + 1] * np.where(i == j, 2.0, 1.0)
+        y = y - mean
+        cov = np.einsum("s,sij,sia,sjb->ab", weights, hess, y, y) / total
+        if not np.isfinite(cov).all():
+            raise OverflowError("weighted covariance overflows")
+        return WeightedMoments(shift, mass, bary, (cov + cov.T) / 2.0)
 
 
 def weighted_barycenter(polytope, vfield):

@@ -23,9 +23,9 @@ from .geometry import (
     _polytope,
     _row,
     _vec,
+    _with_fano,
     polytope_from_support,
     tolerance,
-    validate_fan,
 )
 from .linalg import dot, exchange
 
@@ -158,7 +158,7 @@ def _validated(fan, matrix):
     calls in turn.  Exact Ample rows whose columns sum to one prove Fano: a
     cone's slack row is linear in the support, so the all-ones slacks sum the
     rows' positive ones (Cox-Little-Schenck 6.1).  Other rows, or a row-shape
-    error, make the all-ones pass.
+    error, make the all-ones pass on the structure report already made.
     """
     fan_report = _fan_structure(fan)
     if not (fan_report.smooth and fan_report.complete):
@@ -166,13 +166,13 @@ def _validated(fan, matrix):
     try:
         report = validate_decomposition(fan, matrix)
     except Exception:
-        fan_report = validate_fan(fan)
+        fan_report = _with_fano(fan, fan_report)
         if fan_report.ok:  # else the fan's failure comes first
             raise
         return fan_report, None
     if report.ok and tolerance([x for row in report.rows for x in row]) == 0:
         return fan_report.replace(fano=True), report
-    fan_report = validate_fan(fan)
+    fan_report = _with_fano(fan, fan_report)
     return fan_report, report if fan_report.ok else None
 
 

@@ -20,7 +20,7 @@ tests check it against, and no command runs:
 - :func:`simplex_polytope`, the polytope of a simplex given by its
   vertices, on which the weighted pass runs over that one simplex.
 - :func:`interval_weighted_mean`, the closed-form weighted mean of an
-  interval, against which the 1-D witness of the continuity path and the
+  interval, against which ``ma-solve``'s barycenter witness and the
   bisections for cancelling fields are checked.
 """
 

@@ -36,6 +36,7 @@ from torifano.stability import (
     destabilizer,
     df_invariant,
     lifted_config,
+    soliton_residual,
     solve_soliton,
     sum_barycenter,
     validate_decomposition,
@@ -277,9 +278,9 @@ def test_criterion_9_monge_ampere():
 
     blocked = solve_continuity_1d(PAIR, vfields=(2.0, 0.0))
     assert blocked.status == "Obstructed"
-    assert blocked.diagnostics["barycenter_residual"] == pytest.approx(
-        0.156518, abs=1e-6
-    )
+    # The witness ma-solve reports beside the path: soliton-check's sum on the parts.
+    parts = Decomposition(polytope_from_halfspaces([((1.0,), -a), ((-1.0,), b)]) for a, b in PAIR)
+    assert soliton_residual(parts, [(2.0,), (0.0,)]).total[0] == pytest.approx(0.156518, abs=1e-6)
     assert blocked.diagnostics["heuristic_detection"] is True
 
     a1 = interval_weighted_mean(-0.75, 0.25, 2.0)

@@ -396,6 +396,58 @@ def test_ma_solve_small_field_residual_matches_soliton_check(tmp_path, capsys):
     assert residual == pytest.approx(1e-8 / 12.0, rel=1e-6)
 
 
+def test_ma_solve_witness_is_the_soliton_check_residual_string_for_string(tmp_path, capsys):
+    # The parts {3x >= -1, x <= 4/5} and [-3/5, 2/5] have end points no
+    # float holds: the witness is soliton-check's sum on the document's own
+    # parts, not on their rounded intervals.
+    doc = {"name": "thirds", "dimension": 1,
+           "halfspaces": [[[[3], "1"], [[-1], "4/5"]], [[[1], "3/5"], [[-1], "2/5"]]],
+           "vector_fields": [["-9/10"], ["2/3"]]}
+    path = write_doc(tmp_path, doc)
+    code, report, err = run_cli(capsys, "ma-solve", "--input", path, "--grid", "R=8,h=0.008")
+    assert (code, err) == (0, "")
+    code, check, err = run_cli(capsys, "soliton-check", "--input", path)
+    assert (code, err) == (0, "")
+    assert report["diagnostics"]["barycenter_residual"] == check["results"]["residual"][0]
+
+
+_P1_PAIR_FAN = {"name": "p1-pair", "dimension": 1, "rays": [[1], [-1]], "max_cones": [[0], [1]],
+                "decomposition": [["3/8", "5/8"], ["5/8", "3/8"]], "vector_fields": [["1/2"], ["-1/2"]]}
+
+
+@pytest.mark.parametrize("source", [["--example", "p1-fubini"], ["--input", _P1_PAIR_FAN]], ids=["p1-fubini", "p1-pair"])
+def test_ma_solve_on_a_fan_document_builds_no_polytope_from_halfspaces(tmp_path, capsys, monkeypatch, source):
+    # The path and its witness read the parts the fan route built.
+    calls = []
+    real = geometry.polytope_from_halfspaces
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(geometry, "polytope_from_halfspaces", counted)
+    monkeypatch.setattr(cli, "polytope_from_halfspaces", counted)
+    flag, value = source
+    if flag == "--input":
+        value = write_doc(tmp_path, value)
+    code, report, err = run_cli(capsys, "ma-solve", flag, value, "--grid", "R=8,h=0.008")
+    assert (code, err) == (0, "")
+    assert "barycenter_residual" in report["diagnostics"]
+    assert calls == []
+
+
+def test_ma_solve_failing_witness_writes_no_snapshots(tmp_path, capsys):
+    # The path on [-1, 1] at V = 1e308 runs, but the witness's vertex
+    # exponents leave the float range: the command fails before the
+    # snapshots are written.
+    doc = _FLOAT_OVERFLOWS["field-interval"]
+    snap_path = tmp_path / "stages.jsonl"
+    code, report, err = run_cli(capsys, "ma-solve", "--input", write_doc(tmp_path, doc),
+                                "--grid", "R=8,h=0.008", "--snapshots", str(snap_path))
+    assert (code, report, err) == (3, None, "torifano: numerical failure: vertex exponents outside the float range\n")
+    assert not snap_path.exists()
+
+
 def test_ma_solve_snapshots_jsonl(tmp_path, capsys):
     snap_path = tmp_path / "stages.jsonl"
     code, report, _ = run_cli(
@@ -999,6 +1051,49 @@ def test_merged_float_vertices_report_the_moments_of_the_binary_polytope(tmp_pat
     assert report["results"]["parts"] == [{"volume": "0.020000000000000004", "barycenter": ["0.050000000000000003", "0.10000000000000001"]}]
 
 
+def _polygon(points):
+    """The raw rows of the polygon through ``points``, taken anticlockwise."""
+    rows = []
+    for (x0, y0), (x1, y1) in zip(points, points[1:] + points[:1]):
+        normal = (y0 - y1, x1 - x0)
+        rows.append([[str(x) for x in normal], str(-(normal[0] * x0 + normal[1] * y0))])
+    return rows
+
+
+_WIDE = 17 * 10**307
+# The hexagon's largest simplex mass is 4 _SIDE^2, just below the float range.
+_SIDE = math.isqrt(_WIDE // 4)
+# Weighted passes that leave the float range where the quantity itself need
+# not: the mass of p2 at V = (1e200, 0) is positive, but its sum scaled by
+# e^-shift underflows to 0; the hexagon's four simplex masses are floats
+# and their sum is not; the triangle's vertices lie farther from its
+# centroid than any float.
+_WEIGHTED_PASS_FAILURES = {
+    "mass-underflow": ("soliton-check", dict(_P2_DOC, vector_fields=[[1e200, 0.0]]), "weighted mass underflows"),
+    "mass-overflow": (
+        "barycenter",
+        {"name": "hexagon", "dimension": 2, "vector_fields": [["0", "0"]], "halfspaces": [_polygon(
+            [(x * _SIDE, y * _SIDE) for x, y in [(0, 0), (2, 0), (3, 1), (2, 2), (0, 2), (-1, 1)]]
+        )]},
+        "weighted mass overflows",
+    ),
+    "offset-overflow": (
+        "soliton-check",
+        {"name": "triangle", "dimension": 2, "vector_fields": [["0", "0"]],
+         "halfspaces": [_polygon([(-_WIDE, 0), (_WIDE, 0), (-_WIDE, Fraction(1, 2))])]},
+        "weighted barycenter overflows",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_WEIGHTED_PASS_FAILURES))
+def test_weighted_pass_outside_the_float_range_prints_one_line(tmp_path, capsys, name):
+    # A numpy warning would be an error here, as it is in every test.
+    command, doc, message = _WEIGHTED_PASS_FAILURES[name]
+    code, report, err = run_cli(capsys, command, "--input", write_doc(tmp_path, doc))
+    assert (code, report, err) == (3, None, f"torifano: numerical failure: {message}\n")
+
+
 def test_overflowing_soliton_norm_prints_one_line(tmp_path):
     # numpy's norm of [1e308, ...] overflows in its dot; no warning may
     # precede the one line of exit 3.
@@ -1063,6 +1158,15 @@ def test_ma_solve_on_an_interval_far_from_zero_prints_one_line(tmp_path, capsys,
     doc = {"name": "far", "dimension": 1, "halfspaces": [[[[1], f"-{low}"], [[-1], "200"]]]}
     code, report, err = run_cli(capsys, "ma-solve", "--input", write_doc(tmp_path, doc))
     assert (code, report, err) == (3, None, f"torifano: numerical failure: {message}\n")
+
+
+def test_ma_solve_names_the_path_failure_before_the_witness_failure(tmp_path, capsys):
+    # On [100, 200] at V = 1e307 both fail: e^{-w} overflows on the first
+    # sweep, and the witness's vertex exponents leave the float range.  The
+    # witness is taken after the path.
+    doc = {"name": "far", "dimension": 1, "halfspaces": [[[[1], "-100"], [[-1], "200"]]], "vector_fields": [[1e307]]}
+    code, report, err = run_cli(capsys, "ma-solve", "--input", write_doc(tmp_path, doc))
+    assert (code, report, err) == (3, None, "torifano: numerical failure: density e^-w overflows on the grid at t=0.0\n")
 
 
 def test_ma_solve_on_an_interval_with_zero_at_its_end_is_obstructed(tmp_path, capsys):
@@ -1175,13 +1279,24 @@ _UNPROVEN_FANS = {
 def test_unproven_fans_solve_the_all_ones_support(tmp_path, capsys, monkeypatch, name):
     # Rows that are not all exact and Ample with columns summing to one
     # leave the Fano condition to the all-ones support's own pass, and the
-    # fan block is what validate_fan reports on its own.
+    # fan block is what validate_fan reports on its own.  That pass reuses
+    # the structural checks already made.
     doc = _UNPROVEN_FANS[name]
     fan = geometry.Fan(doc["rays"], doc["max_cones"])
     alone = geometry.validate_fan(fan)
     calls = _count_cone_passes(monkeypatch)
+    structures = []
+    real_structure = geometry._fan_structure
+
+    def counted_structure(fan):
+        structures.append(fan)
+        return real_structure(fan)
+
+    monkeypatch.setattr(geometry, "_fan_structure", counted_structure)
+    monkeypatch.setattr(stability, "_fan_structure", counted_structure)
     code, report, err = run_cli(capsys, "validate", "--input", write_doc(tmp_path, doc))
     assert (code, err) == (0, "")
+    assert len(structures) == 1
     assert len(calls) == len(doc["decomposition"]) + 1
     assert calls[-1] == (1,) * fan.nrays
     assert report["results"]["fan"] == {

@@ -86,6 +86,12 @@ def test_nonsmooth_cone_reported():
         (lambda: ampleness_class(P2, (1, 1, 1, 1)), "support vector length must match ray count"),
         (lambda: polytope_from_halfspaces([]), "need at least one halfspace"),
         (lambda: polytope_from_halfspaces([((1, 0), 0), ((1,), 1)]), "halfspace normals must share one dimension"),
+        # The command line checks smoothness before any cone pass.
+        (lambda: ampleness_class(Fan(((1, 0), (-1, 0), (0, 1)), ((0, 1), (0, 2), (1, 2))), (1, 1, 1)),
+         "cone (0, 1) is not simplicial of full rank"),
+        # A decomposition rejects a degenerate part before any moment.
+        (lambda: triangulate(polytope_from_halfspaces([((1, 0), 0), ((-1, 0), 0), ((0, 1), 1), ((0, -1), 1)])),
+         "cannot triangulate a degenerate polytope"),
     ],
 )
 def test_library_only_guards(build, message):

@@ -21,11 +21,21 @@ from torifano.masolver import (
     solve_continuity_1d,
 )
 from torifano.moments import weighted_barycenter
+from torifano.stability import Decomposition, soliton_residual
 
 from reference_moments import interval_weighted_mean
 
 PAIR = ((-0.75, 0.25), (-0.25, 0.75))
 MIRROR = ((-1.0, 0.25), (-0.25, 1.0))
+
+
+def barycenter_witness(intervals, vfields):
+    """The sum of weighted barycenters of the interval parts, as soliton-check forms it.
+
+    ``ma-solve`` reports this beside the path as ``barycenter_residual``.
+    """
+    parts = Decomposition(polytope_from_halfspaces([((1.0,), -a), ((-1.0,), b)]) for a, b in intervals)
+    return soliton_residual(parts, [(v,) for v in vfields]).total[0]
 
 
 def fs_exact(xs):
@@ -86,8 +96,9 @@ def test_unbalanced_fields_are_obstructed():
     assert diag["heuristic_detection"] is True
     assert "reason" in diag and diag["t"] <= 1.0
     want = interval_weighted_mean(-0.75, 0.25, 2.0) + 0.25
-    assert diag["barycenter_residual"] == pytest.approx(want, abs=1e-13)
-    assert diag["barycenter_residual"] == pytest.approx(0.156518, abs=1e-6)
+    witness = barycenter_witness(PAIR, (2.0, 0.0))
+    assert witness == pytest.approx(want, abs=1e-13)
+    assert witness == pytest.approx(0.156518, abs=1e-6)
 
 
 def test_balanced_fields_converge():
@@ -100,7 +111,7 @@ def test_balanced_fields_converge():
     result = solve_continuity_1d(PAIR, vfields=(2.0, v2))
     assert result.status == "Converged"
     assert abs(result.diagnostics["obstruction_residual"]) < 1e-6
-    assert abs(result.diagnostics["barycenter_residual"]) < 1e-12
+    assert abs(barycenter_witness(PAIR, (2.0, v2))) < 1e-12
 
 
 SMALL_AND_LARGE_FIELDS = [1e-11, -1e-11, 1e-8, -1e-8, 1e-4, -1e-4, 2.0, -2.0, 800.0, -800.0]
@@ -114,7 +125,7 @@ def _decimal_mass(a, p, v):
 
 @pytest.mark.parametrize("v", SMALL_AND_LARGE_FIELDS)
 def test_interval_weighted_mean_matches_decimal_reference(v):
-    # The witness of the path is the weighted pass on the interval; the
+    # ma-solve's witness is the weighted pass on the interval; the
     # closed form the tests bisect with cancels below |v L| ~ 1 and
     # overflows past e^709.  The reference is that closed form, carried to
     # 50 digits.
@@ -164,9 +175,7 @@ def test_obstruction_cooccurs_with_nonzero_residual():
             total,
             result.status,
         )
-        assert result.diagnostics["barycenter_residual"] == pytest.approx(
-            total, abs=1e-12
-        )
+        assert barycenter_witness(intervals, vfields) == pytest.approx(total, abs=1e-12)
         if result.status == "Obstructed":
             assert result.diagnostics["heuristic_detection"] is True
 
@@ -342,12 +351,14 @@ def test_w_diagnostics_reference_and_converged():
     assert state.mass == pytest.approx(math.pi, abs=1e-3)
 
     # The final diagnostics are the last stage's snapshot without its
-    # sweep count, and the two residuals.
+    # sweep count, and the grid residual; the barycenter witness is the
+    # command line's, 0 on [-1, 1] at V = 0.
     result = solve_continuity_1d([(-1.0, 1.0)])
     diag = result.diagnostics
     last = dict(result.snapshots[-1])
     del last["iterations"]
-    assert diag == {**last, "obstruction_residual": diag["obstruction_residual"], "barycenter_residual": 0.0}
+    assert diag == {**last, "obstruction_residual": diag["obstruction_residual"]}
+    assert barycenter_witness([(-1.0, 1.0)], (0.0,)) == 0.0
     assert diag["obstruction_residual"] == obstruction_residual(result.state)
     assert diag["t"] == 1.0 and diag["mass"] == result.state.mass
     assert diag["w_min"] == pytest.approx(math.log(4.0), abs=1e-4)
@@ -835,7 +846,7 @@ def test_anderson_matches_picard_reference(intervals, vfields):
     status, state, residual = _picard_continuity(intervals, vfields, tol)
     result = solve_continuity_1d(intervals, vfields=vfields, tol=tol)
     assert result.status == status
-    assert result.diagnostics["barycenter_residual"] == pytest.approx(residual, abs=1e-13)
+    assert barycenter_witness(intervals, vfields) == pytest.approx(residual, abs=1e-13)
     if status == "Converged":
         zero_idx = len(state.xs) // 2
         assert np.max(np.abs(result.state.f[:, zero_idx] - state.f[:, zero_idx])) <= 10 * tol

@@ -97,6 +97,29 @@ def test_only_the_float_solvers_import_numpy_at_module_level():
     assert SOURCES and found == []
 
 
+def _package_modules_imported(tree):
+    """The ``torifano`` submodules that any import in ``tree`` names."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names if alias.name.startswith("torifano.")]
+            found.update(name.split(".")[1] for name in names)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0 and module.split(".")[0] != "torifano":
+                continue
+            parts = module.split(".")[1:] if node.level == 0 else [p for p in module.split(".") if p]
+            found.update(parts[:1] or [alias.name for alias in node.names])
+    return found
+
+
+def test_masolver_imports_only_record_and_errors():
+    # The continuity path runs on float intervals; its barycenter witness is
+    # the command line's, from the weighted pass on the document's parts.
+    tree = ast.parse(Path(torifano.__file__).with_name("masolver.py").read_text(encoding="utf-8"))
+    assert _package_modules_imported(tree) - {"_record", "errors"} == set()
+
+
 def test_no_package_module_imports_dataclasses():
     # Records derive from torifano._record.Record: importing dataclasses
     # would load inspect and ast into every command.
@@ -164,7 +187,7 @@ def test_lazy_exports_resolve_to_their_modules():
         home = getattr(value, "__module__", None) or value.__name__
         assert home.startswith("torifano."), name
     assert set(torifano.__all__) <= set(dir(torifano))
-    assert len(torifano.__all__) == 51
+    assert len(torifano.__all__) == 50
     namespace = {}
     exec("from torifano import *", namespace)
     assert sorted(n for n in namespace if n != "__builtins__") == torifano.__all__

@@ -407,6 +407,24 @@ def test_newton_converges_on_the_blowup_from_an_offset_start():
     assert abs(sol.vfield[0] - sol.vfield[1]) < 1e-10
 
 
+# LU meets an exactly zero second pivot on this summed covariance, while
+# eigvalsh reads its least eigenvalue as about 3e-17, rounding noise above 0.
+_FLOAT_SINGULAR_COVARIANCE = ((5.257290334370137, -1.122377914975665), (-1.122377914975665, 0.23961624789665464))
+
+
+def test_newton_on_a_float_singular_hessian_read_as_positive_raises_one_error(monkeypatch):
+    cov = np.array(_FLOAT_SINGULAR_COVARIANCE)
+    assert np.linalg.eigvalsh(cov)[0] > 0
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(cov, np.ones(2))
+    passes = moments.WeightedMoments(0.0, 1.0, (1.0, 0.0), cov)
+    monkeypatch.setattr(moments, "weighted_moments", lambda polytope, vfield, order=2: passes)
+    square = polytope_from_halfspaces([((1, 0), 1), ((-1, 0), 1), ((0, 1), 1), ((0, -1), 1)])
+    with pytest.raises(ArithmeticError) as info:
+        solve_soliton(Decomposition([square]))
+    assert str(info.value) == "weighted covariance is numerically singular"
+
+
 @pytest.mark.parametrize(
     "fan, reason",
     [
