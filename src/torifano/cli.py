@@ -184,9 +184,9 @@ def _single_vfield(args, dec):
     return v
 
 
-def _part_interval(polytope):
+def _part_ends(polytope):
     xs = sorted(v[0] for v in polytope.vertices)
-    return _rounded(xs[0], "vertex"), _rounded(xs[-1], "vertex")
+    return xs[0], xs[-1]
 
 
 # Command handlers return (results, diagnostics, exit_code).
@@ -326,33 +326,41 @@ def _cmd_ma_solve(doc, args):
     dec = _decomposition(doc)
     if dec.dim != 1:
         raise InputError("ma-solve supports one-dimensional decompositions only")
-    intervals = [_part_interval(p) for p in dec.polytopes]
+    ends = [_part_ends(p) for p in dec.polytopes]
+    intervals = [(_rounded(a, "vertex"), _rounded(b, "vertex")) for a, b in ends]
     vfields = doc.vector_fields
     scalars = [0.0] * dec.k if vfields is None else [float(v[0]) for v in vfields]
-    result = masolver.solve_continuity_1d(
-        intervals,
-        scalars,
-        t_schedule=args.t_schedule,
-        R=args.grid["R"],
-        spacing=args.grid["h"],
-        tol=args.tol,
-        include_arrays=args.snapshots is not None,
-    )
+    low, high = sum(a for a, _ in ends), sum(b for _, b in ends)
+    if low < 0 < high:
+        result = masolver.solve_continuity_1d(
+            intervals,
+            scalars,
+            t_schedule=args.t_schedule,
+            R=args.grid["R"],
+            spacing=args.grid["h"],
+            tol=args.tol,
+            include_arrays=args.snapshots is not None,
+        )
+        state = result.state
+        mid = len(state.u) // 2
+        status, stages, f_at_zero = result.status, result.snapshots, [float(state.u[mid]) / dec.k] * dec.k
+        diagnostics = dict(result.diagnostics)
+    else:
+        # At every t, w' tends to the sums of the end points at the two ends
+        # of the line, so e^{-w} is integrable at none: no sweep runs.
+        status, stages, f_at_zero = "Obstructed", (), None
+        diagnostics = {"reason": f"interval certificate: the parts sum to [{low}, {high}], "
+                                 "which does not hold 0 in its interior"}
     # The obstruction witness is soliton-check's sum on the same parts.
     witness = soliton_residual(dec, [(v,) for v in scalars]).total[0]
     if args.snapshots:
-        _write("--snapshots", args.snapshots,
-               "".join(_dumps(snap) + "\n" for snap in result.snapshots))
-    stages = [
-        {k: v for k, v in snap.items() if k not in ("grid", "f", "rho")}
-        for snap in result.snapshots
-    ]
+        _write("--snapshots", args.snapshots, "".join(_dumps(snap) + "\n" for snap in stages))
     results = {
-        "status": result.status,
-        "f_at_zero": [float(f[len(f) // 2]) for f in result.state.f],
-        "stages": stages,
+        "status": status,
+        "f_at_zero": f_at_zero,
+        "stages": [{k: v for k, v in snap.items() if k not in ("grid", "f", "rho")} for snap in stages],
     }
-    diagnostics = dict(result.diagnostics, barycenter_residual=witness, tol=args.tol)
+    diagnostics.update(barycenter_residual=witness, tol=args.tol)
     return results, diagnostics, 0
 
 

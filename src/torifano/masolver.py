@@ -7,31 +7,32 @@ is
 
 driven from the reference potentials h_i (vertex log-sum-exp) at t=0 to the
 soliton-type equation at t=1.  A sweep replaces the slope of f_i by the
-cumulative-mass transport map G_i^{-1}(Vol_i * Phi).  The cumulative
-distribution Phi carries an exponential tail estimate beyond both grid ends;
-without it the truncation error of the box is O(e^{-R}), which dominates the
-discretization error at the default window.  At each t the path iterates the
-sweep to its fixed point with type-II Anderson mixing of the last few sweeps,
-which converges in a fraction of the sweeps damped Picard iteration needs.
+cumulative-mass transport map T_i(Phi) = G_i^{-1}(Vol_i * Phi), with Phi the
+mass fraction of e^{-w}, w = t sum f + (1-t) sum h.  Phi carries an
+exponential tail estimate beyond both grid ends; without it the truncation
+error of the box is O(e^{-R}), which dominates the discretization error at
+the default window.
 
-The state holds the k potentials and their slopes as one (k, N) array each,
-so a sweep is array arithmetic over all parts at once; the grid diagnostics
-derived from them (w, rho, tails, mass, minimizer) are computed on first use,
-by the helpers the sweep calls for its candidate too, so each quantity has
-one formula.  Once per path: the sums of the reference potentials and of
-their end slopes, carried on the state; the Anderson history; and a
-workspace of scratch rows that the path's states carry, left off the state
-the path returns.  Once per sweep: (1-t) times those two sums, which the
-iterate's w and the candidate's share; w and e^{-w} of the iterate, its
-cumulative mass, and the candidate slopes and potentials, written into one
-new (2k, N) array laid out like the iterate the Anderson step mixes; the
-tails at both grid ends are Python floats.  The workspace helpers
-(``_cumtrapz``, ``_mass``, ``_w``, ``_rho``), the sweep's slope differences
-and update, and the transport quantiles work in place, as each measurably
-shortens a path: a grid row is below numpy's temporary-elision threshold.
-An in-place helper applies its formula's operations to the same operands
-in the same order as the formula reads, so it rounds as the formula's
-temporaries would.
+A sweep reads the potentials only through u = sum f_i, in w, and the two
+end slopes of u, in the tails.  So the path iterates one row x = (u,
+u'(-R), u'(R)) of N + 2 numbers for any number k of parts: a sweep sums
+S = sum T_i(Phi), integrates it once from x = 0, and shifts the result once
+to unit mass.  At each t the path iterates the sweep to its fixed point
+with type-II Anderson mixing of the last few sweeps, which converges in a
+fraction of the sweeps damped Picard iteration needs.  The per-part T_i(Phi)
+and f_i, each f_i anchored at u(0)/k, are formed from u where read.
+
+A state's grid diagnostics (w, rho, tails, mass, minimizer) are computed on
+first use, by the helpers the sweep calls for its candidate too, so each
+quantity has one formula.  Once per path: the sums of the reference
+potentials and of their end slopes; the Anderson history; and a workspace
+of scratch rows that the path's states carry, left off the state the path
+returns.  The workspace helpers (``_cumtrapz``, ``_mass``, ``_w``,
+``_rho``), the slope sum and the transport quantiles work in place, as each
+measurably shortens a path: a grid row is below numpy's temporary-elision
+threshold.  An in-place helper applies its formula's operations to the
+same operands in the same order as the formula reads, so it rounds as the
+formula's temporaries would.
 
 Where 0 lies outside the sum of the intervals, w falls without bound
 towards one end of the window.  There e^{-w} can overflow, and its
@@ -41,8 +42,8 @@ overflow reaches the sweep's check as inf and fails the step with one named
 error instead of a numpy warning.
 
 Solutions exist along the whole path exactly when the weighted barycenters
-cancel; otherwise the minimizer of w = sum(t f_i + (1-t) h_i) drifts or the
-updates stall, which is reported as an obstruction rather than an error.
+cancel; otherwise the minimizer of w drifts or the updates stall, which is
+reported as an obstruction rather than an error.
 """
 
 from __future__ import annotations
@@ -147,15 +148,9 @@ def _stage_terms(t, h_sum, h_slope_ends):
     return (1.0 - t) * h_sum, ((1.0 - t) * lo, (1.0 - t) * hi)
 
 
-def _w(t, f, h_part, out):
-    """w = t sum f + (1-t) sum h into ``out``; ``h_part`` is (1-t) sum h."""
-    if len(f) == 1:
-        np.multiply(f[0], t, out=out)
-    else:
-        np.add(f[0], f[1], out=out)
-        for row in f[2:]:
-            out += row
-        out *= t
+def _w(t, u, h_part, out):
+    """w = t u + (1-t) sum h into ``out``; ``h_part`` is (1-t) sum h."""
+    np.multiply(u, t, out=out)
     out += h_part
     return out
 
@@ -166,27 +161,16 @@ def _rho(w, out):
     return np.exp(out, out=out)
 
 
-def _tails(t, slopes, h_ends, rho):
+def _tails(t, u_ends, h_ends, rho):
     """Masses of rho beyond both grid ends, from the end slopes of w.
 
-    ``h_ends`` is (1-t) times the end slopes of sum h; the sums over the
-    parts are Python floats.
+    ``u_ends`` holds the end slopes of u, ``h_ends`` (1-t) times those of
+    sum h, as Python floats.
     """
-    decay_l = max(-(t * _ordered_sum(slopes[:, 0].tolist()) + h_ends[0]), MIN_EDGE_DECAY)
-    decay_r = max(t * _ordered_sum(slopes[:, -1].tolist()) + h_ends[1], MIN_EDGE_DECAY)
+    lo, hi = u_ends.tolist()
+    decay_l = max(-(t * lo + h_ends[0]), MIN_EDGE_DECAY)
+    decay_r = max(t * hi + h_ends[1], MIN_EDGE_DECAY)
     return float(rho[0]) / decay_l, float(rho[-1]) / decay_r
-
-
-def _ordered_sum(values):
-    """values[0] + values[1] + ..., left to right, as a numpy sum over parts adds.
-
-    Not the built-in sum(), which compensates the rounding of floats from
-    Python 3.12 on and so can differ in the last bit.
-    """
-    total = values[0]
-    for value in values[1:]:
-        total += value
-    return total
 
 
 def _mass(tails, rho, dx, pairs):
@@ -197,37 +181,49 @@ def _mass(tails, rho, dx, pairs):
     return float(tails[0] + pairs.sum() + tails[1])
 
 
+def _mass_fraction(state, out, pairs):
+    """Phi: the state's tail-corrected cumulative mass over its total, into ``out``."""
+    # On a path e^{-w} is first read here: it and its cumulative sum can
+    # overflow on an interval far from 0, which the check below names.
+    with np.errstate(over="ignore"):
+        cum = _cumtrapz(state.rho, state.spacing, out, pairs)
+    tail_l, tail_r = state.tails
+    total = tail_l + float(cum[-1]) + tail_r
+    if total == math.inf:
+        raise ArithmeticError(f"density e^-w overflows on the grid at t={state.t}")
+    # A warm start from a stage at tiny t carries its unit-mass shift, near
+    # 1/t, into w: e^{-w} can underflow on the whole grid.
+    if not total > 0.0:
+        raise ArithmeticError(f"density e^-w underflows on the whole grid at t={state.t}")
+    phi = np.add(cum, tail_l, out=cum)
+    phi /= total
+    return phi
+
+
 class _Workspace:
-    """Scratch rows that every sweep of one continuity path overwrites.
+    """Scratch rows of one path's sweeps: the candidate's w (then the update
+    of u) and e^{-w}, the mass fraction, and trapezoid pairs or slope steps."""
 
-    The path builds one and its states carry it: the candidate's w and
-    e^{-w}, the cumulative mass (then the mass fraction), the trapezoid
-    pairs or slope differences of each part, and the update of the
-    potentials.
-    """
-
-    def __init__(self, k, n):
+    def __init__(self, n):
         self.w = np.empty(n)
         self.rho = np.empty(n)
         self.cum = np.empty(n)
-        self.pairs = np.empty((k, n - 1))
-        self.update = np.empty((k, n))
+        self.pairs = np.empty(n - 1)
 
 
 class MAState(Record, hidden=("_work",)):
     """One point on the continuity path.
 
-    ``f``, ``slopes``, ``h_ref`` and ``h_slopes`` are (k, N) arrays, one row
-    per part over the grid ``xs``; ``h_sum`` is the sum of the rows of
-    ``h_ref`` and ``h_slope_ends`` that of the end columns of ``h_slopes``,
-    both formed once by ``initial_state``.  ``_work`` is the workspace the
-    states of one path share, None on the state the path returns and on
-    one made outside a path.  The grid diagnostics are computed on first
-    use: w = sum(t f_i + (1-t) h_i) and rho = e^{-w}; ``tails``, the masses
-    of rho beyond both grid ends; ``mass``, the tail-corrected integral of
-    rho; ``w_min``/``x_w``, the minimum of w and where it is; and
-    ``growth_eps``, the largest linear growth rate w admits away from that
-    minimum.
+    ``u`` is the sum of the k potentials over the grid ``xs`` and
+    ``u_ends`` its slopes at both grid ends; ``h_sum`` and ``h_slope_ends``
+    are the same for the reference potentials.  ``_work`` is the workspace
+    of the path's states, None on the state the path returns and on one
+    made outside a path.  Computed on first use: w = t u + (1-t) sum h and
+    rho = e^{-w}; ``tails``, the masses of rho beyond both grid ends;
+    ``mass``, the tail-corrected integral of rho; ``w_min``/``x_w``, the
+    minimum of w and where it is; ``growth_eps``, the largest linear growth
+    rate w admits away from it; and the (k, N) arrays ``slopes``, each
+    part's T_i(Phi), and ``f``, their integrals, u(0)/k at x = 0.
     """
 
     t: float
@@ -235,10 +231,8 @@ class MAState(Record, hidden=("_work",)):
     spacing: float
     intervals: tuple
     vfields: tuple
-    f: np.ndarray
-    slopes: np.ndarray
-    h_ref: np.ndarray
-    h_slopes: np.ndarray
+    u: np.ndarray
+    u_ends: np.ndarray
     h_sum: np.ndarray
     h_slope_ends: np.ndarray
     update_norm: float
@@ -250,7 +244,7 @@ class MAState(Record, hidden=("_work",)):
 
     @cached_property
     def w(self):
-        return _w(self.t, self.f, self._stage[0], np.empty_like(self.h_sum))
+        return _w(self.t, self.u, self._stage[0], np.empty_like(self.h_sum))
 
     @cached_property
     def rho(self):
@@ -258,7 +252,7 @@ class MAState(Record, hidden=("_work",)):
 
     @cached_property
     def tails(self):
-        return _tails(self.t, self.slopes, self._stage[1], self.rho)
+        return _tails(self.t, self.u_ends, self._stage[1], self.rho)
 
     @cached_property
     def mass(self):
@@ -278,6 +272,20 @@ class MAState(Record, hidden=("_work",)):
         away = np.abs(xs - x_w) > 0.5 * self.spacing
         growth = (self.w[away] - self.w_min + 0.1) / np.abs(xs[away] - x_w)
         return float(growth.min()) if growth.size else 0.0
+
+    @cached_property
+    def slopes(self):
+        n = len(self.xs)
+        phi = _mass_fraction(self, np.empty(n), np.empty(n - 1))
+        return np.array([_transport_slope(phi, a, b, v) for (a, b), v in zip(self.intervals, self.vfields)])
+
+    @cached_property
+    def f(self):
+        slopes, mid = self.slopes, len(self.xs) // 2
+        f = _cumtrapz(slopes, self.spacing, np.empty_like(slopes), np.empty((len(slopes), len(self.xs) - 1)))
+        f -= f[:, [mid]]
+        f += self.u[mid] / len(slopes)
+        return f
 
 
 def make_grid(R=8.0, spacing=0.004):
@@ -317,10 +325,10 @@ def initial_state(intervals, vfields=None, R=8.0, spacing=0.004, t=0.0):
         if not math.isfinite(reach):
             raise OverflowError(f"interval [{a}, {b}] takes w past the float range on the window R={R}")
     h_ref, h_slopes = map(np.array, zip(*(_ref_values_1d(a, b, xs) for a, b in intervals)))
+    h_sum, h_slope_ends = h_ref.sum(axis=0), h_slopes[:, [0, -1]].sum(axis=0)
     return MAState(
         t=float(t), xs=xs, spacing=float(spacing), intervals=intervals, vfields=vfields,
-        f=h_ref.copy(), slopes=h_slopes.copy(), h_ref=h_ref, h_slopes=h_slopes,
-        h_sum=h_ref.sum(axis=0), h_slope_ends=h_slopes[:, [0, -1]].sum(axis=0),
+        u=h_sum.copy(), u_ends=h_slope_ends.copy(), h_sum=h_sum, h_slope_ends=h_slope_ends,
         update_norm=float("inf"),
     )
 
@@ -328,48 +336,36 @@ def initial_state(intervals, vfields=None, R=8.0, spacing=0.004, t=0.0):
 def ma_step_1d(state):
     """One transport sweep at fixed t: the map whose fixed point the path solves for.
 
-    Candidate slopes come from inverting the cumulative mass through each
-    G_i; candidate potentials are their integrals anchored at x=0, with the
-    common constant pinned so the updated density has unit mass (for t>0).
-    Returns a new (2k, N) array: the k candidate potentials, then the k
-    candidate slopes.
+    The candidate slope sum S = sum T_i(Phi) comes from inverting the
+    cumulative mass through each G_i; the candidate u is its integral
+    anchored at x=0, shifted so the updated density has unit mass (for
+    t>0).  Returns a new row of N + 2: the candidate u, then S at both grid
+    ends.
     """
     dx, t = state.spacing, state.t
-    k, n = state.f.shape
-    work = state._work if state._work is not None else _Workspace(k, n)
-
-    # On a path e^{-w} is first read here: it and its cumulative sum can
-    # overflow on an interval far from 0, which the check below names.
-    with np.errstate(over="ignore"):
-        cum = _cumtrapz(state.rho, dx, work.cum, work.pairs[0])
-    tail_l, tail_r = state.tails
-    total = tail_l + float(cum[-1]) + tail_r
-    if total == math.inf:
-        raise ArithmeticError(f"density e^-w overflows on the grid at t={t}")
-    # A warm start from a stage at tiny t carries its unit-mass shift, near
-    # 1/t, into w: e^{-w} can underflow on the whole grid.
-    if not total > 0.0:
-        raise ArithmeticError(f"density e^-w underflows on the whole grid at t={t}")
-    phi = np.add(cum, tail_l, out=cum)
-    phi /= total
-    swept = np.empty((2 * k, n))
-    cand_f, cand_slopes = swept[:k], swept[k:]
-    for row, (a, b), v in zip(cand_slopes, state.intervals, state.vfields):
-        row[:] = _transport_slope(phi, a, b, v)
-    # G is strictly increasing for finite V, so the inverted slopes must
-    # inherit the monotonicity of the cumulative mass.
-    steps = np.subtract(cand_slopes[:, 1:], cand_slopes[:, :-1], out=work.pairs)
+    n = len(state.u)
+    work = state._work if state._work is not None else _Workspace(n)
+    phi = _mass_fraction(state, work.cum, work.pairs)
+    parts = zip(state.intervals, state.vfields)
+    (a, b), v = next(parts)
+    slope = _transport_slope(phi, a, b, v)
+    for (a, b), v in parts:
+        slope += _transport_slope(phi, a, b, v)
+    # G is strictly increasing for finite V, so the inverted slopes, and
+    # their sum, must inherit the monotonicity of the cumulative mass.
+    steps = np.subtract(slope[1:], slope[:-1], out=work.pairs)
     if not steps.min() >= -1e-12:
         raise ArithmeticError("transport slope not monotone")
-    _cumtrapz(cand_slopes, dx, cand_f, work.pairs)
-    for row in cand_f:
-        row -= row[n // 2]
+    row = np.empty(n + 2)
+    cand = _cumtrapz(slope, dx, row[:n], work.pairs)
+    cand -= cand[n // 2]
+    row[n], row[n + 1] = slope[0], slope[-1]
     if t > 0.0:
         h_part, h_ends = state._stage
-        rho = _rho(_w(t, cand_f, h_part, work.w), work.rho)
-        mass = _mass(_tails(t, cand_slopes, h_ends, rho), rho, dx, work.pairs[0])
-        cand_f += math.log(mass) / (t * k)
-    return swept
+        rho = _rho(_w(t, cand, h_part, work.w), work.rho)
+        mass = _mass(_tails(t, row[n:], h_ends, rho), rho, dx, work.pairs)
+        cand += math.log(mass) / t
+    return row
 
 
 class _Anderson:
@@ -397,7 +393,7 @@ class _Anderson:
         self.last = None
 
     def step(self, x, r):
-        """The next iterate from the flat iterate x and its residual r.
+        """The next iterate from the iterate x and its residual r.
 
         The next iterate is a fresh array: the history keeps x and r by
         reference.
@@ -483,11 +479,12 @@ def solve_continuity_1d(
     """Sweep the continuity path, warm-starting every stage.
 
     At each t the sweep is iterated with Anderson mixing (memory
-    ANDERSON_MEMORY, mixing ANDERSON_MIXING), restarted at every stage.
-    Returns Converged with the final t=1 state, or Obstructed as soon as
-    the w-minimizer drifts past R/2 or the updates stall above ``tol``
-    (less than one percent progress across a 50-sweep window).  Both are
-    computed outcomes, not errors.
+    ANDERSON_MEMORY, mixing ANDERSON_MIXING), restarted at every stage, until
+    ``update_norm``, the largest change of u over k (of the mean potential)
+    in one step, is below ``tol``.  Returns Converged with the final t=1
+    state, or Obstructed as soon as the w-minimizer drifts past R/2 or the
+    updates stall above ``tol`` (less than one percent progress across a
+    50-sweep window).  Both are computed outcomes, not errors.
     """
     t_schedule = tuple(float(t) for t in t_schedule)
     if not t_schedule or t_schedule[-1] != 1.0:
@@ -498,28 +495,28 @@ def solve_continuity_1d(
         raise ConfigurationError("t schedule must increase")
 
     state = initial_state(intervals, vfields, R=R, spacing=spacing, t=t_schedule[0])
-    k = len(state.intervals)
-    work = _Workspace(k, len(state.xs))
-    mixer = _Anderson(2 * state.f.size)
+    n, k = len(state.xs), len(state.intervals)
+    work = _Workspace(n)
+    mixer = _Anderson(n + 2)
     snapshots = []
     for t in t_schedule:
-        # Warm start: the same potentials at the next path parameter.
+        # Warm start: the same u at the next path parameter.
         state = state.replace(t=t, _work=work)
         mixer.restart()
-        x = np.concatenate((state.f, state.slopes))
+        x = np.concatenate((state.u, state.u_ends))
         history = []
         obstructed = None
         for it in range(1, max_iter + 1):
             residual = ma_step_1d(state)
             residual -= x
-            # Near t = 0 the unit-mass shift log(mass) / (t k) can push the
+            # Near t = 0 the unit-mass shift log(mass) / t can push the
             # residual products past the float range: that is a numerical
             # failure, not inf or nan handed to the least-squares fit.
             with np.errstate(over="raise", invalid="raise"):
-                new = mixer.step(x.ravel(), residual.ravel()).reshape(x.shape)
-            update = np.subtract(new[:k], x[:k], out=work.update)
-            update_norm = float(np.abs(update, out=update).max())
-            state = state.replace(f=new[:k], slopes=new[k:], update_norm=update_norm)
+                new = mixer.step(x, residual)
+            update = np.subtract(new[:n], x[:n], out=work.w)
+            update_norm = float(np.abs(update, out=update).max()) / k
+            state = state.replace(u=new[:n], u_ends=new[n:], update_norm=update_norm)
             x = new
             history.append(state.update_norm)
             if abs(state.x_w) > R / 2.0:

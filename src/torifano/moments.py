@@ -154,13 +154,16 @@ def weighted_moments(polytope, vfield, order=2):
     if order == 0:
         return WeightedMoments(shift, mass)
     centre = np.array([float(x) for x in barycenter(polytope)])
-    # Offsets across a polytope wider than the float range overflow: the
-    # finiteness checks name that, with no numpy warning before.
+    # Each coordinate's offsets are taken over the power of two of its
+    # largest value, which is exact, so that an offset across a polytope
+    # wider than the float range stays finite; a moment that overflows when
+    # scaled back reaches the finiteness checks with no numpy warning before.
+    scale = np.frexp(np.abs(points).max(axis=(0, 1)))[1]
     with np.errstate(over="ignore"):
-        y = points - centre
+        y = np.ldexp(points, -scale) - np.ldexp(centre, -scale)
         first = dd[:, [pairs.index((i,) * order) for i in range(k)], k]
-        mean = np.einsum("s,si,sia->a", weights, first, y) / total
-        bary = tuple(float(x) for x in centre + mean)
+        offset = np.einsum("s,si,sia->a", weights, first, y) / total
+        bary = tuple(float(x) for x in centre + np.ldexp(offset, scale))
         if not np.isfinite(bary).all():
             raise OverflowError("weighted barycenter overflows")
         if order == 1:
@@ -168,8 +171,8 @@ def weighted_moments(polytope, vfield, order=2):
         i, j = np.array(pairs).T
         hess = np.zeros((count, k, k))
         hess[:, i, j] = hess[:, j, i] = dd[:, :, k + 1] * np.where(i == j, 2.0, 1.0)
-        y = y - mean
-        cov = np.einsum("s,sij,sia,sjb->ab", weights, hess, y, y) / total
+        y = y - offset
+        cov = np.ldexp(np.einsum("s,sij,sia,sjb->ab", weights, hess, y, y) / total, scale[:, None] + scale)
         if not np.isfinite(cov).all():
             raise OverflowError("weighted covariance overflows")
         return WeightedMoments(shift, mass, bary, (cov + cov.T) / 2.0)

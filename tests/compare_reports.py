@@ -1,9 +1,10 @@
 """Compare the reports of two git revisions, operation by operation.
 
-    python tests/compare_reports.py REV_A REV_B [--seeds 1-5]
+    python tests/compare_reports.py REV_A REV_B [--seeds 1-5] [--blas-threads 1,2]
 
 Makes a ``git archive`` copy of each revision in a temporary directory.
-Each copy then runs, in its own process with ``OPENBLAS_NUM_THREADS=1``,
+Each copy then runs, in its own process with ``OPENBLAS_NUM_THREADS``,
+``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` set to its BLAS thread count,
 every operation of its ``perfbench/workloads.py`` at the given seeds and
 every built-in example below under every command, through its own
 ``torifano.cli.main``.  Each copy writes the workload documents to the same
@@ -14,8 +15,9 @@ revision has, and then the count; the exit status is 0 when none differ.
 
 ``--seeds`` takes a range ``1-5`` or a list ``1,3,7``.  To compare
 uncommitted work, stage it and pass ``$(git stash create)`` as a revision.
-Float reports of ``ma-solve`` change with the BLAS thread count, hence the
-one thread.  Stdlib only; pytest does not collect this file, and nothing is
+``--blas-threads`` takes one count for both revisions (default 1) or one
+for each, so ``HEAD HEAD --blas-threads 1,2`` lists the reports that
+change with the BLAS thread count.  Stdlib only; pytest does not collect this file, and nothing is
 written under ``perfbench/``.
 """
 
@@ -75,15 +77,16 @@ def run_operations(checkout, seeds):
     return results
 
 
-def checkout_reports(revision, seeds, directory):
-    """Run every operation on a ``git archive`` copy of ``revision`` in a child process."""
+def checkout_reports(revision, seeds, threads, directory):
+    """Run every operation on a ``git archive`` copy of ``revision`` in a child process on ``threads`` BLAS threads."""
     archive = subprocess.run(["git", "-C", str(REPO), "archive", revision], capture_output=True, check=True).stdout
     checkout = directory / "checkout"
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(checkout, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
     out = directory / "reports.json"
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-    env["OPENBLAS_NUM_THREADS"] = "1"
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[name] = threads
     work = directory / "work"
     work.mkdir()
     subprocess.run(
@@ -110,6 +113,8 @@ def main(argv):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("revisions", nargs="*", metavar="REV", help="the two git revisions to compare")
     parser.add_argument("--seeds", default="1-5", help="workload seeds, as 1-5 or 1,3,7 (default 1-5)")
+    parser.add_argument("--blas-threads", default="1", metavar="N[,M]",
+                        help="BLAS threads of both revisions, or of each (default 1)")
     parser.add_argument("--run", help=argparse.SUPPRESS)
     parser.add_argument("--out", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
@@ -120,12 +125,17 @@ def main(argv):
         return 0
     if len(args.revisions) != 2:
         parser.error("give two revisions")
+    threads = args.blas_threads.split(",")
+    if len(threads) == 1:
+        threads *= 2
+    if len(threads) != 2 or not all(n.isdigit() and int(n) > 0 for n in threads):
+        parser.error("--blas-threads takes one or two positive counts")
     reports = []
     with tempfile.TemporaryDirectory() as tmp:
-        for i, revision in enumerate(args.revisions):
+        for i, (revision, count) in enumerate(zip(args.revisions, threads)):
             directory = Path(tmp) / str(i)
             directory.mkdir()
-            reports.append(checkout_reports(revision, args.seeds, directory))
+            reports.append(checkout_reports(revision, args.seeds, count, directory))
     lines = differences(*reports)
     print("\n".join(lines + [f"{len(lines)} of {len(reports[0].keys() | reports[1].keys())} operations differ"]))
     return 1 if lines else 0

@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -1066,8 +1067,7 @@ _SIDE = math.isqrt(_WIDE // 4)
 # Weighted passes that leave the float range where the quantity itself need
 # not: the mass of p2 at V = (1e200, 0) is positive, but its sum scaled by
 # e^-shift underflows to 0; the hexagon's four simplex masses are floats
-# and their sum is not; the triangle's vertices lie farther from its
-# centroid than any float.
+# and their sum is not.
 _WEIGHTED_PASS_FAILURES = {
     "mass-underflow": ("soliton-check", dict(_P2_DOC, vector_fields=[[1e200, 0.0]]), "weighted mass underflows"),
     "mass-overflow": (
@@ -1076,12 +1076,6 @@ _WEIGHTED_PASS_FAILURES = {
             [(x * _SIDE, y * _SIDE) for x, y in [(0, 0), (2, 0), (3, 1), (2, 2), (0, 2), (-1, 1)]]
         )]},
         "weighted mass overflows",
-    ),
-    "offset-overflow": (
-        "soliton-check",
-        {"name": "triangle", "dimension": 2, "vector_fields": [["0", "0"]],
-         "halfspaces": [_polygon([(-_WIDE, 0), (_WIDE, 0), (-_WIDE, Fraction(1, 2))])]},
-        "weighted barycenter overflows",
     ),
 }
 
@@ -1094,10 +1088,35 @@ def test_weighted_pass_outside_the_float_range_prints_one_line(tmp_path, capsys,
     assert (code, report, err) == (3, None, f"torifano: numerical failure: {message}\n")
 
 
+def test_soliton_check_prints_the_centroid_of_a_triangle_wider_than_the_float_range(tmp_path, capsys):
+    # The vertex (1.7e308, 0) lies farther from the centroid than any float,
+    # but the weighted barycenter at V = 0, the centroid, is a float.
+    doc = {"name": "triangle", "dimension": 2, "vector_fields": [["0", "0"]],
+           "halfspaces": [_polygon([(-_WIDE, 0), (_WIDE, 0), (-_WIDE, Fraction(1, 2))])]}
+    code, report, err = run_cli(capsys, "soliton-check", "--input", write_doc(tmp_path, doc))
+    assert code == 0, err
+    centroid = [float(Fraction(-_WIDE, 3)), 1 / 6]
+    residual = [float(x) for x in report["results"]["residual"]]
+    assert residual == pytest.approx(centroid, rel=1e-15)
+    assert float(report["results"]["norm"]) == pytest.approx(-centroid[0], rel=1e-15)
+
+
+def test_a_soliton_norm_whose_squares_overflow_is_reported(tmp_path, capsys):
+    # The residual of the far pair is 1.1e308: its square is past the float
+    # range, its norm is not.
+    code, report, err = run_cli(capsys, "soliton-check", "--input", write_doc(tmp_path, _FLOAT_OVERFLOWS["far-pair"]))
+    assert code == 0, err
+    assert report["results"]["residual"] == ["1.1e+308"] and report["results"]["norm"] == "1.1e+308"
+
+
 def test_overflowing_soliton_norm_prints_one_line(tmp_path):
-    # numpy's norm of [1e308, ...] overflows in its dot; no warning may
-    # precede the one line of exit 3.
-    r = run_cli_process("soliton-check", "--input", write_doc(tmp_path, _FLOAT_OVERFLOWS["far-pair"]))
+    # The exact triangle (X, X), (X + 1, X), (X, X + 1) has the float
+    # barycenter (1.3e308, 1.3e308), whose norm is past the float range; no
+    # warning may precede the one line of exit 3.
+    x = 13 * 10**307
+    doc = {"name": "corner", "dimension": 2, "vector_fields": [["0", "0"]],
+           "halfspaces": [_polygon([(x, x), (x + 1, x), (x, x + 1)])]}
+    r = run_cli_process("soliton-check", "--input", write_doc(tmp_path, doc))
     assert r.returncode == 3 and r.stdout == ""
     lines = r.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("torifano: numerical failure:"), r.stderr
@@ -1147,33 +1166,47 @@ def test_ma_solve_names_an_end_point_past_the_float_range(tmp_path, capsys):
     assert (code, report, err) == (3, None, "torifano: numerical failure: float vertex overflows\n")
 
 
+def _intervals_doc(*intervals):
+    return {"name": "intervals", "dimension": 1, "halfspaces": [[[[1], f"-{a}"], [[-1], b]] for a, b in intervals]}
+
+
 @pytest.mark.parametrize(
-    "low, message",
-    [("100", "density e^-w overflows on the grid at t=0.0"), ("88", "obstruction residual leaves the float range")],
+    "intervals, sums, witness",
+    [
+        ((("0", "1"),), "[0, 1]", "0.5"),
+        ((("0", "1"), ("0", "1")), "[0, 2]", "1"),
+        ((("1/2", "1"), ("1/2", "2")), "[1, 3]", "2"),
+        ((("100", "200"),), "[100, 200]", "150"),
+        ((("88", "200"),), "[88, 200]", "144"),
+    ],
+    ids=["unit", "unit-pair", "half-pair", "far-100", "far-88"],
 )
-def test_ma_solve_on_an_interval_far_from_zero_prints_one_line(tmp_path, capsys, low, message):
-    # 0 lies outside [low, 200]: w falls towards -R, and e^{-w} leaves the
-    # float range on the first sweep (low = 100) or e^{-f} in the closing
-    # residual (low = 88).  No numpy warning may precede the one line.
-    doc = {"name": "far", "dimension": 1, "halfspaces": [[[[1], f"-{low}"], [[-1], "200"]]]}
-    code, report, err = run_cli(capsys, "ma-solve", "--input", write_doc(tmp_path, doc))
-    assert (code, report, err) == (3, None, f"torifano: numerical failure: {message}\n")
+def test_ma_solve_reads_the_interval_certificate_before_any_sweep(tmp_path, capsys, monkeypatch, intervals, sums, witness):
+    # 0 is not inside the sum of the intervals, so e^{-w} is integrable at
+    # no t: the report says so exactly, with no sweep and no heuristic.
+    # On [100, 200] and [88, 200] a path would leave the float range.
+    from torifano import masolver
 
-
-def test_ma_solve_names_the_path_failure_before_the_witness_failure(tmp_path, capsys):
-    # On [100, 200] at V = 1e307 both fail: e^{-w} overflows on the first
-    # sweep, and the witness's vertex exponents leave the float range.  The
-    # witness is taken after the path.
-    doc = {"name": "far", "dimension": 1, "halfspaces": [[[[1], "-100"], [[-1], "200"]]], "vector_fields": [[1e307]]}
-    code, report, err = run_cli(capsys, "ma-solve", "--input", write_doc(tmp_path, doc))
-    assert (code, report, err) == (3, None, "torifano: numerical failure: density e^-w overflows on the grid at t=0.0\n")
-
-
-def test_ma_solve_on_an_interval_with_zero_at_its_end_is_obstructed(tmp_path, capsys):
-    doc = {"name": "unit", "dimension": 1, "halfspaces": [[[[1], "0"], [[-1], "1"]]]}
-    code, report, err = run_cli(capsys, "ma-solve", "--input", write_doc(tmp_path, doc))
+    path = write_doc(tmp_path, _intervals_doc(*intervals))
+    monkeypatch.setattr(masolver, "ma_step_1d", None)
+    start = time.perf_counter()
+    code, report, err = run_cli(capsys, "ma-solve", "--input", path)
+    assert time.perf_counter() - start < 0.1
     assert (code, err) == (0, "")
-    assert report["results"]["status"] == "Obstructed"
+    assert report["results"] == {"status": "Obstructed", "f_at_zero": None, "stages": []}
+    assert report["diagnostics"] == {
+        "reason": f"interval certificate: the parts sum to {sums}, which does not hold 0 in its interior",
+        "barycenter_residual": witness,
+        "tol": "1e-10",
+    }
+
+
+def test_ma_solve_takes_the_witness_after_the_certificate(tmp_path, capsys):
+    # On [100, 200] at V = 1e307 the certificate obstructs the path, and the
+    # witness's vertex exponents leave the float range.
+    doc = dict(_intervals_doc(("100", "200")), vector_fields=[[1e307]])
+    code, report, err = run_cli(capsys, "ma-solve", "--input", write_doc(tmp_path, doc))
+    assert (code, report, err) == (3, None, "torifano: numerical failure: vertex exponents outside the float range\n")
 
 
 _BLOWUP_DOC = document_to_dict(builtin_example("blowup-p2-1pt"))
