@@ -189,6 +189,19 @@ def _part_ends(polytope):
     return xs[0], xs[-1]
 
 
+def _interval_obstruction(ends):
+    """Why 0 is not inside the sum of the intervals [a_i, b_i], or None when it is.
+
+    Outside, no common soliton field exists: at every t of the MA path, w'
+    tends to the sums of the end points at the two ends of the line, so
+    e^{-w} is integrable at none.
+    """
+    low, high = sum(a for a, _ in ends), sum(b for _, b in ends)
+    if low < 0 < high:
+        return None
+    return f"interval certificate: the parts sum to [{low}, {high}], which does not hold 0 in its interior"
+
+
 # Command handlers return (results, diagnostics, exit_code).
 
 def _cmd_validate(doc, args):
@@ -271,6 +284,18 @@ def _cmd_soliton_check(doc, args):
 
 def _cmd_soliton_solve(doc, args):
     dec = _decomposition(doc)
+    reason = _interval_obstruction([_part_ends(p) for p in dec.polytopes]) if dec.dim == 1 else None
+    if reason is not None:
+        # No Newton: the report is V = 0, where A_{P_i} is the barycenter b_i.
+        bary = [barycenter(p)[0] for p in dec.polytopes]
+        results = {
+            "vfield": [0.0],
+            "residual_norm": abs(_rounded(sum(bary), "barycenter")),
+            "iterations": 0,
+            "converged": False,
+            "per_polytope_A": [[_rounded(b, "barycenter")] for b in bary],
+        }
+        return results, {"tol": args.tol, "reason": reason}, 3
     solution = solve_soliton(dec, tol=args.tol)
     results = {
         "vfield": list(solution.vfield),
@@ -330,8 +355,8 @@ def _cmd_ma_solve(doc, args):
     intervals = [(_rounded(a, "vertex"), _rounded(b, "vertex")) for a, b in ends]
     vfields = doc.vector_fields
     scalars = [0.0] * dec.k if vfields is None else [float(v[0]) for v in vfields]
-    low, high = sum(a for a, _ in ends), sum(b for _, b in ends)
-    if low < 0 < high:
+    reason = _interval_obstruction(ends)
+    if reason is None:
         result = masolver.solve_continuity_1d(
             intervals,
             scalars,
@@ -346,11 +371,7 @@ def _cmd_ma_solve(doc, args):
         status, stages, f_at_zero = result.status, result.snapshots, [float(state.u[mid]) / dec.k] * dec.k
         diagnostics = dict(result.diagnostics)
     else:
-        # At every t, w' tends to the sums of the end points at the two ends
-        # of the line, so e^{-w} is integrable at none: no sweep runs.
-        status, stages, f_at_zero = "Obstructed", (), None
-        diagnostics = {"reason": f"interval certificate: the parts sum to [{low}, {high}], "
-                                 "which does not hold 0 in its interior"}
+        status, stages, f_at_zero, diagnostics = "Obstructed", (), None, {"reason": reason}
     # The obstruction witness is soliton-check's sum on the same parts.
     witness = soliton_residual(dec, [(v,) for v in scalars]).total[0]
     if args.snapshots:

@@ -14,9 +14,13 @@ vertex exponents a_i = <V, v_i> the integral of e^{<V,p>} is dim! vol [a]
 exp, the divided difference of exp over the a_i; its derivatives
 [a, a_i] and [a, a_i, a_j] (doubled when i = j) give the first and second
 moments (Baldoni, Berline, De Loera, Koppe and Vergne, Math. Comp. 2011).
-First moments are taken about :func:`barycenter`, the cone-sum one, and
-second moments about A_P(V) itself, so the covariance is a sum of squares
-and loses no digits to cancellation.  This pass is the one weighted route:
+All are row 0 of one matrix exponential per row of nodes, whose columns
+the rows of a simplex share: :func:`_dd_simplices` runs each distinct
+column once, and squares full matrices a block of simplices at a time, so
+the pass's memory is bounded whatever the mesh.  First moments are taken
+about :func:`barycenter`, the cone-sum one, and second moments about
+A_P(V) itself, so the covariance is a sum of squares and loses no digits
+to cancellation.  This pass is the one weighted route:
 Newton, the weighted barycenters of soliton-check and barycenter, and
 ma-solve's barycenter witness all read it.  The tests hold
 a quadrature route and the closed-form mean of an interval that
@@ -25,6 +29,7 @@ cross-check it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -34,6 +39,9 @@ from .geometry import _rounded
 # Taylor terms beyond the node count; after scaling every node lies within
 # 1/2 of the expansion point, so the truncation is below 1e-18 relative.
 _TAYLOR_EXTRA = 16
+# Rows of full matrices squared at once: the simplices of a block hold about
+# this many, which bounds the memory of the pass.
+_BLOCK_ROWS = 2048
 
 
 def volume(polytope):
@@ -52,38 +60,89 @@ def barycenter(polytope):
 # divided differences of exp
 
 
-def _dd_rows(nodes):
-    """Entry k of row r is the divided difference [nodes[r, :k+1]] exp.
+@functools.lru_cache(maxsize=None)
+def _dd_tables(k, order):
+    """Index tables of the pass over k vertex nodes and ``order`` repeats, built once.
+
+    Row p of a simplex holds its k nodes followed by those of ``pairs[p]``,
+    the p-th index tuple i <= j; ``rows[p]`` are those node indices.  Its
+    column c depends only on the first c + 1 nodes, so the rows share their
+    columns below k, and column k with every row of the same i: ``cols[p,
+    c]`` numbers the distinct columns, ``diag[r, col]`` is the node on row r
+    of column col (0 below its last row), and ``eye`` holds the 1 of the
+    identity on that last row.
+    """
+    import numpy as np
+
+    pairs = list(itertools.combinations_with_replacement(range(k), order))
+    rows = [tuple(range(k)) + pair for pair in pairs]
+    distinct = {}
+    cols = [[distinct.setdefault(row[: c + 1], len(distinct)) for c in range(k + order)] for row in rows]
+    diag = np.zeros((k + order, len(distinct)), dtype=int)
+    eye = np.zeros(diag.shape + (1,))
+    for prefix, col in distinct.items():
+        diag[: len(prefix), col] = prefix
+        eye[len(prefix) - 1, col] = 1.0
+    return pairs, np.array(rows), np.array(cols), diag, eye
+
+
+def _dd_simplices(nodes, order):
+    """Entry c of row p of simplex s is the divided difference of exp over
+    the first c + 1 nodes of that row, ``nodes[s]`` then those of the p-th
+    pair of :func:`_dd_tables`.
 
     These are row 0 of exp(diag(a) + N), N the unit superdiagonal (Opitz).
-    Each row is shifted by its largest node and scaled by 2^-s to a spread
-    below 1, a Taylor polynomial gives the exponential, and s squarings
-    undo the scaling; the diagonal is reset to exact exponentials after
-    each squaring, so rounding errors add up instead of doubling
-    (McCurdy, Ng and Parlett, Math. Comp. 1984).
+    A simplex's nodes are shifted by their largest and scaled by 2^-s to a
+    spread below 1, a Taylor polynomial gives the exponential, and s
+    squarings undo the scaling; the diagonal is reset to exact exponentials
+    after each squaring, so rounding errors add up instead of doubling
+    (McCurdy, Ng and Parlett, Math. Comp. 1984).  The matrix is bidiagonal,
+    so each Horner step on a column is d_r e_r + e_{r+1} row by row, run
+    once per distinct column with the simplices on the last axis; only the
+    rows of simplices that square are assembled into full matrices, a block
+    of simplices at a time.  The result is C-contiguous, (simplices, pairs,
+    k + order): the sums over simplices of :func:`weighted_moments` read it
+    in that layout, whose strides fix their order of summation.
     """
     import numpy as np
 
     count, k = nodes.shape
-    top = nodes.max(axis=1)
-    steps = np.maximum(np.frexp(top - nodes.min(axis=1))[1], 0)
-    x = np.ldexp(nodes - top[:, None], -steps[:, None])
-    mid = x.min(axis=1) / 2
-    diag = (slice(None), range(k), range(k))
-    a = np.zeros((count, k, k))
-    a[diag] = x - mid[:, None]
-    a[:, range(k - 1), range(1, k)] = 1.0
-    eye = np.eye(k)
-    e = eye
-    for j in range(k + _TAYLOR_EXTRA, 0, -1):
-        e = eye + a @ e / j
-    e = e * np.exp(mid)[:, None, None]
-    scale = np.ldexp(1.0, np.subtract.outer(range(k), range(k)))  # 2^(i-j)
-    for t in range(int(steps.max())):
-        sq = e @ e * scale
-        sq[diag] = np.exp(np.ldexp(x, t + 1))
-        e = np.where((steps > t)[:, None, None], sq, e)
-    return e[:, 0, :] * np.exp(top)[:, None]
+    m = k + order
+    pairs, rows, cols, diag, eye = _dd_tables(k, order)
+    dd = np.empty((count, len(pairs), m))
+    block = max(1, _BLOCK_ROWS // len(pairs))
+    full = (slice(None), range(m), range(m))
+    scale = np.ldexp(1.0, np.subtract.outer(range(m), range(m)))  # 2^(i-j)
+    for start in range(0, count, block):
+        a = nodes[start : start + block]
+        top = a.max(axis=1)
+        steps = np.maximum(np.frexp(top - a.min(axis=1))[1], 0)
+        x = np.ldexp(a - top[:, None], -steps[:, None])
+        mid = x.min(axis=1) / 2
+        d = (x - mid[:, None]).T[diag]
+        e, nxt = np.empty_like(d), np.empty_like(d)
+        e[...] = eye
+        for j in range(m + _TAYLOR_EXTRA, 0, -1):
+            np.multiply(d, e, out=nxt)
+            nxt[:-1] += e[1:]
+            nxt /= j
+            nxt += eye
+            e, nxt = nxt, e
+        e *= np.exp(mid)
+        out = dd[start : start + block]
+        out[...] = (e[0][cols] * np.exp(top)).transpose(2, 0, 1)
+        squared = np.flatnonzero(steps)
+        if squared.size:
+            # f[s, p, r, c] is row r, column c of pair p's matrix on simplex s.
+            f = np.ascontiguousarray(e[:, :, squared][:, cols].transpose(3, 1, 0, 2)).reshape(-1, m, m)
+            xs = x[squared][:, rows].reshape(-1, m)
+            rep = np.repeat(steps[squared], len(pairs))
+            for t in range(int(rep.max())):
+                sq = f @ f * scale
+                sq[full] = np.exp(np.ldexp(xs, t + 1))
+                f = np.where((rep > t)[:, None, None], sq, f)
+            out[squared] = (f[:, 0, :] * np.repeat(np.exp(top[squared]), len(pairs))[:, None]).reshape(-1, len(pairs), m)
+    return dd
 
 
 # ---------------------------------------------------------------------------
@@ -117,11 +176,12 @@ class WeightedMoments(Record):
 def weighted_moments(polytope, vfield, order=2):
     """Mass, and up to ``order`` 2 the barycenter and covariance, of e^{<V,p>}.
 
-    One batch of divided differences covers every simplex of the polytope's
-    mesh: for each vertex pair i <= j the nodes (a, a_i, a_j) give [a],
-    [a, a_i] and [a, a_i, a_j] at once.  Nodes are shifted by the largest
-    vertex exponent, so all are <= 0; exponents, or a spread of them, past
-    the float range raise OverflowError.  First moments are taken about
+    One pass of divided differences, :func:`_dd_simplices`, covers every
+    simplex of the polytope's mesh: for each vertex pair i <= j the nodes
+    (a, a_i, a_j) give [a], [a, a_i] and [a, a_i, a_j] at once.  The sums
+    over simplices run over the whole mesh at once, in one order.  Nodes
+    are shifted by the largest vertex exponent, so all are <= 0; exponents,
+    or a spread of them, past the float range raise OverflowError.  First moments are taken about
     :func:`barycenter` and second moments about A_P(V), so the covariance
     needs no subtraction of the squared mean.
     """
@@ -136,9 +196,8 @@ def weighted_moments(polytope, vfield, order=2):
         raise OverflowError("vertex exponents outside the float range")
     shift = float(expo.max())
     count, k = expo.shape
-    pairs = list(itertools.combinations_with_replacement(range(k), order))
-    rows = np.array([tuple(range(k)) + pair for pair in pairs])
-    dd = _dd_rows((expo[:, rows] - shift).reshape(-1, k + order)).reshape(count, len(pairs), k + order)
+    pairs = _dd_tables(k, order)[0]
+    dd = _dd_simplices(expo - shift, order)
     # The weights and the mass are taken over the power of two of the
     # largest weight, which is exact, so that a weight times an offset
     # (squared) overflows only where the moment would.

@@ -6,7 +6,9 @@ Makes a ``git archive`` copy of each revision in a temporary directory.
 Each copy then runs, in its own process with ``OPENBLAS_NUM_THREADS``,
 ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` set to its BLAS thread count,
 every operation of its ``perfbench/workloads.py`` at the given seeds and
-every built-in example below under every command, through its own
+every built-in example below under every command, and ``soliton-solve``,
+``soliton-check`` and a weighted ``barycenter`` on the scaling documents
+below, built by its own ``workloads.fan_problem``, through its own
 ``torifano.cli.main``.  Each copy writes the workload documents to the same
 relative path in its own working directory, so the two runs read the same
 command lines.  The script prints each operation whose exit code, stderr,
@@ -28,6 +30,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -43,6 +46,10 @@ BUILTINS = (
     "hexagon-dP6-t", "hexagon-dP6-t:0", "hexagon-dP6-t:1/7", "hexagon-dP6-t:-1/5",
     "pE-4fold-c", "pE-4fold-c:1/3",
 )
+# Scaling documents, (label, base, m): base x (P^1)^m split in two parts by
+# fan_problem(random.Random(7), ...), whose weighted passes run over
+# hundreds of simplices per part.
+SCALING = (("bl3", "blowup-p2-1pt", 3), ("(P1)^6", None, 6))
 
 
 def parse_seeds(text):
@@ -65,6 +72,18 @@ def run_operations(checkout, seeds):
             ops = workloads.write_documents(workloads.build(workload, seed), f"docs/{workload}-{seed}")
             operations += [(f"{workload}:{seed}:{i}:{op.name}", op.argv) for i, op in enumerate(ops)]
     operations += [(f"builtin:{spec}:{command}", [command, "--example", spec]) for spec in BUILTINS for command in cli.COMMANDS]
+    os.makedirs("docs/scaling", exist_ok=True)
+    for label, base, m in SCALING:
+        prob = workloads.fan_problem(random.Random(7), base, m, 2)
+        path = f"docs/scaling/{label}.json"
+        Path(path).write_text(json.dumps(prob.document()), encoding="utf-8")
+        # Fields of both signs and of several sizes, so that some simplices
+        # of the pass square and some do not.
+        prob.vector_fields = [[(-1) ** (i + a) * (a + 1) / 8 for a in range(prob.dim)] for i in range(2)]
+        fields = f"docs/scaling/{label}-fields.json"
+        Path(fields).write_text(json.dumps(prob.document()), encoding="utf-8")
+        operations.append((f"scaling:{label}:soliton-solve", ["soliton-solve", "--input", path]))
+        operations += [(f"scaling:{label}:{command}", [command, "--input", fields]) for command in ("soliton-check", "barycenter")]
     results = {}
     for key, argv in operations:
         out, err = io.StringIO(), io.StringIO()

@@ -8,8 +8,12 @@ tests check it against, and no command runs:
   polynomial rules on subdivided simplices, escalating the degree until the
   mass stabilizes.  The divided-difference kernel never feeds into these
   numbers, so the two routes cross-validate each other.
-- :func:`divided_difference_exp`, the one-row view of the batched kernel
-  ``moments._dd_rows``.
+- :func:`_dd_rows`, the divided-difference kernel the package ran before
+  it shared columns: one full matrix per row of nodes through every Taylor
+  step, and :func:`dd_simplices_by_rows`, its view in the layout of
+  ``moments._dd_simplices``, which must equal it bit for bit.
+- :func:`divided_difference_exp`, the one-row view of the package's kernel
+  ``moments._dd_simplices``.
 - :func:`moment_report`, which bundles the exact and weighted moments of a
   polytope with the relative disagreement of the two weighted-mass routes.
 - :func:`volume_factor` and :func:`mesh_moments`, the unweighted moments of
@@ -26,6 +30,7 @@ tests check it against, and no command runs:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -162,13 +167,53 @@ def exp_moments_simplex(vertices, vfield, shift=0.0, rtol=1e-12):
     return m0_total, m1_total, m2_total
 
 
+def _dd_rows(nodes):
+    """Entry k of row r is the divided difference [nodes[r, :k+1]] exp.
+
+    These are row 0 of exp(diag(a) + N), N the unit superdiagonal (Opitz).
+    Each row is shifted by its largest node and scaled by 2^-s to a spread
+    below 1, a Taylor polynomial gives the exponential, and s squarings
+    undo the scaling; the diagonal is reset to exact exponentials after
+    each squaring, so rounding errors add up instead of doubling
+    (McCurdy, Ng and Parlett, Math. Comp. 1984).
+    """
+    count, k = nodes.shape
+    top = nodes.max(axis=1)
+    steps = np.maximum(np.frexp(top - nodes.min(axis=1))[1], 0)
+    x = np.ldexp(nodes - top[:, None], -steps[:, None])
+    mid = x.min(axis=1) / 2
+    diag = (slice(None), range(k), range(k))
+    a = np.zeros((count, k, k))
+    a[diag] = x - mid[:, None]
+    a[:, range(k - 1), range(1, k)] = 1.0
+    eye = np.eye(k)
+    e = eye
+    for j in range(k + moments._TAYLOR_EXTRA, 0, -1):
+        e = eye + a @ e / j
+    e = e * np.exp(mid)[:, None, None]
+    scale = np.ldexp(1.0, np.subtract.outer(range(k), range(k)))  # 2^(i-j)
+    for t in range(int(steps.max())):
+        sq = e @ e * scale
+        sq[diag] = np.exp(np.ldexp(x, t + 1))
+        e = np.where((steps > t)[:, None, None], sq, e)
+    return e[:, 0, :] * np.exp(top)[:, None]
+
+
+def dd_simplices_by_rows(nodes, order):
+    """``moments._dd_simplices`` by :func:`_dd_rows`: one row of nodes per simplex and index tuple i <= j."""
+    count, k = nodes.shape
+    pairs = list(itertools.combinations_with_replacement(range(k), order))
+    rows = np.array([tuple(range(k)) + pair for pair in pairs])
+    return _dd_rows(nodes[:, rows].reshape(-1, k + order)).reshape(count, len(pairs), k + order)
+
+
 def divided_difference_exp(nodes):
     """[a_0, ..., a_m] exp, stable across clustered and separated nodes."""
     xs = [float(x) for x in nodes]
     if not xs:
         raise InputError("divided difference needs at least one node")
     top = max(xs)
-    return math.exp(top) * float(moments._dd_rows(np.array([xs]) - top)[0, -1])
+    return math.exp(top) * float(moments._dd_simplices(np.array([xs]) - top, 0)[0, 0, -1])
 
 
 @dataclass(frozen=True)

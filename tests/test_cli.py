@@ -24,6 +24,7 @@ from torifano.problems import (
     document_from_dict,
     document_to_dict,
 )
+from reference_moments import dd_simplices_by_rows
 
 PAIR_DOC = {
     "name": "interval-pair",
@@ -331,14 +332,49 @@ def test_soliton_check_large_field_on_p2(tmp_path, capsys, field):
 
 
 def test_numerical_failure_exits_three(tmp_path, capsys, monkeypatch):
-    def overflow(nodes):
+    def overflow(nodes, order):
         raise OverflowError("exponent out of range")
 
-    monkeypatch.setattr(moments, "_dd_rows", overflow)
+    monkeypatch.setattr(moments, "_dd_simplices", overflow)
     code, report, err = run_cli(capsys, "soliton-check", "--input", write_doc(tmp_path, PAIR_DOC))
     assert code == 3
     assert report is None
     assert err == "torifano: numerical failure: exponent out of range\n"
+
+
+def _bl3_document():
+    """blowup-p2-1pt x (P^1)^3 in two parts, a weighted pass over many simplices per part."""
+    doc = document_to_dict(builtin_example("blowup-p2-1pt"))
+    rays = [r + [0, 0, 0] for r in doc["rays"]]
+    cones = doc["max_cones"]
+    for axis in range(2, 5):
+        e = [int(i == axis) for i in range(5)]
+        cones = [c + [len(rays) + side] for c in cones for side in (0, 1)]
+        rays += [e, [-x for x in e]]
+    rows = [
+        ["13/30", "1/2", "17/30", "13/30", "1/5", "9/10", "1/5", "3/5", "1/10", "9/10"],
+        ["17/30", "1/2", "13/30", "17/30", "4/5", "1/10", "4/5", "2/5", "9/10", "1/10"],
+    ]
+    return {"name": "bl3", "dimension": 5, "rays": rays, "max_cones": cones, "decomposition": rows}
+
+
+@pytest.mark.parametrize("command", ["soliton-solve", "barycenter"])
+def test_bl3_reports_are_those_of_the_row_kernel(tmp_path, capsys, monkeypatch, command):
+    # The shared-column pass against the row kernel it replaced, through
+    # Newton's order-2 and order-0 passes and the order-1 weighted barycenter,
+    # whose fields square the simplices of the pass in part.
+    doc = _bl3_document()
+    if command == "barycenter":
+        doc["vector_fields"] = [[(-1) ** (i + a) * (a + 1) / 8 for a in range(5)] for i in range(2)]
+    path = write_doc(tmp_path, doc)
+    reports = []
+    for kernel in (moments._dd_simplices, dd_simplices_by_rows):
+        monkeypatch.setattr(moments, "_dd_simplices", kernel)
+        code, report, err = run_cli(capsys, command, "--input", path)
+        assert (code, err) == (0, "")
+        del report["wall_time_s"]
+        reports.append(report)
+    assert reports[0] == reports[1]
 
 
 def test_newton_on_a_numerically_singular_hessian_exits_three(tmp_path, capsys):
@@ -1014,9 +1050,13 @@ def test_float_overflow_exits_three_or_reports_finite_values(tmp_path, capsys, n
         assert results.get("verdict", "Exists") == "Exists" and results.get("value", "0") == "0"
     elif code == 0:
         _finite_strings(report)
+    elif command == "soliton-solve" and report is not None:
+        # The far pair holds no field: the interval certificate's report.
+        assert (code, err, report["results"]["converged"]) == (3, "", False)
+        _finite_strings(report)
     else:
         assert code in (2, 3) and report is None, err
-    if code == 3:
+    if code == 3 and report is None:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("torifano: "), err
 
@@ -1207,6 +1247,39 @@ def test_ma_solve_takes_the_witness_after_the_certificate(tmp_path, capsys):
     doc = dict(_intervals_doc(("100", "200")), vector_fields=[[1e307]])
     code, report, err = run_cli(capsys, "ma-solve", "--input", write_doc(tmp_path, doc))
     assert (code, report, err) == (3, None, "torifano: numerical failure: vertex exponents outside the float range\n")
+
+
+@pytest.mark.parametrize(
+    "intervals, sums, residual, per_part",
+    [
+        ((("0", "1"), ("0", "1")), "[0, 2]", "1", [["0.5"], ["0.5"]]),
+        ((("1/2", "1"), ("1/2", "2")), "[1, 3]", "2", [["0.75"], ["1.25"]]),
+    ],
+    ids=["unit-pair", "half-pair"],
+)
+def test_soliton_solve_reads_the_interval_certificate_before_newton(
+    tmp_path, capsys, monkeypatch, intervals, sums, residual, per_part
+):
+    # No common field exists. On [0, 1] + [0, 1] Newton would run off
+    # towards V = -inf, where the residual falls below tol; on [1/2, 1] +
+    # [1/2, 2] it would run to its iteration cap.
+    monkeypatch.setattr(cli, "solve_soliton", None)
+    path = write_doc(tmp_path, _intervals_doc(*intervals))
+    start = time.perf_counter()
+    code, report, err = run_cli(capsys, "soliton-solve", "--input", path)
+    assert time.perf_counter() - start < 0.1
+    assert (code, err) == (3, "")
+    assert report["results"] == {
+        "converged": False,
+        "iterations": 0,
+        "per_polytope_A": per_part,
+        "residual_norm": residual,
+        "vfield": ["0"],
+    }
+    assert report["diagnostics"] == {
+        "reason": f"interval certificate: the parts sum to {sums}, which does not hold 0 in its interior",
+        "tol": "1e-10",
+    }
 
 
 _BLOWUP_DOC = document_to_dict(builtin_example("blowup-p2-1pt"))

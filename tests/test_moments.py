@@ -34,7 +34,14 @@ from torifano.moments import (
 
 import reference_linalg as ref
 from reference_geometry import mesh_volume, translate
-from reference_moments import divided_difference_exp, exp_moments_simplex, mesh_moments, moment_report, simplex_polytope
+from reference_moments import (
+    dd_simplices_by_rows,
+    divided_difference_exp,
+    exp_moments_simplex,
+    mesh_moments,
+    moment_report,
+    simplex_polytope,
+)
 
 P2 = Fan(((1, 0), (0, 1), (-1, -1)), ((0, 1), (1, 2), (2, 0)))
 
@@ -657,11 +664,29 @@ def test_batched_divided_differences_match_decimal_oracle():
     # entry k of a row is the divided difference over its first k+1 nodes.
     rows = oracle_node_sets(sizes=(6,))
     top = max(max(r) for r in rows)
-    got = moments._dd_rows(np.array(rows) - top)
+    got = moments._dd_simplices(np.array(rows) - top, 0)[:, 0]
     for row, out in zip(rows, got):
         for k in range(len(row)):
             want = decimal_divided_difference(row[: k + 1]) * decimal.Decimal(-top).exp()
             assert abs(decimal.Decimal(out[k]) - want) <= decimal.Decimal("1e-13") * want
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_simplex_pass_equals_the_row_kernel_bit_for_bit(order):
+    # Seeded simplices of 1 to 8 nodes at spreads up to 1e4, some confluent
+    # and some shrunk, so that one batch mixes simplices that square with
+    # ones that do not, over more than one block of the squaring stage.
+    rng = np.random.default_rng(order)
+    for k in range(1, 9):
+        for spread in (0.0, 0.3, 1.0, 7.0, 300.0, 1e4):
+            nodes = rng.uniform(-spread, 0.0, (150, k))
+            nodes[::3] *= 1e-3
+            nodes[1::4, -1] = nodes[1::4, 0]
+            nodes[2::5] = nodes[2::5, :1]
+            nodes -= nodes.max()
+            got = moments._dd_simplices(nodes, order)
+            assert got.flags.c_contiguous
+            assert got.tobytes() == dd_simplices_by_rows(nodes, order).tobytes(), (k, spread)
 
 
 @pytest.mark.parametrize("field", [400, 900])
